@@ -2,7 +2,7 @@ package agent
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynamo/internal/platform"
@@ -22,11 +22,9 @@ type Agent struct {
 	generation string
 	plat       platform.Platform
 
-	mu     sync.Mutex
-	reads  uint64
-	caps   uint64
-	uncaps uint64
-	errs   uint64
+	// Operation counters, indexed by op. Atomic so Stats and Ping can be
+	// read from any goroutine without the request path taking a lock.
+	ops [numOps]atomic.Uint64
 
 	// Cap-lease fail-safe (paper §III-E: capping must not survive
 	// controller death). All lease fields except leaseExpiries are
@@ -36,17 +34,28 @@ type Agent struct {
 	leaseTTL      time.Duration
 	leaseTimer    *simclock.Timer
 	onLeaseExpire func(id string, limit power.Watts)
-	leaseExpiries uint64 // guarded by mu (read by Stats-style accessors)
+	leaseExpiries atomic.Uint64
 
 	tel *agentInstr // nil when telemetry is disabled
 }
 
+// op names one of the agent's operation counters.
+type op int
+
+const (
+	opRead op = iota
+	opCap
+	opUncap
+	opErr
+	numOps
+)
+
 // agentInstr holds one agent's telemetry instruments. Handles are fetched
 // once; the request path is atomic increments plus two clock reads.
 type agentInstr struct {
-	reads, caps, uncaps, errs *telemetry.Counter
-	leaseExp, leaseRenew      *telemetry.Counter
-	readDur, capDur           *telemetry.Histogram
+	ops                  [numOps]*telemetry.Counter
+	leaseExp, leaseRenew *telemetry.Counter
+	readDur, capDur      *telemetry.Histogram
 }
 
 // SetTelemetry attaches metric instruments to this agent, labeled by
@@ -58,10 +67,12 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 	}
 	lb := []string{"server", a.id}
 	a.tel = &agentInstr{
-		reads:      s.Counter("dynamo_agent_reads_total", lb...),
-		caps:       s.Counter("dynamo_agent_caps_total", lb...),
-		uncaps:     s.Counter("dynamo_agent_uncaps_total", lb...),
-		errs:       s.Counter("dynamo_agent_errors_total", lb...),
+		ops: [numOps]*telemetry.Counter{
+			opRead:  s.Counter("dynamo_agent_reads_total", lb...),
+			opCap:   s.Counter("dynamo_agent_caps_total", lb...),
+			opUncap: s.Counter("dynamo_agent_uncaps_total", lb...),
+			opErr:   s.Counter("dynamo_agent_errors_total", lb...),
+		},
 		leaseExp:   s.Counter("dynamo_agent_lease_expiries_total", lb...),
 		leaseRenew: s.Counter("dynamo_agent_lease_renewals_total", lb...),
 		readDur:    s.Histogram("dynamo_agent_read_duration_seconds", nil, lb...),
@@ -84,11 +95,7 @@ func (a *Agent) EnableLease(loop simclock.Loop, defaultTTL time.Duration, onExpi
 
 // LeaseExpiries returns how many caps this agent has released because
 // their lease went unrenewed.
-func (a *Agent) LeaseExpiries() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.leaseExpiries
-}
+func (a *Agent) LeaseExpiries() uint64 { return a.leaseExpiries.Load() }
 
 // New creates an agent for a server.
 func New(id, service, generation string, plat platform.Platform) *Agent {
@@ -103,26 +110,13 @@ func (a *Agent) Service() string { return a.service }
 
 // Stats returns the operation counters (reads, caps, uncaps, errors).
 func (a *Agent) Stats() (reads, caps, uncaps, errs uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reads, a.caps, a.uncaps, a.errs
+	return a.ops[opRead].Load(), a.ops[opCap].Load(), a.ops[opUncap].Load(), a.ops[opErr].Load()
 }
 
-func (a *Agent) count(c *uint64) {
-	a.mu.Lock()
-	*c++
-	a.mu.Unlock()
+func (a *Agent) count(o op) {
+	a.ops[o].Add(1)
 	if a.tel != nil {
-		switch c {
-		case &a.reads:
-			a.tel.reads.Inc()
-		case &a.caps:
-			a.tel.caps.Inc()
-		case &a.uncaps:
-			a.tel.uncaps.Inc()
-		case &a.errs:
-			a.tel.errs.Inc()
-		}
+		a.tel.ops[o].Inc()
 	}
 }
 
@@ -135,7 +129,7 @@ func (a *Agent) Handler() rpc.Handler {
 		case MethodSetCap:
 			var req SetCapRequest
 			if err := wire.Unmarshal(body, &req); err != nil {
-				a.count(&a.errs)
+				a.count(opErr)
 				return nil, err
 			}
 			return a.setCap(req.LimitWatts, time.Duration(req.LeaseNanos))
@@ -144,17 +138,16 @@ func (a *Agent) Handler() rpc.Handler {
 		case MethodRenewLease:
 			var req RenewLeaseRequest
 			if err := wire.Unmarshal(body, &req); err != nil {
-				a.count(&a.errs)
+				a.count(opErr)
 				return nil, err
 			}
 			return a.renewLease(time.Duration(req.LeaseNanos))
 		case MethodPing:
-			a.mu.Lock()
-			resp := &PingResponse{Healthy: true, Reads: a.reads, Caps: a.caps, Uncaps: a.uncaps, Errors: a.errs}
-			a.mu.Unlock()
+			resp := &PingResponse{Healthy: true}
+			resp.Reads, resp.Caps, resp.Uncaps, resp.Errors = a.Stats()
 			return resp, nil
 		default:
-			a.count(&a.errs)
+			a.count(opErr)
 			return nil, fmt.Errorf("agent %s: unknown method %q", a.id, method)
 		}
 	}
@@ -167,10 +160,10 @@ func (a *Agent) readPower() (wire.Message, error) {
 	}
 	b, err := a.plat.ReadPower()
 	if err != nil {
-		a.count(&a.errs)
+		a.count(opErr)
 		return nil, fmt.Errorf("agent %s: %w", a.id, err)
 	}
-	a.count(&a.reads)
+	a.count(opRead)
 	cap, capped := a.plat.PowerLimit()
 	return &ReadPowerResponse{
 		TotalWatts:    float64(b.Total),
@@ -193,14 +186,14 @@ func (a *Agent) setCap(limitWatts float64, lease time.Duration) (wire.Message, e
 		defer func() { a.tel.capDur.Observe(time.Since(start).Seconds()) }()
 	}
 	if limitWatts <= 0 {
-		a.count(&a.errs)
+		a.count(opErr)
 		return &CapResponse{OK: false, Msg: "non-positive power limit"}, nil
 	}
 	if err := a.plat.SetPowerLimit(power.Watts(limitWatts)); err != nil {
-		a.count(&a.errs)
+		a.count(opErr)
 		return &CapResponse{OK: false, Msg: err.Error()}, nil
 	}
-	a.count(&a.caps)
+	a.count(opCap)
 	a.armLease(lease, power.Watts(limitWatts))
 	return &CapResponse{OK: true}, nil
 }
@@ -211,11 +204,11 @@ func (a *Agent) clearCap() (wire.Message, error) {
 		defer func() { a.tel.capDur.Observe(time.Since(start).Seconds()) }()
 	}
 	if err := a.plat.ClearPowerLimit(); err != nil {
-		a.count(&a.errs)
+		a.count(opErr)
 		return &CapResponse{OK: false, Msg: err.Error()}, nil
 	}
 	a.stopLease()
-	a.count(&a.uncaps)
+	a.count(opUncap)
 	return &CapResponse{OK: true}, nil
 }
 
@@ -267,12 +260,10 @@ func (a *Agent) expireLease(limit power.Watts) {
 		return // cap already cleared through the normal path
 	}
 	if err := a.plat.ClearPowerLimit(); err != nil {
-		a.count(&a.errs)
+		a.count(opErr)
 		return
 	}
-	a.mu.Lock()
-	a.leaseExpiries++
-	a.mu.Unlock()
+	a.leaseExpiries.Add(1)
 	if a.tel != nil {
 		a.tel.leaseExp.Inc()
 	}

@@ -62,8 +62,10 @@ func (m *ReadPowerResponse) UnmarshalWire(d *wire.Decoder) error {
 	m.ACDCLossWatts = d.Float64()
 	m.HasSensor = d.Bool()
 	m.CPUUtil = d.Float64()
-	m.Service = d.String()
-	m.Generation = d.String()
+	// Keep the strings m already holds when the wire agrees with them: a
+	// controller decodes every pull of a server into the same message.
+	m.Service = d.StringKeep(m.Service)
+	m.Generation = d.StringKeep(m.Generation)
 	m.CapWatts = d.Float64()
 	m.Capped = d.Bool()
 	return d.Err()

@@ -64,11 +64,7 @@ func buildControlCycleBench(nServers int, inline bool) (*simclock.SimLoop, *Coho
 			DryRun:    true,
 			Scheduler: sched,
 		}, refs)
-		states := make([]*agentState, 0, perLeaf)
-		for _, id := range leaf.order {
-			states = append(states, leaf.agents[id])
-		}
-		leaves = append(leaves, benchLeaf{leaf: leaf, raws: raws, states: states})
+		leaves = append(leaves, benchLeaf{leaf: leaf, raws: raws, states: leaf.list})
 	}
 	return loop, sched, leaves
 }

@@ -153,9 +153,11 @@ type agentState struct {
 	quarCycles  int
 	probing     bool // this cycle issues a half-open probe
 
-	// cycle-local state. raw holds the undecoded pull response; decoding
-	// happens in the observe phase so the RPC completion callback does no
-	// per-agent work beyond storing bytes.
+	// cycle-local state. raw holds a copy of the undecoded pull response
+	// (the transport's buffer is only valid inside the completion
+	// callback) in storage reused from cycle to cycle; decoding happens in
+	// the observe phase so the callback does no per-agent work beyond
+	// copying bytes.
 	rawValid  bool
 	raw       []byte
 	ok        bool
@@ -169,8 +171,13 @@ type Leaf struct {
 	cfg  LeafConfig
 	loop simclock.Loop
 
-	agents map[string]*agentState
-	order  []string // deterministic iteration order
+	agents map[string]*agentState // by server ID
+	list   []*agentState          // the same agents in configuration order; every per-cycle loop walks this
+
+	// Reused across pulls by the observe phase: one decoder and one
+	// response message per controller, not per reading.
+	dec wire.Decoder
+	msg agent.ReadPowerResponse
 
 	ticker   *simclock.Ticker
 	cycleSeq uint64
@@ -285,11 +292,12 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 		l.schedOrder = l.sched.register()
 	}
 	for _, a := range agents {
-		l.agents[a.ServerID] = &agentState{
+		st := &agentState{
 			id: a.ServerID, client: a.Client,
 			service: a.Service, generation: a.Generation,
 		}
-		l.order = append(l.order, a.ServerID)
+		l.agents[a.ServerID] = st
+		l.list = append(l.list, st)
 	}
 	if cfg.UsePID {
 		l.pid = newPIDState(cfg.PID)
@@ -327,7 +335,7 @@ func (l *Leaf) Retries() uint64 { return l.retries }
 // the circuit breaker.
 func (l *Leaf) QuarantinedCount() int {
 	n := 0
-	for _, a := range l.agents {
+	for _, a := range l.list {
 		if a.quarantined {
 			n++
 		}
@@ -370,7 +378,7 @@ func (l *Leaf) CappedHistory() *metrics.Series { return l.cappedHistory }
 // CappedCount returns how many servers currently hold a cap we sent.
 func (l *Leaf) CappedCount() int {
 	n := 0
-	for _, a := range l.agents {
+	for _, a := range l.list {
 		if a.capped {
 			n++
 		}
@@ -503,10 +511,8 @@ func (l *Leaf) pollCycle() {
 	// their probe cycles, where a single half-open pull tests whether
 	// they can be re-admitted.
 	l.inflight = 0
-	for _, id := range l.order {
-		st := l.agents[id]
+	for _, st := range l.list {
 		st.rawValid = false
-		st.raw = nil
 		st.ok = false
 		st.estimated = false
 		st.reading = 0
@@ -524,8 +530,7 @@ func (l *Leaf) pollCycle() {
 		l.complete()
 		return
 	}
-	for _, id := range l.order {
-		st := l.agents[id]
+	for _, st := range l.list {
 		if st.quarantined && !st.probing {
 			continue
 		}
@@ -553,7 +558,7 @@ func (l *Leaf) onPull(seq uint64, st *agentState, resp []byte, err error) {
 	}
 	if err == nil {
 		st.rawValid = true
-		st.raw = resp
+		st.raw = append(st.raw[:0], resp...)
 	}
 	l.inflight--
 	if l.inflight == 0 {
@@ -590,13 +595,16 @@ func (l *Leaf) runObserveDecide(now time.Duration) {
 	*p = leafPlan{prevAction: l.lastAction, caps: p.caps[:0], alerts: p.alerts[:0]}
 
 	// Decode this cycle's raw pull responses.
-	for _, id := range l.order {
-		st := l.agents[id]
+	for _, st := range l.list {
 		if !st.rawValid {
 			continue
 		}
-		var r agent.ReadPowerResponse
-		if derr := wire.Unmarshal(st.raw, &r); derr == nil {
+		// Decode into the controller's one message, preloaded with what
+		// this agent said last time so unchanged strings are kept.
+		r := &l.msg
+		r.Service, r.Generation = st.service, st.generation
+		l.dec.Reset(st.raw)
+		if derr := r.UnmarshalWire(&l.dec); derr == nil {
 			st.ok = true
 			st.reading = r.TotalWatts
 			st.lastPower = r.TotalWatts
@@ -614,8 +622,7 @@ func (l *Leaf) runObserveDecide(now time.Duration) {
 	// per-agent quarantine; any successful pull (including a half-open
 	// probe) re-admits the agent.
 	if l.cfg.QuarantineThreshold > 0 {
-		for _, id := range l.order {
-			st := l.agents[id]
+		for _, st := range l.list {
 			if st.ok {
 				st.consecFails = 0
 				if st.quarantined {
@@ -653,8 +660,7 @@ func (l *Leaf) runObserveDecide(now time.Duration) {
 	var serviceCnt = map[string]int{}
 	failures := 0
 	quarantined := 0
-	for _, id := range l.order {
-		st := l.agents[id]
+	for _, st := range l.list {
 		switch {
 		case st.ok:
 			serviceSum[st.service] += st.reading
@@ -670,8 +676,7 @@ func (l *Leaf) runObserveDecide(now time.Duration) {
 	for k := range l.lastService {
 		delete(l.lastService, k)
 	}
-	for _, id := range l.order {
-		st := l.agents[id]
+	for _, st := range l.list {
 		if !st.ok {
 			if cnt := serviceCnt[st.service]; cnt > 0 && st.service != "" {
 				st.reading = serviceSum[st.service] / float64(cnt)
@@ -688,8 +693,8 @@ func (l *Leaf) runObserveDecide(now time.Duration) {
 
 	p.failures = failures
 	failFrac := 0.0
-	if len(l.order) > 0 {
-		failFrac = float64(failures) / float64(len(l.order))
+	if len(l.list) > 0 {
+		failFrac = float64(failures) / float64(len(l.list))
 	}
 	if failFrac > l.cfg.MaxFailureFrac {
 		// Too many failures: the aggregation is invalid; take no action
@@ -698,7 +703,7 @@ func (l *Leaf) runObserveDecide(now time.Duration) {
 		p.invalid = true
 		p.alert(AlertCritical,
 			"power aggregation invalid: %d/%d pulls failed (%.0f%% > %.0f%%)",
-			failures, len(l.order), failFrac*100, l.cfg.MaxFailureFrac*100)
+			failures, len(l.list), failFrac*100, l.cfg.MaxFailureFrac*100)
 		p.rec = DecisionRecord{
 			Cycle: l.cycles, Time: now, Valid: false, Failures: failures,
 		}
@@ -761,7 +766,7 @@ func (l *Leaf) runAct(now time.Duration) {
 
 	if p.invalid {
 		if l.tel != nil {
-			l.tel.invalidCycle(l.cycles, l.cycleStartAt, now, p.failures, len(l.order))
+			l.tel.invalidCycle(l.cycles, l.cycleStartAt, now, p.failures, len(l.list))
 		}
 		l.emitAlerts(now, p)
 		if !stopped {
@@ -819,9 +824,8 @@ func (l *Leaf) renewLeases(now time.Duration, justCapped []PlannedCap) {
 	}
 	gen := l.gen
 	req := &agent.RenewLeaseRequest{LeaseNanos: uint64(l.cfg.CapLeaseTTL)}
-	for _, id := range l.order {
-		st := l.agents[id]
-		if !st.capped || st.quarantined || skip[id] {
+	for _, st := range l.list {
+		if !st.capped || st.quarantined || skip[st.id] {
 			continue
 		}
 		l.call(st, agent.MethodRenewLease, req, func(resp []byte, err error) {
@@ -941,11 +945,10 @@ func (l *Leaf) planCap(p *leafPlan, agg, target power.Watts) {
 	if totalCut <= 0 {
 		return
 	}
-	snapshot := make([]ServerState, 0, len(l.order))
-	for _, id := range l.order {
-		st := l.agents[id]
+	snapshot := make([]ServerState, 0, len(l.list))
+	for _, st := range l.list {
 		snapshot = append(snapshot, ServerState{
-			ID:        id,
+			ID:        st.id,
 			Service:   st.service,
 			Power:     power.Watts(st.reading),
 			Estimated: st.estimated,
@@ -1013,8 +1016,7 @@ func (l *Leaf) sendCaps(caps []PlannedCap) {
 // view corrects itself on the next successful pull.
 func (l *Leaf) sendUncaps() {
 	gen := l.gen
-	for _, id := range l.order {
-		st := l.agents[id]
+	for _, st := range l.list {
 		if !st.capped || st.quarantined {
 			continue
 		}

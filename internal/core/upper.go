@@ -98,8 +98,8 @@ type childState struct {
 	contract   power.Watts
 	contracted bool
 
-	// cycle-local. raw holds the undecoded pull response; decoding
-	// happens in the observe phase (see agentState.raw).
+	// cycle-local. raw holds a copy of the undecoded pull response;
+	// decoding happens in the observe phase (see agentState.raw).
 	rawValid bool
 	raw      []byte
 	ok       bool
@@ -112,8 +112,12 @@ type Upper struct {
 	cfg  UpperConfig
 	loop simclock.Loop
 
-	children map[string]*childState
-	order    []string
+	children map[string]*childState // by child ID
+	list     []*childState          // the same children in configuration order; every per-cycle loop walks this
+
+	// Reused across pulls by the observe phase (see the Leaf fields).
+	dec wire.Decoder
+	msg CtrlReadPowerResponse
 
 	ticker   *simclock.Ticker
 	cycleSeq uint64
@@ -207,8 +211,9 @@ func NewUpper(loop simclock.Loop, cfg UpperConfig, children []ChildRef) *Upper {
 		u.schedOrder = u.sched.register()
 	}
 	for _, c := range children {
-		u.children[c.ID] = &childState{id: c.ID, client: c.Client, quota: c.Quota}
-		u.order = append(u.order, c.ID)
+		st := &childState{id: c.ID, client: c.Client, quota: c.Quota}
+		u.children[c.ID] = st
+		u.list = append(u.list, st)
 	}
 	if u.cfg.Retry.Enabled() {
 		u.retryPol = u.cfg.Retry.policy(u.cfg.PollInterval)
@@ -291,9 +296,9 @@ func (u *Upper) CheckpointWriter() *statestore.Writer { return u.ckpt }
 // ContractedChildren returns the IDs currently under a contractual limit.
 func (u *Upper) ContractedChildren() []string {
 	var out []string
-	for _, id := range u.order {
-		if u.children[id].contracted {
-			out = append(out, id)
+	for _, st := range u.list {
+		if st.contracted {
+			out = append(out, st.id)
 		}
 	}
 	return out
@@ -327,15 +332,13 @@ func (u *Upper) pollCycle() {
 		u.cycleStartAt = u.loop.Now()
 		u.tel.cycleStart(u.cycles+1, u.cycleStartAt)
 	}
-	u.inflight = len(u.order)
+	u.inflight = len(u.list)
 	if u.inflight == 0 {
 		u.complete()
 		return
 	}
-	for _, id := range u.order {
-		st := u.children[id]
+	for _, st := range u.list {
 		st.rawValid = false
-		st.raw = nil
 		st.ok = false
 		u.call(st, MethodCtrlReadPower, rpc.Empty,
 			func(resp []byte, err error) { u.onPull(seq, st, resp, err) })
@@ -351,7 +354,7 @@ func (u *Upper) onPull(seq uint64, st *childState, resp []byte, err error) {
 	}
 	if err == nil {
 		st.rawValid = true
-		st.raw = resp
+		st.raw = append(st.raw[:0], resp...)
 	}
 	u.inflight--
 	if u.inflight == 0 {
@@ -383,13 +386,13 @@ func (u *Upper) runObserveDecide(now time.Duration) {
 	p := &u.plan
 	*p = upperPlan{prevAction: u.lastAction, cuts: p.cuts[:0], alerts: p.alerts[:0]}
 
-	for _, id := range u.order {
-		st := u.children[id]
+	for _, st := range u.list {
 		if !st.rawValid {
 			continue
 		}
-		var r CtrlReadPowerResponse
-		if derr := wire.Unmarshal(st.raw, &r); derr == nil && r.Valid {
+		r := &u.msg
+		u.dec.Reset(st.raw)
+		if derr := r.UnmarshalWire(&u.dec); derr == nil && r.Valid {
 			st.ok = true
 			st.reading = power.Watts(r.AggWatts)
 			st.lastAgg = st.reading
@@ -403,8 +406,7 @@ func (u *Upper) runObserveDecide(now time.Duration) {
 	stale := 0
 	staleSeen := false
 	var total power.Watts
-	for _, id := range u.order {
-		st := u.children[id]
+	for _, st := range u.list {
 		if st.ok {
 			st.stale = false
 			st.staleFor = 0
@@ -421,8 +423,8 @@ func (u *Upper) runObserveDecide(now time.Duration) {
 	}
 	p.stale = stale
 	staleFrac := 0.0
-	if len(u.order) > 0 {
-		staleFrac = float64(stale) / float64(len(u.order))
+	if len(u.list) > 0 {
+		staleFrac = float64(stale) / float64(len(u.list))
 	}
 	if staleFrac > u.cfg.MaxStaleFrac {
 		u.lastValid = false
@@ -432,7 +434,7 @@ func (u *Upper) runObserveDecide(now time.Duration) {
 		// expected and not alert-worthy.
 		if u.cycles > 2 || staleSeen {
 			p.alert(AlertCritical,
-				"aggregation invalid: %d/%d children unreachable", stale, len(u.order))
+				"aggregation invalid: %d/%d children unreachable", stale, len(u.list))
 		}
 		p.rec = DecisionRecord{
 			Cycle: u.cycles, Time: now, Valid: false, Failures: stale,
@@ -498,7 +500,7 @@ func (u *Upper) runAct(now time.Duration) {
 
 	if p.invalid {
 		if u.tel != nil {
-			u.tel.invalidCycle(u.cycles, u.cycleStartAt, now, p.stale, len(u.order))
+			u.tel.invalidCycle(u.cycles, u.cycleStartAt, now, p.stale, len(u.list))
 		}
 		u.emitAlerts(now, p)
 		u.journal.Add(p.rec)
@@ -590,19 +592,18 @@ func (u *Upper) planCap(p *upperPlan, agg, target power.Watts) {
 		p.alert(AlertInfo, "dry-run: would contract %d children", len(cuts))
 		return
 	}
-	for _, id := range u.order {
-		cut, hit := cuts[id]
+	for _, st := range u.list {
+		cut, hit := cuts[st.id]
 		if !hit {
 			continue
 		}
-		st := u.children[id]
 		contract := st.reading - cut
 		if st.contracted && st.contract < contract {
 			contract = st.contract // never loosen mid-incident
 		}
 		st.contract = contract
 		st.contracted = true
-		p.cuts = append(p.cuts, childCut{id: id, contract: contract})
+		p.cuts = append(p.cuts, childCut{id: st.id, contract: contract})
 	}
 	p.sendCuts = true
 }
@@ -637,11 +638,10 @@ func (u *Upper) planChildCuts(needed power.Watts) map[string]power.Watts {
 
 	// Pass 1: offenders, high-bucket-first on overage, floored at quota.
 	var offenders []ServerState
-	for _, id := range u.order {
-		st := u.children[id]
+	for _, st := range u.list {
 		if st.quota > 0 && st.reading > st.quota {
 			offenders = append(offenders, ServerState{
-				ID:      id,
+				ID:      st.id,
 				Service: "offender",
 				Power:   st.reading - st.quota, // overage
 			})
@@ -660,20 +660,19 @@ func (u *Upper) planChildCuts(needed power.Watts) map[string]power.Watts {
 	// floored at half their quota.
 	if remaining > power.Watts(1) {
 		var all []ServerState
-		for _, id := range u.order {
-			st := u.children[id]
-			eff := st.reading - cuts[id]
-			all = append(all, ServerState{ID: id, Service: "child", Power: eff})
+		for _, st := range u.list {
+			eff := st.reading - cuts[st.id]
+			all = append(all, ServerState{ID: st.id, Service: "child", Power: eff})
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 		var floor power.Watts
-		for _, id := range u.order {
-			if q := u.children[id].quota; q > 0 {
+		for _, st := range u.list {
+			if q := st.quota; q > 0 {
 				floor += q / 2
 			}
 		}
-		if len(u.order) > 0 {
-			floor /= power.Watts(len(u.order))
+		if len(u.list) > 0 {
+			floor /= power.Watts(len(u.list))
 		}
 		got, _ := planGroup(all, remaining, u.cfg.OffenderBucket, floor)
 		for id, c := range got {
@@ -685,8 +684,7 @@ func (u *Upper) planChildCuts(needed power.Watts) map[string]power.Watts {
 
 // sendClearContracts releases all child contracts (act-phase).
 func (u *Upper) sendClearContracts() {
-	for _, id := range u.order {
-		st := u.children[id]
+	for _, st := range u.list {
 		if !st.contracted {
 			continue
 		}
@@ -713,7 +711,7 @@ func (u *Upper) Handler() rpc.Handler {
 		switch method {
 		case MethodCtrlReadPower:
 			capped := 0
-			for _, st := range u.children {
+			for _, st := range u.list {
 				if st.contracted {
 					capped++
 				}

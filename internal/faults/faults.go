@@ -70,7 +70,7 @@ type Injector struct {
 
 	mu    sync.Mutex
 	rules []Rule
-	calls map[string]uint64 // per peer+method call index
+	calls map[string]*uint64 // per peer+method call index, shared by every wrapper of the peer
 
 	dropped    uint64
 	delayed    uint64
@@ -81,7 +81,7 @@ type Injector struct {
 
 // New builds an injector. sink may be nil (no metrics).
 func New(loop simclock.Loop, seed int64, sink *telemetry.Sink) *Injector {
-	in := &Injector{loop: loop, seed: seed, calls: make(map[string]uint64)}
+	in := &Injector{loop: loop, seed: seed, calls: make(map[string]*uint64)}
 	if sink != nil {
 		in.tel = newFaultInstr(sink)
 	}
@@ -106,7 +106,7 @@ func (in *Injector) Counts() (dropped, delayed, duplicated uint64) {
 // WrapClient routes every call on c through the fault schedule, keyed by
 // the given peer address.
 func (in *Injector) WrapClient(peer string, c rpc.Client) rpc.Client {
-	return &faultClient{in: in, peer: peer, next: c}
+	return &faultClient{in: in, idx: callIndex{peer: peer}, next: c}
 }
 
 // WrapDial decorates a dial function so every client it returns is
@@ -125,8 +125,9 @@ func (in *Injector) WrapDial(dial func(addr string) rpc.Client) func(addr string
 // out non-idempotent handlers. Delay rules are ignored here: a handler
 // must not block its loop.
 func (in *Injector) WrapHandler(peer string, h rpc.Handler) rpc.Handler {
+	idx := &callIndex{peer: peer}
 	return func(method string, body []byte) (wire.Message, error) {
-		v := in.verdict(peer, method)
+		v := in.verdict(idx, method)
 		if v.drop {
 			//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
 			in.note(&in.dropped, func(t *faultInstr) *telemetry.Counter { return t.dropped })
@@ -149,18 +150,57 @@ type verdict struct {
 	dup   bool
 }
 
+// callIndex is one wrapper's view of the injector's per-(peer, method)
+// call indices: it remembers where the shared counter of each method it
+// has seen lives, so a call finds it without building the peer+method map
+// key. A peer is called with a handful of methods; a linear scan over
+// them beats hashing the key. Guarded by Injector.mu.
+type callIndex struct {
+	peer    string
+	methods []string
+	counts  []*uint64
+}
+
+// next returns this call's index and advances the shared counter.
+func (ci *callIndex) next(in *Injector, method string) uint64 {
+	var p *uint64
+	for i, m := range ci.methods {
+		if m == method {
+			p = ci.counts[i]
+			break
+		}
+	}
+	if p == nil {
+		key := ci.peer + "\x00" + method
+		if p = in.calls[key]; p == nil {
+			p = new(uint64)
+			in.calls[key] = p
+		}
+		ci.methods, ci.counts = append(ci.methods, method), append(ci.counts, p)
+	}
+	*p++
+	return *p - 1
+}
+
 // verdict draws this call's fate from the schedule. The per-(peer,
 // method) call index advances on every call — matched or not — so adding
-// a rule for one peer never shifts another peer's draws.
-func (in *Injector) verdict(peer, method string) verdict {
+// a rule for one peer never shifts another peer's draws, and a rule added
+// mid-run finds every index where the calls so far left it. With no rules
+// that increment, under the lock, is all a call costs.
+func (in *Injector) verdict(ci *callIndex, method string) verdict {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	key := peer + "\x00" + method
-	n := in.calls[key]
-	in.calls[key] = n + 1
+	n := ci.next(in, method)
 	if len(in.rules) == 0 {
 		return verdict{}
 	}
+	return in.draw(ci.peer, method, n)
+}
+
+// draw evaluates the schedule for the n-th call of method to peer: a pure
+// function of its arguments, the seed, the rules and the loop's clock.
+// Callers hold in.mu.
+func (in *Injector) draw(peer, method string, n uint64) verdict {
 	now := in.loop.Now()
 	var v verdict
 	for i, r := range in.rules {
@@ -213,13 +253,17 @@ func matchGlob(pattern, s string) bool {
 // faultClient is the client-side wrapper.
 type faultClient struct {
 	in   *Injector
-	peer string
+	idx  callIndex
 	next rpc.Client
 }
 
 // Call implements rpc.Client, applying the schedule before delegating.
 func (c *faultClient) Call(method string, req wire.Message, timeout time.Duration, done func([]byte, error)) {
-	v := c.in.verdict(c.peer, method)
+	v := c.in.verdict(&c.idx, method)
+	if v == (verdict{}) {
+		c.next.Call(method, req, timeout, done)
+		return
+	}
 	if v.drop {
 		//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
 		c.in.note(&c.in.dropped, func(t *faultInstr) *telemetry.Counter { return t.dropped })

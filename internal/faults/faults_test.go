@@ -2,10 +2,14 @@ package faults
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
+	"dynamo/internal/agent"
+	"dynamo/internal/platform"
 	"dynamo/internal/rpc"
+	"dynamo/internal/server"
 	"dynamo/internal/simclock"
 	"dynamo/internal/wire"
 )
@@ -254,5 +258,99 @@ dup   * * ..10s p=0.1
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// keyedIndex hands out call indices the way the injector did when they
+// lived in a map keyed by peer+"\x00"+method and every call built that
+// key. The draw itself is the production one; what the reference pins is
+// which index each call is given.
+type keyedIndex map[string]uint64
+
+func (k keyedIndex) verdict(in *Injector, peer, method string) verdict {
+	key := peer + "\x00" + method
+	n := k[key]
+	k[key] = n + 1
+	if len(in.rules) == 0 {
+		return verdict{}
+	}
+	return in.draw(peer, method, n)
+}
+
+// TestCallIndexMatchesKeyedMap: calls made while the schedule is empty
+// still advance the shared per-(peer, method) index, so a rule added
+// mid-run draws exactly what it drew when every call looked the index up
+// by key — also when two wrappers (and a wrapped handler) share a peer.
+func TestCallIndexMatchesKeyedMap(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	in := New(loop, 42, nil)
+	ref := keyedIndex{}
+	wrappers := []*callIndex{
+		&in.WrapClient("agent/a1", nil).(*faultClient).idx,
+		&in.WrapClient("agent/a1", nil).(*faultClient).idx, // second wrapper, same peer
+		&in.WrapClient("agent/a2", nil).(*faultClient).idx,
+		{peer: "agent/a1"}, // what WrapHandler holds
+	}
+	methods := []string{"Agent.ReadPower", "Agent.SetCap", "Agent.Ping"}
+	rng := rand.New(rand.NewSource(3))
+	drive := func(n int) (drops int) {
+		for i := 0; i < n; i++ {
+			w, m := wrappers[rng.Intn(len(wrappers))], methods[rng.Intn(len(methods))]
+			got, want := in.verdict(w, m), ref.verdict(in, w.peer, m)
+			if got != want {
+				t.Fatalf("call %d to %s %s: verdict %+v, keyed-map reference %+v", i, w.peer, m, got, want)
+			}
+			if got.drop {
+				drops++
+			}
+			loop.RunFor(time.Millisecond)
+		}
+		return drops
+	}
+	if drops := drive(500); drops != 0 {
+		t.Fatalf("%d drops with no rules", drops)
+	}
+	in.Add(Rule{Peer: "agent/*", Method: "Agent.ReadPower", DropP: 0.5},
+		Rule{Peer: "agent/a1", DelayJitter: 5 * time.Millisecond, DupP: 0.1})
+	if drops := drive(2000); drops < 200 {
+		t.Fatalf("only %d of ~670 ReadPower calls dropped under a 50%% rule", drops)
+	}
+}
+
+// TestZeroRulePullAllocs: a steady-state ReadPower round trip over the
+// in-proc transport, through a fault wrapper with no rules, allocates only
+// what the agent's handler returns. (The caller's completion closure is
+// the other allocation a controller pays; this caller reuses one.)
+func TestZeroRulePullAllocs(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	net := rpc.NewNetwork(loop, 2*time.Millisecond, 7)
+	host := server.New(server.Config{
+		ID: "s1", Service: "web", Model: server.MustModel("haswell2015"),
+		Source: server.LoadFunc(func(time.Duration) float64 { return 0.7 }),
+	})
+	host.Tick(0)
+	ag := agent.New("s1", "web", "haswell2015", platform.NewMSR(host, platform.Options{Seed: 1}))
+	net.Register("agent/s1", ag.Handler())
+	client := New(loop, 1, nil).WrapClient("agent/s1", net.Dial("agent/s1"))
+	var decoder wire.Decoder
+	var reading agent.ReadPowerResponse
+	ok := 0
+	done := func(resp []byte, err error) {
+		decoder.Reset(resp)
+		if err == nil && reading.UnmarshalWire(&decoder) == nil && reading.TotalWatts > 0 {
+			ok++
+		}
+	}
+	pull := func() {
+		client.Call(agent.MethodReadPower, rpc.Empty, time.Second, done)
+		loop.RunFor(10 * time.Millisecond)
+	}
+	pull() // warm-up: the call record, its buffers, the decoded strings
+	n := testing.AllocsPerRun(200, pull)
+	if n > 2 {
+		t.Errorf("zero-rule in-proc ReadPower allocates %v per round trip, want <= 2", n)
+	}
+	if ok != 202 {
+		t.Fatalf("%d of 202 pulls returned a reading", ok)
 	}
 }

@@ -24,6 +24,11 @@ type Network struct {
 	endpoints   map[string]Handler
 	partitioned map[string]bool
 	dropRate    map[string]float64
+
+	// Loop-confined: the free list of call records, and the scratch
+	// encoder every request and response is marshalled through.
+	free *call
+	enc  wire.Encoder
 }
 
 // NewNetwork creates an in-process network with the given one-way latency
@@ -78,21 +83,22 @@ func (n *Network) SetDropRate(addr string, rate float64) {
 	}
 }
 
-// lookup returns the handler and whether the message should be delivered.
-func (n *Network) lookup(addr string) (h Handler, exists, deliver bool) {
+// lookup returns addr's handler, nil if there is none, and whether the
+// message should be delivered to it.
+func (n *Network) lookup(addr string) (h Handler, deliver bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	h, exists = n.endpoints[addr]
-	if !exists {
-		return nil, false, false
+	h = n.endpoints[addr]
+	if h == nil || (len(n.partitioned) == 0 && len(n.dropRate) == 0) {
+		return h, h != nil
 	}
 	if n.partitioned[addr] {
-		return h, true, false
+		return h, false
 	}
 	if r := n.dropRate[addr]; r > 0 && n.rng.Float64() < r {
-		return h, true, false
+		return h, false
 	}
-	return h, true, true
+	return h, true
 }
 
 // Dial returns a client for addr. Dialling an unknown address succeeds;
@@ -108,6 +114,35 @@ type inprocClient struct {
 	closed bool
 }
 
+// respBufSize is what a record's response buffer starts with: the 96-byte
+// size class holds an encoded agent reading (about 80 bytes) where growing
+// by append would stop at 128.
+const respBufSize = 96
+
+// call is one in-flight in-proc call. Records are pooled on Network.free,
+// so a steady-state call allocates nothing of its own: both timers are
+// embedded and armed in place, their callbacks are bound once when the
+// record is made, and request and response are marshalled into buffers the
+// record keeps. A record goes back to the free list only when done has run
+// and none of its events is still queued (DESIGN.md, "Pull path").
+type call struct {
+	c      *inprocClient
+	method string
+	done   func([]byte, error)
+
+	deadline, step     simclock.Timer // step is the delivery event, then re-armed as the reply event
+	onDeadline, onStep func()
+
+	req, resp []byte // resp is marshalled at delivery and handed to done at reply
+	err       error  // the handler's error, as the caller will see it
+	next      *call  // free-list link
+
+	timed    bool // a deadline was armed
+	finished bool // done has been invoked
+	queued   bool // the step event is on the loop
+	replying bool // ... and it is the reply
+}
+
 // Call implements Client.
 func (c *inprocClient) Call(method string, req wire.Message, timeout time.Duration, done func([]byte, error)) {
 	n := c.net
@@ -115,44 +150,88 @@ func (c *inprocClient) Call(method string, req wire.Message, timeout time.Durati
 		n.loop.After(0, func() { done(nil, ErrClosed) })
 		return
 	}
-	var once sync.Once
-	var deadline *simclock.Timer
-	finish := func(resp []byte, err error) {
-		once.Do(func() {
-			if deadline != nil {
-				deadline.Stop()
-			}
-			done(resp, err)
-		})
+	r := n.free
+	if r == nil {
+		r = &call{}
+		r.onDeadline, r.onStep = r.deadlineFired, r.stepFired
+	} else {
+		n.free = r.next
 	}
-	if timeout > 0 {
-		deadline = n.loop.After(timeout, func() { finish(nil, ErrTimeout) })
+	r.c, r.method, r.done, r.timed, r.queued = c, method, done, timeout > 0, true
+	if r.timed {
+		n.loop.Arm(&r.deadline, timeout, r.onDeadline)
 	}
+	r.req = n.enc.AppendMarshal(r.req[:0], req)
+	n.loop.Arm(&r.step, n.latency, r.onStep)
+}
 
-	body := wire.Marshal(req)
-	n.loop.After(n.latency, func() {
-		h, exists, deliver := n.lookup(c.addr)
-		if !exists {
-			finish(nil, ErrUnreachable)
-			return
+// finish completes the call exactly once: whichever of the deadline and
+// the reply comes second finds finished set.
+func (r *call) finish(resp []byte, err error) {
+	if r.finished {
+		return
+	}
+	r.finished = true
+	if r.timed {
+		r.c.net.loop.Cancel(&r.deadline)
+	}
+	r.done(resp, err)
+}
+
+// recycle frees the record unless the call is unfinished (a vanished
+// request waiting for its deadline) or still has its step event queued (a
+// call that timed out before delivery or reply).
+func (r *call) recycle() {
+	if !r.finished || r.queued {
+		return
+	}
+	n := r.c.net
+	r.c, r.method, r.done, r.err = nil, "", nil, nil
+	r.timed, r.finished, r.replying = false, false, false
+	r.next, n.free = n.free, r
+}
+
+func (r *call) deadlineFired() {
+	r.finish(nil, ErrTimeout)
+	r.recycle()
+}
+
+func (r *call) stepFired() {
+	n := r.c.net
+	if r.replying {
+		r.queued = false
+		if r.err != nil {
+			r.finish(nil, r.err)
+		} else {
+			r.finish(r.resp, nil)
 		}
-		if !deliver {
-			// Partitioned or dropped: the request vanishes; only the
-			// caller's timeout (if any) will complete the call.
-			if timeout <= 0 {
-				finish(nil, ErrUnreachable)
+		r.recycle()
+		return
+	}
+	h, deliver := n.lookup(r.c.addr)
+	if deliver {
+		// The handler runs even if the caller has already timed out: the
+		// request was sent, and its effects are the remote side's.
+		resp, err := h(r.method, r.req)
+		if err != nil {
+			r.err = &RemoteError{Method: r.method, Msg: err.Error()}
+		} else {
+			if r.resp == nil {
+				r.resp = make([]byte, 0, respBufSize)
 			}
-			return
+			r.resp = n.enc.AppendMarshal(r.resp[:0], resp)
 		}
-		resp, err := h(method, body)
-		n.loop.After(n.latency, func() {
-			if err != nil {
-				finish(nil, &RemoteError{Method: method, Msg: err.Error()})
-				return
-			}
-			finish(wire.Marshal(resp), nil)
-		})
-	})
+		r.replying = true
+		n.loop.Arm(&r.step, n.latency, r.onStep)
+		return
+	}
+	// No endpoint fails fast. A partitioned or dropped request vanishes:
+	// only the caller's timeout (if any) will complete the call.
+	r.queued = false
+	if h == nil || !r.timed {
+		r.finish(nil, ErrUnreachable)
+	}
+	r.recycle()
 }
 
 // Close implements Client.

@@ -1,0 +1,179 @@
+package rpc
+
+import (
+	"errors"
+	"testing"
+	"time"
+	"unsafe"
+
+	"dynamo/internal/simclock"
+	"dynamo/internal/wire"
+)
+
+// freeRecords counts the records on the network's free list.
+func freeRecords(n *Network) int {
+	c := 0
+	for r := n.free; r != nil; r = r.next {
+		c++
+	}
+	return c
+}
+
+// TestCallRecordSize keeps the record in the 192-byte class: the free list
+// grows to the fleet's peak in-flight calls and stays there.
+func TestCallRecordSize(t *testing.T) {
+	if s := unsafe.Sizeof(call{}); s > 192 {
+		t.Fatalf("call record is %d bytes, want <= 192", s)
+	}
+}
+
+// TestRecordNotRecycledWhileEventsQueued times a call out before its
+// request is even delivered. The caller is told at once, but the record
+// must stay out of the free list — and out of the hands of the next call —
+// until its delivery and reply events have run; the handler still runs for
+// the request that was sent; and the late reply completes nothing twice.
+func TestRecordNotRecycledWhileEventsQueued(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	n := NewNetwork(loop, 10*time.Millisecond, 1)
+	var served []string
+	n.Register("a1", func(method string, body []byte) (wire.Message, error) {
+		var m echoMsg
+		if err := wire.Unmarshal(body, &m); err != nil {
+			return nil, err
+		}
+		served = append(served, m.S)
+		return &echoMsg{S: "re:" + m.S}, nil
+	})
+	cl := n.Dial("a1")
+
+	var firstErrs []error
+	cl.Call("echo", &echoMsg{S: "first"}, 5*time.Millisecond, func(_ []byte, err error) {
+		firstErrs = append(firstErrs, err)
+	})
+	loop.RunUntil(6 * time.Millisecond)
+	if len(firstErrs) != 1 || !errors.Is(firstErrs[0], ErrTimeout) {
+		t.Fatalf("at 6ms first call outcomes = %v, want one ErrTimeout", firstErrs)
+	}
+	if got := freeRecords(n); got != 0 {
+		t.Fatalf("timed-out call's record is on the free list (%d free) with its delivery still queued", got)
+	}
+
+	// A second call issued now must not share the first one's record: the
+	// first's delivery (10ms) and reply (20ms) land while it is in flight.
+	var second string
+	var secondErr error
+	calls := 0
+	cl.Call("echo", &echoMsg{S: "second"}, time.Second, func(resp []byte, err error) {
+		calls++
+		var m echoMsg
+		secondErr = Decode(resp, err, &m)
+		second = m.S
+	})
+	loop.RunUntil(15 * time.Millisecond)
+	if len(served) != 1 || served[0] != "first" {
+		t.Fatalf("at 15ms handler served %v, want the timed-out request [first]", served)
+	}
+	if got := freeRecords(n); got != 0 {
+		t.Fatalf("%d records free at 15ms, want 0: first awaits its reply event, second its delivery", got)
+	}
+	loop.Drain()
+	if len(firstErrs) != 1 {
+		t.Fatalf("first call completed %d times: %v", len(firstErrs), firstErrs)
+	}
+	if calls != 1 || secondErr != nil || second != "re:second" {
+		t.Fatalf("second call: %d completions, err %v, resp %q; want one, nil, re:second", calls, secondErr, second)
+	}
+	if got := freeRecords(n); got != 2 {
+		t.Fatalf("%d records free after both calls finished, want 2", got)
+	}
+}
+
+// TestRecordReleasePaths walks every way a call can end and checks the
+// record comes back exactly once each time (a leak would grow the count of
+// records made; a double release would corrupt the list).
+func TestRecordReleasePaths(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	n := NewNetwork(loop, time.Millisecond, 1)
+	n.Register("a1", echoHandler)
+	n.Register("cut", echoHandler)
+	n.SetPartitioned("cut", true)
+	is := func(want error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, want) }
+	}
+	cases := []struct {
+		name, addr, method string
+		timeout            time.Duration
+		ok                 func(error) bool
+	}{
+		{"reply", "a1", "echo", time.Second, func(err error) bool { return err == nil }},
+		{"remote error", "a1", "boom", time.Second, func(err error) bool {
+			var re *RemoteError
+			return errors.As(err, &re)
+		}},
+		{"no endpoint", "nobody", "echo", time.Second, is(ErrUnreachable)},
+		{"no endpoint, no deadline", "nobody", "echo", 0, is(ErrUnreachable)},
+		{"partitioned", "cut", "echo", 50 * time.Millisecond, is(ErrTimeout)},
+		{"partitioned, no deadline", "cut", "echo", 0, is(ErrUnreachable)},
+		{"deadline before reply", "a1", "echo", 1500 * time.Microsecond, is(ErrTimeout)},
+	}
+	for _, tc := range cases {
+		done := 0
+		var got error
+		n.Dial(tc.addr).Call(tc.method, &echoMsg{S: "x"}, tc.timeout, func(_ []byte, err error) {
+			done++
+			got = err
+		})
+		loop.Drain()
+		if done != 1 || !tc.ok(got) {
+			t.Errorf("%s: done invoked %d times, err = %v", tc.name, done, got)
+		}
+		if free := freeRecords(n); free != 1 {
+			t.Fatalf("%s: %d records on the free list afterwards, want the one record reused throughout", tc.name, free)
+		}
+	}
+}
+
+// TestInProcOnWallLoop runs the pooled path in real time (the suite daemon
+// does: its intra-process network sits on a WallLoop). A WallLoop cannot
+// recall the runtime timer behind a cancelled deadline, so the first
+// call's deadline still posts at 100 ms — while the second call, which
+// reuses the record and its timers, is in flight. It must find nothing to
+// do rather than time the second call out.
+func TestInProcOnWallLoop(t *testing.T) {
+	loop := simclock.NewWallLoop()
+	defer loop.Close()
+	n := NewNetwork(loop, 40*time.Millisecond, 1)
+	n.Register("a1", echoHandler)
+	cl := n.Dial("a1")
+	results := make(chan string, 2)
+	report := func(resp []byte, err error) {
+		var m echoMsg
+		if derr := Decode(resp, err, &m); derr != nil {
+			results <- derr.Error()
+			return
+		}
+		results <- m.S
+	}
+	loop.Post(func() {
+		cl.Call("echo", &echoMsg{S: "one"}, 100*time.Millisecond, func(resp []byte, err error) {
+			report(resp, err)
+			// Posted, so the first call's record is back on the free list.
+			loop.Post(func() { cl.Call("echo", &echoMsg{S: "two"}, 10*time.Second, report) })
+		})
+	})
+	for _, want := range []string{"re:one", "re:two"} {
+		select {
+		case got := <-results:
+			if got != want {
+				t.Fatalf("got %q, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no result for %q", want)
+		}
+	}
+	var free int
+	loop.Call(func() { free = freeRecords(n) })
+	if free != 1 {
+		t.Fatalf("%d records on the free list, want the one record both calls used", free)
+	}
+}

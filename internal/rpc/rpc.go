@@ -46,6 +46,8 @@ func (e *RemoteError) Error() string {
 // Handler serves requests at an endpoint. It decodes the body itself
 // (methods are strings like "Agent.ReadPower") and returns the response
 // message, or an error that travels back to the caller as a RemoteError.
+// body belongs to the transport and is valid only until the handler
+// returns.
 type Handler func(method string, body []byte) (wire.Message, error)
 
 // Client issues asynchronous calls to a single endpoint.
@@ -54,6 +56,11 @@ type Client interface {
 	// outcomes is delivered, on the client's event loop: (respBody, nil)
 	// on success or (nil, err) on failure/timeout. timeout <= 0 means no
 	// deadline.
+	//
+	// resp is valid only until done returns: the in-proc transport hands
+	// out the buffer of a pooled call record and reuses it for a later
+	// call. Decode it inside done (Decode does), or copy the bytes to keep
+	// them.
 	Call(method string, req wire.Message, timeout time.Duration, done func(resp []byte, err error))
 	// Close releases the client; in-flight calls fail with ErrClosed.
 	Close() error

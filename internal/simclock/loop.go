@@ -22,22 +22,44 @@ type Loop interface {
 	// After schedules f to run d from now. d <= 0 runs f as soon as
 	// possible, in scheduling order. The returned Timer can be stopped.
 	After(d time.Duration, f func()) *Timer
+	// Arm is After on a Timer the caller owns — typically a field of a
+	// longer-lived struct such as an RPC call record — so scheduling
+	// allocates nothing. It orders against After exactly as another After
+	// would. Arming a timer that is still queued reschedules it; a timer
+	// may be re-armed from its own callback. The Timer must not be copied
+	// or freed while queued, and Arm (like Stop and Cancel) must be called
+	// from the loop goroutine.
+	Arm(t *Timer, d time.Duration, f func())
+	// Cancel stops t like t.Stop and also takes it out of the loop's queue
+	// at once, so a cancelled deadline does not sit in the queue until the
+	// time it would have fired. Cancelling a timer that already ran, or
+	// was never armed, does nothing.
+	Cancel(t *Timer)
 	// Post enqueues f to run at the current time. Unlike After, Post is
 	// safe to call from any goroutine; it is how external event sources
 	// (e.g. TCP readers) hand work to the loop.
 	Post(f func())
 }
 
-// Timer is a handle to a scheduled callback.
+// Timer is a handle to a scheduled callback. The zero value is an unarmed
+// timer ready for Loop.Arm.
+//
+// Timer is 32 bytes and must stay in that allocation size class: every
+// After allocates one, and on workloads that do little else per event a
+// fifth word shows up directly in bytes per unit of work. That is why the
+// queue position is an int32 and why eager removal is a method on the loop
+// (Loop.Cancel) rather than a loop pointer in the timer.
 type Timer struct {
-	stopped bool
 	when    time.Duration
-	seq     uint64
+	seq     uint64 // SimLoop: scheduling order
 	f       func()
+	pos     int32 // 0 when not pending; SimLoop: 1-based heap position
+	stopped bool
 }
 
 // Stop cancels the timer. It reports whether the callback had not yet run.
-// Stop must be called from the loop goroutine.
+// Stop must be called from the loop goroutine. The loop discards a stopped
+// timer when its time comes; Loop.Cancel discards it immediately.
 func (t *Timer) Stop() bool {
 	if t == nil || t.stopped {
 		return false

@@ -1,9 +1,10 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,8 +22,9 @@ type SimLoop struct {
 	pq  eventHeap
 	seq uint64
 
-	mu     sync.Mutex
-	posted []func()
+	mu        sync.Mutex
+	posted    []func()
+	hasPosted atomic.Bool // lets the loop skip mu when nothing was posted
 
 	// Steps counts executed events, useful for run-away detection in tests.
 	steps uint64
@@ -46,72 +48,87 @@ func (l *SimLoop) SetStepLimit(n uint64) { l.limit = n }
 
 // After implements Loop.
 func (l *SimLoop) After(d time.Duration, f func()) *Timer {
+	t := &Timer{}
+	l.Arm(t, d, f)
+	return t
+}
+
+// Arm implements Loop.
+func (l *SimLoop) Arm(t *Timer, d time.Duration, f func()) {
 	if d < 0 {
 		d = 0
 	}
-	t := &Timer{when: l.now + d, seq: l.seq, f: f}
+	if t.pos != 0 {
+		l.pq.remove(t)
+	}
+	t.when, t.seq, t.f, t.stopped = l.now+d, l.seq, f, false
 	l.seq++
-	heap.Push(&l.pq, t)
-	return t
+	l.pq.push(t)
+}
+
+// Cancel implements Loop.
+func (l *SimLoop) Cancel(t *Timer) {
+	if t.pos != 0 {
+		l.pq.remove(t)
+	}
+	t.stopped = true
 }
 
 // Post implements Loop. It is safe for concurrent use.
 func (l *SimLoop) Post(f func()) {
 	l.mu.Lock()
 	l.posted = append(l.posted, f)
+	l.hasPosted.Store(true)
 	l.mu.Unlock()
 }
 
 func (l *SimLoop) drainPosted() {
+	if !l.hasPosted.Load() {
+		return
+	}
 	l.mu.Lock()
 	posted := l.posted
 	l.posted = nil
+	l.hasPosted.Store(false)
 	l.mu.Unlock()
 	for _, f := range posted {
 		l.After(0, f)
 	}
 }
 
+// next takes the first live event due by deadline off the queue, or
+// returns nil. Stopped timers met on the way are discarded.
+func (l *SimLoop) next(deadline time.Duration) *Timer {
+	l.drainPosted()
+	for len(l.pq) > 0 {
+		t := l.pq[0]
+		if !t.stopped && t.when > deadline {
+			break
+		}
+		l.pq.remove(t)
+		if !t.stopped {
+			return t
+		}
+	}
+	return nil
+}
+
 // Step executes the next pending event, advancing virtual time to its
 // deadline. It reports whether an event was executed.
 func (l *SimLoop) Step() bool {
-	l.drainPosted()
-	for l.pq.Len() > 0 {
-		t := heap.Pop(&l.pq).(*Timer)
-		if t.stopped {
-			continue
-		}
-		l.now = t.when
-		l.countStep()
-		t.f()
-		return true
+	t := l.next(math.MaxInt64)
+	if t != nil {
+		l.run(t)
 	}
-	return false
+	return t != nil
 }
 
 // RunUntil executes events until virtual time would pass deadline, leaving
 // the clock at exactly deadline. Events scheduled for the deadline itself
 // are executed.
 func (l *SimLoop) RunUntil(deadline time.Duration) {
-	for {
-		l.drainPosted()
-		if l.pq.Len() == 0 {
-			break
-		}
-		next := l.peek()
-		if next == nil {
-			break
-		}
-		if next.when > deadline {
-			break
-		}
-		heap.Pop(&l.pq)
-		if next.stopped {
-			continue
-		}
-		l.now = next.when
-		l.countStep()
-		next.f()
+	for t := l.next(deadline); t != nil; t = l.next(deadline) {
+		l.run(t)
 	}
 	if l.now < deadline {
 		l.now = deadline
@@ -127,51 +144,76 @@ func (l *SimLoop) Drain() {
 	}
 }
 
-// Pending returns the number of scheduled (possibly stopped) events.
+// Pending returns the number of scheduled events, counting timers that
+// were stopped with Timer.Stop (not Cancel) and have not come due.
 func (l *SimLoop) Pending() int {
 	l.mu.Lock()
 	n := len(l.posted)
 	l.mu.Unlock()
-	return l.pq.Len() + n
+	return len(l.pq) + n
 }
 
-func (l *SimLoop) peek() *Timer {
-	// Discard stopped timers lazily from the top of the heap.
-	for l.pq.Len() > 0 {
-		t := l.pq[0]
-		if t.stopped {
-			heap.Pop(&l.pq)
-			continue
-		}
-		return t
-	}
-	return nil
-}
-
-func (l *SimLoop) countStep() {
+// run executes a timer already taken off the queue.
+func (l *SimLoop) run(t *Timer) {
+	l.now = t.when
 	l.steps++
 	if l.limit > 0 && l.steps > l.limit {
 		panic(fmt.Sprintf("simclock: step limit %d exceeded at t=%s", l.limit, l.now))
 	}
+	t.f()
 }
 
-// eventHeap orders timers by (when, seq).
+// eventHeap is a binary min-heap of timers ordered by (when, seq). Every
+// queued timer records its own position, so any of them can be removed in
+// O(log n) without a search.
 type eventHeap []*Timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
+func (t *Timer) before(u *Timer) bool {
+	return t.when < u.when || (t.when == u.when && t.seq < u.seq)
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Timer)) }
-func (h *eventHeap) Pop() interface{} {
+
+func (h eventHeap) set(i int, t *Timer) { h[i], t.pos = t, int32(i+1) }
+
+func (h *eventHeap) push(t *Timer) {
+	*h = append(*h, t)
+	h.up(len(*h)-1, t)
+}
+
+// remove takes a queued timer out of the heap, wherever it sits, and
+// seats the last timer in its place.
+func (h *eventHeap) remove(t *Timer) {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	i, n := int(t.pos)-1, len(old)-1
+	last := old[n]
+	old[n], t.pos, *h = nil, 0, old[:n]
+	switch {
+	case i == n:
+	case i > 0 && last.before(old[(i-1)/2]):
+		h.up(i, last)
+	default:
+		h.down(i, last)
+	}
+}
+
+// up seats t at index i or above, moving later parents down.
+func (h eventHeap) up(i int, t *Timer) {
+	for ; i > 0 && t.before(h[(i-1)/2]); i = (i - 1) / 2 {
+		h.set(i, h[(i-1)/2])
+	}
+	h.set(i, t)
+}
+
+// down seats t at index i or below, moving earlier children up.
+func (h eventHeap) down(i int, t *Timer) {
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(t) {
+			break
+		}
+		h.set(i, h[c])
+		i = c
+	}
+	h.set(i, t)
 }

@@ -55,16 +55,30 @@ func (l *WallLoop) Now() time.Duration { return time.Since(l.epoch) }
 
 // After implements Loop. The callback is marshalled onto the loop goroutine.
 func (l *WallLoop) After(d time.Duration, f func()) *Timer {
-	t := &Timer{when: l.Now() + d, f: f}
+	t := &Timer{}
+	l.Arm(t, d, f)
+	return t
+}
+
+// Arm implements Loop. The runtime timer of an earlier arming cannot be
+// recalled; when it posts it finds the Timer already run or cancelled, or
+// re-armed for a later time, and does nothing. Should it find the Timer
+// re-armed and due, it runs it, and the later post finds it already run.
+func (l *WallLoop) Arm(t *Timer, d time.Duration, f func()) {
+	t.when, t.f, t.stopped, t.pos = l.Now()+d, f, false, 1
 	time.AfterFunc(d, func() {
 		l.Post(func() {
-			if !t.stopped {
+			if t.pos != 0 && !t.stopped && l.Now() >= t.when {
+				t.pos = 0
 				t.f()
 			}
 		})
 	})
-	return t
 }
+
+// Cancel implements Loop. There is no queue to take the timer out of: the
+// pending runtime timer still posts, and the post does nothing.
+func (l *WallLoop) Cancel(t *Timer) { t.Stop() }
 
 // Post implements Loop and is safe for concurrent use. Posting to a closed
 // loop is a no-op.

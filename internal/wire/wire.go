@@ -46,6 +46,18 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset clears the encoder for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// AppendMarshal appends m's encoding to dst and returns the extended slice,
+// the way strconv.AppendInt does; e is only the scratch it encodes through
+// and keeps no reference to dst afterwards. With e held in a long-lived
+// struct and dst large enough the call allocates nothing — an Encoder made
+// per call would escape to the heap through the MarshalWire interface call.
+func (e *Encoder) AppendMarshal(dst []byte, m Message) []byte {
+	e.buf = dst
+	m.MarshalWire(e)
+	dst, e.buf = e.buf, nil
+	return dst
+}
+
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
@@ -97,6 +109,10 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Reset points the decoder at buf and clears the sticky error, so one
+// Decoder held in a long-lived struct can decode message after message.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -181,40 +197,45 @@ func (d *Decoder) Bool() bool {
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Uvarint()
-	if d.err != nil {
-		return ""
+func (d *Decoder) String() string { return d.StringKeep("") }
+
+// StringKeep reads a length-prefixed string and returns prev itself when
+// the bytes on the wire equal it, so decoding into a message that already
+// holds last time's value allocates no new string for a field that rarely
+// changes (a server's service, its hardware generation).
+func (d *Decoder) StringKeep(prev string) string {
+	b := d.lenPrefixed("string")
+	if string(b) == prev {
+		return prev
 	}
-	if n > MaxStringLen {
-		d.fail(fmt.Errorf("wire: string length %d exceeds limit", n))
-		return ""
-	}
-	if uint64(d.Remaining()) < n {
-		d.fail(ErrTruncated)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
+	return string(b)
 }
 
 // Bytes2 reads a length-prefixed byte slice (copied).
 func (d *Decoder) Bytes2() []byte {
+	b := d.lenPrefixed("bytes")
+	if d.err != nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// lenPrefixed reads a length and returns that many bytes of the buffer,
+// uncopied; nil after an error.
+func (d *Decoder) lenPrefixed(what string) []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
 	if n > MaxStringLen {
-		d.fail(fmt.Errorf("wire: bytes length %d exceeds limit", n))
+		d.fail(fmt.Errorf("wire: %s length %d exceeds limit", what, n))
 		return nil
 	}
 	if uint64(d.Remaining()) < n {
 		d.fail(ErrTruncated)
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
 	return b
 }
