@@ -30,12 +30,14 @@ type benchLeaf struct {
 // the benchmark measures the control cycle itself (decode, estimation,
 // aggregation, band decision, capping plan, journal) — the work the cohort
 // scheduler fans out — not network delivery.
-func buildControlCycleBench(nServers int, inline bool) (*simclock.SimLoop, *CohortScheduler, []benchLeaf) {
+func buildControlCycleBench(nServers int, cohort bool) (*simclock.SimLoop, []benchLeaf) {
 	const perLeaf = 100
 	loop := simclock.NewSimLoop()
 	loop.SetStepLimit(0)
-	sched := NewCohortScheduler(loop, runtime.GOMAXPROCS(0), nil)
-	sched.SetInline(inline)
+	var sched *CohortScheduler // nil: each leaf runs its phases itself
+	if cohort {
+		sched = NewCohortScheduler(loop, runtime.GOMAXPROCS(0), nil)
+	}
 
 	nLeaves := nServers / perLeaf
 	leaves := make([]benchLeaf, 0, nLeaves)
@@ -66,13 +68,13 @@ func buildControlCycleBench(nServers int, inline bool) (*simclock.SimLoop, *Coho
 		}, refs)
 		leaves = append(leaves, benchLeaf{leaf: leaf, raws: raws, states: leaf.list})
 	}
-	return loop, sched, leaves
+	return loop, leaves
 }
 
 // runControlCycle primes every agent's raw response and completes every
 // leaf's collection at one virtual instant — exactly the state the pull
-// cycle leaves behind — then drains the loop so the cohort flush (or the
-// inline phases) run to completion.
+// cycle leaves behind — then drains the loop so the cohort flush (or each
+// leaf's own phases) run to completion.
 func runControlCycle(loop *simclock.SimLoop, leaves []benchLeaf, until time.Duration) {
 	loop.Post(func() {
 		for _, bl := range leaves {
@@ -86,11 +88,6 @@ func runControlCycle(loop *simclock.SimLoop, leaves []benchLeaf, until time.Dura
 	loop.RunUntil(until)
 }
 
-// BenchmarkControlCycle measures one full control cycle across the fleet:
-// every leaf's observe+decide+act for 2 k and 10 k servers, inline (serial,
-// the pre-phase execution model) versus cohort (observe+decide fanned over
-// GOMAXPROCS workers). The acceptance bar for the phased refactor is
-// cohort ≥ 2x inline at 10 k servers on a multicore machine.
 // buildLeafRPCBench assembles one leaf pulling 100 agents over the in-proc
 // RPC network — the full delivery path the DryRun cycle bench bypasses —
 // optionally through a fault injector dropping a slice of pulls so every
@@ -161,11 +158,15 @@ func BenchmarkLeafCycleWithRetries(b *testing.B) {
 	}
 }
 
+// BenchmarkControlCycle measures one full control cycle across the fleet:
+// every leaf's observe+decide+act for 2 k and 10 k servers, inline (no
+// scheduler: each leaf runs its phases at its completion instant) versus
+// cohort (observe+decide fanned over GOMAXPROCS workers).
 func BenchmarkControlCycle(b *testing.B) {
 	for _, size := range []int{2000, 10000} {
 		for _, mode := range []string{"inline", "cohort"} {
 			b.Run(fmt.Sprintf("servers=%d/%s", size, mode), func(b *testing.B) {
-				loop, _, leaves := buildControlCycleBench(size, mode == "inline")
+				loop, leaves := buildControlCycleBench(size, mode == "cohort")
 				// Warm one cycle so lazily sized scratch state is allocated.
 				runControlCycle(loop, leaves, time.Millisecond)
 				b.ReportAllocs()

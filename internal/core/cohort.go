@@ -9,21 +9,18 @@ import (
 	"dynamo/internal/telemetry"
 )
 
-// The control plane runs every controller cycle in three explicit phases,
-// mirroring the split the physics tick already makes between the sharded
-// server step and the serial aggregation pass:
+// Every controller cycle runs in explicit phases, mirroring the split the
+// physics tick makes between the sharded server step and the serial
+// aggregation pass:
 //
-//   - observe: collect pull responses, decode wire payloads, run failure
-//     estimation and aggregation. Pure with respect to shared state — a
-//     controller's observe phase reads and writes only that controller's
-//     own fields, so observes of different controllers can run
-//     concurrently.
-//   - decide: evaluate the three-band (or PID) algorithm and compute the
-//     full actuation plan (per-server caps, per-child contract cuts) into
-//     a plan value. Runs fused with observe on the same worker, since it
-//     shares the same purity contract.
-//   - act: send cap/uncap and contract RPCs, write the decision journal,
-//     emit alerts and telemetry. Acts touch shared state (the RPC
+//   - observe+decide (cycleKernel.runObserveDecide): the level decodes the
+//     collected pull responses and aggregates them, evaluates the
+//     three-band (or PID) control law and computes the full actuation plan
+//     (per-server caps, per-child contract cuts). A controller's
+//     observe+decide reads and writes only that controller's own fields,
+//     so the phases of different controllers can run concurrently.
+//   - act (cycleKernel.runAct): journal, alerts, telemetry, checkpoint and
+//     the cap/uncap or contract RPCs. Acts touch shared state (the RPC
 //     network, the alert sink, the trace ring) and therefore run serially
 //     on the loop goroutine, in fixed device order.
 //
@@ -34,14 +31,15 @@ import (
 // applying the act phases serially. Because observes are mutually
 // independent and acts run in a fixed order at an unchanged virtual time,
 // same-seed runs are byte-identical at any worker count and any
-// GOMAXPROCS: the same contract the sharded physics tick provides.
+// GOMAXPROCS: the same contract the sharded physics tick provides. A
+// controller built without a scheduler runs both phases itself at the
+// completion instant (cycleKernel.complete), with the same result.
 
-// phasedController is the phase surface Leaf and Upper expose to the
+// phasedController is the phase surface the cycle kernel exposes to the
 // scheduler. runObserveDecide may execute on a worker goroutine and must
 // only touch the controller's own state; runAct always executes on the
 // loop goroutine.
 type phasedController interface {
-	DeviceID() string
 	runObserveDecide(now time.Duration)
 	runAct(now time.Duration)
 }
@@ -53,19 +51,13 @@ type phasedCycle struct {
 }
 
 // CohortScheduler batches same-instant controller cycles and runs their
-// phases. A nil *CohortScheduler is valid everywhere a scheduler is
-// accepted and means fully inline execution (observe+decide+act run
-// synchronously when the cycle completes), which is the daemons' and
-// standalone controllers' behavior.
-//
-// The scheduler is loop-confined: Submit and flush run on the loop
-// goroutine. Worker goroutines live only inside a single flush event (the
-// flush blocks on them), so no loop callback ever interleaves with an
-// observe phase.
+// phases. It is loop-confined: submit and flush run on the loop goroutine.
+// Worker goroutines live only inside a single flush event (the flush
+// blocks on them), so no loop callback ever interleaves with an observe
+// phase.
 type CohortScheduler struct {
 	loop    simclock.Loop
 	workers int
-	inline  bool
 
 	nextOrder int
 	pending   []phasedCycle
@@ -119,12 +111,6 @@ func (s *CohortScheduler) Workers() int {
 	return s.workers
 }
 
-// SetInline switches the scheduler to inline mode: Submit runs
-// observe+decide+act synchronously, exactly as a controller without a
-// scheduler would. The phased-vs-inline equivalence tests use it; call it
-// before any controller starts.
-func (s *CohortScheduler) SetInline(inline bool) { s.inline = inline }
-
 // register assigns the next device-order index. Called from controller
 // constructors; the construction order (leaves first, then uppers,
 // topology order within each level) is the fixed act order.
@@ -134,18 +120,9 @@ func (s *CohortScheduler) register() int {
 	return n
 }
 
-// submit hands a completed collection to the scheduler. In inline mode
-// both phases run immediately (the completion instant is the phase
-// instant); otherwise the cycle joins the cohort flushed at this same
-// virtual instant. Controllers without a scheduler never reach here —
-// they run their phases directly.
+// submit hands a completed collection to the scheduler: the cycle joins
+// the cohort flushed at this same virtual instant.
 func (s *CohortScheduler) submit(c phasedController, order int) {
-	if s.inline {
-		now := s.loop.Now()
-		c.runObserveDecide(now)
-		c.runAct(now)
-		return
-	}
 	s.pending = append(s.pending, phasedCycle{order: order, ctrl: c})
 	if !s.armed {
 		s.armed = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,57 +15,66 @@ import (
 )
 
 // phasedFixture is a two-leaf, one-upper hierarchy whose construction is
-// fully deterministic, used to compare scheduled against inline execution.
+// fully deterministic, used to compare scheduled against unscheduled
+// execution.
 type phasedFixture struct {
 	*fixture
 	leaves []*Leaf
 	upper  *Upper
-	sched  *CohortScheduler
 }
 
-// buildPhased assembles the hierarchy. mode selects the execution path:
-// "none" attaches no scheduler (pre-phase inline behavior), "inline" a
-// scheduler forced inline, otherwise a cohort scheduler with the given
-// worker count. The parent limit is tight enough to force a capping
-// episode, so the comparison exercises plans, contracts, and journals.
-func buildPhased(t *testing.T, mode string, workers int, tel *telemetry.Sink) *phasedFixture {
+// phasedScenario sizes the hierarchy: servers per leaf, the load of the
+// second leaf's servers (the first leaf idles at 0.5) and the sensor-noise
+// seed. The upper limit scales with the fleet so the loaded leaf pushes the
+// total over it.
+type phasedScenario struct {
+	perChild int
+	load     float64
+	seed     int64
+}
+
+// buildPhased assembles the hierarchy. workers == 0 attaches no scheduler
+// (every controller runs its phases itself at the completion instant);
+// otherwise all three share a cohort scheduler with that many workers.
+func buildPhased(t *testing.T, sc phasedScenario, workers int, tel *telemetry.Sink) *phasedFixture {
 	t.Helper()
 	f := newFixture(t)
+	f.seedBase = sc.seed
 	pf := &phasedFixture{fixture: f}
-	if mode != "none" {
-		pf.sched = NewCohortScheduler(f.loop, workers, tel)
-		if mode == "inline" {
-			pf.sched.SetInline(true)
-		}
+	var sched *CohortScheduler
+	if workers > 0 {
+		sched = NewCohortScheduler(f.loop, workers, tel)
 	}
 	var children []ChildRef
 	for c := 0; c < 2; c++ {
 		child := fmt.Sprintf("child%d", c+1)
 		var refs []AgentRef
-		load := 0.5 + 0.3*float64(c)
-		for i := 0; i < 6; i++ {
+		load := 0.5
+		if c == 1 {
+			load = sc.load
+		}
+		for i := 0; i < sc.perChild; i++ {
 			id := fmt.Sprintf("%s-web-%03d", child, i)
 			f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 			refs = append(refs, AgentRef{ServerID: id, Service: "web",
 				Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
 		}
+		quota := power.Watts(250 * sc.perChild)
 		leaf := NewLeaf(f.loop, LeafConfig{
 			DeviceID:  child,
 			Limit:     power.KW(200),
-			Quota:     power.Watts(1500),
+			Quota:     quota,
 			Alerts:    f.alertSink(),
 			Telemetry: tel,
-			Scheduler: pf.sched,
+			Scheduler: sched,
 		}, refs)
 		f.net.Register(CtrlAddr(child), leaf.Handler())
 		pf.leaves = append(pf.leaves, leaf)
-		children = append(children, ChildRef{
-			ID: child, Client: f.net.Dial(CtrlAddr(child)), Quota: power.Watts(1500),
-		})
+		children = append(children, ChildRef{ID: child, Client: f.net.Dial(CtrlAddr(child)), Quota: quota})
 	}
 	pf.upper = NewUpper(f.loop, UpperConfig{
-		DeviceID: "sb1", Limit: power.Watts(3100), Alerts: f.alertSink(),
-		OffenderBucket: 100, Telemetry: tel, Scheduler: pf.sched,
+		DeviceID: "sb1", Limit: power.Watts(3100 * sc.perChild / 6), Alerts: f.alertSink(),
+		OffenderBucket: 100, Telemetry: tel, Scheduler: sched,
 	}, children)
 	f.net.Register(CtrlAddr("sb1"), pf.upper.Handler())
 	for _, l := range pf.leaves {
@@ -73,6 +83,10 @@ func buildPhased(t *testing.T, mode string, workers int, tel *telemetry.Sink) *p
 	pf.upper.Start()
 	return pf
 }
+
+// fixedScenario is tight enough to force a capping episode, so runs over
+// it exercise plans, contracts, and journals.
+var fixedScenario = phasedScenario{perChild: 6, load: 0.8}
 
 // journals snapshots every controller's decision log.
 func (pf *phasedFixture) journals() map[string][]DecisionRecord {
@@ -85,38 +99,54 @@ func (pf *phasedFixture) journals() map[string][]DecisionRecord {
 }
 
 // TestCohortMatchesUnscheduled is the core phase-model equivalence check:
-// the same scenario run with no scheduler, with an inline-forced scheduler,
-// and with cohort scheduling at several worker counts must produce
-// record-identical decision journals on every controller.
+// the same scenario run with no scheduler and with cohort scheduling at
+// several worker counts must produce record-identical decision journals on
+// every controller and the same alerts and physical outcome. It runs the
+// fixed scenario and three randomised ones (fleet size, load level and
+// noise seed drawn per trial).
 func TestCohortMatchesUnscheduled(t *testing.T) {
-	run := func(mode string, workers int) map[string][]DecisionRecord {
-		pf := buildPhased(t, mode, workers, nil)
-		pf.loop.RunUntil(90 * time.Second)
-		return pf.journals()
+	type outcome struct {
+		journals map[string][]DecisionRecord
+		alerts   int
+		total    power.Watts
 	}
-	base := run("none", 1)
-	// The scenario must actually exercise the planners or the comparison
-	// is vacuous.
-	capped := false
-	for _, recs := range base {
-		for _, r := range recs {
-			if r.Action == ActionCap {
-				capped = true
+	run := func(sc phasedScenario, workers int) outcome {
+		pf := buildPhased(t, sc, workers, nil)
+		pf.loop.RunUntil(90 * time.Second)
+		var total power.Watts // summed in fleet order: totalPower ranges over a map
+		for _, id := range pf.order {
+			total += pf.servers[id].Power()
+		}
+		return outcome{pf.journals(), len(pf.alerts), total}
+	}
+	rng := rand.New(rand.NewSource(21))
+	scenarios := []phasedScenario{fixedScenario}
+	for trial := 0; trial < 3; trial++ {
+		scenarios = append(scenarios, phasedScenario{
+			perChild: 6 + rng.Intn(25),
+			load:     0.8 + 0.15*rng.Float64(),
+			seed:     rng.Int63n(1000) + 1,
+		})
+	}
+	for i, sc := range scenarios {
+		base := run(sc, 0)
+		// The scenario must actually exercise the planners or the
+		// comparison is vacuous.
+		capped := false
+		for _, recs := range base.journals {
+			for _, r := range recs {
+				if r.Action == ActionCap {
+					capped = true
+				}
 			}
 		}
-	}
-	if !capped {
-		t.Fatal("scenario produced no capping episode")
-	}
-	for _, v := range []struct {
-		mode    string
-		workers int
-	}{
-		{"inline", 1}, {"cohort", 1}, {"cohort", 4}, {"cohort", 16},
-	} {
-		got := run(v.mode, v.workers)
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("%s/workers=%d journals diverge from unscheduled run", v.mode, v.workers)
+		if !capped {
+			t.Fatalf("scenario %d %+v produced no capping; cross-check is vacuous", i, sc)
+		}
+		for _, workers := range []int{1, 4, 16} {
+			if got := run(sc, workers); !reflect.DeepEqual(base, got) {
+				t.Errorf("scenario %d %+v: workers=%d diverges from the unscheduled run", i, sc, workers)
+			}
 		}
 	}
 }
@@ -125,7 +155,7 @@ func TestCohortMatchesUnscheduled(t *testing.T) {
 // flush counter are populated when a sink is attached.
 func TestCohortPhaseTelemetry(t *testing.T) {
 	sink := telemetry.NewSink()
-	pf := buildPhased(t, "cohort", 2, sink)
+	pf := buildPhased(t, fixedScenario, 2, sink)
 	pf.loop.RunUntil(30 * time.Second)
 
 	if n := sink.Counter("dynamo_control_cohort_flushes_total").Value(); n == 0 {
@@ -170,8 +200,8 @@ func TestLeafDeferredReconfig(t *testing.T) {
 		if leaf.DeferredReconfigs() != 0 {
 			t.Errorf("boundary-time SetBands was deferred")
 		}
-		if leaf.cfg.Bands != newBands {
-			t.Errorf("boundary-time SetBands not applied: %+v", leaf.cfg.Bands)
+		if leaf.bands != newBands {
+			t.Errorf("boundary-time SetBands not applied: %+v", leaf.bands)
 		}
 	})
 
@@ -190,10 +220,10 @@ func TestLeafDeferredReconfig(t *testing.T) {
 			t.Errorf("deferred = %d, want 2", leaf.DeferredReconfigs())
 		}
 		// Deferred means not yet applied.
-		if leaf.cfg.Bands == midBands {
+		if leaf.bands == midBands {
 			t.Error("mid-cycle SetBands applied immediately")
 		}
-		if leaf.cfg.PollInterval != 3*time.Second {
+		if leaf.pollInterval != 3*time.Second {
 			t.Error("mid-cycle SetPollInterval applied immediately")
 		}
 		// Invalid configurations are still rejected synchronously.
@@ -204,11 +234,11 @@ func TestLeafDeferredReconfig(t *testing.T) {
 
 	f.loop.RunUntil(20 * time.Second)
 	// Both deferred changes applied at the cycle boundary.
-	if leaf.cfg.Bands != midBands {
-		t.Errorf("deferred bands not applied: %+v", leaf.cfg.Bands)
+	if leaf.bands != midBands {
+		t.Errorf("deferred bands not applied: %+v", leaf.bands)
 	}
-	if leaf.cfg.PollInterval != 6*time.Second {
-		t.Errorf("deferred poll interval not applied: %v", leaf.cfg.PollInterval)
+	if leaf.pollInterval != 6*time.Second {
+		t.Errorf("deferred poll interval not applied: %v", leaf.pollInterval)
 	}
 	if leaf.DeferredReconfigs() != 2 {
 		t.Errorf("deferred = %d, want 2", leaf.DeferredReconfigs())

@@ -86,7 +86,7 @@ type Hierarchy struct {
 	Uppers map[topology.NodeID]*Upper
 
 	// Sched is the cohort scheduler shared by every controller in the
-	// hierarchy (nil when the hierarchy was built without one).
+	// hierarchy.
 	Sched *CohortScheduler
 
 	// leafOrder/upperOrder give deterministic start order (top-down).
@@ -106,11 +106,9 @@ func BuildHierarchy(loop simclock.Loop, net *rpc.Network, topo *topology.Topolog
 	if cfg.LeafKind == 0 {
 		cfg.LeafKind = topology.KindRPP
 	}
-	leafClass, ok := cfg.LeafKind.DeviceClass()
-	if !ok {
+	if _, ok := cfg.LeafKind.DeviceClass(); !ok {
 		return nil, fmt.Errorf("core: leaf kind %v is not a power device", cfg.LeafKind)
 	}
-	_ = leafClass
 
 	dial := cfg.Dial
 	if dial == nil {

@@ -1,0 +1,532 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"dynamo/internal/metrics"
+	"dynamo/internal/power"
+	"dynamo/internal/rpc"
+	"dynamo/internal/simclock"
+	"dynamo/internal/statestore"
+	"dynamo/internal/telemetry"
+	"dynamo/internal/wire"
+)
+
+// The paper applies one loop at every level of the power tree: pull the
+// children, aggregate, run the three-band decision, actuate (§III-C for
+// leaves, §III-D for upper levels: 9 s instead of 3 s, contracts instead of
+// RAPL caps). cycleKernel is that loop. Leaf and Upper embed it and supply
+// only what differs by level through the level interface.
+
+// pull is the kernel's view of one child: whom to call and what the call
+// returned this cycle. Levels embed it by value in their per-child state.
+// raw holds a copy of the undecoded pull response (the transport's buffer
+// is only valid inside the completion callback) in storage reused from
+// cycle to cycle; decoding happens in the observe phase, so the callback
+// does no per-child work beyond copying bytes.
+type pull struct {
+	id     string
+	client rpc.Client
+
+	raw      []byte
+	rawValid bool
+	ok       bool // the level decoded a usable reading this cycle
+	skip     bool // not pulled this cycle
+	probe    bool // pulled with one unretried attempt this cycle
+}
+
+// level is what differs between a leaf and an upper controller.
+// aggregate and decide make up the observe+decide phase: they may run on a
+// cohort worker, touch only the controller's own state, and neither send
+// RPCs nor emit alerts or telemetry (alerts go through cyclePlan.alert).
+// selectPulls and act run on the loop goroutine.
+type level interface {
+	// selectPulls marks the children to leave out of this cycle (skip) or
+	// to try once without retries (probe) and returns how many it left out.
+	selectPulls() (skipped int)
+	// aggregate decodes the collected responses into one power figure.
+	// valid=false declares the aggregation unusable; p.rec.Failures is what
+	// the journal records as failed pulls.
+	aggregate(p *cyclePlan) (agg power.Watts, valid bool)
+	// decide runs the level's control law on a valid aggregate (p.rec.Agg
+	// against p.rec.EffLimit, with p.capCount children held down) and plans
+	// the actuation: the record's Action, for a cut its Target and plan
+	// outcome, and what act has to send.
+	decide(now time.Duration, p *cyclePlan)
+	// act applies the plan, on invalid cycles too. live=false means the
+	// controller was stopped after this cycle was collected: the level may
+	// record, but must send nothing.
+	act(now time.Duration, p *cyclePlan, live bool)
+	// cappedCount is the number of children currently held down: capped
+	// servers for a leaf, contracted children for an upper.
+	cappedCount() int
+}
+
+// cycleConfig is the configuration both levels share; the constructors copy
+// it out of LeafConfig/UpperConfig.
+type cycleConfig struct {
+	kind       string // "leaf" or "upper": telemetry label, handler error prefix, Status.Level
+	pullMethod string
+	pullOp     string // how a failed pull is named in telemetry
+
+	deviceID     string
+	limit, quota power.Watts
+	bands        BandConfig
+	pollInterval time.Duration
+	pullTimeout  time.Duration
+	dryRun       bool
+	alerts       AlertFunc
+	sched        *CohortScheduler
+	ckpt         *statestore.Writer
+}
+
+// pendingAlert is an alert composed during observe+decide (which may run
+// off-loop) and emitted during the serial act phase.
+type pendingAlert struct {
+	level AlertLevel
+	msg   string
+}
+
+// cyclePlan is the outcome of one observe+decide phase: the journal record
+// (aggregate, decision, plan outcome) and what the act phase has to do
+// about it. The act phase applies it verbatim, so the two phases share no
+// implicit state; what a level plans beyond these fields (caps, contract
+// cuts) it keeps itself.
+type cyclePlan struct {
+	rec          DecisionRecord
+	prevAction   Action
+	capCount     int
+	planComputed bool
+	sendCaps     bool
+	sendUncaps   bool
+	alerts       []pendingAlert
+}
+
+func (p *cyclePlan) alert(level AlertLevel, format string, args ...interface{}) {
+	p.alerts = append(p.alerts, pendingAlert{level: level, msg: fmt.Sprintf(format, args...)})
+}
+
+// cycleKernel is one controller's pull → aggregate → decide → act loop and
+// everything around it that does not depend on the level. It is confined
+// to its event loop: all methods (including the RPC handler) must run on
+// loop callbacks, except runObserveDecide, which the cohort scheduler may
+// run on a worker while the loop goroutine waits.
+type cycleKernel struct {
+	cycleConfig
+	loop  simclock.Loop
+	lvl   level
+	pulls []*pull // the level's children, in configuration order
+
+	ticker   *simclock.Ticker
+	cycleSeq uint64
+	inflight int
+	cycles   uint64
+
+	// gen counts controller lifetimes: Stop bumps it, and every command
+	// completion captured under an older generation is a no-op. cycleGen is
+	// the generation the open cycle started under.
+	gen      uint64
+	cycleGen uint64
+
+	// retryPol is the rpc retry policy (zero when retries are off);
+	// retries counts re-attempts across all downstream calls.
+	retryPol rpc.RetryPolicy
+	retries  uint64
+
+	contract   power.Watts // from the parent; 0 = none
+	lastAgg    power.Watts
+	lastValid  bool
+	lastAction Action
+	pid        *pidState // leaf PID control; nil under three-band control
+
+	history     *metrics.Series
+	journal     *Journal
+	capEvents   uint64
+	uncapEvents uint64
+
+	// cycleOpen is true from pollCycle until the act phase completes.
+	// Reconfiguration requested in that window waits in deferred for the
+	// cycle boundary, so it cannot race an observe phase on a worker.
+	schedOrder        int
+	cycleOpen         bool
+	plan              cyclePlan
+	deferred          []func()
+	deferredReconfigs uint64
+
+	tel          *ctrlInstr // nil when telemetry is disabled
+	cycleStartAt time.Duration
+}
+
+func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink *telemetry.Sink, retry RetryConfig, pulls []*pull) {
+	k.cycleConfig = cfg
+	if k.bands == (BandConfig{}) {
+		k.bands = DefaultBandConfig()
+	}
+	k.loop, k.lvl, k.pulls = loop, lvl, pulls
+	k.history = metrics.NewSeries(1024)
+	k.journal = NewJournal(512)
+	k.tel = newCtrlInstr(sink, cfg.deviceID, cfg.kind)
+	k.alerts = k.tel.wrapAlerts(cfg.alerts)
+	if k.sched != nil {
+		k.schedOrder = k.sched.register()
+	}
+	if retry.Enabled() {
+		k.retryPol = retry.policy(cfg.pollInterval)
+	}
+	k.ticker = simclock.NewTicker(loop, cfg.pollInterval, k.pollCycle)
+}
+
+// call issues one downstream RPC under the configured retry policy; with
+// retries disabled it is a plain single-attempt Call. Always invoked on
+// the loop goroutine (poll broadcast or act phase).
+func (k *cycleKernel) call(h *pull, method string, req wire.Message, done func([]byte, error)) {
+	if !k.retryPol.Enabled() {
+		h.client.Call(method, req, k.pullTimeout, done)
+		return
+	}
+	pol := k.retryPol
+	pol.OnRetry = func(attempt int, err error) {
+		k.retries++
+		if k.tel != nil {
+			k.tel.rpcRetry(k.cycles, k.loop.Now(), h.id, method, attempt, err)
+		}
+	}
+	rpc.CallRetry(k.loop, h.client, method, h.id, req, k.pullTimeout, pol, done)
+}
+
+// commandFailed reports an act-phase command the child did not accept.
+func (k *cycleKernel) commandFailed(h *pull, op, what string, err error) {
+	if k.tel != nil {
+		k.tel.rpcFailure(k.cycles, k.loop.Now(), h.id, op, err)
+	}
+	k.alerts.emit(k.loop.Now(), AlertWarning, k.deviceID, "%s to %s failed", what, h.id)
+}
+
+// atBoundary applies a reconfiguration at once between cycles, or at the
+// end of the open cycle's act phase.
+func (k *cycleKernel) atBoundary(apply func()) {
+	if k.cycleOpen {
+		k.deferred = append(k.deferred, apply)
+		k.deferredReconfigs++
+		return
+	}
+	apply()
+}
+
+// Retries returns how many downstream RPC re-attempts this controller
+// has issued.
+func (k *cycleKernel) Retries() uint64 { return k.retries }
+
+// DeviceID returns the protected device's identifier.
+func (k *cycleKernel) DeviceID() string { return k.deviceID }
+
+// Start begins the pull cycle.
+func (k *cycleKernel) Start() { k.ticker.Start() }
+
+// Stop halts the pull cycle (a crashed or fenced controller). Bumping the
+// generation fences the cycle in flight: its act phase still journals and
+// checkpoints, but sends nothing, and a command ack or retry landing after
+// Stop does not touch controller state.
+func (k *cycleKernel) Stop() {
+	k.gen++
+	k.ticker.Stop()
+}
+
+// Running reports whether the controller is polling.
+func (k *cycleKernel) Running() bool { return k.ticker.Active() }
+
+// Cycles returns the number of completed aggregation cycles.
+func (k *cycleKernel) Cycles() uint64 { return k.cycles }
+
+// LastAggregate returns the most recent aggregated power and validity.
+func (k *cycleKernel) LastAggregate() (power.Watts, bool) { return k.lastAgg, k.lastValid }
+
+// History returns the aggregate power time series (one point per cycle).
+func (k *cycleKernel) History() *metrics.Series { return k.history }
+
+// CapEvents returns how many capping actions this controller has taken.
+func (k *cycleKernel) CapEvents() uint64 { return k.capEvents }
+
+// UncapEvents returns how many uncap actions this controller has taken.
+func (k *cycleKernel) UncapEvents() uint64 { return k.uncapEvents }
+
+// Journal returns the controller's decision log (oldest-first ring).
+func (k *cycleKernel) Journal() *Journal { return k.journal }
+
+// AdoptJournal seeds this controller with a predecessor's decision
+// records and cycle counter (failover handoff). Call before Start.
+func (k *cycleKernel) AdoptJournal(recs []DecisionRecord, cycles uint64) {
+	k.journal.Absorb(recs)
+	if cycles > k.cycles {
+		k.cycles = cycles
+	}
+}
+
+// AdoptInternals restores band/PID internals, the last action, and the
+// contractual limit from a predecessor's final checkpoint. Call with
+// AdoptJournal, before Start.
+func (k *cycleKernel) AdoptInternals(ck ControllerCheckpoint) {
+	k.lastAction = ck.LastAction
+	k.contract = ck.Contract
+	if k.pid != nil {
+		k.pid.integral = ck.PIDIntegral
+		k.pid.last = ck.PIDLast
+		k.pid.engaged = ck.PIDEngaged
+		k.pid.started = ck.PIDStarted
+	}
+}
+
+// CheckpointWriter returns the attached state-store writer (nil when
+// checkpointing is disabled). The failover path uses it to continue the
+// adopted stream at its granted epoch.
+func (k *cycleKernel) CheckpointWriter() *statestore.Writer { return k.ckpt }
+
+// contracted reports whether a parent's contract undercuts the breaker.
+func (k *cycleKernel) contracted() bool { return k.contract > 0 && k.contract < k.limit }
+
+// EffectiveLimit is min(physical, contractual) (paper §III-D).
+func (k *cycleKernel) EffectiveLimit() power.Watts {
+	if k.contracted() {
+		return k.contract
+	}
+	return k.limit
+}
+
+// effectiveBands returns the decision bands. Against the physical breaker
+// limit the configured fractions apply. Against a contractual limit the
+// contract itself is the threshold and the target sits just below it: the
+// parent that issued the contract already built in its own safety margin,
+// and re-applying the 5 % target at every level would compound
+// (0.95^depth), dropping settled power below the top-level uncap threshold
+// and causing hierarchy-wide cap/uncap oscillation.
+func (k *cycleKernel) effectiveBands() Bands {
+	if k.contracted() {
+		return contractBands(k.contract, k.bands)
+	}
+	return k.bands.BandsFor(k.limit)
+}
+
+// contractBands builds enforcement bands for a contractual limit.
+func contractBands(contract power.Watts, cfg BandConfig) Bands {
+	return Bands{
+		CapThreshold:   contract,
+		CapTarget:      power.Watts(float64(contract) * 0.99),
+		UncapThreshold: power.Watts(float64(contract) * cfg.UncapThresholdFrac),
+	}
+}
+
+// pollCycle broadcasts power pulls to the children (paper: "periodically
+// broadcasts power pull requests over Thrift to all servers").
+func (k *cycleKernel) pollCycle() {
+	if k.inflight > 0 || k.cycleOpen {
+		// Previous cycle still collecting or deciding (should not happen:
+		// timeout < interval), skip to avoid overlapping aggregations.
+		return
+	}
+	k.cycleSeq++
+	seq := k.cycleSeq
+	k.cycleOpen = true
+	k.cycleGen = k.gen
+	if k.tel != nil {
+		k.cycleStartAt = k.loop.Now()
+		k.tel.cycleStart(k.cycles+1, k.cycleStartAt)
+	}
+	for _, h := range k.pulls {
+		h.rawValid, h.ok, h.skip, h.probe = false, false, false, false
+	}
+	k.inflight = len(k.pulls) - k.lvl.selectPulls()
+	if k.inflight == 0 {
+		k.complete()
+		return
+	}
+	for _, h := range k.pulls {
+		if h.skip {
+			continue
+		}
+		// The completion captures the kernel, the cycle and the child and
+		// nothing else: one 32-byte closure per pull.
+		done := func(resp []byte, err error) { k.onPull(seq, h, resp, err) }
+		if h.probe {
+			h.client.Call(k.pullMethod, rpc.Empty, k.pullTimeout, done)
+		} else {
+			k.call(h, k.pullMethod, rpc.Empty, done)
+		}
+	}
+}
+
+// onPull records one pull completion. It runs on the loop goroutine and
+// only stores the raw response; decoding is deferred to the observe
+// phase, which may run on a cohort worker.
+func (k *cycleKernel) onPull(seq uint64, h *pull, resp []byte, err error) {
+	if seq != k.cycleSeq {
+		return // stale response from a superseded cycle
+	}
+	if err != nil && k.tel != nil {
+		k.tel.rpcFailure(k.cycles+1, k.loop.Now(), h.id, k.pullOp, err)
+	}
+	if err == nil {
+		h.rawValid = true
+		h.raw = append(h.raw[:0], resp...)
+	}
+	k.inflight--
+	if k.inflight == 0 {
+		k.complete()
+	}
+}
+
+// complete hands the collected cycle to its phases: to the cohort
+// scheduler when one is attached, else both phases run here, at the
+// completion instant. This is the only place the two ways part.
+func (k *cycleKernel) complete() {
+	if k.sched != nil {
+		k.sched.submit(k, k.schedOrder)
+		return
+	}
+	now := k.loop.Now()
+	k.runObserveDecide(now)
+	k.runAct(now)
+}
+
+// runObserveDecide is the observe+decide phase: the level aggregates the
+// collected responses and, on a valid aggregate, decides and plans; the
+// outcome lands in k.plan. It reads and writes only this controller's own
+// state, so the cohort scheduler may run it on a worker goroutine
+// concurrently with other controllers' observe phases. No journal writes,
+// alert emission, telemetry, or RPC happens here — those are act-phase
+// effects.
+func (k *cycleKernel) runObserveDecide(now time.Duration) {
+	if k.tel != nil {
+		//lint:allow wallclock — wall-clock phase-latency for operator histograms; guarded by a tel nil-check and never feeds control decisions
+		defer k.tel.observeDone(time.Now())
+	}
+	k.cycles++
+	p := &k.plan
+	*p = cyclePlan{prevAction: k.lastAction, alerts: p.alerts[:0]}
+	p.rec.Cycle, p.rec.Time = k.cycles, now
+
+	agg, valid := k.lvl.aggregate(p)
+	k.lastValid = valid
+	if !valid {
+		// No action; the level's alert calls for human intervention
+		// (paper §III-C1, §III-E).
+		return
+	}
+	k.lastAgg = agg
+	p.rec.Valid, p.rec.Agg, p.rec.EffLimit, p.rec.DryRun = true, agg, k.EffectiveLimit(), k.dryRun
+	p.capCount = k.lvl.cappedCount()
+	k.lvl.decide(now, p)
+	k.lastAction = p.rec.Action
+}
+
+// runAct is the act phase: apply the plan computed by runObserveDecide.
+// It always runs on the loop goroutine — journal and history writes,
+// alert emission, telemetry, and RPC sends all happen here, serially and
+// in fixed device order across the cohort.
+//
+//dynamo:serial
+func (k *cycleKernel) runAct(now time.Duration) {
+	p := &k.plan
+	defer func() {
+		k.cycleOpen = false
+		for _, apply := range k.deferred {
+			apply()
+		}
+		k.deferred = k.deferred[:0]
+	}()
+	// A controller stopped mid-cycle (crash, fencing) still finishes the
+	// cycle's bookkeeping, but nothing leaves a dead controller.
+	live := k.cycleGen == k.gen
+	rec := &p.rec
+
+	if !rec.Valid {
+		if k.tel != nil {
+			k.tel.invalidCycle(k.cycles, k.cycleStartAt, now, rec.Failures, len(k.pulls))
+		}
+	} else {
+		k.history.Add(now, float64(rec.Agg))
+		if k.tel != nil && rec.Action != p.prevAction {
+			k.tel.transition(k.cycles, now, p.prevAction, rec.Action)
+		}
+		if k.tel != nil && p.planComputed {
+			k.tel.capPlan(k.cycles, now, rec.ServersPlanned, rec.Achieved, rec.Shortfall, k.dryRun)
+		}
+	}
+	k.emitAlerts(now, p)
+	if live && p.sendCaps {
+		k.capEvents++
+	}
+	if live && p.sendUncaps {
+		k.uncapEvents++
+	}
+	k.lvl.act(now, p, live)
+	k.journal.Add(*rec)
+	k.checkpoint(now, *rec)
+	if k.tel != nil && rec.Valid {
+		k.tel.cycleEnd(k.cycles, k.cycleStartAt, now, rec.Agg, rec.EffLimit, p.capCount, rec.Action)
+	}
+}
+
+// checkpoint writes this cycle's state into the replicated store
+// (act-phase effect, always after the journal write of the same cycle —
+// see the ordering rule in checkpoint.go). A fenced append means a backup
+// has adopted this device: this instance is a zombie and stops itself.
+func (k *cycleKernel) checkpoint(now time.Duration, rec DecisionRecord) {
+	fenced, err := writeCheckpoint(k.ckpt, k.journal, rec, k.cycles, k.lastAction, k.contract, k.pid)
+	if err == nil {
+		return
+	}
+	if fenced {
+		k.alerts.emit(now, AlertCritical, k.deviceID,
+			"checkpoint fenced (stream epoch %d superseded by adoption); stopping zombie controller",
+			k.ckpt.Epoch())
+		k.Stop()
+		return
+	}
+	k.alerts.emit(now, AlertWarning, k.deviceID, "checkpoint append failed: %v", err)
+}
+
+func (k *cycleKernel) emitAlerts(now time.Duration, p *cyclePlan) {
+	for _, a := range p.alerts {
+		k.alerts.emit(now, a.level, k.deviceID, "%s", a.msg)
+	}
+}
+
+// Handler serves the controller-to-controller protocol for this device, so
+// an MSB controller pulls an SB controller exactly as an SB pulls leaves.
+func (k *cycleKernel) Handler() rpc.Handler {
+	return func(method string, body []byte) (wire.Message, error) {
+		switch method {
+		case MethodCtrlReadPower:
+			return &CtrlReadPowerResponse{
+				AggWatts:      float64(k.lastAgg),
+				Valid:         k.lastValid,
+				CappedServers: k.lvl.cappedCount(),
+				QuotaWatts:    float64(k.quota),
+				LimitWatts:    float64(k.limit),
+				ContractWatts: float64(k.contract),
+			}, nil
+		case MethodCtrlSetContract:
+			var req SetContractRequest
+			if err := wire.Unmarshal(body, &req); err != nil {
+				return nil, err
+			}
+			k.setContract(power.Watts(req.LimitWatts))
+			return &AckResponse{OK: true}, nil
+		case MethodCtrlClearContract:
+			k.setContract(0)
+			return &AckResponse{OK: true}, nil
+		case MethodCtrlPing:
+			return &CtrlPingResponse{Healthy: k.Running(), Cycles: k.cycles}, nil
+		default:
+			return nil, fmt.Errorf("%s %s: unknown method %q", k.kind, k.deviceID, method)
+		}
+	}
+}
+
+func (k *cycleKernel) setContract(limit power.Watts) {
+	k.contract = limit
+	if k.tel != nil {
+		k.tel.contractReceived(k.loop.Now(), limit)
+	}
+}

@@ -24,6 +24,8 @@ type fixture struct {
 	order   []string
 	alerts  []Alert
 	ticker  *simclock.Ticker
+	// seedBase offsets the per-server sensor-noise seeds.
+	seedBase int64
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -59,7 +61,7 @@ func (f *fixture) addServer(id, service string, source server.LoadSource) *serve
 	srv.Tick(f.loop.Now())
 	f.servers[id] = srv
 	f.order = append(f.order, id)
-	plat := platform.NewMSR(srv, platform.Options{Seed: int64(len(f.order))})
+	plat := platform.NewMSR(srv, platform.Options{Seed: f.seedBase + int64(len(f.order))})
 	ag := agent.New(id, service, "haswell2015", plat)
 	f.agents[id] = ag
 	f.net.Register(AgentAddr(id), ag.Handler())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -166,27 +167,69 @@ func TestLeafCapLeaseRenewalAndExpiry(t *testing.T) {
 	}
 }
 
-// TestLeafStopMidCycleSendsNothing stops the leaf while its first cycle's
-// pulls are still in flight; the completions must not actuate caps.
+// TestLeafStopMidCycleSendsNothing stops a controller of either level
+// while the pulls of a cycle that will decide to cut are still in flight:
+// the completions must not actuate anything, though the cycle still
+// journals its decision.
 func TestLeafStopMidCycleSendsNothing(t *testing.T) {
-	f := newFixture(t)
-	refs := f.addFleet(10, "web", 0.9)
-	leaf := NewLeaf(f.loop, LeafConfig{
-		DeviceID: "rpp1", Limit: 100, Alerts: f.alertSink(), // grossly over: caps planned immediately
-	}, refs)
-	leaf.Start()
-	// First poll fires at 3 s; pulls ride 2 ms of network latency, so at
-	// exactly 3 s the cycle is open with every pull in flight.
-	f.loop.RunUntil(3 * time.Second)
-	leaf.Stop()
-	f.loop.RunUntil(30 * time.Second)
-	for _, id := range f.order {
-		if _, capped := f.servers[id].Limit(); capped {
-			t.Errorf("server %s capped by a cycle completing after Stop", id)
-		}
+	type stopped interface {
+		Controller
+		CapEvents() uint64
 	}
-	if leaf.CapEvents() != 0 {
-		t.Errorf("capEvents = %d after mid-cycle Stop", leaf.CapEvents())
+	for _, tc := range []struct {
+		level string
+		// build returns the controller to stop, the instant its first
+		// cutting cycle polls (pulls ride 2 ms of network latency, so at
+		// exactly that instant the cycle is open with every pull in
+		// flight), and a probe naming anything that was commanded.
+		build func(t *testing.T) (f *fixture, ctrl stopped, polls time.Duration, actuated func() string)
+	}{
+		{"leaf", func(t *testing.T) (*fixture, stopped, time.Duration, func() string) {
+			f := newFixture(t)
+			refs := f.addFleet(10, "web", 0.9)
+			leaf := NewLeaf(f.loop, LeafConfig{
+				DeviceID: "rpp1", Limit: 100, Alerts: f.alertSink(), // grossly over: caps planned immediately
+			}, refs)
+			leaf.Start()
+			return f, leaf, 3 * time.Second, func() string {
+				for _, id := range f.order {
+					if _, capped := f.servers[id].Limit(); capped {
+						return "server " + id + " capped"
+					}
+				}
+				return ""
+			}
+		}},
+		{"upper", func(t *testing.T) (*fixture, stopped, time.Duration, func() string) {
+			// child1 runs hot under a 5 kW parent: the upper's first cycle
+			// (9 s) sees two valid child aggregates and plans a contract.
+			uf := buildUpper(t, 10, [2]float64{0.9, 0.45}, [2]power.Watts{2500, 2500}, 5000)
+			return uf.fixture, uf.upper, 9 * time.Second, func() string {
+				for _, id := range []string{"child1", "child2"} {
+					if c := uf.leaves[id].Contract(); c != 0 {
+						return fmt.Sprintf("%s put under a %v contract", id, c)
+					}
+				}
+				return ""
+			}
+		}},
+	} {
+		t.Run(tc.level, func(t *testing.T) {
+			f, ctrl, polls, actuated := tc.build(t)
+			f.loop.RunUntil(polls)
+			ctrl.Stop()
+			f.loop.RunUntil(polls + 27*time.Second)
+			if what := actuated(); what != "" {
+				t.Errorf("%s by a cycle completing after Stop", what)
+			}
+			if ctrl.CapEvents() != 0 {
+				t.Errorf("capEvents = %d after mid-cycle Stop", ctrl.CapEvents())
+			}
+			recs := ctrl.Journal().Records()
+			if len(recs) == 0 || recs[len(recs)-1].Action != ActionCap {
+				t.Errorf("journal %v: the stopped cycle should still record its cap decision", recs)
+			}
+		})
 	}
 }
 

@@ -74,48 +74,41 @@ type ControllerStatus struct {
 	Decisions []DecisionSummary `json:"decisions,omitempty"`
 }
 
+// status snapshots what every controller reports, with its last lastN
+// decision records (lastN <= 0 returns all retained records).
+func (k *cycleKernel) status(lastN int) ControllerStatus {
+	return ControllerStatus{
+		Device:        k.deviceID,
+		Level:         k.kind,
+		Running:       k.Running(),
+		Cycles:        k.cycles,
+		AggWatts:      float64(k.lastAgg),
+		Valid:         k.lastValid,
+		LimitWatts:    float64(k.limit),
+		EffLimitWatts: float64(k.EffectiveLimit()),
+		ContractWatts: float64(k.contract),
+		CappedServers: k.lvl.cappedCount(),
+		CapEvents:     k.capEvents,
+		UncapEvents:   k.uncapEvents,
+		Decisions:     lastDecisions(k.journal, lastN),
+	}
+}
+
 // Status snapshots the leaf controller with its last lastN decision
 // records (lastN <= 0 returns all retained records). Loop-confined.
 func (l *Leaf) Status(lastN int) ControllerStatus {
-	svc := make(map[string]float64, len(l.lastService))
+	s := l.status(lastN)
+	s.ServiceWatts = make(map[string]float64, len(l.lastService))
 	for k, v := range l.lastService {
-		svc[k] = float64(v)
+		s.ServiceWatts[k] = float64(v)
 	}
-	return ControllerStatus{
-		Device:        l.cfg.DeviceID,
-		Level:         "leaf",
-		Running:       l.Running(),
-		Cycles:        l.cycles,
-		AggWatts:      float64(l.lastAgg),
-		Valid:         l.lastValid,
-		LimitWatts:    float64(l.cfg.Limit),
-		EffLimitWatts: float64(l.EffectiveLimit()),
-		ContractWatts: float64(l.contract),
-		CappedServers: l.CappedCount(),
-		CapEvents:     l.capEvents,
-		UncapEvents:   l.uncapEvents,
-		ServiceWatts:  svc,
-		Decisions:     lastDecisions(l.journal, lastN),
-	}
+	return s
 }
 
 // Status snapshots the upper controller with its last lastN decision
 // records (lastN <= 0 returns all retained records). Loop-confined.
 func (u *Upper) Status(lastN int) ControllerStatus {
-	return ControllerStatus{
-		Device:        u.cfg.DeviceID,
-		Level:         "upper",
-		Running:       u.Running(),
-		Cycles:        u.cycles,
-		AggWatts:      float64(u.lastAgg),
-		Valid:         u.lastValid,
-		LimitWatts:    float64(u.cfg.Limit),
-		EffLimitWatts: float64(u.EffectiveLimit()),
-		ContractWatts: float64(u.contract),
-		CappedServers: len(u.ContractedChildren()),
-		CapEvents:     u.capEvents,
-		UncapEvents:   u.uncapEvents,
-		Contracted:    u.ContractedChildren(),
-		Decisions:     lastDecisions(u.journal, lastN),
-	}
+	s := u.status(lastN)
+	s.Contracted = u.ContractedChildren()
+	return s
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dynamo/internal/core"
 	"dynamo/internal/power"
 	"dynamo/internal/statestore"
 	"dynamo/internal/telemetry"
@@ -196,79 +195,6 @@ func TestSimDeterminismGolden(t *testing.T) {
 	check("gomaxprocs-8/checkpoint", fpCk8)
 	if !reflect.DeepEqual(digCk1, ckptDigest) || !reflect.DeepEqual(digCk8, ckptDigest) {
 		t.Error("checkpoint streams diverge across GOMAXPROCS")
-	}
-}
-
-// hierarchyJournals snapshots every controller's decision journal, keyed
-// by device.
-func hierarchyJournals(s *Sim) map[string][]core.DecisionRecord {
-	out := map[string][]core.DecisionRecord{}
-	for id, l := range s.Hierarchy.Leaves {
-		out[string(id)] = l.Journal().Records()
-	}
-	for id, u := range s.Hierarchy.Uppers {
-		out[string(id)] = u.Journal().Records()
-	}
-	return out
-}
-
-// TestPhasedMatchesInlineJournals cross-checks the phased control plane
-// against inline execution on randomized topologies: forcing the cohort
-// scheduler inline (observe+decide+act run synchronously at the completion
-// instant, the pre-phase behavior) must leave every controller's decision
-// journal — and the physical outcome — record-identical.
-func TestPhasedMatchesInlineJournals(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 3; trial++ {
-		spec := detSpec()
-		spec.RacksPerRPP = 1 + rng.Intn(3)
-		spec.ServersPerRack = 8 + rng.Intn(25)
-		// Scale ratings to the drawn topology so the surge reliably forces
-		// a capping episode: ~265 W per server sits between idle and the
-		// surged draw (~295 W) regardless of fleet size. Racks stay
-		// generous so leaf capping, not breaker trips, dominates.
-		spec.RackRating = power.Watts(float64(spec.ServersPerRack) * 400)
-		spec.RPPRating = power.Watts(float64(spec.ServersPerRack*spec.RacksPerRPP) * 265)
-		seed := rng.Int63n(1000) + 1
-		surge := 0.8 + 0.15*rng.Float64()
-		run := func(inline bool) (map[string][]core.DecisionRecord, fingerprint) {
-			s, err := New(Config{
-				Spec:           spec,
-				Seed:           seed,
-				EnableDynamo:   true,
-				TickWorkers:    4,
-				ControlWorkers: 8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Hierarchy.Sched.SetInline(inline)
-			rpp := s.Topo.OfKind(topology.KindRPP)[0]
-			s.At(time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, surge) })
-			s.At(5*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0) })
-			s.Run(7 * time.Minute)
-			fp := fingerprint{Trips: s.Trips, Alerts: len(s.Alerts), Total: float64(s.TotalPower())}
-			return hierarchyJournals(s), fp
-		}
-		phasedJ, phasedFP := run(false)
-		inlineJ, inlineFP := run(true)
-		capped := false
-		for _, recs := range phasedJ {
-			for _, r := range recs {
-				if r.Action == core.ActionCap {
-					capped = true
-				}
-			}
-		}
-		if !capped {
-			t.Fatalf("trial %d produced no capping; cross-check is vacuous", trial)
-		}
-		if !reflect.DeepEqual(phasedJ, inlineJ) {
-			t.Errorf("trial %d: journals diverge between phased and inline execution", trial)
-		}
-		if !reflect.DeepEqual(phasedFP, inlineFP) {
-			t.Errorf("trial %d: outcomes diverge: phased %+v inline %+v", trial, phasedFP, inlineFP)
-		}
 	}
 }
 
