@@ -1,5 +1,5 @@
+// The root module has no requirements: everything, cmd/dynamo-vet and its
+// analyzers included, builds from this checkout and a Go toolchain alone.
 module dynamo
 
 go 1.22
-
-require golang.org/x/tools v0.28.1-0.20250131145412-98746475647e

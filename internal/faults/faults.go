@@ -129,13 +129,13 @@ func (in *Injector) WrapHandler(peer string, h rpc.Handler) rpc.Handler {
 	return func(method string, body []byte) (wire.Message, error) {
 		v := in.verdict(idx, method)
 		if v.drop {
-			//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
-			in.note(&in.dropped, func(t *faultInstr) *telemetry.Counter { return t.dropped })
+			in.note(&in.dropped)
+			in.tel.drop()
 			return nil, fmt.Errorf("faults: request dropped by server %s", peer)
 		}
 		if v.dup {
-			//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
-			in.note(&in.duplicated, func(t *faultInstr) *telemetry.Counter { return t.duplicated })
+			in.note(&in.duplicated)
+			in.tel.dup()
 			if _, err := h(method, body); err != nil {
 				return nil, err
 			}
@@ -228,14 +228,11 @@ func (in *Injector) draw(peer, method string, n uint64) verdict {
 	return v
 }
 
-// note bumps an injection counter and its metric.
-func (in *Injector) note(c *uint64, pick func(*faultInstr) *telemetry.Counter) {
+// note bumps an injection counter; the caller bumps the matching metric.
+func (in *Injector) note(c *uint64) {
 	in.mu.Lock()
 	*c++
 	in.mu.Unlock()
-	if in.tel != nil {
-		pick(in.tel).Inc()
-	}
 }
 
 // matchGlob matches pattern against s: "" or "*" matches anything, a
@@ -265,8 +262,8 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 		return
 	}
 	if v.drop {
-		//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
-		c.in.note(&c.in.dropped, func(t *faultInstr) *telemetry.Counter { return t.dropped })
+		c.in.note(&c.in.dropped)
+		c.in.tel.drop()
 		// The request vanishes: the caller sees its deadline elapse, or
 		// an immediate unreachable if it set none — the same semantics
 		// the in-proc transport gives a partitioned endpoint.
@@ -279,8 +276,8 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 	}
 	remaining := timeout
 	if v.delay > 0 {
-		//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
-		c.in.note(&c.in.delayed, func(t *faultInstr) *telemetry.Counter { return t.delayed })
+		c.in.note(&c.in.delayed)
+		c.in.tel.delay()
 		if timeout > 0 {
 			if v.delay >= timeout {
 				// The response cannot make the deadline; equivalent to a
@@ -296,8 +293,8 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 			c.next.Call(method, req, remaining, done)
 			return
 		}
-		//lint:allow sinkguard — note() invokes this closure only with its own non-nil *faultInstr
-		c.in.note(&c.in.duplicated, func(t *faultInstr) *telemetry.Counter { return t.duplicated })
+		c.in.note(&c.in.duplicated)
+		c.in.tel.dup()
 		var once sync.Once
 		guard := func(resp []byte, err error) {
 			once.Do(func() { done(resp, err) })
@@ -315,11 +312,33 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 // Close implements rpc.Client.
 func (c *faultClient) Close() error { return c.next.Close() }
 
-// faultInstr holds the injector's metrics.
+// faultInstr holds the injector's metrics; nil when telemetry is off, so
+// its methods guard their receiver.
 type faultInstr struct {
 	dropped    *telemetry.Counter
 	delayed    *telemetry.Counter
 	duplicated *telemetry.Counter
+}
+
+func (t *faultInstr) drop() {
+	if t == nil {
+		return
+	}
+	t.dropped.Inc()
+}
+
+func (t *faultInstr) delay() {
+	if t == nil {
+		return
+	}
+	t.delayed.Inc()
+}
+
+func (t *faultInstr) dup() {
+	if t == nil {
+		return
+	}
+	t.duplicated.Inc()
 }
 
 func newFaultInstr(s *telemetry.Sink) *faultInstr {

@@ -18,11 +18,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"dynamo/internal/lint"
 )
 
@@ -36,19 +31,15 @@ var constructors = map[string]bool{
 	"NewChaCha8": true, // math/rand/v2
 }
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "globalrand",
-	Doc:      "forbid top-level math/rand functions (global source); require explicitly seeded *rand.Rand instances",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: "globalrand",
+	Doc:  "forbid top-level math/rand functions (global source); require explicitly seeded *rand.Rand instances",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	rep := lint.New(pass, "globalrand")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+func run(pass *lint.Pass) {
+	lint.Preorder(pass.Files, func(call *ast.CallExpr) {
+		fn := lint.StaticCallee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			return
 		}
@@ -62,12 +53,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if constructors[fn.Name()] {
 			return
 		}
-		if lint.InTestFile(pass, call.Pos()) {
+		if pass.InTestFile(call.Pos()) {
 			return
 		}
-		rep.Reportf(call.Pos(),
+		pass.Reportf(call.Pos(),
 			"globalrand: use of global %s.%s; draw from an explicitly seeded *rand.Rand instead",
 			path, fn.Name())
 	})
-	return nil, nil
 }

@@ -1,15 +1,15 @@
-// Package lint holds the shared infrastructure for Dynamo's custom
-// go/analysis vet suite: the determinism-critical package classifier and
-// the //lint:allow suppression directive engine.
+// Package lint is Dynamo's determinism-contract vet suite on the standard
+// library: the Analyzer and Pass the five rules under internal/lint/...
+// are written against, the determinism-critical package classifier, and
+// the //lint:allow suppression directive.
 //
 // The repository's correctness argument rests on a determinism contract —
 // same seed ⇒ byte-identical journals, snapshots, and store digests at any
-// TickWorkers/ControlWorkers/GOMAXPROCS. The analyzers under
-// internal/lint/... turn the rules that contract implies (no wall clock in
-// virtual-time code, no global math/rand, no unordered map iteration
-// feeding ordered outputs, no goroutines in serial phases, nil-guarded
-// telemetry instruments) into CI-gated static checks, run by
-// cmd/dynamo-vet via `go vet -vettool`.
+// TickWorkers/ControlWorkers/GOMAXPROCS. The analyzers turn the rules that
+// contract implies (no wall clock in virtual-time code, no global
+// math/rand, no unordered map iteration feeding ordered outputs, no
+// goroutines in serial phases, nil-guarded telemetry instruments) into
+// CI-gated static checks, run by cmd/dynamo-vet via `go vet -vettool`.
 //
 // # Suppression
 //
@@ -25,12 +25,12 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // CriticalPackages is the set of determinism-critical package names (the
@@ -56,10 +56,7 @@ var CriticalPackages = map[string]bool{
 // testdata packages (e.g. "sim", "a/core") are policed the same way as
 // the real "dynamo/internal/sim".
 func Critical(pkgPath string) bool {
-	if i := strings.LastIndexByte(pkgPath, '/'); i >= 0 {
-		pkgPath = pkgPath[i+1:]
-	}
-	return CriticalPackages[pkgPath]
+	return CriticalPackages[PathBase(pkgPath)]
 }
 
 // PathBase returns the final element of an import path.
@@ -70,6 +67,100 @@ func PathBase(pkgPath string) string {
 	return pkgPath
 }
 
+// An Analyzer is one rule: Run inspects the package in the Pass and
+// reports findings through Pass.Reportf.
+type Analyzer struct {
+	Name string // rule name, as written in //lint:allow <rule>
+	Doc  string
+	Run  func(*Pass)
+}
+
+// A Diagnostic is one finding.
+type Diagnostic struct {
+	Pos     token.Pos
+	Message string
+}
+
+// A Pass is one type-checked package presented to one analyzer.
+type Pass struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+
+	// allowed holds the lines a well-formed //lint:allow for the running
+	// rule covers: the directive's own line and the line after it (so a
+	// directive on its own line suppresses the statement below, and a
+	// trailing comment suppresses its own line).
+	allowed map[lineKey]bool
+	diags   []Diagnostic
+}
+
+type lineKey struct {
+	file string
+	line int
+}
+
+// Check type-checks files as the package at path and returns the Pass the
+// analyzers run over. conf supplies the importer (and language version).
+func Check(conf types.Config, fset *token.FileSet, path string, files []*ast.File) (*Pass, error) {
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
+}
+
+// Run executes one analyzer over the package and returns its findings in
+// report order. Every //lint:allow directive naming the analyzer is read
+// first: one without a reason is itself a finding — a suppression must say
+// why — and the rest filter what Reportf lets through.
+func (p *Pass) Run(a *Analyzer) []Diagnostic {
+	p.allowed, p.diags = make(map[lineKey]bool), nil
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				d, ok := ParseAllow(c)
+				if !ok || d.Rule != a.Name {
+					continue
+				}
+				if d.Reason == "" {
+					p.diags = append(p.diags, Diagnostic{c.Pos(), fmt.Sprintf(
+						"%s: //lint:allow %s directive requires a reason (\"//lint:allow %s — <why>\")",
+						a.Name, a.Name, a.Name)})
+					continue
+				}
+				at := p.Fset.Position(c.Pos())
+				p.allowed[lineKey{at.Filename, at.Line}] = true
+				p.allowed[lineKey{at.Filename, at.Line + 1}] = true
+			}
+		}
+	}
+	a.Run(p)
+	return p.diags
+}
+
+// Reportf records a finding unless a reasoned //lint:allow directive for
+// the running rule covers the position's line.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
+	at := p.Fset.Position(pos)
+	if p.allowed[lineKey{at.Filename, at.Line}] {
+		return
+	}
+	p.diags = append(p.diags, Diagnostic{pos, fmt.Sprintf(format, args...)})
+}
+
+// InTestFile reports whether pos lies in a _test.go file. Most rules do
+// not apply to tests (tests may use wall time, ad-hoc randomness, etc.).
+func (p *Pass) InTestFile(pos token.Pos) bool {
+	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+}
+
 // allowRe matches "//lint:allow <rule>" with an optional separator and
 // reason; group 1 is the rule, group 2 the separator (if any), group 3 the
 // reason text.
@@ -77,11 +168,8 @@ var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+(\S+)\s*(—|--)?\s*(.*)$`)
 
 // Allow is one parsed //lint:allow directive.
 type Allow struct {
-	Rule   string    // rule name the directive suppresses
-	Reason string    // mandatory justification ("" when malformed)
-	Pos    token.Pos // position of the directive comment
-	Line   int       // line the directive appears on
-	File   string    // file the directive appears in
+	Rule   string // rule name the directive suppresses
+	Reason string // mandatory justification ("" when malformed)
 }
 
 // ParseAllow parses a single comment; ok is false when the comment is not
@@ -98,89 +186,60 @@ func ParseAllow(c *ast.Comment) (Allow, bool) {
 		// the explicit "—"/"--" so reasons are always delimited.
 		reason = ""
 	}
-	return Allow{Rule: m[1], Reason: reason, Pos: c.Pos()}, true
+	return Allow{Rule: m[1], Reason: reason}, true
 }
 
-// Reporter filters an analyzer's diagnostics through the //lint:allow
-// directives of the package under analysis. Construct one per pass with
-// New; it immediately reports malformed directives (missing reason) for
-// its rule.
-type Reporter struct {
-	pass *analysis.Pass
-	rule string
-	// allowed maps "file:line" of every well-formed allow for this rule to
-	// the directive, covering both the directive's own line and the line
-	// after it (so a directive on its own line suppresses the statement
-	// below, and a trailing comment suppresses its own line).
-	allowed map[string]Allow
+// Preorder calls fn for every node of type N in files, depth first.
+func Preorder[N ast.Node](files []*ast.File, fn func(N)) {
+	WithStack(files, func(n N, _ []ast.Node) { fn(n) })
 }
 
-// New builds a Reporter for rule, scanning every file in the pass for
-// //lint:allow directives. Directives naming this rule without a reason
-// are reported right away — a suppression must say why.
-func New(pass *analysis.Pass, rule string) *Reporter {
-	r := &Reporter{pass: pass, rule: rule, allowed: make(map[string]Allow)}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				a, ok := ParseAllow(c)
-				if !ok || a.Rule != rule {
-					continue
-				}
-				p := pass.Fset.Position(c.Pos())
-				a.Line, a.File = p.Line, p.Filename
-				if a.Reason == "" {
-					pass.Reportf(c.Pos(),
-						"%s: //lint:allow %s directive requires a reason (\"//lint:allow %s — <why>\")",
-						rule, rule, rule)
-					continue
-				}
-				r.allowed[key(p.Filename, p.Line)] = a
-				r.allowed[key(p.Filename, p.Line+1)] = a
+// WithStack is Preorder that also passes the chain of enclosing nodes,
+// from the *ast.File down to n itself (stack[len(stack)-1] == n). The
+// slice is reused between calls.
+func WithStack[N ast.Node](files []*ast.File, fn func(n N, stack []ast.Node)) {
+	for _, f := range files {
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
 			}
-		}
+			stack = append(stack, n)
+			if t, ok := n.(N); ok {
+				fn(t, stack)
+			}
+			return true
+		})
 	}
-	return r
 }
 
-func key(file string, line int) string {
-	return file + ":" + itoa(line)
-}
-
-func itoa(n int) string {
-	// strconv-free to keep the import list minimal in a hot helper.
-	if n == 0 {
-		return "0"
+// StaticCallee returns the function or concrete method a call statically
+// invokes, or nil for a dynamic call (function value, interface method),
+// a conversion or a builtin.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) { // explicit instantiation: f[T](…)
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
 	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
 	}
-	return string(b[i:])
-}
-
-// Suppressed reports whether a finding at pos is covered by a well-formed
-// //lint:allow directive for this rule.
-func (r *Reporter) Suppressed(pos token.Pos) bool {
-	p := r.pass.Fset.Position(pos)
-	_, ok := r.allowed[key(p.Filename, p.Line)]
-	return ok
-}
-
-// Reportf emits a diagnostic unless a //lint:allow directive for the rule
-// covers the position.
-func (r *Reporter) Reportf(pos token.Pos, format string, args ...interface{}) {
-	if r.Suppressed(pos) {
-		return
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return nil
 	}
-	r.pass.Reportf(pos, format, args...)
-}
-
-// InTestFile reports whether pos lies in a _test.go file. Most rules do
-// not apply to tests (tests may use wall time, ad-hoc randomness, etc.).
-func InTestFile(pass *analysis.Pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return nil
+	}
+	return fn
 }

@@ -1,13 +1,12 @@
-// Package linttest is a compact analysistest replacement for running the
-// internal/lint analyzers over testdata packages.
+// Package linttest runs an internal/lint analyzer over testdata packages
+// and checks its findings against annotations in the source.
 //
-// Layout mirrors golang.org/x/tools/go/analysis/analysistest: each
-// analyzer package has testdata/src/<pkg>/ directories containing small Go
-// packages annotated with trailing `// want "regex"` comments. Run loads a
-// package (resolving sibling testdata imports first and falling back to
-// the source-form stdlib importer), executes the analyzer and its
-// dependencies, and verifies that reported diagnostics and want
-// annotations match one-to-one by file and line.
+// Each analyzer package has testdata/src/<pkg>/ directories containing
+// small Go packages annotated with trailing `// want "regex"` comments.
+// Run loads a package (resolving sibling testdata imports first and
+// falling back to the source-form stdlib importer), executes the analyzer
+// through the same lint.Pass the vet tool uses, and verifies that reported
+// diagnostics and want annotations match one-to-one by file and line.
 package linttest
 
 import (
@@ -25,9 +24,7 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"dynamo/internal/lint"
 )
 
 // TestData returns the absolute path of the calling test's testdata
@@ -42,7 +39,7 @@ func TestData() string {
 
 // Run analyzes each named package under dir/src and reports mismatches
 // between diagnostics and `// want` annotations as test errors.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
+func Run(t *testing.T, dir string, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
 		runOne(t, dir, a, pkg)
@@ -62,22 +59,22 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	}
 	dir := filepath.Join(l.root, "src", path)
 	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		pkg, _, _, err := l.load(path)
+		pass, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		l.pkgs[path] = pkg
-		return pkg, nil
+		l.pkgs[path] = pass.Pkg
+		return pass.Pkg, nil
 	}
 	return l.std.Import(path)
 }
 
 // load parses and typechecks one testdata package.
-func (l *loader) load(path string) (*types.Package, []*ast.File, *types.Info, error) {
+func (l *loader) load(path string) (*lint.Pass, error) {
 	dir := filepath.Join(l.root, "src", path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	var files []*ast.File
 	for _, e := range entries {
@@ -86,83 +83,27 @@ func (l *loader) load(path string) (*types.Package, []*ast.File, *types.Info, er
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("linttest: no Go files in %s", dir)
+		return nil, fmt.Errorf("linttest: no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pkg, files, info, nil
+	return lint.Check(types.Config{Importer: l}, l.fset, path, files)
 }
 
-func runOne(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
+func runOne(t *testing.T, dir string, a *lint.Analyzer, pkgPath string) {
 	t.Helper()
 	l := &loader{root: dir, fset: token.NewFileSet(), pkgs: map[string]*types.Package{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
-	pkg, files, info, err := l.load(pkgPath)
+	pass, err := l.load(pkgPath)
 	if err != nil {
 		t.Errorf("%s: %v", pkgPath, err)
 		return
 	}
-
-	var diags []analysis.Diagnostic
-	results := make(map[*analysis.Analyzer]interface{})
-	if err := runAnalyzer(a, l.fset, files, pkg, info, results, &diags); err != nil {
-		t.Errorf("%s: analyzer failed: %v", pkgPath, err)
-		return
-	}
-
-	wants := collectWants(t, l.fset, files)
-	checkDiags(t, l.fset, pkgPath, diags, wants)
-}
-
-// runAnalyzer executes an analyzer after its Requires, sharing results.
-// Fact-using analyzers are not supported (none of ours use facts).
-func runAnalyzer(a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, results map[*analysis.Analyzer]interface{}, diags *[]analysis.Diagnostic) error {
-	if _, done := results[a]; done {
-		return nil
-	}
-	for _, dep := range a.Requires {
-		if err := runAnalyzer(dep, fset, files, pkg, info, results, diags); err != nil {
-			return err
-		}
-	}
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   results,
-		Report: func(d analysis.Diagnostic) {
-			*diags = append(*diags, d)
-		},
-	}
-	if a == inspect.Analyzer {
-		results[a] = inspector.New(files)
-		return nil
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		return err
-	}
-	results[a] = res
-	return nil
+	wants := collectWants(t, l.fset, pass.Files)
+	checkDiags(t, l.fset, pkgPath, pass.Run(a), wants)
 }
 
 type want struct {
@@ -239,7 +180,7 @@ func splitPatterns(s string) []string {
 	return out
 }
 
-func checkDiags(t *testing.T, fset *token.FileSet, pkgPath string, diags []analysis.Diagnostic, wants []*want) {
+func checkDiags(t *testing.T, fset *token.FileSet, pkgPath string, diags []lint.Diagnostic, wants []*want) {
 	t.Helper()
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	for _, d := range diags {

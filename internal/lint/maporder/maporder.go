@@ -18,18 +18,13 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"dynamo/internal/lint"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "maporder",
-	Doc:      "flag map iteration that feeds ordered outputs (slice appends, float accumulation, journal/telemetry/RPC emission) in determinism-critical packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: "maporder",
+	Doc:  "flag map iteration that feeds ordered outputs (slice appends, float accumulation, journal/telemetry/RPC emission) in determinism-critical packages",
+	Run:  run,
 }
 
 // orderedTelemetryMethods are the telemetry-package methods whose effect is
@@ -50,42 +45,30 @@ var orderedRPCMethods = map[string]bool{
 	"Go":   true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lint.Pass) {
 	if !lint.Critical(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	rep := lint.New(pass, "maporder")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		rs := n.(*ast.RangeStmt)
+	lint.WithStack(pass.Files, func(rs *ast.RangeStmt, stack []ast.Node) {
 		if _, isMap := pass.TypesInfo.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+			return
+		}
+		if pass.InTestFile(rs.Pos()) {
+			return
+		}
+		ast.Inspect(rs.Body, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.AssignStmt:
+				checkAssign(pass, rs, stack, st)
+			case *ast.CallExpr:
+				checkEmitter(pass, st)
+			}
 			return true
-		}
-		if lint.InTestFile(pass, rs.Pos()) {
-			return true
-		}
-		checkBody(pass, rep, rs, stack)
-		return true
-	})
-	return nil, nil
-}
-
-func checkBody(pass *analysis.Pass, rep *lint.Reporter, rs *ast.RangeStmt, stack []ast.Node) {
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			checkAssign(pass, rep, rs, stack, st)
-		case *ast.CallExpr:
-			checkEmitter(pass, rep, st)
-		}
-		return true
+		})
 	})
 }
 
-func checkAssign(pass *analysis.Pass, rep *lint.Reporter, rs *ast.RangeStmt, stack []ast.Node, st *ast.AssignStmt) {
+func checkAssign(pass *lint.Pass, rs *ast.RangeStmt, stack []ast.Node, st *ast.AssignStmt) {
 	switch st.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN:
 		lhs := st.Lhs[0]
@@ -98,7 +81,7 @@ func checkAssign(pass *analysis.Pass, rep *lint.Reporter, rs *ast.RangeStmt, sta
 		if keyedByRangeKey(pass, lhs, rs) {
 			return // m[k] += v touches each key once — commutative
 		}
-		rep.Reportf(st.Pos(),
+		pass.Reportf(st.Pos(),
 			"maporder: order-dependent float accumulation into %s while ranging over a map; iterate over sorted keys",
 			types.ExprString(lhs))
 	case token.ASSIGN, token.DEFINE:
@@ -115,7 +98,7 @@ func checkAssign(pass *analysis.Pass, rep *lint.Reporter, rs *ast.RangeStmt, sta
 			if sortedAfter(pass, rs, stack, obj) {
 				continue // collect-then-sort idiom
 			}
-			rep.Reportf(st.Pos(),
+			pass.Reportf(st.Pos(),
 				"maporder: appending to %s in map-iteration order; iterate over sorted keys or sort the slice immediately after the loop",
 				types.ExprString(lhs))
 		}
@@ -125,7 +108,7 @@ func checkAssign(pass *analysis.Pass, rep *lint.Reporter, rs *ast.RangeStmt, sta
 // checkEmitter flags calls whose receiver belongs to an order-sensitive
 // output channel: telemetry trace/gauge methods, any core Journal method,
 // and rpc client calls.
-func checkEmitter(pass *analysis.Pass, rep *lint.Reporter, call *ast.CallExpr) {
+func checkEmitter(pass *lint.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -154,7 +137,7 @@ func checkEmitter(pass *analysis.Pass, rep *lint.Reporter, call *ast.CallExpr) {
 	default:
 		return
 	}
-	rep.Reportf(call.Pos(),
+	pass.Reportf(call.Pos(),
 		"maporder: %s call inside map iteration emits in map order; iterate over sorted keys",
 		what)
 }
@@ -163,7 +146,7 @@ func checkEmitter(pass *analysis.Pass, rep *lint.Reporter, call *ast.CallExpr) {
 // uses the range statement's key variable — `m[k] += v` inside
 // `for k, v := range src` updates each key exactly once, so iteration
 // order cannot leak into the result.
-func keyedByRangeKey(pass *analysis.Pass, lhs ast.Expr, rs *ast.RangeStmt) bool {
+func keyedByRangeKey(pass *lint.Pass, lhs ast.Expr, rs *ast.RangeStmt) bool {
 	idx, ok := lhs.(*ast.IndexExpr)
 	if !ok {
 		return false
@@ -180,7 +163,7 @@ func keyedByRangeKey(pass *analysis.Pass, lhs ast.Expr, rs *ast.RangeStmt) bool 
 // in its own enclosing block or, when the loop is nested, in any
 // enclosing block up to the function boundary — sorts the slice obj: the
 // standard collect-then-sort idiom.
-func sortedAfter(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node, obj types.Object) bool {
+func sortedAfter(pass *lint.Pass, rs *ast.RangeStmt, stack []ast.Node, obj types.Object) bool {
 	if obj == nil {
 		return false
 	}
@@ -234,7 +217,7 @@ func isSortCall(call *ast.CallExpr) bool {
 	return false
 }
 
-func mentions(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
+func mentions(pass *lint.Pass, e ast.Expr, obj types.Object) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
@@ -247,7 +230,7 @@ func mentions(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 
 // rootObject resolves the variable at the base of an lvalue (x, x.f,
 // x[i], *x all root at x).
-func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
+func rootObject(pass *lint.Pass, e ast.Expr) types.Object {
 	for {
 		switch v := e.(type) {
 		case *ast.Ident:
@@ -275,7 +258,7 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(pass *lint.Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
 		return false

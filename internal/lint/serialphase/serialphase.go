@@ -17,32 +17,23 @@ import (
 	"go/ast"
 	"regexp"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"dynamo/internal/lint"
 )
 
 var directiveRe = regexp.MustCompile(`^//dynamo:serial(\s|$)`)
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "serialphase",
-	Doc:      "forbid go statements and channel sends in functions marked //dynamo:serial",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: "serialphase",
+	Doc:  "forbid go statements and channel sends in functions marked //dynamo:serial",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	rep := lint.New(pass, "serialphase")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
+func run(pass *lint.Pass) {
 	// Directive comments attached to a FuncDecl doc are effective; any
 	// other placement is dead weight and reported as misplaced.
 	effective := make(map[*ast.Comment]bool)
 
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
+	lint.Preorder(pass.Files, func(fd *ast.FuncDecl) {
 		serial := false
 		if fd.Doc != nil {
 			for _, c := range fd.Doc.List {
@@ -59,11 +50,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.GoStmt:
-				rep.Reportf(st.Pos(),
+				pass.Reportf(st.Pos(),
 					"serialphase: go statement inside //dynamo:serial function %s; serial phases must stay single-goroutine",
 					name)
 			case *ast.SendStmt:
-				rep.Reportf(st.Pos(),
+				pass.Reportf(st.Pos(),
 					"serialphase: channel send inside //dynamo:serial function %s; serial phases must not synchronize with other goroutines",
 					name)
 			}
@@ -75,11 +66,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if directiveRe.MatchString(c.Text) && !effective[c] {
-					rep.Reportf(c.Pos(),
+					pass.Reportf(c.Pos(),
 						"serialphase: misplaced //dynamo:serial directive; it only takes effect in a function's doc comment")
 				}
 			}
 		}
 	}
-	return nil, nil
 }

@@ -23,50 +23,36 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"dynamo/internal/lint"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "sinkguard",
-	Doc:      "require nil guards when selecting through nil-means-disabled telemetry instrument wrappers",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: "sinkguard",
+	Doc:  "require nil guards when selecting through nil-means-disabled telemetry instrument wrappers",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	rep := lint.New(pass, "sinkguard")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
+func run(pass *lint.Pass) {
 	nilSafe := nilSafeMethods(pass)
 
-	ins.WithStack([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		sel := n.(*ast.SelectorExpr)
-		if lint.InTestFile(pass, sel.Pos()) {
-			return true
+	lint.WithStack(pass.Files, func(sel *ast.SelectorExpr, stack []ast.Node) {
+		if pass.InTestFile(sel.Pos()) {
+			return
 		}
 		w := wrapperOf(pass.TypesInfo.TypeOf(sel.X))
 		if w == nil {
-			return true
+			return
 		}
 		if fn, ok := pass.TypesInfo.ObjectOf(sel.Sel).(*types.Func); ok && nilSafe[fn] {
-			return true
+			return
 		}
 		if provablyNonNil(pass, sel.X, stack) || guarded(pass, sel.X, stack) {
-			return true
+			return
 		}
-		rep.Reportf(sel.Pos(),
+		pass.Reportf(sel.Pos(),
 			"sinkguard: %s selected through possibly-nil *%s (nil when telemetry is disabled); guard with `if %s != nil` or give the method a nil-receiver guard",
 			sel.Sel.Name, w.Obj().Name(), types.ExprString(sel.X))
-		return true
 	})
-	return nil, nil
 }
 
 // wrapperOf returns the named instrument-wrapper type when t is a pointer
@@ -125,7 +111,7 @@ func isTelemetryPtr(t types.Type) bool {
 // nilSafeMethods collects pointer-receiver methods in this package whose
 // body opens with `if recv == nil { ... }` — the wrapper's own way of
 // honoring nil-means-disabled, which makes call sites safe unguarded.
-func nilSafeMethods(pass *analysis.Pass) map[*types.Func]bool {
+func nilSafeMethods(pass *lint.Pass) map[*types.Func]bool {
 	safe := make(map[*types.Func]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -177,7 +163,7 @@ func isNil(e ast.Expr) bool {
 // the receiver of the enclosing wrapper method (callers guard), or a
 // variable/field assigned from &T{...} / new(T) earlier in the same
 // function (the construct-then-populate pattern).
-func provablyNonNil(pass *analysis.Pass, base ast.Expr, stack []ast.Node) bool {
+func provablyNonNil(pass *lint.Pass, base ast.Expr, stack []ast.Node) bool {
 	fd := enclosingFuncDecl(stack)
 	if fd == nil || fd.Body == nil {
 		return false
@@ -239,7 +225,7 @@ func provablyNonNil(pass *analysis.Pass, base ast.Expr, stack []ast.Node) bool {
 // `if X != nil { ... }` (or the else arm of `if X == nil`), an if/guard
 // with init `if w := ...; w != nil`, or an earlier terminating
 // `if X == nil { return }` in the enclosing function.
-func guarded(pass *analysis.Pass, base ast.Expr, stack []ast.Node) bool {
+func guarded(pass *lint.Pass, base ast.Expr, stack []ast.Node) bool {
 	text := types.ExprString(base)
 	selPos := stack[len(stack)-1].Pos()
 

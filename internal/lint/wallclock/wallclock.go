@@ -14,12 +14,6 @@ package wallclock
 import (
 	"go/ast"
 	"path/filepath"
-	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
 
 	"dynamo/internal/lint"
 )
@@ -39,42 +33,37 @@ var Forbidden = map[string]bool{
 	"AfterFunc": true,
 }
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "wallclock",
-	Doc:      "forbid wall-clock time functions in determinism-critical packages (use simclock virtual time)",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: "wallclock",
+	Doc:  "forbid wall-clock time functions in determinism-critical packages (use simclock virtual time)",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lint.Pass) {
 	if !lint.Critical(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
-	rep := lint.New(pass, "wallclock")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+	lint.Preorder(pass.Files, func(call *ast.CallExpr) {
+		fn := lint.StaticCallee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !Forbidden[fn.Name()] {
 			return
 		}
 		if exempt(pass, call) {
 			return
 		}
-		rep.Reportf(call.Pos(),
+		pass.Reportf(call.Pos(),
 			"wallclock: call to time.%s in determinism-critical package %s; use simclock virtual time",
 			fn.Name(), lint.PathBase(pass.Pkg.Path()))
 	})
-	return nil, nil
 }
 
 // exempt reports whether the call sits in a file where wall time is
 // sanctioned: test files, and simclock's wall.go (the one deliberate
 // bridge between virtual and wall time).
-func exempt(pass *analysis.Pass, call *ast.CallExpr) bool {
-	file := pass.Fset.Position(call.Pos()).Filename
-	if strings.HasSuffix(file, "_test.go") {
+func exempt(pass *lint.Pass, call *ast.CallExpr) bool {
+	if pass.InTestFile(call.Pos()) {
 		return true
 	}
+	file := pass.Fset.Position(call.Pos()).Filename
 	return filepath.Base(file) == "wall.go" && lint.PathBase(pass.Pkg.Path()) == "simclock"
 }

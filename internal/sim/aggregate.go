@@ -103,27 +103,21 @@ func (s *Sim) buildAggIndex() {
 		d.subLeaves = len(d.leafIdx)
 		for _, c := range n.ChildDevices() {
 			ci := s.aggIdx[c.ID]
+			s.agg[ci].parent = len(s.agg) // the slot this device takes below
 			d.children = append(d.children, ci)
 			d.subLeaves += s.agg[ci].subLeaves
-		}
-		if p := n.ParentDevice(); p != nil {
-			// Parents come after children in post-order, so the parent's
-			// own index is not assigned yet; it is patched below.
-			_ = p
 		}
 		lo, _, _ := n.DeviceSubtreeRange()
 		d.subLo = lo
 		s.aggIdx[n.ID] = len(s.agg)
 		s.agg = append(s.agg, d)
 	}
-	// Patch parent indices now that every device has its snapshot slot.
-	for i, n := range post {
-		if p := n.ParentDevice(); p != nil {
-			s.agg[i].parent = s.aggIdx[p.ID]
-		}
-	}
 	s.snap.dev = make([]power.Watts, len(s.agg))
+	// Every device starts dirty, so the first pass recomputes them all.
 	s.devDirty = make([]bool, len(s.agg))
+	for i := range s.devDirty {
+		s.devDirty[i] = true
+	}
 
 	// Per-server dirty-tracking state: the draw last committed into the
 	// server's home device, and that device's snapshot index (-1 when no
@@ -214,7 +208,7 @@ func (s *Sim) observeBreakers(now time.Duration) {
 // recomputeDev re-aggregates one device at time now: DCUPS recharge (if a
 // rack), directly attached server/switch draws, constant switch draw, and
 // the already-committed child device totals, summed in exactly the fixed
-// order the full pass uses — so a device recomputed incrementally is
+// order every pass uses — so a device recomputed incrementally is
 // bit-identical to the same device in a full rebuild. It commits each
 // attached leaf's draw into lastAgg, resetting the leaf's epsilon drift.
 func (s *Sim) recomputeDev(i int, now time.Duration) power.Watts {
@@ -237,58 +231,43 @@ func (s *Sim) recomputeDev(i int, now time.Duration) power.Watts {
 	return sum
 }
 
-// aggregate brings the snapshot to time now, dispatching to the full
-// rebuild until the first pass has initialized the incremental state (or
-// when the test knob forces the oracle path), and to the dirty-subtree
-// incremental pass afterwards.
-func (s *Sim) aggregate(now time.Duration) {
-	if s.useFullAgg || !s.aggInit {
-		s.aggregateFull(now)
-		return
-	}
-	s.aggregateIncremental(now)
-}
-
-// aggregateFull recomputes every device from scratch: one bottom-up pass
-// over the post-order device index — O(total nodes) for the whole
-// hierarchy. Kept as the incremental path's cross-check oracle (and the
-// mandatory first pass); summation order is fixed by the index, so
-// results are identical at any worker count.
-//
-//dynamo:serial
-func (s *Sim) aggregateFull(now time.Duration) {
-	dirty := s.drainDirty()
-	for i := range s.devDirty {
-		s.devDirty[i] = false
-	}
-	for i := range s.agg {
-		s.snap.dev[i] = s.recomputeDev(i, now)
-	}
-	s.commit(now, dirty, len(s.agg))
-	s.statFullRebuilds++
-}
-
-// aggregateIncremental re-aggregates only what changed: the home devices
-// of servers whose draw moved beyond the epsilon (recorded per shard by
-// the physics pass), every rack with an active DCUPS recharge (their draw
-// is time-dependent), and the ancestor chains of any device whose total
-// actually changed. Devices are processed in ascending post-order index,
-// so a dirty child always commits before its parent reads it; untouched
-// devices keep their snapshot entries, which at epsilon=0 are bit-for-bit
-// what a full rebuild would recompute (their inputs are unchanged and the
-// per-device summation order is fixed).
+// aggregateIncremental brings the snapshot to time now, re-aggregating
+// only what changed: the home devices of servers whose draw moved beyond
+// the epsilon (recorded per shard by the physics pass), every rack with an
+// active DCUPS recharge (their draw is time-dependent), and the ancestor
+// chains of any device whose total actually changed. Untouched devices
+// keep their snapshot entries, which at epsilon=0 are bit-for-bit what a
+// full rebuild would recompute (their inputs are unchanged and the
+// per-device summation order is fixed). The first pass finds every device
+// dirty (buildAggIndex) and is counted as the one full rebuild.
 //
 //dynamo:serial
 func (s *Sim) aggregateIncremental(now time.Duration) {
 	dirty := s.drainDirty()
-	reagg := 0
-	for i := range s.agg {
+	reagg := s.reaggregate(0, len(s.agg)-1, now)
+	if s.snap.version == 0 {
+		s.statFullRebuilds++
+	} else {
+		s.statIncPasses++
+	}
+	s.commit(now, dirty, reagg)
+}
+
+// reaggregate recomputes the dirty devices with snapshot indices in
+// [lo, hi] in ascending post-order, so a dirty child always commits before
+// its parent reads it, and marks the parent of every device whose total
+// changed. It returns how many devices it recomputed.
+//
+//dynamo:serial
+func (s *Sim) reaggregate(lo, hi int, now time.Duration) int {
+	n := 0
+	for i := lo; i <= hi; i++ {
 		if !s.devDirty[i] {
 			continue
 		}
 		s.devDirty[i] = false
 		sum := s.recomputeDev(i, now)
-		reagg++
+		n++
 		if sum != s.snap.dev[i] {
 			s.snap.dev[i] = sum
 			if p := s.agg[i].parent; p >= 0 {
@@ -296,8 +275,7 @@ func (s *Sim) aggregateIncremental(now time.Duration) {
 			}
 		}
 	}
-	s.commit(now, dirty, reagg)
-	s.statIncPasses++
+	return n
 }
 
 // drainDirty folds the per-shard dirty-server lists into the per-device
@@ -330,7 +308,6 @@ func (s *Sim) commit(now time.Duration, dirtyServers, reagg int) {
 	s.snap.at = now
 	s.snap.valid = true
 	s.snap.version++
-	s.aggInit = true
 	s.statDirtyServers = dirtyServers
 	s.statReaggDevices = reagg
 }
@@ -341,7 +318,7 @@ func (s *Sim) commit(now time.Duration, dirtyServers, reagg int) {
 // computed at most once unless explicitly invalidated.
 func (s *Sim) refresh() {
 	if now := s.Loop.Now(); !s.snap.valid || s.snap.at != now {
-		s.aggregate(now)
+		s.aggregateIncremental(now)
 	}
 }
 
@@ -352,7 +329,7 @@ func (s *Sim) refresh() {
 // recomputed. snap.at is left untouched, so the next global refresh still
 // runs; ancestors a partial refresh dirtied are picked up then.
 func (s *Sim) refreshDevice(i int) {
-	if !s.snap.valid || !s.aggInit {
+	if !s.snap.valid {
 		s.refresh()
 		return
 	}
@@ -361,19 +338,7 @@ func (s *Sim) refreshDevice(i int) {
 		return
 	}
 	s.drainDirty()
-	for j := s.agg[i].subLo; j <= i; j++ {
-		if !s.devDirty[j] {
-			continue
-		}
-		s.devDirty[j] = false
-		sum := s.recomputeDev(j, now)
-		if sum != s.snap.dev[j] {
-			s.snap.dev[j] = sum
-			if p := s.agg[j].parent; p >= 0 {
-				s.devDirty[p] = true
-			}
-		}
-	}
+	s.reaggregate(s.agg[i].subLo, i, now)
 	s.statSubtreeRefreshes++
 }
 
@@ -449,11 +414,11 @@ func (s *Sim) snapPower(devID topology.NodeID) power.Watts {
 	return s.devicePowerWalk(devID)
 }
 
-// devicePowerWalk is the pre-aggregation-layer implementation: a full
-// subtree walk summing every server, switch, and rack recharge below the
-// node. Kept as the test oracle for the snapshot cross-check and as the
-// fallback for queries on non-device nodes (the datacenter root, a single
-// server). Unlike the snapshot path it never mutates recharge state.
+// devicePowerWalk is a full subtree walk summing every server, switch,
+// and rack recharge below the node: the answer for queries on non-device
+// nodes (the datacenter root, a single server), and the oracle the tests
+// cross-check the snapshot against. Unlike the snapshot path it never
+// mutates recharge state.
 func (s *Sim) devicePowerWalk(devID topology.NodeID) power.Watts {
 	node := s.Topo.Lookup(devID)
 	if node == nil {

@@ -22,7 +22,7 @@ func BenchmarkAggregation(b *testing.B) {
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.aggregate(now)
+			s.aggregateFull(now)
 		}
 	})
 	b.Run("treewalk", func(b *testing.B) {
@@ -48,7 +48,7 @@ func BenchmarkIncrementalAggregation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Run(2 * time.Second) // first tick runs the mandatory full pass
+		s.Run(2 * time.Second) // the first tick's pass recomputes every device
 		now := s.Loop.Now()
 		n := len(s.tickList)
 
@@ -88,16 +88,13 @@ func BenchmarkIncrementalAggregation(b *testing.B) {
 	}
 }
 
-// BenchmarkSimTick10k pits the refactored physics tick against the
-// pre-refactor path on a 10k-server fleet: one tick per iteration, with
-// validators and device recording enabled as the figure experiments use
-// them. treewalk re-enables the old behaviour (per-device subtree walks
-// for breakers, validators, and recorders, serial server step); snapshot
-// does one bottom-up pass and shards the server step across GOMAXPROCS
-// workers (snapshot-serial isolates the aggregation win from the
-// parallelism win — on a single-core machine they coincide).
+// BenchmarkSimTick10k measures the physics tick on a 10k-server fleet:
+// one tick per iteration, with validators and device recording enabled as
+// the figure experiments use them. snapshot shards the server step across
+// GOMAXPROCS workers; snapshot-serial ticks on one (on a single-core
+// machine they coincide).
 func BenchmarkSimTick10k(b *testing.B) {
-	run := func(b *testing.B, oracle bool, workers int) {
+	run := func(b *testing.B, workers int) {
 		s, err := New(Config{
 			Spec:              topology.DefaultSpec().Scale(10000),
 			Seed:              1,
@@ -107,7 +104,6 @@ func BenchmarkSimTick10k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.useOracle = oracle
 		var recID []topology.NodeID
 		for _, n := range s.Topo.OfKind(topology.KindRPP) {
 			recID = append(recID, n.ID)
@@ -120,7 +116,6 @@ func BenchmarkSimTick10k(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(s.serverOrder)), "servers")
 	}
-	b.Run("snapshot", func(b *testing.B) { run(b, false, 0) })
-	b.Run("snapshot-serial", func(b *testing.B) { run(b, false, 1) })
-	b.Run("treewalk", func(b *testing.B) { run(b, true, 1) })
+	b.Run("snapshot", func(b *testing.B) { run(b, 0) })
+	b.Run("snapshot-serial", func(b *testing.B) { run(b, 1) })
 }

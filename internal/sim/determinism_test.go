@@ -53,8 +53,9 @@ func runDetScenarioCkpt(t *testing.T, workers, ctrlWorkers int, tel *telemetry.S
 	return runDetScenarioOpts(t, workers, ctrlWorkers, tel, ckpt, 0, false)
 }
 
-// runDetScenarioOpts additionally exposes the aggregation epsilon and the
-// full-rebuild oracle knob.
+// runDetScenarioOpts additionally exposes the aggregation epsilon and
+// the full-rebuild twin: with fullAgg every tick recomputes every device
+// (runAllDirty).
 func runDetScenarioOpts(t *testing.T, workers, ctrlWorkers int, tel *telemetry.Sink, ckpt bool, eps power.Watts, fullAgg bool) (fingerprint, map[string][]uint64) {
 	t.Helper()
 	spec := detSpec()
@@ -72,13 +73,16 @@ func runDetScenarioOpts(t *testing.T, workers, ctrlWorkers int, tel *telemetry.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.useFullAgg = fullAgg
 	rpp := s.Topo.OfKind(topology.KindRPP)[0]
 	s.Record(5*time.Second, rpp.ID, rpp.Parent.ID)
 	s.At(2*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0.9) })
 	s.At(7*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0) })
 	s.At(8*time.Minute, func() { s.RestoreDevice(rpp.ID) })
-	s.Run(12 * time.Minute)
+	if fullAgg {
+		runAllDirty(s, 12*time.Minute)
+	} else {
+		s.Run(12 * time.Minute)
+	}
 
 	fp := fingerprint{
 		Trips:  s.Trips,
@@ -139,8 +143,8 @@ func TestSimDeterminismGolden(t *testing.T) {
 	check("telemetry/ctrl-16", runDetScenario(t, 4, 16, telemetry.NewSink()))
 
 	// The epsilon=0 incremental path (the default above) must be
-	// bit-identical to the retained full O(N) rebuild — the incremental
-	// scheme's oracle — at any worker count.
+	// bit-identical to a run that rebuilds every device on every tick, at
+	// any worker count.
 	fullSerial, _ := runDetScenarioOpts(t, 1, 1, nil, false, 0, true)
 	check("full-rebuild/serial", fullSerial)
 	full84, _ := runDetScenarioOpts(t, 8, 4, nil, false, 0, true)
@@ -240,39 +244,34 @@ func TestSnapshotMatchesOracleOnRandomTopology(t *testing.T) {
 	}
 }
 
-// TestOracleModeMatchesSnapshotMode runs the same seeded scenario with
-// breaker observations fed by the snapshot versus the tree-walk oracle
-// (the pre-refactor algorithm) and asserts identical outcomes: the
-// refactor changed the cost of a tick, not its physics.
+// TestOracleModeMatchesSnapshotMode checks, on every tick of a seeded
+// scenario running through a surge, breaker trips, the outage they cause
+// and a RestoreDevice with its DCUPS recharges, that the draw each breaker
+// was fed from the snapshot equals the subtree-walk oracle — so a sim
+// whose breakers read the walk would trip the same devices at the same
+// instants.
 func TestOracleModeMatchesSnapshotMode(t *testing.T) {
-	run := func(oracle bool) *Sim {
-		spec := detSpec()
-		s, err := New(Config{Spec: spec, Seed: 11, TickWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.useOracle = oracle
-		rpp := s.Topo.OfKind(topology.KindRPP)[0]
-		s.At(time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0.9) })
-		s.At(5*time.Minute, func() { s.RestoreDevice(rpp.ID) })
-		s.Run(8 * time.Minute)
-		return s
+	s, err := New(Config{Spec: detSpec(), Seed: 11, TickWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap, oracle := run(false), run(true)
-	if len(snap.Trips) == 0 {
+	rpp := s.Topo.OfKind(topology.KindRPP)[0]
+	s.At(time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0.9) })
+	s.At(5*time.Minute, func() { s.RestoreDevice(rpp.ID) })
+	for s.Loop.Now() < 8*time.Minute {
+		s.Run(s.Cfg.TickInterval)
+		for i, devID := range s.deviceOrder {
+			// Draws may differ by float summation order only.
+			got, oracle := float64(s.breakerDraw[i]), float64(s.devicePowerWalk(devID))
+			if diff := math.Abs(got - oracle); diff > 1e-6*oracle {
+				t.Fatalf("at %v: breaker %s observed %.9f, oracle %.9f", s.Loop.Now(), devID, got, oracle)
+			}
+		}
+	}
+	if len(s.Trips) == 0 {
 		t.Fatal("scenario produced no trips; equivalence check is vacuous")
 	}
-	if len(snap.Trips) != len(oracle.Trips) {
-		t.Fatalf("snapshot mode tripped %d breakers, oracle mode %d", len(snap.Trips), len(oracle.Trips))
-	}
-	for i := range snap.Trips {
-		a, b := snap.Trips[i], oracle.Trips[i]
-		if a.Device != b.Device || a.Class != b.Class || a.At != b.At {
-			t.Errorf("trip %d differs: snapshot %+v oracle %+v", i, a, b)
-		}
-		// Draws may differ by float summation order only.
-		if diff := math.Abs(float64(a.Draw - b.Draw)); diff > 1e-6*float64(b.Draw) {
-			t.Errorf("trip %d draw differs beyond tolerance: %v vs %v", i, a.Draw, b.Draw)
-		}
+	if len(s.recharges) == 0 {
+		t.Fatal("no DCUPS recharge was active at the end; the restore leg is vacuous")
 	}
 }

@@ -14,9 +14,11 @@ import (
 
 // TestIncrementalMatchesFullOnRandomTopology is the tentpole cross-check:
 // at epsilon=0 the incremental dirty-subtree pass must produce snapshots
-// bitwise identical to the retained full O(N) rebuild, on randomized
-// topologies, through quiescent stretches, load bursts, capping episodes,
-// breaker trips, and DCUPS recharges.
+// bitwise identical to a full O(N) rebuild, on randomized topologies,
+// through quiescent stretches, load bursts, capping episodes, breaker
+// trips, and DCUPS recharges. Two references: a twin run that recomputes
+// every device on every tick (runAllDirty), and aggregateFull applied to
+// the incremental run's own state at each checkpoint.
 func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3; trial++ {
@@ -34,7 +36,7 @@ func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
 		workers := 1 + rng.Intn(8)
 		surge := 0.7 + 0.2*rng.Float64()
 
-		mk := func(fullAgg bool) *Sim {
+		mk := func() *Sim {
 			s, err := New(Config{
 				Spec:         spec,
 				Seed:         seed,
@@ -44,14 +46,13 @@ func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.useFullAgg = fullAgg
 			rpp := s.Topo.OfKind(topology.KindRPP)[0]
 			s.At(time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, surge) })
 			s.At(3*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0) })
 			s.At(4*time.Minute, func() { s.RestoreDevice(rpp.ID) })
 			return s
 		}
-		inc, full := mk(false), mk(true)
+		inc, full := mk(), mk()
 
 		for _, step := range []time.Duration{
 			90 * time.Second, // surge in progress
@@ -59,7 +60,10 @@ func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
 			2 * time.Minute,  // recharge decaying, quiescent tail
 		} {
 			inc.Run(step)
-			full.Run(step)
+			runAllDirty(full, step)
+			if fs := full.AggregationStats(); fs.ReaggregatedDevices != fs.Devices {
+				t.Fatalf("trial %d: full-rebuild twin recomputed %d of %d devices", trial, fs.ReaggregatedDevices, fs.Devices)
+			}
 			for _, dev := range inc.Topo.Devices() {
 				pi := float64(inc.DevicePower(dev.ID))
 				pf := float64(full.DevicePower(dev.ID))
@@ -71,13 +75,20 @@ func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
 			if ti, tf := inc.TotalPower(), full.TotalPower(); ti != tf {
 				t.Fatalf("trial %d at %v: total incremental %v != full %v", trial, inc.Loop.Now(), ti, tf)
 			}
+			// Rebuilding the incremental run's own snapshot from scratch
+			// must change no bit of it.
+			inc.refresh()
+			got := append([]power.Watts(nil), inc.snap.dev...)
+			inc.aggregateFull(inc.Loop.Now())
+			for i, want := range inc.snap.dev {
+				if got[i] != want {
+					t.Fatalf("trial %d at %v: device %s incremental %.12f != aggregateFull %.12f",
+						trial, inc.Loop.Now(), inc.agg[i].id, float64(got[i]), float64(want))
+				}
+			}
 		}
-		st := inc.AggregationStats()
-		if st.IncrementalPasses == 0 {
+		if st := inc.AggregationStats(); st.IncrementalPasses == 0 {
 			t.Fatalf("trial %d: incremental sim never took the incremental path", trial)
-		}
-		if fs := full.AggregationStats(); fs.IncrementalPasses != 0 {
-			t.Fatalf("trial %d: full-rebuild oracle took %d incremental passes", trial, fs.IncrementalPasses)
 		}
 	}
 }

@@ -194,17 +194,6 @@ type Sim struct {
 	breakerWas   []bool
 	breakerFired []bool
 	breakerDraw  []power.Watts
-	// useOracle routes breaker observations through the O(N·depth)
-	// subtree-walk oracle instead of the snapshot; test-only knob proving
-	// the refactor preserved behaviour.
-	useOracle bool
-	// useFullAgg forces every aggregation pass down the full-rebuild
-	// path; test-only knob keeping the old O(N) pass as the incremental
-	// scheme's cross-check oracle.
-	useFullAgg bool
-	// aggInit flips true once the first full pass has initialized
-	// lastAgg; until then every aggregate dispatches to the full rebuild.
-	aggInit bool
 	// Incremental aggregation state (see aggregate.go): per-tickList-index
 	// last committed draw and home-device snapshot index (-1 when no
 	// device encloses the server), per-shard dirty-server lists filled by
@@ -543,9 +532,9 @@ func (s *Sim) Mark(format string, args ...interface{}) {
 //     stage only reads it);
 //  2. every server steps its physics (load sample, RAPL slew, draw),
 //     sharded across the worker pool — servers are mutually independent;
-//  3. one bottom-up aggregation pass computes every device's draw into
-//     the per-tick snapshot (fixed order, so results don't depend on the
-//     worker count);
+//  3. one bottom-up aggregation pass brings the per-tick snapshot to
+//     now, recomputing the devices whose inputs moved (fixed order, so
+//     results don't depend on the worker count);
 //  4. breaker heat integration runs sharded over the same worker pool
 //     (each breaker integrates its own thermal state from the snapshot),
 //     with trips handled serially in device order; validators, recorders,
@@ -563,19 +552,8 @@ func (s *Sim) tick() {
 	}
 	s.statWorkloadHint = hint
 	s.tickServers(now)
-	s.aggregate(now)
-	if s.useOracle {
-		// Test oracle: pre-refactor serial path reading subtree walks.
-		for i, devID := range s.deviceOrder {
-			draw := s.devicePowerWalk(devID)
-			br := s.breakerList[i]
-			s.breakerWas[i] = br.Tripped()
-			s.breakerFired[i] = br.Observe(draw, now)
-			s.breakerDraw[i] = draw
-		}
-	} else {
-		s.observeBreakers(now)
-	}
+	s.aggregateIncremental(now)
+	s.observeBreakers(now)
 	for i, devID := range s.deviceOrder {
 		if !s.breakerFired[i] {
 			continue
@@ -592,30 +570,18 @@ func (s *Sim) tick() {
 			s.outage(devID)
 		}
 	}
-	// read resolves a device draw: snapshot lookup normally, or the
-	// pre-refactor subtree walk when the test oracle is enabled.
-	read := func(devID topology.NodeID) power.Watts {
-		if s.useOracle {
-			return s.devicePowerWalk(devID)
-		}
-		return s.snap.dev[s.aggIdx[devID]]
-	}
 	if s.Cfg.ValidatorInterval > 0 {
 		if s.lastMeter == 0 || now-s.lastMeter >= s.Cfg.ValidatorInterval {
 			s.lastMeter = now
-			for _, devID := range s.deviceOrder {
-				s.meter[devID] = read(devID)
+			for i, devID := range s.deviceOrder {
+				s.meter[devID] = s.snap.dev[s.devSnapIdx[i]]
 			}
 		}
 	}
 	if s.recordEvery > 0 && (s.lastRecord == 0 || now-s.lastRecord >= s.recordEvery) {
 		s.lastRecord = now
 		for devID, series := range s.recorded {
-			if s.useOracle {
-				series.Add(now, float64(s.devicePowerWalk(devID)))
-			} else {
-				series.Add(now, float64(s.snapPower(devID)))
-			}
+			series.Add(now, float64(s.snapPower(devID)))
 		}
 		for srvID, series := range s.recordedServers {
 			series.Add(now, float64(s.Servers[srvID].Power()))
@@ -657,16 +623,10 @@ func (s *Sim) DevicePower(devID topology.NodeID) power.Watts {
 // rechargeAt returns a rack's current DCUPS recharge draw, garbage
 // collecting fully recharged entries. Only the aggregation pass calls it.
 func (s *Sim) rechargeAt(rackID topology.NodeID, now time.Duration) power.Watts {
-	r, ok := s.recharges[rackID]
-	if !ok {
-		return 0
-	}
-	elapsed := now - r.start
-	if elapsed >= 5*r.tau {
+	if r, ok := s.recharges[rackID]; ok && now-r.start >= 5*r.tau {
 		delete(s.recharges, rackID)
-		return 0
 	}
-	return power.Watts(float64(r.initial) * math.Exp(-elapsed.Seconds()/r.tau.Seconds()))
+	return s.rechargePeek(rackID, now)
 }
 
 // rechargePeek is rechargeAt without the expiry garbage collection, so
