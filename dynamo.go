@@ -152,8 +152,6 @@ type (
 	Watchdog = core.Watchdog
 	// WatchdogConfig configures the agent watchdog.
 	WatchdogConfig = core.WatchdogConfig
-	// PIDConfig parameterizes the alternative PID capping algorithm.
-	PIDConfig = core.PIDConfig
 	// Rollout executes a staged four-phase deployment with health gates.
 	Rollout = core.Rollout
 	// RolloutConfig configures a staged rollout.

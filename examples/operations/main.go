@@ -36,7 +36,8 @@ func main() {
 		fmt.Printf("top consumer: %-28s %v of %v\n", h.Device, h.PeakPower, h.Limit)
 	}
 
-	// --- Watchdog: crash an agent (partition it) and watch it heal.
+	// --- Watchdog: crash an agent (its endpoint goes away, so calls are
+	// refused) and watch the watchdog restart it.
 	fmt.Println("\n== agent watchdog ==")
 	victim := string(s.Topo.Servers()[3].ID)
 	ids := make([]string, 0, len(s.Servers))
@@ -48,12 +49,12 @@ func main() {
 		Interval: 10 * time.Second,
 		Restart: func(id string) {
 			restarts++
-			s.Net.SetPartitioned(dynamo.AgentAddr(id), false)
+			s.Net.Register(dynamo.AgentAddr(id), s.Agents[id].Handler())
 			fmt.Printf("watchdog restarted agent %s\n", id)
 		},
 	})
 	wd.Start()
-	s.Net.SetPartitioned(dynamo.AgentAddr(victim), true)
+	s.Net.Unregister(dynamo.AgentAddr(victim))
 	s.Run(2 * time.Minute)
 	fmt.Printf("agent restarts: %d\n", restarts)
 

@@ -57,7 +57,7 @@ func buildPhased(t *testing.T, sc phasedScenario, workers int, tel *telemetry.Si
 			id := fmt.Sprintf("%s-web-%03d", child, i)
 			f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 			refs = append(refs, AgentRef{ServerID: id, Service: "web",
-				Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+				Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 		}
 		quota := power.Watts(250 * sc.perChild)
 		leaf := NewLeaf(f.loop, LeafConfig{
@@ -70,7 +70,7 @@ func buildPhased(t *testing.T, sc phasedScenario, workers int, tel *telemetry.Si
 		}, refs)
 		f.net.Register(CtrlAddr(child), leaf.Handler())
 		pf.leaves = append(pf.leaves, leaf)
-		children = append(children, ChildRef{ID: child, Client: f.net.Dial(CtrlAddr(child)), Quota: quota})
+		children = append(children, ChildRef{ID: child, Client: f.dial(CtrlAddr(child)), Quota: quota})
 	}
 	pf.upper = NewUpper(f.loop, UpperConfig{
 		DeviceID: "sb1", Limit: power.Watts(3100 * sc.perChild / 6), Alerts: f.alertSink(),

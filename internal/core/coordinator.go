@@ -62,15 +62,12 @@ type HierarchyConfig struct {
 	// in-proc network directly.
 	Dial func(addr string) rpc.Client
 	// Retry configures bounded RPC retries for every controller's
-	// outbound calls. Zero value disables (single attempt, legacy).
+	// outbound calls. The zero value means one attempt per call.
 	Retry RetryConfig
 	// QuarantineThreshold trips a leaf's per-agent circuit breaker after
 	// this many consecutive failed pulls; estimation covers the agent
 	// until a half-open probe succeeds. 0 disables.
 	QuarantineThreshold int
-	// QuarantineProbeEvery sets how many cycles a quarantined agent sits
-	// out between half-open probes (default 2 when quarantine is on).
-	QuarantineProbeEvery int
 	// CapLeaseTTL, when nonzero, attaches a lease to every cap a leaf
 	// sends: the leaf renews leases on capped agents each cycle, and an
 	// agent whose lease goes unrenewed releases its cap (fail-safe
@@ -170,10 +167,9 @@ func BuildHierarchy(loop simclock.Loop, net *rpc.Network, topo *topology.Topolog
 			Telemetry:     cfg.Telemetry,
 			Scheduler:     h.Sched,
 
-			Retry:                cfg.Retry,
-			QuarantineThreshold:  cfg.QuarantineThreshold,
-			QuarantineProbeEvery: cfg.QuarantineProbeEvery,
-			CapLeaseTTL:          cfg.CapLeaseTTL,
+			Retry:               cfg.Retry,
+			QuarantineThreshold: cfg.QuarantineThreshold,
+			CapLeaseTTL:         cfg.CapLeaseTTL,
 		}
 		if cfg.StateStore != nil {
 			lcfg.Checkpoint = cfg.StateStore.NewWriter(string(node.ID), string(node.ID))

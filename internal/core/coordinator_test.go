@@ -208,9 +208,8 @@ func TestWatchdogRestartsAgent(t *testing.T) {
 		Interval: 5 * time.Second, FailThreshold: 2,
 		Restart: func(id string) {
 			restarted[id]++
-			// The "init system" heals the agent: re-register (the sim's
-			// stand-in for restarting the process).
-			f.net.SetPartitioned(AgentAddr(id), false)
+			// The "init system" restarts the agent process.
+			f.restart(id)
 		},
 		Alerts: f.alertSink(),
 	})
@@ -219,7 +218,7 @@ func TestWatchdogRestartsAgent(t *testing.T) {
 	if w.Restarts() != 0 {
 		t.Fatal("no restarts expected while healthy")
 	}
-	f.net.SetPartitioned(AgentAddr("web-002"), true)
+	f.crash("web-002")
 	f.loop.RunUntil(60 * time.Second)
 	if restarted["web-002"] == 0 {
 		t.Fatal("crashed agent was not restarted")
@@ -240,11 +239,11 @@ func TestWatchdogMultipleFailures(t *testing.T) {
 	f.addFleet(6, "web", 0.5)
 	restarted := map[string]int{}
 	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Restart: func(id string) { restarted[id]++; f.net.SetPartitioned(AgentAddr(id), false) },
+		Restart: func(id string) { restarted[id]++; f.restart(id) },
 	})
 	w.Start()
-	f.net.SetPartitioned(AgentAddr("web-001"), true)
-	f.net.SetPartitioned(AgentAddr("web-004"), true)
+	f.crash("web-001")
+	f.crash("web-004")
 	f.loop.RunUntil(2 * time.Minute)
 	if restarted["web-001"] == 0 || restarted["web-004"] == 0 {
 		t.Errorf("restarts = %v", restarted)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dynamo/internal/metrics"
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
@@ -140,7 +139,6 @@ type cycleKernel struct {
 	lastAction Action
 	pid        *pidState // leaf PID control; nil under three-band control
 
-	history     *metrics.Series
 	journal     *Journal
 	capEvents   uint64
 	uncapEvents uint64
@@ -164,7 +162,6 @@ func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink 
 		k.bands = DefaultBandConfig()
 	}
 	k.loop, k.lvl, k.pulls = loop, lvl, pulls
-	k.history = metrics.NewSeries(1024)
 	k.journal = NewJournal(512)
 	k.tel = newCtrlInstr(sink, cfg.deviceID, cfg.kind)
 	k.alerts = k.tel.wrapAlerts(cfg.alerts)
@@ -241,9 +238,6 @@ func (k *cycleKernel) Cycles() uint64 { return k.cycles }
 
 // LastAggregate returns the most recent aggregated power and validity.
 func (k *cycleKernel) LastAggregate() (power.Watts, bool) { return k.lastAgg, k.lastValid }
-
-// History returns the aggregate power time series (one point per cycle).
-func (k *cycleKernel) History() *metrics.Series { return k.history }
 
 // CapEvents returns how many capping actions this controller has taken.
 func (k *cycleKernel) CapEvents() uint64 { return k.capEvents }
@@ -420,9 +414,9 @@ func (k *cycleKernel) runObserveDecide(now time.Duration) {
 }
 
 // runAct is the act phase: apply the plan computed by runObserveDecide.
-// It always runs on the loop goroutine — journal and history writes,
-// alert emission, telemetry, and RPC sends all happen here, serially and
-// in fixed device order across the cohort.
+// It always runs on the loop goroutine — journal writes, alert emission,
+// telemetry, and RPC sends all happen here, serially and in fixed device
+// order across the cohort.
 //
 //dynamo:serial
 func (k *cycleKernel) runAct(now time.Duration) {
@@ -443,12 +437,11 @@ func (k *cycleKernel) runAct(now time.Duration) {
 		if k.tel != nil {
 			k.tel.invalidCycle(k.cycles, k.cycleStartAt, now, rec.Failures, len(k.pulls))
 		}
-	} else {
-		k.history.Add(now, float64(rec.Agg))
-		if k.tel != nil && rec.Action != p.prevAction {
+	} else if k.tel != nil {
+		if rec.Action != p.prevAction {
 			k.tel.transition(k.cycles, now, p.prevAction, rec.Action)
 		}
-		if k.tel != nil && p.planComputed {
+		if p.planComputed {
 			k.tel.capPlan(k.cycles, now, rec.ServersPlanned, rec.Achieved, rec.Shortfall, k.dryRun)
 		}
 	}

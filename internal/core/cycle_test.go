@@ -35,7 +35,7 @@ var bothLevels = []levelCase{
 			for _, id := range ids {
 				refs = append(refs, AgentRef{ServerID: id, Service: id, Client: dial(AgentAddr(id))})
 			}
-			cfg := LeafConfig{DeviceID: device, Limit: power.KW(100), MaxFailureFrac: 0.9, Alerts: func(Alert) {}}
+			cfg := LeafConfig{DeviceID: device, Limit: power.KW(100), Alerts: func(Alert) {}}
 			return &NewLeaf(loop, cfg, refs).cycleKernel
 		},
 	},
@@ -50,7 +50,7 @@ var bothLevels = []levelCase{
 			for _, id := range ids {
 				refs = append(refs, ChildRef{ID: id, Client: dial(CtrlAddr(id))})
 			}
-			cfg := UpperConfig{DeviceID: device, Limit: power.KW(100), MaxStaleFrac: 0.9, Alerts: func(Alert) {}}
+			cfg := UpperConfig{DeviceID: device, Limit: power.KW(100), Alerts: func(Alert) {}}
 			return &NewUpper(loop, cfg, refs).cycleKernel
 		},
 	},

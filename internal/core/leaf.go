@@ -33,9 +33,6 @@ type LeafConfig struct {
 	PollInterval time.Duration
 	// PullTimeout bounds each agent power pull.
 	PullTimeout time.Duration
-	// MaxFailureFrac is the fraction of failed pulls beyond which the
-	// aggregation is declared invalid and no action is taken (paper: 20%).
-	MaxFailureFrac float64
 	// NonServerDraw is power drawn from the same breaker by non-server
 	// components (top-of-rack switches); monitored but uncappable
 	// (paper §III-E).
@@ -48,15 +45,10 @@ type LeafConfig struct {
 	// (paper §VI, "use the power readings from the power breaker to
 	// validate"). ok=false means no fresh reading is available.
 	Validator func() (reading power.Watts, ok bool)
-	// ValidationTolerance is the relative disagreement with the breaker
-	// reading above which a warning is raised. Default 0.10.
-	ValidationTolerance float64
 	// UsePID selects the PID capping algorithm instead of the default
 	// three-band control (the paper's future-work "more complex power
 	// capping algorithms").
 	UsePID bool
-	// PID parameterizes the PID algorithm when UsePID is set.
-	PID PIDConfig
 	// Alerts receives operator alerts.
 	Alerts AlertFunc
 	// Telemetry, when set, receives operational metrics and decision trace
@@ -81,15 +73,26 @@ type LeafConfig struct {
 	// from pulls and actuation, covered by failure estimation — until a
 	// half-open probe succeeds. 0 disables quarantining.
 	QuarantineThreshold int
-	// QuarantineProbeEvery is the cadence, in cycles, of half-open probe
-	// pulls to quarantined agents. Default 2.
-	QuarantineProbeEvery int
 	// CapLeaseTTL, when positive, stamps every SetCap with a lease of
 	// this TTL and renews the lease of every capped agent each act phase,
 	// so caps self-release on agents this controller can no longer reach
 	// (and on all agents if this controller dies).
 	CapLeaseTTL time.Duration
 }
+
+const (
+	// maxFailureFrac is the fraction of failed pulls beyond which the
+	// aggregation is declared invalid and no action is taken (paper: 20%).
+	maxFailureFrac = 0.20
+	// validationTolerance is the relative disagreement with the breaker
+	// reading above which a warning is raised. The breaker meter refreshes
+	// on the order of a minute (paper §III-C1), so the cross-check must
+	// tolerate normal power movement over that staleness window.
+	validationTolerance = 0.20
+	// quarantineProbeEvery is the cadence, in cycles, of half-open probe
+	// pulls to quarantined agents.
+	quarantineProbeEvery = 2
+)
 
 func (c *LeafConfig) fillDefaults() {
 	if c.PollInterval <= 0 {
@@ -98,20 +101,8 @@ func (c *LeafConfig) fillDefaults() {
 	if c.PullTimeout <= 0 {
 		c.PullTimeout = c.PollInterval * 2 / 3
 	}
-	if c.MaxFailureFrac <= 0 {
-		c.MaxFailureFrac = 0.20
-	}
 	if c.Priorities.BucketSize == 0 && c.Priorities.Priority == nil {
 		c.Priorities = DefaultPriorityConfig()
-	}
-	if c.ValidationTolerance <= 0 {
-		// The breaker meter refreshes on the order of a minute
-		// (paper §III-C1), so the cross-check must tolerate normal power
-		// movement over that staleness window.
-		c.ValidationTolerance = 0.20
-	}
-	if c.QuarantineThreshold > 0 && c.QuarantineProbeEvery <= 0 {
-		c.QuarantineProbeEvery = 2
 	}
 }
 
@@ -200,7 +191,7 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 		pulls = append(pulls, &st.pull)
 	}
 	if cfg.UsePID {
-		l.pid = newPIDState(cfg.PID)
+		l.pid = &pidState{}
 	}
 	l.init(loop, l, cycleConfig{
 		kind: "leaf", pullMethod: agent.MethodReadPower, pullOp: "power pull",
@@ -293,7 +284,7 @@ func (l *Leaf) selectPulls() (skipped int) {
 			continue
 		}
 		st.quarCycles++
-		st.skip = st.quarCycles%l.cfg.QuarantineProbeEvery != 0
+		st.skip = st.quarCycles%quarantineProbeEvery != 0
 		st.probe = !st.skip
 		if st.skip {
 			skipped++
@@ -405,10 +396,10 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 	if len(l.list) > 0 {
 		failFrac = float64(failures) / float64(len(l.list))
 	}
-	if failFrac > l.cfg.MaxFailureFrac {
+	if failFrac > maxFailureFrac {
 		p.alert(AlertCritical,
 			"power aggregation invalid: %d/%d pulls failed (%.0f%% > %.0f%%)",
-			failures, len(l.list), failFrac*100, l.cfg.MaxFailureFrac*100)
+			failures, len(l.list), failFrac*100, maxFailureFrac*100)
 		return 0, false
 	}
 	return power.Watts(total), true
@@ -453,7 +444,7 @@ func (l *Leaf) validate(p *cyclePlan) {
 	if diff < 0 {
 		diff = -diff
 	}
-	if diff > l.cfg.ValidationTolerance {
+	if diff > validationTolerance {
 		p.alert(AlertWarning,
 			"aggregation %v disagrees with breaker reading %v by %.1f%%",
 			p.rec.Agg, reading, diff*100)

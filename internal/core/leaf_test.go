@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dynamo/internal/agent"
+	"dynamo/internal/faults"
 	"dynamo/internal/platform"
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
@@ -14,11 +15,13 @@ import (
 )
 
 // fixture builds a small in-process fleet: simulated servers ticked every
-// second on the loop, agents registered on an in-proc network.
+// second on the loop, agents registered on an in-proc network that every
+// controller-side client dials through a fault injector.
 type fixture struct {
 	t       *testing.T
 	loop    *simclock.SimLoop
 	net     *rpc.Network
+	faults  *faults.Injector
 	servers map[string]*server.Server
 	agents  map[string]*agent.Agent
 	order   []string
@@ -36,6 +39,7 @@ func newFixture(t *testing.T) *fixture {
 		t:       t,
 		loop:    loop,
 		net:     rpc.NewNetwork(loop, 2*time.Millisecond, 99),
+		faults:  faults.New(loop, 99, nil),
 		servers: map[string]*server.Server{},
 		agents:  map[string]*agent.Agent{},
 	}
@@ -47,6 +51,25 @@ func newFixture(t *testing.T) *fixture {
 	f.ticker.Start()
 	return f
 }
+
+// dial is the network's Dial behind the fixture's fault injector.
+func (f *fixture) dial(addr string) rpc.Client {
+	return f.faults.WrapClient(addr, f.net.Dial(addr))
+}
+
+// partition makes every call to addr from now on hang until its deadline;
+// heal ends it.
+func (f *fixture) partition(addr string) {
+	f.faults.Add(faults.Partition(addr, f.loop.Now(), 0))
+}
+
+func (f *fixture) heal(addr string) { f.faults.Heal(addr) }
+
+// crash takes a server's agent process down: calls to it are refused at
+// once, until restart brings it back.
+func (f *fixture) crash(id string) { f.net.Unregister(AgentAddr(id)) }
+
+func (f *fixture) restart(id string) { f.net.Register(AgentAddr(id), f.agents[id].Handler()) }
 
 func (f *fixture) alertSink() AlertFunc {
 	return func(a Alert) { f.alerts = append(f.alerts, a) }
@@ -73,7 +96,7 @@ func (f *fixture) addFleet(n int, service string, load float64) []AgentRef {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s-%03d", service, i)
 		f.addServer(id, service, server.LoadFunc(func(time.Duration) float64 { return load }))
-		refs = append(refs, AgentRef{ServerID: id, Service: service, Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: service, Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	return refs
 }
@@ -81,7 +104,7 @@ func (f *fixture) addFleet(n int, service string, load float64) []AgentRef {
 func (f *fixture) refs() []AgentRef {
 	var refs []AgentRef
 	for _, id := range f.order {
-		refs = append(refs, AgentRef{ServerID: id, Service: f.servers[id].Service(), Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: f.servers[id].Service(), Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	return refs
 }
@@ -159,7 +182,7 @@ func TestLeafCapSettlesWithinPaperBudget(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return *loadPtr }))
-		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	limit := power.Watts(2800)
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: limit}, refs)
@@ -181,7 +204,7 @@ func TestLeafUncapsAfterLoadDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return *loadPtr }))
-		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	limit := power.Watts(2800)
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: limit}, refs)
@@ -256,7 +279,7 @@ func TestLeafFailureEstimation(t *testing.T) {
 	refs := f.addFleet(10, "web", 0.7)
 	// Partition one agent: its reading must be estimated from peers and
 	// aggregation stays valid.
-	f.net.SetPartitioned(AgentAddr("web-003"), true)
+	f.partition(AgentAddr("web-003"))
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink()}, refs)
 	leaf.Start()
 	f.loop.RunUntil(15 * time.Second)
@@ -275,7 +298,7 @@ func TestLeafTooManyFailuresInvalidates(t *testing.T) {
 	f := newFixture(t)
 	refs := f.addFleet(10, "web", 0.7)
 	for i := 0; i < 3; i++ { // 30% > 20% threshold
-		f.net.SetPartitioned(AgentAddr(fmt.Sprintf("web-%03d", i)), true)
+		f.partition(AgentAddr(fmt.Sprintf("web-%03d", i)))
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: 100, Alerts: f.alertSink()}, refs)
 	leaf.Start()
@@ -336,7 +359,7 @@ func TestLeafContractLowersEffectiveLimit(t *testing.T) {
 		t.Fatal("no capping expected under generous physical limit")
 	}
 	// Parent imposes a contractual limit below current draw.
-	cl := f.net.Dial(CtrlAddr("rpp1"))
+	cl := f.dial(CtrlAddr("rpp1"))
 	var acked bool
 	cl.Call(MethodCtrlSetContract, &SetContractRequest{LimitWatts: 2700}, time.Second,
 		func(resp []byte, err error) {
@@ -396,7 +419,7 @@ func TestLeafPingHandler(t *testing.T) {
 	f.loop.RunUntil(7 * time.Second)
 	var pong CtrlPingResponse
 	got := false
-	f.net.Dial(CtrlAddr("rpp1")).Call(MethodCtrlPing, rpc.Empty, time.Second,
+	f.dial(CtrlAddr("rpp1")).Call(MethodCtrlPing, rpc.Empty, time.Second,
 		func(resp []byte, err error) { got = rpc.Decode(resp, err, &pong) == nil })
 	f.loop.RunUntil(8 * time.Second)
 	if !got || !pong.Healthy || pong.Cycles == 0 {

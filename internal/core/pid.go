@@ -6,60 +6,35 @@ import (
 	"dynamo/internal/power"
 )
 
-// PIDConfig parameterizes the PID capping algorithm — one of the "more
-// complex power capping algorithms" the paper names as future work
-// (§III-E, "Algorithm selection"). Instead of the three-band bang-bang
-// control, a PID controller tracks a setpoint slightly below the limit
-// and continuously adjusts the fleet cut, trading the three-band's
-// simplicity for finer tracking when power hovers near the limit.
-type PIDConfig struct {
-	// SetpointFrac is the tracked power level as a fraction of the
-	// effective limit. Default 0.96.
-	SetpointFrac float64
-	// Kp is the proportional gain (cut watts per watt of error).
-	// Default 0.8.
-	Kp float64
-	// Ki is the integral gain (cut watts per watt-second of accumulated
-	// error). Default 0.05.
-	Ki float64
-	// UncapFrac is the fraction of the limit below which accumulated
-	// caps are released. Default 0.90.
-	UncapFrac float64
-	// TriggerFrac is the fraction of the limit above which capping
-	// engages. Default 0.99 (same top band as three-band).
-	TriggerFrac float64
-}
-
-func (c *PIDConfig) fill() {
-	if c.SetpointFrac <= 0 {
-		c.SetpointFrac = 0.96
-	}
-	if c.Kp <= 0 {
-		c.Kp = 0.8
-	}
-	if c.Ki <= 0 {
-		c.Ki = 0.05
-	}
-	if c.UncapFrac <= 0 {
-		c.UncapFrac = 0.90
-	}
-	if c.TriggerFrac <= 0 {
-		c.TriggerFrac = 0.99
-	}
-}
+// The PID capping algorithm is one of the "more complex power capping
+// algorithms" the paper names as future work (§III-E, "Algorithm
+// selection"). Instead of the three-band bang-bang control, a PID
+// controller tracks a setpoint slightly below the limit and continuously
+// adjusts the fleet cut, trading the three-band's simplicity for finer
+// tracking when power hovers near the limit.
+const (
+	// pidSetpointFrac is the tracked power level as a fraction of the
+	// effective limit.
+	pidSetpointFrac = 0.96
+	// pidKp is the proportional gain (cut watts per watt of error).
+	pidKp = 0.8
+	// pidKi is the integral gain (cut watts per watt-second of
+	// accumulated error).
+	pidKi = 0.05
+	// pidUncapFrac is the fraction of the limit below which accumulated
+	// caps are released.
+	pidUncapFrac = 0.90
+	// pidTriggerFrac is the fraction of the limit above which capping
+	// engages (same top band as three-band).
+	pidTriggerFrac = 0.99
+)
 
 // pidState is the controller's evolving state.
 type pidState struct {
-	cfg      PIDConfig
 	integral float64 // watt-seconds of accumulated error
 	last     time.Duration
 	engaged  bool
 	started  bool
-}
-
-func newPIDState(cfg PIDConfig) *pidState {
-	cfg.fill()
-	return &pidState{cfg: cfg}
 }
 
 // step consumes one aggregate reading and returns the action plus, for
@@ -72,17 +47,17 @@ func (p *pidState) step(now time.Duration, agg, limit power.Watts, anyCapped boo
 	p.started = true
 	p.last = now
 
-	setpoint := float64(limit) * p.cfg.SetpointFrac
+	setpoint := float64(limit) * pidSetpointFrac
 	err := float64(agg) - setpoint
 
 	if !p.engaged {
 		// Engage only when power crosses the trigger band; below it the
 		// integral must not wind up.
-		if float64(agg) > float64(limit)*p.cfg.TriggerFrac {
+		if float64(agg) > float64(limit)*pidTriggerFrac {
 			p.engaged = true
 			p.integral = 0
 		} else {
-			if anyCapped && float64(agg) < float64(limit)*p.cfg.UncapFrac {
+			if anyCapped && float64(agg) < float64(limit)*pidUncapFrac {
 				return ActionUncap, 0
 			}
 			return ActionNone, 0
@@ -91,7 +66,7 @@ func (p *pidState) step(now time.Duration, agg, limit power.Watts, anyCapped boo
 
 	p.integral += err * dt
 	// Anti-windup: the integral may not demand more than 20% of limit.
-	maxI := float64(limit) * 0.20 / p.cfg.Ki
+	maxI := float64(limit) * 0.20 / pidKi
 	if p.integral > maxI {
 		p.integral = maxI
 	}
@@ -99,11 +74,11 @@ func (p *pidState) step(now time.Duration, agg, limit power.Watts, anyCapped boo
 		p.integral = -maxI
 	}
 
-	cut := p.cfg.Kp*err + p.cfg.Ki*p.integral
+	cut := pidKp*err + pidKi*p.integral
 	if cut <= 0 {
 		// The plant is at or below the setpoint; disengage when power
 		// drains low enough to release caps.
-		if anyCapped && float64(agg) < float64(limit)*p.cfg.UncapFrac {
+		if anyCapped && float64(agg) < float64(limit)*pidUncapFrac {
 			p.engaged = false
 			p.integral = 0
 			return ActionUncap, 0

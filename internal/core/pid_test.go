@@ -9,7 +9,7 @@ import (
 )
 
 func TestPIDStepBasics(t *testing.T) {
-	p := newPIDState(PIDConfig{})
+	p := &pidState{}
 	limit := power.KW(100)
 
 	// Below the trigger: no action, no windup.
@@ -47,7 +47,7 @@ func TestPIDStepBasics(t *testing.T) {
 }
 
 func TestPIDAntiWindup(t *testing.T) {
-	p := newPIDState(PIDConfig{})
+	p := &pidState{}
 	limit := power.KW(100)
 	// Hold a large error for a long time; the integral must clamp.
 	now := time.Duration(0)
@@ -56,7 +56,7 @@ func TestPIDAntiWindup(t *testing.T) {
 		now += 3 * time.Second
 		p.step(now, power.KW(120), limit, true)
 	}
-	maxI := float64(limit) * 0.20 / p.cfg.Ki
+	maxI := float64(limit) * 0.20 / pidKi
 	if p.integral > maxI+1 {
 		t.Errorf("integral %v exceeds anti-windup clamp %v", p.integral, maxI)
 	}
@@ -111,7 +111,7 @@ func TestLeafPIDUncapsOnDrain(t *testing.T) {
 		id := "w" + string(rune('0'+i))
 		f.addServer(id, "web", serverLoadFn(loadPtr))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp-pid", Limit: 2300, UsePID: true}, refs)
 	leaf.Start()

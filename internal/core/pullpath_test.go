@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamo/internal/faults"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/wire"
@@ -11,12 +12,13 @@ import (
 
 // TestOverlappingPullsKeepTheirOwnReading: two controllers pull the same
 // child in overlapping cycles and the child answers each pull differently.
-// Each controller also has an unreachable child, so its cycle stays open
-// until that pull times out — long after the shared child's call record has
-// gone back to the transport and carried the other controller's pull. Each
-// controller must still aggregate the reading the child gave to it: the
-// response bytes are only the caller's until its completion callback
-// returns, so onPull has to copy them, not keep them.
+// Each controller also has an unreachable child (one in five, so the cycle
+// stays valid) that keeps its cycle open until that pull times out — long
+// after the call records of the children that answered have gone back to
+// the transport and carried the other controller's pulls. Each controller
+// must still aggregate the reading the child gave to it: the response bytes
+// are only the caller's until its completion callback returns, so onPull
+// has to copy them, not keep them.
 func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 	for _, lv := range bothLevels {
 		t.Run(lv.name, func(t *testing.T) {
@@ -29,10 +31,13 @@ func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 				returned = append(returned, w)
 				return lv.answer(w), nil
 			})
+			for _, id := range []string{"pad1", "pad2", "pad3"} {
+				net.Register(lv.addr(id), func(string, []byte) (wire.Message, error) { return lv.answer(0), nil })
+			}
+			inj := faults.New(loop, 1, nil)
 			build := func(device, lost string) *cycleKernel {
-				net.Register(lv.addr(lost), func(string, []byte) (wire.Message, error) { return rpc.Empty, nil })
-				net.SetPartitioned(lv.addr(lost), true)
-				return lv.build(loop, device, []string{"shared", lost}, net.Dial)
+				inj.Add(faults.Partition(lv.addr(lost), 0, 0))
+				return lv.build(loop, device, []string{"shared", "pad1", "pad2", "pad3", lost}, inj.WrapDial(net.Dial))
 			}
 			a, b := build("dev-a", "lost-a"), build("dev-b", "lost-b")
 

@@ -25,11 +25,7 @@ func retryCfg() RetryConfig {
 func TestLeafRetriesRecoverFlakyAgent(t *testing.T) {
 	f := newFixture(t)
 	refs := f.addFleet(8, "web", 0.6)
-	inj := faults.New(f.loop, 11, nil)
-	inj.Add(faults.Rule{Peer: AgentAddr("web-002"), Method: "*", DropP: 0.5})
-	for i := range refs {
-		refs[i].Client = inj.WrapClient(AgentAddr(refs[i].ServerID), refs[i].Client)
-	}
+	f.faults.Add(faults.Rule{Peer: AgentAddr("web-002"), Method: "*", DropP: 0.5})
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
 		PullTimeout: 200 * time.Millisecond,
@@ -43,7 +39,7 @@ func TestLeafRetriesRecoverFlakyAgent(t *testing.T) {
 	if _, valid := leaf.LastAggregate(); !valid {
 		t.Error("aggregation should stay valid with one flaky agent")
 	}
-	dropped, _, _ := inj.Counts()
+	dropped, _, _ := f.faults.Counts()
 	if dropped == 0 {
 		t.Error("injector dropped nothing; test exercised no faults")
 	}
@@ -55,10 +51,10 @@ func TestLeafRetriesRecoverFlakyAgent(t *testing.T) {
 func TestLeafQuarantineAndReadmit(t *testing.T) {
 	f := newFixture(t)
 	refs := f.addFleet(10, "web", 0.7)
-	f.net.SetPartitioned(AgentAddr("web-003"), true)
+	f.partition(AgentAddr("web-003"))
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
-		QuarantineThreshold: 2, QuarantineProbeEvery: 2,
+		QuarantineThreshold: 2,
 	}, refs)
 	leaf.Start()
 	f.loop.RunUntil(15 * time.Second)
@@ -79,7 +75,7 @@ func TestLeafQuarantineAndReadmit(t *testing.T) {
 	}
 	// While quarantined, probes are spaced: the agent must not be pulled
 	// every cycle (no invalid-cycle or failure-counting flood).
-	f.net.SetPartitioned(AgentAddr("web-003"), false)
+	f.heal(AgentAddr("web-003"))
 	f.loop.RunUntil(45 * time.Second)
 	if got := leaf.QuarantinedCount(); got != 0 {
 		t.Fatalf("agent not re-admitted after heal: quarantined = %d", got)
@@ -102,7 +98,7 @@ func TestLeafQuarantineExcludedFromFailureFraction(t *testing.T) {
 	f := newFixture(t)
 	refs := f.addFleet(10, "web", 0.7)
 	for _, id := range []string{"web-001", "web-004", "web-007"} {
-		f.net.SetPartitioned(AgentAddr(id), true)
+		f.partition(AgentAddr(id))
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
@@ -251,13 +247,13 @@ func TestWatchdogRestartStormRateLimited(t *testing.T) {
 			if sweepCounts[f.loop.Now()] > maxPerSweep {
 				maxPerSweep = sweepCounts[f.loop.Now()]
 			}
-			f.net.SetPartitioned(AgentAddr(id), false)
+			f.restart(id)
 		},
 		Alerts: f.alertSink(),
 	})
 	w.Start()
 	for _, id := range f.order {
-		f.net.SetPartitioned(AgentAddr(id), true)
+		f.crash(id)
 	}
 	f.loop.RunUntil(2 * time.Minute)
 	if maxPerSweep > 2 {
@@ -283,11 +279,11 @@ func TestWatchdogRestartCooldown(t *testing.T) {
 	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
 		Interval: 5 * time.Second, FailThreshold: 2,
 		RestartCooldown: cooldown,
-		// Restart never heals: the agent stays partitioned.
+		// Restart never heals: the agent stays down.
 		Restart: func(id string) { restartTimes = append(restartTimes, f.loop.Now()) },
 	})
 	w.Start()
-	f.net.SetPartitioned(AgentAddr("web-001"), true)
+	f.crash("web-001")
 	f.loop.RunUntil(3 * time.Minute)
 	if len(restartTimes) < 2 {
 		t.Fatalf("expected repeated restarts of a permanently broken agent, got %d", len(restartTimes))
@@ -329,15 +325,16 @@ func TestWatchdogHealthyFalseVsTimeout(t *testing.T) {
 	restarted := map[string]int{}
 	w := NewWatchdog(f.loop, f.net, ids, WatchdogConfig{
 		Interval: 5 * time.Second, FailThreshold: 2,
+		Dial: f.dial,
 		Restart: func(id string) {
 			restarted[id]++
-			f.net.SetPartitioned(AgentAddr(id), false)
+			f.heal(AgentAddr(id))
 			zombie.heal()
 		},
 		Alerts: f.alertSink(),
 	})
 	w.Start()
-	f.net.SetPartitioned(AgentAddr("web-000"), true)
+	f.partition(AgentAddr("web-000"))
 	f.loop.RunUntil(time.Minute)
 	if restarted["web-000"] == 0 {
 		t.Error("timed-out agent not restarted")
@@ -359,21 +356,22 @@ func TestWatchdogWithQuarantinedAgent(t *testing.T) {
 	refs := f.addFleet(6, "web", 0.7)
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
-		QuarantineThreshold: 2, QuarantineProbeEvery: 2,
+		QuarantineThreshold: 2,
 	}, refs)
 	leaf.Start()
 	restarted := map[string]int{}
 	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
 		Interval: 10 * time.Second, FailThreshold: 2,
+		Dial: f.dial,
 		Restart: func(id string) {
 			restarted[id]++
-			f.net.SetPartitioned(AgentAddr(id), false)
+			f.heal(AgentAddr(id))
 		},
 		Alerts: f.alertSink(),
 	})
 	w.Start()
 	f.loop.RunUntil(5 * time.Second)
-	f.net.SetPartitioned(AgentAddr("web-002"), true)
+	f.partition(AgentAddr("web-002"))
 	f.loop.RunUntil(20 * time.Second)
 	if leaf.QuarantinedCount() != 1 {
 		t.Fatalf("quarantined = %d, want 1 before the watchdog heals", leaf.QuarantinedCount())
@@ -395,12 +393,11 @@ func TestWatchdogWithQuarantinedAgent(t *testing.T) {
 func TestWatchdogDialOverride(t *testing.T) {
 	f := newFixture(t)
 	f.addFleet(3, "web", 0.5)
-	inj := faults.New(f.loop, 5, nil)
-	inj.Add(faults.Partition(AgentAddr("web-001"), 0, 0))
+	f.partition(AgentAddr("web-001"))
 	restarted := map[string]int{}
 	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
 		Interval: 5 * time.Second, FailThreshold: 2,
-		Dial:    inj.WrapDial(f.net.Dial),
+		Dial:    f.dial,
 		Restart: func(id string) { restarted[id]++ },
 	})
 	w.Start()
@@ -423,15 +420,14 @@ func TestUpperRetriesRecoverFlakyChild(t *testing.T) {
 	leafB := NewLeaf(f.loop, LeafConfig{DeviceID: "rppB", Limit: power.KW(50)}, refsB)
 	f.net.Register(CtrlAddr("rppA"), leafA.Handler())
 	f.net.Register(CtrlAddr("rppB"), leafB.Handler())
-	inj := faults.New(f.loop, 13, nil)
-	inj.Add(faults.Rule{Peer: CtrlAddr("rppB"), Method: "*", DropP: 0.5})
+	f.faults.Add(faults.Rule{Peer: CtrlAddr("rppB"), Method: "*", DropP: 0.5})
 	up := NewUpper(f.loop, UpperConfig{
 		DeviceID: "sb1", Limit: power.KW(100), Alerts: f.alertSink(),
 		PullTimeout: 200 * time.Millisecond,
 		Retry:       retryCfg(),
 	}, []ChildRef{
-		{ID: "rppA", Client: inj.WrapClient(CtrlAddr("rppA"), f.net.Dial(CtrlAddr("rppA")))},
-		{ID: "rppB", Client: inj.WrapClient(CtrlAddr("rppB"), f.net.Dial(CtrlAddr("rppB")))},
+		{ID: "rppA", Client: f.dial(CtrlAddr("rppA"))},
+		{ID: "rppB", Client: f.dial(CtrlAddr("rppB"))},
 	})
 	leafA.Start()
 	leafB.Start()

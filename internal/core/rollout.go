@@ -104,9 +104,6 @@ func (r *Rollout) State() RolloutState { return r.state }
 // Applied returns how many targets currently run the change.
 func (r *Rollout) Applied() int { return r.applied }
 
-// Phase returns the current (or final) phase index.
-func (r *Rollout) Phase() int { return r.phase }
-
 // Start begins phase one. Calling Start twice is a no-op.
 func (r *Rollout) Start() {
 	if r.state != RolloutIdle {

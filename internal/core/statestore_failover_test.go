@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamo/internal/faults"
 	"dynamo/internal/power"
 	"dynamo/internal/statestore"
 )
@@ -13,7 +14,7 @@ import (
 // the primary while its checkpoint stream replicates to a replica store
 // over a link that drops 40% of batches (retransmission reorders and
 // duplicates the rest). The primary's host then "dies" (control address
-// partitioned, shipper stopped); the backup must promote and adopt a
+// gone, shipper stopped); the backup must promote and adopt a
 // prefix-consistent journal from the replica: no cycle-number gaps, no
 // duplicates, every adopted record byte-equal to the primary's record of
 // the same cycle.
@@ -25,9 +26,9 @@ func TestFailoverAdoptsFromReplicaOverLossyLink(t *testing.T) {
 	primaryStore := statestore.NewStore(f.loop, "primary", nil)
 	replica := statestore.NewStore(f.loop, "replica", nil)
 	f.net.Register("store/replica", replica.Handler())
-	f.net.SetDropRate("store/replica", 0.4)
+	f.faults.Add(faults.Rule{Peer: "store/replica", DropP: 0.4})
 	sh := statestore.NewShipper(f.loop, primaryStore,
-		[]statestore.Peer{{Name: "replica", Client: f.net.Dial("store/replica")}},
+		[]statestore.Peer{{Name: "replica", Client: f.dial("store/replica")}},
 		statestore.ShipperConfig{Interval: 500 * time.Millisecond, Timeout: 200 * time.Millisecond})
 	sh.Start()
 
@@ -61,12 +62,11 @@ func TestFailoverAdoptsFromReplicaOverLossyLink(t *testing.T) {
 	// Host death: controller unreachable, replication stops mid-stream.
 	sh.Stop()
 	primary.Stop()
-	f.net.SetPartitioned(CtrlAddr("rpp1"), true)
+	f.net.Unregister(CtrlAddr("rpp1"))
 	f.loop.RunUntil(70 * time.Second)
 	if !fo.Promoted() {
 		t.Fatal("backup not promoted")
 	}
-	f.net.SetPartitioned(CtrlAddr("rpp1"), false)
 
 	// The adopted journal is a prefix of the primary's: the lossy link may
 	// have lost the tail, but never reordered or duplicated what arrived.
@@ -122,7 +122,7 @@ func TestZombiePrimaryFencedAtReplica(t *testing.T) {
 	replica := statestore.NewStore(f.loop, "replica", nil)
 	f.net.Register("store/replica", replica.Handler())
 	sh := statestore.NewShipper(f.loop, primaryStore,
-		[]statestore.Peer{{Name: "replica", Client: f.net.Dial("store/replica")}},
+		[]statestore.Peer{{Name: "replica", Client: f.dial("store/replica")}},
 		statestore.ShipperConfig{Interval: 500 * time.Millisecond})
 	sh.Start()
 
@@ -136,7 +136,7 @@ func TestZombiePrimaryFencedAtReplica(t *testing.T) {
 	}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailover(f.loop, f.net, "rpp1", backup, FailoverConfig{
+	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), "rpp1", backup, FailoverConfig{
 		PingInterval: 2 * time.Second, FailThreshold: 3,
 		Store: replica, Alerts: f.alertSink(),
 	})
@@ -145,7 +145,7 @@ func TestZombiePrimaryFencedAtReplica(t *testing.T) {
 	f.loop.RunUntil(20 * time.Second)
 	// Partition only the control address: probes fail, but the zombie keeps
 	// cycling against its agents and keeps shipping checkpoints.
-	f.net.SetPartitioned(CtrlAddr("rpp1"), true)
+	f.partition(CtrlAddr("rpp1"))
 	f.loop.RunUntil(60 * time.Second)
 	if !fo.Promoted() {
 		t.Fatal("backup not promoted")
@@ -248,7 +248,7 @@ func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 	backup := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50)}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailover(f.loop, f.net, "rpp1", backup, FailoverConfig{
+	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), "rpp1", backup, FailoverConfig{
 		PingInterval: 2 * time.Second, FailThreshold: 3,
 		PingJitterFrac: 0.2, JitterSeed: 42, Alerts: f.alertSink(),
 	})
@@ -256,13 +256,13 @@ func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 
 	// Drop exactly one probe window, then heal; repeat. Never 3 in a row.
 	f.loop.RunUntil(10 * time.Second)
-	f.net.SetPartitioned(CtrlAddr("rpp1"), true)
+	f.partition(CtrlAddr("rpp1"))
 	f.loop.RunUntil(12500 * time.Millisecond) // one probe interval inside the partition
-	f.net.SetPartitioned(CtrlAddr("rpp1"), false)
+	f.heal(CtrlAddr("rpp1"))
 	f.loop.RunUntil(20 * time.Second)
-	f.net.SetPartitioned(CtrlAddr("rpp1"), true)
+	f.partition(CtrlAddr("rpp1"))
 	f.loop.RunUntil(22500 * time.Millisecond)
-	f.net.SetPartitioned(CtrlAddr("rpp1"), false)
+	f.heal(CtrlAddr("rpp1"))
 	f.loop.RunUntil(40 * time.Second)
 
 	if fo.Promoted() {
@@ -273,7 +273,7 @@ func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 	}
 
 	// A sustained outage still promotes.
-	f.net.SetPartitioned(CtrlAddr("rpp1"), true)
+	f.partition(CtrlAddr("rpp1"))
 	f.loop.RunUntil(70 * time.Second)
 	if !fo.Promoted() {
 		t.Fatal("sustained outage did not promote the backup")

@@ -27,7 +27,7 @@ func TestLeafTelemetryCapUncapEpisodes(t *testing.T) {
 		id := fmt.Sprintf("web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "rpp1", Limit: 2800, Alerts: f.alertSink(), Telemetry: sink,
@@ -115,7 +115,7 @@ func TestLeafTelemetryInvalidAggregate(t *testing.T) {
 
 	// Partition 4 of 10 agents: 40% failures > the 20% default threshold.
 	for i := 0; i < 4; i++ {
-		f.net.SetPartitioned(AgentAddr(fmt.Sprintf("web-%03d", i)), true)
+		f.partition(AgentAddr(fmt.Sprintf("web-%03d", i)))
 	}
 	f.loop.RunUntil(30 * time.Second)
 
@@ -152,7 +152,7 @@ func TestUpperTelemetryContractFlow(t *testing.T) {
 		id := fmt.Sprintf("c1-web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "c1", Limit: power.KW(200), Quota: 2500, Telemetry: sink,
@@ -161,7 +161,7 @@ func TestUpperTelemetryContractFlow(t *testing.T) {
 	leaf.Start()
 	upper := NewUpper(f.loop, UpperConfig{
 		DeviceID: "sb1", Limit: 3000, OffenderBucket: 100, Telemetry: sink,
-	}, []ChildRef{{ID: "c1", Client: f.net.Dial(CtrlAddr("c1")), Quota: 2500}})
+	}, []ChildRef{{ID: "c1", Client: f.dial(CtrlAddr("c1")), Quota: 2500}})
 	upper.Start()
 
 	f.loop.RunUntil(60 * time.Second)

@@ -30,10 +30,6 @@ type UpperConfig struct {
 	PollInterval time.Duration
 	// PullTimeout bounds each child pull.
 	PullTimeout time.Duration
-	// MaxStaleFrac is the fraction of children allowed to be stale
-	// (unreachable this cycle, reusing last-known values) before the
-	// aggregation is declared invalid.
-	MaxStaleFrac float64
 	// OffenderBucket is the bucket width for distributing cuts among
 	// offending children (the kW-scale analogue of the 20 W server
 	// bucket).
@@ -57,15 +53,17 @@ type UpperConfig struct {
 	Retry RetryConfig
 }
 
+// maxStaleFrac is the fraction of children allowed to be stale (unreachable
+// this cycle, reusing last-known values) before the aggregation is declared
+// invalid.
+const maxStaleFrac = 0.5
+
 func (c *UpperConfig) fillDefaults() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 9 * time.Second
 	}
 	if c.PullTimeout <= 0 {
 		c.PullTimeout = c.PollInterval / 2
-	}
-	if c.MaxStaleFrac <= 0 {
-		c.MaxStaleFrac = 0.5
 	}
 	if c.OffenderBucket <= 0 {
 		c.OffenderBucket = power.KW(5)
@@ -215,7 +213,7 @@ func (u *Upper) aggregate(p *cyclePlan) (power.Watts, bool) {
 	if len(u.list) > 0 {
 		staleFrac = float64(stale) / float64(len(u.list))
 	}
-	if staleFrac > u.cfg.MaxStaleFrac {
+	if staleFrac > maxStaleFrac {
 		// The journal counts stale children only when they invalidate the
 		// cycle. During the first cycles after a (re)start, children may
 		// simply not have completed their own first aggregation yet; that

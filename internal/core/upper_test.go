@@ -33,7 +33,7 @@ func buildUpper(t *testing.T, nPer int, loads [2]float64, quotas [2]power.Watts,
 			id := fmt.Sprintf("%s-web-%03d", child, i)
 			f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 			refs = append(refs, AgentRef{ServerID: id, Service: "web",
-				Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+				Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 		}
 		leaf := NewLeaf(f.loop, LeafConfig{
 			DeviceID: child,
@@ -45,7 +45,7 @@ func buildUpper(t *testing.T, nPer int, loads [2]float64, quotas [2]power.Watts,
 		leaf.Start()
 		uf.leaves[child] = leaf
 		children = append(children, ChildRef{
-			ID: child, Client: f.net.Dial(CtrlAddr(child)), Quota: quotas[c],
+			ID: child, Client: f.dial(CtrlAddr(child)), Quota: quotas[c],
 		})
 	}
 	uf.upper = NewUpper(f.loop, UpperConfig{
@@ -130,13 +130,13 @@ func TestUpperUncapsWhenLoadDrops(t *testing.T) {
 		id := fmt.Sprintf("c1-web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "c1", Limit: power.KW(200), Quota: 2500}, refs)
 	f.net.Register(CtrlAddr("c1"), leaf.Handler())
 	leaf.Start()
 	upper := NewUpper(f.loop, UpperConfig{DeviceID: "sb1", Limit: 3000, OffenderBucket: 100}, []ChildRef{
-		{ID: "c1", Client: f.net.Dial(CtrlAddr("c1")), Quota: 2500},
+		{ID: "c1", Client: f.dial(CtrlAddr("c1")), Quota: 2500},
 	})
 	upper.Start()
 	f.loop.RunUntil(60 * time.Second)
@@ -160,8 +160,8 @@ func TestUpperStaleChildrenInvalidate(t *testing.T) {
 	uf := buildUpper(t, 3, [2]float64{0.5, 0.5}, [2]power.Watts{2000, 2000}, power.KW(100))
 	uf.loop.RunUntil(30 * time.Second)
 	// Partition both children: 100% stale > 50% threshold.
-	uf.net.SetPartitioned(CtrlAddr("child1"), true)
-	uf.net.SetPartitioned(CtrlAddr("child2"), true)
+	uf.partition(CtrlAddr("child1"))
+	uf.partition(CtrlAddr("child2"))
 	uf.loop.RunUntil(90 * time.Second)
 	if _, valid := uf.upper.LastAggregate(); valid {
 		t.Error("aggregation should be invalid with all children stale")
@@ -180,7 +180,7 @@ func TestUpperStaleChildrenInvalidate(t *testing.T) {
 func TestUpperSingleStaleChildTolerated(t *testing.T) {
 	uf := buildUpper(t, 3, [2]float64{0.5, 0.5}, [2]power.Watts{2000, 2000}, power.KW(100))
 	uf.loop.RunUntil(30 * time.Second)
-	uf.net.SetPartitioned(CtrlAddr("child2"), true)
+	uf.partition(CtrlAddr("child2"))
 	uf.loop.RunUntil(60 * time.Second)
 	agg, valid := uf.upper.LastAggregate()
 	if !valid {
@@ -194,7 +194,7 @@ func TestUpperSingleStaleChildTolerated(t *testing.T) {
 func TestUpperHandlerProtocol(t *testing.T) {
 	uf := buildUpper(t, 2, [2]float64{0.5, 0.5}, [2]power.Watts{2000, 2000}, power.KW(100))
 	uf.loop.RunUntil(20 * time.Second)
-	cl := uf.net.Dial(CtrlAddr("sb1"))
+	cl := uf.dial(CtrlAddr("sb1"))
 	var read CtrlReadPowerResponse
 	ok := false
 	cl.Call(MethodCtrlReadPower, rpc.Empty, time.Second, func(resp []byte, err error) {
@@ -233,17 +233,17 @@ func TestThreeLevelPropagation(t *testing.T) {
 		id := fmt.Sprintf("w-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return 0.9 }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.net.Dial(AgentAddr(id))})
+			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(200), Quota: 2500}, refs)
 	f.net.Register(CtrlAddr("rpp1"), leaf.Handler())
 	leaf.Start()
 	sb := NewUpper(f.loop, UpperConfig{DeviceID: "sb1", Limit: power.KW(200), Quota: 2800, OffenderBucket: 100},
-		[]ChildRef{{ID: "rpp1", Client: f.net.Dial(CtrlAddr("rpp1")), Quota: 2500}})
+		[]ChildRef{{ID: "rpp1", Client: f.dial(CtrlAddr("rpp1")), Quota: 2500}})
 	f.net.Register(CtrlAddr("sb1"), sb.Handler())
 	sb.Start()
 	msb := NewUpper(f.loop, UpperConfig{DeviceID: "msb1", Limit: 3000, OffenderBucket: 100, PollInterval: 27 * time.Second},
-		[]ChildRef{{ID: "sb1", Client: f.net.Dial(CtrlAddr("sb1")), Quota: 2800}})
+		[]ChildRef{{ID: "sb1", Client: f.dial(CtrlAddr("sb1")), Quota: 2800}})
 	msb.Start()
 	f.loop.RunUntil(4 * time.Minute)
 

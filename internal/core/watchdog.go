@@ -27,7 +27,8 @@ type WatchdogConfig struct {
 	// RestartCooldown is the minimum spacing between successive restarts
 	// of the same agent. A restart suppressed by the cooldown keeps its
 	// miss count, so the agent is restarted at the first sweep past the
-	// cooldown if it is still unhealthy. 0 disables (legacy behavior).
+	// cooldown if it is still unhealthy. 0 means no spacing: an agent that
+	// stays unhealthy is restarted every FailThreshold sweeps.
 	RestartCooldown time.Duration
 	// MaxRestartsPerSweep caps restarts issued in one sweep — the
 	// restart-storm limiter for correlated outages (a partition is not

@@ -33,8 +33,7 @@ import (
 // Matching rules compose: drop and duplicate probabilities are drawn
 // independently per rule, delays add up. A drop wins over everything
 // else — the request vanishes and the caller sees its timeout elapse
-// (ErrUnreachable immediately if the call had no deadline, mirroring the
-// in-proc transport's partition semantics).
+// (ErrUnreachable immediately if the call had no deadline to wait for).
 type Rule struct {
 	// Peer glob matched against the wrapped client's peer address.
 	Peer string
@@ -94,6 +93,27 @@ func (in *Injector) Add(rules ...Rule) {
 	in.mu.Lock()
 	in.rules = append(in.rules, rules...)
 	in.mu.Unlock()
+}
+
+// Heal closes, at the loop's current time, every open-ended rule
+// (Until <= 0) whose Peer is exactly peerGlob, for scenarios that end a
+// partition from a callback at a time they cannot script up front. Rules
+// keep their positions, so no other rule's draws move.
+func (in *Injector) Heal(peerGlob string) {
+	now := in.loop.Now()
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for i := range in.rules {
+		r := &in.rules[i]
+		if r.Peer != peerGlob || r.Until > 0 {
+			continue
+		}
+		if now > 0 {
+			r.Until = now
+		} else {
+			r.From, r.Until = 1, 1 // Until 0 would mean forever; an empty window instead
+		}
+	}
 }
 
 // Counts reports how many faults have been injected so far.
@@ -264,9 +284,9 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 	if v.drop {
 		c.in.note(&c.in.dropped)
 		c.in.tel.drop()
-		// The request vanishes: the caller sees its deadline elapse, or
-		// an immediate unreachable if it set none — the same semantics
-		// the in-proc transport gives a partitioned endpoint.
+		// The request vanishes: the caller sees its deadline elapse. With
+		// no deadline there is nothing to wait for, so it is told at once
+		// that the peer cannot be reached.
 		if timeout > 0 {
 			c.in.loop.After(timeout, func() { done(nil, rpc.ErrTimeout) })
 		} else {

@@ -24,6 +24,7 @@ func (m *echo) UnmarshalWire(d *wire.Decoder) error { m.N = d.Uvarint(); return 
 // and an injector-wrapped client to it.
 type harness struct {
 	loop   *simclock.SimLoop
+	net    *rpc.Network
 	inj    *Injector
 	client rpc.Client
 	served int
@@ -32,8 +33,8 @@ type harness struct {
 func newHarness(t *testing.T, seed int64, rules ...Rule) *harness {
 	t.Helper()
 	h := &harness{loop: simclock.NewSimLoop()}
-	net := rpc.NewNetwork(h.loop, time.Millisecond, 7)
-	net.Register("agent/a1", func(method string, body []byte) (wire.Message, error) {
+	h.net = rpc.NewNetwork(h.loop, time.Millisecond, 7)
+	h.net.Register("agent/a1", func(method string, body []byte) (wire.Message, error) {
 		h.served++
 		var m echo
 		if err := wire.Unmarshal(body, &m); err != nil {
@@ -43,7 +44,7 @@ func newHarness(t *testing.T, seed int64, rules ...Rule) *harness {
 	})
 	h.inj = New(h.loop, seed, nil)
 	h.inj.Add(rules...)
-	h.client = h.inj.WrapClient("agent/a1", net.Dial("agent/a1"))
+	h.client = h.inj.WrapClient("agent/a1", h.net.Dial("agent/a1"))
 	return h
 }
 
@@ -99,6 +100,50 @@ func TestDropAllTimesOut(t *testing.T) {
 	// Without a deadline the drop surfaces immediately as unreachable.
 	if _, err := h.call(t, 0); !errors.Is(err, rpc.ErrUnreachable) {
 		t.Fatalf("want ErrUnreachable for deadline-less drop, got %v", err)
+	}
+}
+
+// TestCrashVersusPartition pins the two ways a peer goes away. A crashed
+// process has no endpoint: the call is refused at the delivery event, one
+// network latency in, however long its deadline. A partition is a rule: the
+// request vanishes and the caller waits out exactly its deadline. Heal
+// closes the rule at the current instant, so the very next call is served,
+// and it closes nothing else.
+func TestCrashVersusPartition(t *testing.T) {
+	h := newHarness(t, 1)
+	h.net.Unregister("agent/a1")
+	if elapsed, err := h.call(t, 500*time.Millisecond); !errors.Is(err, rpc.ErrUnreachable) || elapsed != time.Millisecond {
+		t.Fatalf("crashed peer: got (%v, %v), want ErrUnreachable at the 1ms delivery", elapsed, err)
+	}
+
+	h = newHarness(t, 1)
+	h.loop.RunUntil(3 * time.Second)
+	h.inj.Add(
+		Partition("agent/a1", h.loop.Now(), 0),
+		Partition("agent/*", 0, 0),
+		Rule{Peer: "agent/a1", From: time.Hour, Until: 2 * time.Hour, DropP: 1},
+	)
+	if elapsed, err := h.call(t, 500*time.Millisecond); !errors.Is(err, rpc.ErrTimeout) || elapsed != 500*time.Millisecond {
+		t.Fatalf("partitioned peer: got (%v, %v), want ErrTimeout at the 500ms deadline", elapsed, err)
+	}
+	h.inj.Heal("agent/a1")
+	if _, err := h.call(t, 500*time.Millisecond); !errors.Is(err, rpc.ErrTimeout) {
+		t.Fatalf("Heal(agent/a1) also closed the agent/* rule: %v", err)
+	}
+	h.inj.Heal("agent/*")
+	if _, err := h.call(t, 500*time.Millisecond); err != nil || h.served != 1 {
+		t.Fatalf("first call after Heal: err %v, served %d; want it served", err, h.served)
+	}
+	h.loop.RunUntil(time.Hour + time.Minute)
+	if _, err := h.call(t, 500*time.Millisecond); !errors.Is(err, rpc.ErrTimeout) {
+		t.Fatalf("Heal closed a rule with a scripted window: %v", err)
+	}
+
+	// At time zero too, where Until = now would read as "forever".
+	h = newHarness(t, 1, Partition("agent/a1", 0, 0))
+	h.inj.Heal("agent/a1")
+	if _, err := h.call(t, 500*time.Millisecond); err != nil {
+		t.Fatalf("rule healed at time zero still drops: %v", err)
 	}
 }
 

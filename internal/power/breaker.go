@@ -100,13 +100,6 @@ func NewBreaker(name string, class DeviceClass, rating Watts) *Breaker {
 	}
 }
 
-// NewBreakerWithCurve creates a breaker with an explicit trip curve.
-func NewBreakerWithCurve(name string, class DeviceClass, rating Watts, curve TripCurve) *Breaker {
-	b := NewBreaker(name, class, rating)
-	b.curve = curve
-	return b
-}
-
 // Name returns the breaker's identifier.
 func (b *Breaker) Name() string { return b.name }
 

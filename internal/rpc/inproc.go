@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -10,20 +9,21 @@ import (
 )
 
 // Network is the in-process transport: a registry of endpoints reachable
-// by address, with simulated one-way latency and fault injection. All
-// delivery is scheduled on a simclock.Loop, so behaviour is deterministic.
+// by address, with simulated one-way latency. All delivery is scheduled on
+// a simclock.Loop, so behaviour is deterministic. A call has two outcomes:
+// the endpoint's handler runs, or there is no endpoint and the call fails
+// fast with ErrUnreachable (a crashed process refusing connections).
+// Hangs, drops and partitions are internal/faults rules on clients dialled
+// through an Injector, not states of the network.
 //
-// Network is safe for use from the loop goroutine; Register/Unregister and
-// fault-injection setters may also be called before the loop starts.
+// Network is safe for use from the loop goroutine; Register/Unregister may
+// also be called before the loop starts.
 type Network struct {
 	loop    simclock.Loop
 	latency time.Duration
-	rng     *rand.Rand
 
-	mu          sync.Mutex
-	endpoints   map[string]Handler
-	partitioned map[string]bool
-	dropRate    map[string]float64
+	mu        sync.Mutex
+	endpoints map[string]Handler
 
 	// Loop-confined: the free list of call records, and the scratch
 	// encoder every request and response is marshalled through.
@@ -33,16 +33,10 @@ type Network struct {
 
 // NewNetwork creates an in-process network with the given one-way latency
 // (zero is allowed and common for consolidated controllers that share a
-// process, paper §III-A).
-func NewNetwork(loop simclock.Loop, latency time.Duration, seed int64) *Network {
-	return &Network{
-		loop:        loop,
-		latency:     latency,
-		rng:         rand.New(rand.NewSource(seed)),
-		endpoints:   make(map[string]Handler),
-		partitioned: make(map[string]bool),
-		dropRate:    make(map[string]float64),
-	}
+// process, paper §III-A). The third parameter is ignored: nothing here is
+// random (it stays until bench/probes.go may change; see ROADMAP).
+func NewNetwork(loop simclock.Loop, latency time.Duration, _ int64) *Network {
+	return &Network{loop: loop, latency: latency, endpoints: make(map[string]Handler)}
 }
 
 // Register installs a handler at addr, replacing any previous handler.
@@ -59,46 +53,11 @@ func (n *Network) Unregister(addr string) {
 	delete(n.endpoints, addr)
 }
 
-// SetPartitioned isolates (or heals) an endpoint: calls to a partitioned
-// address time out rather than failing fast, like a real network hang.
-func (n *Network) SetPartitioned(addr string, yes bool) {
+// lookup returns addr's handler, nil if there is none.
+func (n *Network) lookup(addr string) Handler {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if yes {
-		n.partitioned[addr] = true
-	} else {
-		delete(n.partitioned, addr)
-	}
-}
-
-// SetDropRate makes a fraction of calls to addr hang (and eventually time
-// out on the caller side).
-func (n *Network) SetDropRate(addr string, rate float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if rate <= 0 {
-		delete(n.dropRate, addr)
-	} else {
-		n.dropRate[addr] = rate
-	}
-}
-
-// lookup returns addr's handler, nil if there is none, and whether the
-// message should be delivered to it.
-func (n *Network) lookup(addr string) (h Handler, deliver bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h = n.endpoints[addr]
-	if h == nil || (len(n.partitioned) == 0 && len(n.dropRate) == 0) {
-		return h, h != nil
-	}
-	if n.partitioned[addr] {
-		return h, false
-	}
-	if r := n.dropRate[addr]; r > 0 && n.rng.Float64() < r {
-		return h, false
-	}
-	return h, true
+	return n.endpoints[addr]
 }
 
 // Dial returns a client for addr. Dialling an unknown address succeeds;
@@ -178,11 +137,10 @@ func (r *call) finish(resp []byte, err error) {
 	r.done(resp, err)
 }
 
-// recycle frees the record unless the call is unfinished (a vanished
-// request waiting for its deadline) or still has its step event queued (a
-// call that timed out before delivery or reply).
+// recycle frees the record unless its step event is still queued (a call
+// that timed out before delivery or reply).
 func (r *call) recycle() {
-	if !r.finished || r.queued {
+	if r.queued {
 		return
 	}
 	n := r.c.net
@@ -208,30 +166,27 @@ func (r *call) stepFired() {
 		r.recycle()
 		return
 	}
-	h, deliver := n.lookup(r.c.addr)
-	if deliver {
-		// The handler runs even if the caller has already timed out: the
-		// request was sent, and its effects are the remote side's.
-		resp, err := h(r.method, r.req)
-		if err != nil {
-			r.err = &RemoteError{Method: r.method, Msg: err.Error()}
-		} else {
-			if r.resp == nil {
-				r.resp = make([]byte, 0, respBufSize)
-			}
-			r.resp = n.enc.AppendMarshal(r.resp[:0], resp)
-		}
-		r.replying = true
-		n.loop.Arm(&r.step, n.latency, r.onStep)
+	h := n.lookup(r.c.addr)
+	if h == nil {
+		// No endpoint fails fast, deadline or not.
+		r.queued = false
+		r.finish(nil, ErrUnreachable)
+		r.recycle()
 		return
 	}
-	// No endpoint fails fast. A partitioned or dropped request vanishes:
-	// only the caller's timeout (if any) will complete the call.
-	r.queued = false
-	if h == nil || !r.timed {
-		r.finish(nil, ErrUnreachable)
+	// The handler runs even if the caller has already timed out: the
+	// request was sent, and its effects are the remote side's.
+	resp, err := h(r.method, r.req)
+	if err != nil {
+		r.err = &RemoteError{Method: r.method, Msg: err.Error()}
+	} else {
+		if r.resp == nil {
+			r.resp = make([]byte, 0, respBufSize)
+		}
+		r.resp = n.enc.AppendMarshal(r.resp[:0], resp)
 	}
-	r.recycle()
+	r.replying = true
+	n.loop.Arm(&r.step, n.latency, r.onStep)
 }
 
 // Close implements Client.

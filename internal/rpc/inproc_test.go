@@ -95,8 +95,6 @@ func TestRecordReleasePaths(t *testing.T) {
 	loop := simclock.NewSimLoop()
 	n := NewNetwork(loop, time.Millisecond, 1)
 	n.Register("a1", echoHandler)
-	n.Register("cut", echoHandler)
-	n.SetPartitioned("cut", true)
 	is := func(want error) func(error) bool {
 		return func(err error) bool { return errors.Is(err, want) }
 	}
@@ -112,8 +110,6 @@ func TestRecordReleasePaths(t *testing.T) {
 		}},
 		{"no endpoint", "nobody", "echo", time.Second, is(ErrUnreachable)},
 		{"no endpoint, no deadline", "nobody", "echo", 0, is(ErrUnreachable)},
-		{"partitioned", "cut", "echo", 50 * time.Millisecond, is(ErrTimeout)},
-		{"partitioned, no deadline", "cut", "echo", 0, is(ErrUnreachable)},
 		{"deadline before reply", "a1", "echo", 1500 * time.Microsecond, is(ErrTimeout)},
 	}
 	for _, tc := range cases {

@@ -24,9 +24,8 @@ const DefaultRedialTimeout = 2 * time.Second
 // any other failed pull. Calls that arrive while a dial is in flight are
 // queued behind it rather than racing their own connections.
 type RedialClient struct {
-	addr        string
-	loop        simclock.Loop
-	dialTimeout time.Duration
+	addr string
+	loop simclock.Loop
 
 	mu      sync.Mutex
 	sink    *telemetry.Sink
@@ -47,14 +46,7 @@ type queuedCall struct {
 // TCP endpoint. It never fails at construction: an unreachable peer
 // surfaces as ErrUnreachable on calls until it comes up.
 func RedialTCP(addr string, loop simclock.Loop) *RedialClient {
-	return &RedialClient{addr: addr, loop: loop, dialTimeout: DefaultRedialTimeout}
-}
-
-// SetDialTimeout overrides the per-attempt connection deadline.
-func (r *RedialClient) SetDialTimeout(d time.Duration) {
-	if d > 0 {
-		r.dialTimeout = d
-	}
+	return &RedialClient{addr: addr, loop: loop}
 }
 
 // SetTelemetry instruments the current and every future connection.
@@ -92,7 +84,7 @@ func (r *RedialClient) Call(method string, req wire.Message, timeout time.Durati
 // goroutine), then drains every call queued behind it onto the new
 // connection — or fails them all with one verdict.
 func (r *RedialClient) dial() {
-	conn, err := net.DialTimeout("tcp", r.addr, r.dialTimeout)
+	conn, err := net.DialTimeout("tcp", r.addr, DefaultRedialTimeout)
 
 	r.mu.Lock()
 	r.dialing = false

@@ -3,8 +3,9 @@
 // abstraction with two transports:
 //
 //   - InProc: a deterministic in-memory transport routed through a
-//     simclock.Loop, with configurable latency, partitions, and drop
-//     rates. All simulation experiments use it, so runs are reproducible.
+//     simclock.Loop, with configurable latency. All simulation experiments
+//     use it, so runs are reproducible. Drops, delays and partitions are
+//     injected around it by internal/faults.
 //   - TCP: a framed binary protocol over real sockets, used by the
 //     dynamo-agentd / dynamo-controllerd daemons and integration tests.
 //
@@ -24,8 +25,8 @@ import (
 // ErrTimeout is delivered when a call's deadline elapses.
 var ErrTimeout = errors.New("rpc: call timed out")
 
-// ErrUnreachable is delivered when the destination does not exist or is
-// partitioned away.
+// ErrUnreachable is delivered when nothing answers at the destination (no
+// in-proc endpoint, a refused or failed TCP connection).
 var ErrUnreachable = errors.New("rpc: destination unreachable")
 
 // ErrClosed is delivered for calls on a closed client.

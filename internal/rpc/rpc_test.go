@@ -86,64 +86,6 @@ func TestInProcUnreachable(t *testing.T) {
 	}
 }
 
-func TestInProcPartitionTimesOut(t *testing.T) {
-	loop := simclock.NewSimLoop()
-	n := NewNetwork(loop, time.Millisecond, 1)
-	n.Register("a1", echoHandler)
-	n.SetPartitioned("a1", true)
-	cl := n.Dial("a1")
-	var gotErr error
-	var at time.Duration
-	cl.Call("echo", &echoMsg{S: "x"}, 100*time.Millisecond, func(_ []byte, err error) {
-		gotErr = err
-		at = loop.Now()
-	})
-	loop.Drain()
-	if !errors.Is(gotErr, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", gotErr)
-	}
-	if at != 100*time.Millisecond {
-		t.Errorf("timed out at %v", at)
-	}
-	// Healing the partition restores service.
-	n.SetPartitioned("a1", false)
-	var ok bool
-	cl.Call("echo", &echoMsg{S: "x"}, 100*time.Millisecond, func(_ []byte, err error) { ok = err == nil })
-	loop.Drain()
-	if !ok {
-		t.Error("healed partition should serve calls")
-	}
-}
-
-func TestInProcDropRate(t *testing.T) {
-	loop := simclock.NewSimLoop()
-	n := NewNetwork(loop, 0, 42)
-	n.Register("a1", echoHandler)
-	n.SetDropRate("a1", 0.5)
-	cl := n.Dial("a1")
-	okCount, timeoutCount := 0, 0
-	for i := 0; i < 200; i++ {
-		cl.Call("echo", &echoMsg{S: "x"}, 10*time.Millisecond, func(_ []byte, err error) {
-			if err == nil {
-				okCount++
-			} else if errors.Is(err, ErrTimeout) {
-				timeoutCount++
-			}
-		})
-	}
-	loop.Drain()
-	if okCount == 0 || timeoutCount == 0 {
-		t.Fatalf("ok=%d timeout=%d, want a mix at 50%% drop", okCount, timeoutCount)
-	}
-	n.SetDropRate("a1", 0)
-	failed := false
-	cl.Call("echo", &echoMsg{S: "x"}, 10*time.Millisecond, func(_ []byte, err error) { failed = err != nil })
-	loop.Drain()
-	if failed {
-		t.Error("drop rate 0 should always deliver")
-	}
-}
-
 func TestInProcExactlyOnceCompletion(t *testing.T) {
 	loop := simclock.NewSimLoop()
 	n := NewNetwork(loop, 50*time.Millisecond, 1)

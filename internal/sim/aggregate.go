@@ -223,7 +223,7 @@ func (s *Sim) recomputeDev(i int, now time.Duration) power.Watts {
 		sum += p
 	}
 	if d.constSw > 0 {
-		sum += power.Watts(d.constSw) * s.Cfg.SwitchDraw
+		sum += power.Watts(d.constSw) * switchDraw
 	}
 	for _, c := range d.children {
 		sum += s.snap.dev[c]
@@ -434,7 +434,7 @@ func (s *Sim) devicePowerWalk(devID topology.NodeID) power.Watts {
 			if sv, ok := s.Servers[string(n.ID)]; ok {
 				sum += sv.Power() // cappable switch: measured draw
 			} else {
-				sum += s.Cfg.SwitchDraw
+				sum += switchDraw
 			}
 		case topology.KindRack:
 			sum += s.rechargePeek(n.ID, now)

@@ -36,13 +36,12 @@ func TestChaosPartitionDuringCapping(t *testing.T) {
 	spec := tinySpec()
 	spec.RPPRating = power.KW(2.4) // tight: overload forces a capping episode
 	s, err := New(Config{
-		Spec:                 spec,
-		Seed:                 7,
-		EnableDynamo:         true,
-		ControlRetry:         chaosRetry(),
-		QuarantineThreshold:  2,
-		QuarantineProbeEvery: 2,
-		CapLeaseTTL:          leaseTTL,
+		Spec:                spec,
+		Seed:                7,
+		EnableDynamo:        true,
+		ControlRetry:        chaosRetry(),
+		QuarantineThreshold: 2,
+		CapLeaseTTL:         leaseTTL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,17 +145,16 @@ func runChaosDetScenario(t *testing.T, workers, ctrlWorkers int, tel *telemetry.
 	t.Helper()
 	spec := detSpec()
 	s, err := New(Config{
-		Spec:                 spec,
-		Seed:                 42,
-		EnableDynamo:         true,
-		TickWorkers:          workers,
-		ControlWorkers:       ctrlWorkers,
-		Telemetry:            tel,
-		Checkpoint:           true,
-		ControlRetry:         chaosRetry(),
-		QuarantineThreshold:  2,
-		QuarantineProbeEvery: 2,
-		CapLeaseTTL:          15 * time.Second,
+		Spec:                spec,
+		Seed:                42,
+		EnableDynamo:        true,
+		TickWorkers:         workers,
+		ControlWorkers:      ctrlWorkers,
+		Telemetry:           tel,
+		Checkpoint:          true,
+		ControlRetry:        chaosRetry(),
+		QuarantineThreshold: 2,
+		CapLeaseTTL:         15 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

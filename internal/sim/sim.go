@@ -34,20 +34,17 @@ import (
 type Config struct {
 	// Spec is the data center to build.
 	Spec topology.Spec
-	// Seed drives all randomness (workloads, sensor noise, network).
+	// Seed drives all randomness (workloads, sensor noise, hardware
+	// spread, fault and retry-jitter draws).
 	Seed int64
 	// TickInterval is the physics step (server load/RAPL/power update and
 	// breaker observation). Default 1 s; Fig 9 style experiments use less.
 	TickInterval time.Duration
-	// NetLatency is the one-way in-proc RPC latency. Default 2 ms.
-	NetLatency time.Duration
 	// EnableDynamo builds and starts the controller hierarchy; when false
 	// the fleet runs open-loop (the "without Dynamo" baseline).
 	EnableDynamo bool
 	// Hierarchy customizes the controller hierarchy when enabled.
 	Hierarchy core.HierarchyConfig
-	// SwitchDraw is the constant per-rack top-of-rack switch draw.
-	SwitchDraw power.Watts
 	// SensorlessGenerations lists hardware generations without power
 	// sensors; their agents use calibrated estimation models (§III-B).
 	SensorlessGenerations []string
@@ -59,17 +56,14 @@ type Config struct {
 	// GovMaxFreq administratively locks frequency per service (the
 	// legacy search cluster lock).
 	GovMaxFreq map[string]float64
-	// BreakersTripServers controls whether a tripped breaker takes its
-	// subtree offline (crashing servers). Default true.
+	// DisableTripOutage keeps the servers beneath a tripped breaker
+	// running. By default (false) a trip takes the breaker's subtree
+	// offline, crashing its servers.
 	DisableTripOutage bool
 	// ValidatorInterval is how often breaker "meter" readings refresh for
 	// leaf-controller cross-checks. Zero disables validators (the meter
 	// readings are minutes-coarse in production, paper §III-C1).
 	ValidatorInterval time.Duration
-	// HardwareSpread is the relative sigma of per-server power-model
-	// jitter (manufacturing/efficiency variation). Default 0.03; set
-	// negative to disable.
-	HardwareSpread float64
 	// CappableSwitches turns top-of-rack switches into controllable
 	// endpoints with their own agents (the paper's §III-E extension for
 	// network hardware that supports capping). When false (the deployed
@@ -80,10 +74,6 @@ type Config struct {
 	// ring. nil (the default) keeps the simulation telemetry-free and
 	// byte-identical to previous releases.
 	Telemetry *telemetry.Sink
-	// Scenario labels this run's simulator metrics (breaker-trip counter,
-	// capped-server gauge) so figure experiments sharing one sink stay
-	// distinguishable. Empty means "default". Ignored without Telemetry.
-	Scenario string
 	// TickWorkers bounds the worker pool that shards the per-server
 	// physics step. 0 uses GOMAXPROCS; 1 forces the serial path. Results
 	// are byte-identical at any setting — servers are independent once
@@ -118,20 +108,32 @@ type Config struct {
 	// count.
 	FaultRules []faults.Rule
 	// ControlRetry configures bounded RPC retries for every controller.
-	// Zero value disables (single attempt, the legacy behavior).
+	// The zero value means one attempt per call: retries are off in the
+	// in-process simulation unless a scenario turns them on (both daemons
+	// default them on).
 	ControlRetry core.RetryConfig
 	// QuarantineThreshold trips a leaf's per-agent circuit breaker after
 	// this many consecutive failed pulls. 0 disables.
 	QuarantineThreshold int
-	// QuarantineProbeEvery sets the half-open probe cadence (cycles)
-	// for quarantined agents. Defaults to 2 when quarantine is enabled.
-	QuarantineProbeEvery int
 	// CapLeaseTTL bounds how long a cap may outlive its controller:
 	// leaves attach this lease to every SetCap and renew it each cycle;
-	// agents release unrenewed caps and raise a warning alert. 0 keeps
-	// caps unleased (legacy).
+	// agents release unrenewed caps and raise a warning alert. 0 sends
+	// caps without a lease: off in the in-process simulation unless a
+	// scenario turns it on (both daemons default it on).
 	CapLeaseTTL time.Duration
 }
+
+const (
+	// netLatency is the one-way in-proc RPC latency.
+	netLatency = 2 * time.Millisecond
+	// switchDraw is the constant per-rack top-of-rack switch draw.
+	switchDraw power.Watts = 150
+	// hardwareSpread is the relative sigma of per-server power-model
+	// jitter (manufacturing/efficiency variation).
+	hardwareSpread = 0.03
+	// metricsScenario is the scenario label on the simulator's metrics.
+	metricsScenario = "default"
+)
 
 // recharge is one rack's decaying DCUPS recharge draw.
 type recharge struct {
@@ -245,15 +247,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = time.Second
 	}
-	if cfg.NetLatency < 0 {
-		return nil, fmt.Errorf("sim: negative net latency")
-	}
-	if cfg.NetLatency == 0 {
-		cfg.NetLatency = 2 * time.Millisecond
-	}
-	if cfg.SwitchDraw == 0 {
-		cfg.SwitchDraw = 150
-	}
 	topo, err := cfg.Spec.Build()
 	if err != nil {
 		return nil, err
@@ -262,7 +255,7 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		Cfg:             cfg,
 		Loop:            loop,
-		Net:             rpc.NewNetwork(loop, cfg.NetLatency, cfg.Seed^0x5eed),
+		Net:             rpc.NewNetwork(loop, netLatency, 0),
 		Topo:            topo,
 		Servers:         map[string]*server.Server{},
 		Agents:          map[string]*agent.Agent{},
@@ -276,14 +269,10 @@ func New(cfg Config) (*Sim, error) {
 	}
 	if cfg.Telemetry.Enabled() {
 		s.tel = cfg.Telemetry
-		scenario := cfg.Scenario
-		if scenario == "" {
-			scenario = "default"
-		}
-		s.tripCount = cfg.Telemetry.Counter("dynamo_sim_breaker_trips_total", "scenario", scenario)
-		s.cappedGauge = cfg.Telemetry.Gauge("dynamo_sim_capped_servers", "scenario", scenario)
-		s.dirtyGauge = cfg.Telemetry.Gauge("dynamo_sim_dirty_servers", "scenario", scenario)
-		s.reaggGauge = cfg.Telemetry.Gauge("dynamo_sim_reaggregated_devices", "scenario", scenario)
+		s.tripCount = cfg.Telemetry.Counter("dynamo_sim_breaker_trips_total", "scenario", metricsScenario)
+		s.cappedGauge = cfg.Telemetry.Gauge("dynamo_sim_capped_servers", "scenario", metricsScenario)
+		s.dirtyGauge = cfg.Telemetry.Gauge("dynamo_sim_dirty_servers", "scenario", metricsScenario)
+		s.reaggGauge = cfg.Telemetry.Gauge("dynamo_sim_reaggregated_devices", "scenario", metricsScenario)
 	}
 
 	sensorless := map[string]bool{}
@@ -295,13 +284,6 @@ func New(cfg Config) (*Sim, error) {
 	seed := cfg.Seed
 	next := func() int64 { seed++; return seed }
 
-	spread := cfg.HardwareSpread
-	if spread == 0 {
-		spread = 0.03
-	}
-	if spread < 0 {
-		spread = 0
-	}
 	hwRng := rand.New(rand.NewSource(cfg.Seed ^ 0x4a11))
 
 	for _, srvNode := range topo.Servers() {
@@ -323,14 +305,12 @@ func New(cfg Config) (*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spread > 0 {
-			// No two machines draw identically: jitter idle and peak a
-			// few percent per server (deterministic per seed).
-			model.Idle *= power.Watts(1 + spread*hwRng.NormFloat64()*0.6)
-			model.Peak *= power.Watts(1 + spread*hwRng.NormFloat64())
-			if model.Peak < model.Idle+50 {
-				model.Peak = model.Idle + 50
-			}
+		// No two machines draw identically: jitter idle and peak a few
+		// percent per server (deterministic per seed).
+		model.Idle *= power.Watts(1 + hardwareSpread*hwRng.NormFloat64()*0.6)
+		model.Peak *= power.Watts(1 + hardwareSpread*hwRng.NormFloat64())
+		if model.Peak < model.Idle+50 {
+			model.Peak = model.Idle + 50
 		}
 		scale := 1.0
 		if v, ok := cfg.LoadScale[svc]; ok {
@@ -427,7 +407,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.EnableDynamo {
 		hcfg := cfg.Hierarchy
 		if hcfg.NonServerDrawPerRack == 0 {
-			hcfg.NonServerDrawPerRack = cfg.SwitchDraw
+			hcfg.NonServerDrawPerRack = switchDraw
 		}
 		if hcfg.Telemetry == nil {
 			hcfg.Telemetry = cfg.Telemetry
@@ -472,7 +452,6 @@ func New(cfg Config) (*Sim, error) {
 			hcfg.Retry.Seed = cfg.Seed ^ 0x6e77
 		}
 		hcfg.QuarantineThreshold = cfg.QuarantineThreshold
-		hcfg.QuarantineProbeEvery = cfg.QuarantineProbeEvery
 		hcfg.CapLeaseTTL = cfg.CapLeaseTTL
 		h, err := core.BuildHierarchy(s.Loop, s.Net, topo, hcfg)
 		if err != nil {
@@ -704,7 +683,7 @@ func (s *Sim) TotalPower() power.Watts {
 		for _, sv := range s.tickList {
 			sum += sv.Power()
 		}
-		sum += power.Watts(s.constSwitches) * s.Cfg.SwitchDraw
+		sum += power.Watts(s.constSwitches) * switchDraw
 		s.snap.total = sum
 		s.snap.totalAt = now
 		s.snap.totalValid = true
@@ -773,16 +752,6 @@ func (s *Sim) SetTurboForService(service string, on bool) {
 	for _, id := range s.serverOrder {
 		if s.Servers[id].Service() == service {
 			s.Servers[id].SetTurbo(on)
-		}
-	}
-}
-
-// SetGovMaxForService sets/clears the administrative frequency lock for a
-// service (0 clears).
-func (s *Sim) SetGovMaxForService(service string, f float64) {
-	for _, id := range s.serverOrder {
-		if s.Servers[id].Service() == service {
-			s.Servers[id].SetGovMaxFreq(f)
 		}
 	}
 }

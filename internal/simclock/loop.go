@@ -115,9 +115,6 @@ func (t *Ticker) Stop() {
 // Active reports whether the ticker is running.
 func (t *Ticker) Active() bool { return t.active }
 
-// Period returns the tick period.
-func (t *Ticker) Period() time.Duration { return t.period }
-
 // SetPeriod changes the period for subsequent ticks.
 func (t *Ticker) SetPeriod(p time.Duration) {
 	if p <= 0 {

@@ -26,17 +26,6 @@ type ShipperConfig struct {
 	BatchMax int
 	// Telemetry instruments the shipper (nil disables).
 	Telemetry *telemetry.Sink
-	// Retries adds bounded in-tick retries to each replicate call
-	// (deterministically jittered backoff, budgeted to finish inside the
-	// shipping interval). 0 keeps the legacy single attempt per tick —
-	// cumulative acks already heal losses on the next tick, so retries
-	// only tighten replication lag under flaky links.
-	Retries int
-	// RetryBackoff is the base backoff between replicate retries.
-	// Default 50ms (rpc.RetryPolicy's default).
-	RetryBackoff time.Duration
-	// RetrySeed seeds the deterministic retry jitter.
-	RetrySeed int64
 }
 
 func (c *ShipperConfig) fillDefaults() {
@@ -72,7 +61,6 @@ type peerState struct {
 // cumulative-ack log shipping. It is loop-confined with the store.
 type Shipper struct {
 	cfg    ShipperConfig
-	loop   simclock.Loop
 	store  *Store
 	peers  []*peerState
 	ticker *simclock.Ticker
@@ -81,7 +69,7 @@ type Shipper struct {
 // NewShipper creates a shipper from store to peers.
 func NewShipper(loop simclock.Loop, store *Store, peers []Peer, cfg ShipperConfig) *Shipper {
 	cfg.fillDefaults()
-	sh := &Shipper{cfg: cfg, loop: loop, store: store}
+	sh := &Shipper{cfg: cfg, store: store}
 	for _, p := range peers {
 		// Registered peers gate the store's compaction: history before a
 		// snapshot is retained until this peer's cumulative ack passes it.
@@ -160,7 +148,8 @@ func (sh *Shipper) tick() {
 
 // ship sends one batch to peer: for every device, all retained entries the
 // peer has not acked, up to BatchMax. At most one batch per peer is in
-// flight; failures are retried from the last ack on the next tick.
+// flight, one attempt per tick: the acks are cumulative, so a lost batch
+// is resent from the last ack on the next tick.
 func (sh *Shipper) ship(p *peerState) {
 	if p.lag != nil {
 		p.lag.Set(float64(sh.peerLag(p)))
@@ -191,7 +180,7 @@ func (sh *Shipper) ship(p *peerState) {
 	p.inflight = true
 	req := &ReplicateRequest{Source: sh.store.Name(), Entries: batch}
 	sent := len(batch)
-	sh.call(p, req, func(resp []byte, err error) {
+	p.client.Call(MethodReplicate, req, sh.cfg.Timeout, func(resp []byte, err error) {
 		p.inflight = false
 		var ack ReplicateResponse
 		if derr := rpc.Decode(resp, err, &ack); derr != nil {
@@ -217,22 +206,4 @@ func (sh *Shipper) ship(p *peerState) {
 			p.lag.Set(float64(sh.peerLag(p)))
 		}
 	})
-}
-
-// call issues one replicate RPC, with bounded in-tick retries when
-// configured. The retry budget stays inside the shipping interval so at
-// most one batch per peer is ever in flight.
-func (sh *Shipper) call(p *peerState, req *ReplicateRequest, done func([]byte, error)) {
-	if sh.cfg.Retries <= 0 {
-		p.client.Call(MethodReplicate, req, sh.cfg.Timeout, done)
-		return
-	}
-	pol := rpc.RetryPolicy{
-		MaxRetries: sh.cfg.Retries,
-		Backoff:    sh.cfg.RetryBackoff,
-		JitterFrac: 0.2,
-		Seed:       sh.cfg.RetrySeed,
-		Budget:     sh.cfg.Interval * 9 / 10,
-	}
-	rpc.CallRetry(sh.loop, p.client, MethodReplicate, p.name, req, sh.cfg.Timeout, pol, done)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamo/internal/faults"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/telemetry"
@@ -252,7 +253,7 @@ func TestReplicateFencesZombieSource(t *testing.T) {
 }
 
 // TestShipperOverLossyNetwork runs the real shipper between two stores on
-// a deterministic in-proc network with a 40% drop rate. Dropped calls time
+// a deterministic in-proc network behind a 40% drop rule. Dropped calls time
 // out (losing both entries and acks, which also exercises duplicate
 // resends); the cumulative-ack protocol must still converge the replica to
 // the writer's exact stream.
@@ -263,9 +264,10 @@ func TestShipperOverLossyNetwork(t *testing.T) {
 	src := NewStore(loop, "src", nil)
 	dst := NewStore(loop, "dst", nil)
 	net.Register("store/dst", dst.Handler())
-	net.SetDropRate("store/dst", 0.4)
+	lossy := faults.New(loop, 7, nil)
+	lossy.Add(faults.Rule{Peer: "store/dst", DropP: 0.4})
 
-	sh := NewShipper(loop, src, []Peer{{Name: "dst", Client: net.Dial("store/dst")}},
+	sh := NewShipper(loop, src, []Peer{{Name: "dst", Client: lossy.WrapClient("store/dst", net.Dial("store/dst"))}},
 		ShipperConfig{Interval: 500 * time.Millisecond, Timeout: 200 * time.Millisecond})
 	sh.Start()
 

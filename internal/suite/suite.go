@@ -115,9 +115,6 @@ type Options struct {
 	// QuarantineThreshold trips a leaf's per-agent circuit breaker after
 	// this many consecutive failed pulls. 0 disables.
 	QuarantineThreshold int
-	// QuarantineProbeEvery sets the half-open probe cadence (cycles)
-	// for quarantined agents. Defaults to 2 when quarantine is enabled.
-	QuarantineProbeEvery int
 	// CapLeaseTTL, when nonzero, attaches a lease to every cap a leaf
 	// sends; agents release caps whose lease goes unrenewed.
 	CapLeaseTTL time.Duration
@@ -209,10 +206,9 @@ func BuildWith(loop simclock.Loop, cfg *config.Suite, dial Dialer, alerts core.A
 			Telemetry:    tel,
 			Scheduler:    a.Sched,
 
-			Retry:                opts.Retry,
-			QuarantineThreshold:  opts.QuarantineThreshold,
-			QuarantineProbeEvery: opts.QuarantineProbeEvery,
-			CapLeaseTTL:          opts.CapLeaseTTL,
+			Retry:               opts.Retry,
+			QuarantineThreshold: opts.QuarantineThreshold,
+			CapLeaseTTL:         opts.CapLeaseTTL,
 		}
 		if c.Bands != nil {
 			lc.Bands = bandConfig(c.Bands)

@@ -84,11 +84,6 @@ func (l *Logger) Log(level Level, msg string, kv ...interface{}) {
 	io.WriteString(l.w, b.String())
 }
 
-// Infof logs a formatted info line.
-func (l *Logger) Infof(format string, args ...interface{}) {
-	l.Log(LevelInfo, fmt.Sprintf(format, args...))
-}
-
 // Warnf logs a formatted warning line.
 func (l *Logger) Warnf(format string, args ...interface{}) {
 	l.Log(LevelWarning, fmt.Sprintf(format, args...))

@@ -294,15 +294,6 @@ func (t *Topology) buildAggIndex(n *Node) {
 	}
 }
 
-// MustNew is New for known-good trees (builders, tests).
-func MustNew(root *Node) *Topology {
-	t, err := New(root)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Lookup returns the node with the given ID, or nil.
 func (t *Topology) Lookup(id NodeID) *Node { return t.byID[id] }
 
