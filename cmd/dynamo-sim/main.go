@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dynamo-sim [-servers 960] [-hours 24] [-seed 1] [-dynamo=true]
-//	           [-oversubscribe 1.0] [-surge-at -1] [-full] [-agg-epsilon 0]
+//	           [-oversubscribe 1.0] [-surge-at -1] [-full]
 //	           [-tick-workers 0] [-control-workers 0]
 //
 // -oversubscribe shrinks every breaker rating by the given factor,
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"dynamo/internal/config"
+	"dynamo/internal/core"
 	"dynamo/internal/monitor"
 	"dynamo/internal/power"
 	"dynamo/internal/sim"
@@ -34,8 +35,6 @@ func main() {
 	oversub := flag.Float64("oversubscribe", 1.0, "divide breaker ratings by this factor")
 	surgeAt := flag.Float64("surge-at", -1, "inject a row surge at this hour (-1: none)")
 	full := flag.Bool("full", false, "build the full 30 MW paper topology (overrides -servers)")
-	aggEps := flag.Float64("agg-epsilon", 0,
-		"incremental aggregation epsilon in watts: servers whose draw moved less than this since the last committed snapshot are skipped by re-aggregation (0 = exact, bit-identical to a full rebuild)")
 	tickWorkers := flag.Int("tick-workers", 0, "worker pool size for the per-server physics step (0: one per CPU); results are byte-identical at any setting")
 	ctrlWorkers := flag.Int("control-workers", 0, "worker pool size for controller observe+decide phases (0: one per CPU); results are byte-identical at any setting")
 	flag.Parse()
@@ -44,7 +43,6 @@ func main() {
 	fc.PositiveInt("servers", *servers)
 	fc.PositiveFloat("hours", *hours)
 	fc.PositiveFloat("oversubscribe", *oversub)
-	fc.NonNegativeFloat("agg-epsilon", *aggEps)
 	fc.NonNegativeInt("tick-workers", *tickWorkers)
 	fc.NonNegativeInt("control-workers", *ctrlWorkers)
 	if err := fc.Err(); err != nil {
@@ -66,10 +64,9 @@ func main() {
 
 	s, err := sim.New(sim.Config{
 		Spec: spec, Seed: *seed, EnableDynamo: *dynamo,
-		ValidatorInterval:  time.Minute,
-		AggregationEpsilon: power.Watts(*aggEps),
-		TickWorkers:        *tickWorkers,
-		ControlWorkers:     *ctrlWorkers,
+		ValidatorInterval: time.Minute,
+		TickWorkers:       *tickWorkers,
+		Hierarchy:         core.HierarchyConfig{ControlWorkers: *ctrlWorkers},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -99,12 +96,9 @@ func main() {
 	for t := time.Duration(0); t < dur; t += step {
 		s.Run(step)
 		mon.Observe(s.Loop.Now(), s.Observations())
-		mon.ObserveQuiescence(s.QuiescenceSample())
-		q := mon.LastQuiescence()
-		fmt.Printf("t=%-8v total=%-12v capped=%-5d trips=%d alerts=%d dirty=%d/%d reagg=%d/%d\n",
+		fmt.Printf("t=%-8v total=%-12v capped=%-5d trips=%d alerts=%d\n",
 			s.Loop.Now().Round(time.Second), s.TotalPower(),
-			s.CappedServerCount(), len(s.Trips), len(s.Alerts),
-			q.DirtyServers, q.Servers, q.ReaggregatedDevices, q.Devices)
+			s.CappedServerCount(), len(s.Trips), len(s.Alerts))
 	}
 
 	fmt.Printf("\nsummary after %v:\n", dur)

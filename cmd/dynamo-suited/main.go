@@ -45,8 +45,6 @@ func main() {
 	rpcRetryBackoff := flag.Duration("rpc-retry-backoff", 100*time.Millisecond, "base backoff between RPC retries (doubles per attempt, jittered)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "consecutive failed pulls before a leaf quarantines an agent (0: disabled)")
 	capLeaseTTL := flag.Duration("cap-lease-ttl", 12*time.Second, "cap lease attached to SetCap and renewed each cycle (must be > 0)")
-	aggEps := flag.Float64("agg-epsilon", 0,
-		"quiescence epsilon in watts for status logging: a controller's status line is suppressed while its aggregate moved less than this since the last logged line (0: log every interval)")
 	flag.Parse()
 
 	var fc config.FlagCheck
@@ -56,7 +54,6 @@ func main() {
 	fc.NonNegativeDuration("rpc-retry-backoff", *rpcRetryBackoff)
 	fc.NonNegativeInt("quarantine-after", *quarantineAfter)
 	fc.PositiveDuration("cap-lease-ttl", *capLeaseTTL)
-	fc.NonNegativeFloat("agg-epsilon", *aggEps)
 	if err := fc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -172,36 +169,14 @@ func main() {
 		logger.Log(telemetry.LevelInfo, "metrics exposition up", "addr", hs.Addr())
 	}
 
-	// Status logging follows the same "cost tracks change" idea as the
-	// simulator's incremental aggregation: with -agg-epsilon set, a
-	// controller whose aggregate barely moved since its last logged line
-	// stays quiet, so a quiescent suite produces a quiescent log.
-	lastLogged := map[string]float64{}
-	quiescent := func(dev string, agg float64) bool {
-		if *aggEps <= 0 {
-			return false
-		}
-		prev, seen := lastLogged[dev]
-		if seen && agg >= prev-*aggEps && agg <= prev+*aggEps {
-			return true
-		}
-		lastLogged[dev] = agg
-		return false
-	}
 	status := simclock.NewTicker(loop, 15*time.Second, func() {
 		for dev, leaf := range asm.Leaves {
 			agg, valid := leaf.LastAggregate()
-			if quiescent(dev, float64(agg)) {
-				continue
-			}
 			logger.Log(telemetry.LevelInfo, "status", "device", dev,
 				"agg", agg, "valid", valid, "capped", leaf.CappedCount())
 		}
 		for dev, up := range asm.Uppers {
 			agg, valid := up.LastAggregate()
-			if quiescent(dev, float64(agg)) {
-				continue
-			}
 			logger.Log(telemetry.LevelInfo, "status", "device", dev,
 				"agg", agg, "valid", valid, "contracted", up.ContractedChildren())
 		}

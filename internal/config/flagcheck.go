@@ -12,13 +12,13 @@ import (
 // invocation reports every problem at once rather than the first one
 // per run. Daemons call the typed checks after flag.Parse and then
 // fail fast on Err, keeping nonsense (negative retry budgets, zero
-// lease TTLs, NaN epsilons) out of the controller hierarchy and the
+// lease TTLs, NaN quotas) out of the controller hierarchy and the
 // sim.
 //
 // Zero value is ready to use:
 //
 //	var fc config.FlagCheck
-//	fc.NonNegativeFloat("agg-epsilon", *aggEps)
+//	fc.NonNegativeFloat("quota", *quota)
 //	fc.PositiveDuration("cap-lease-ttl", *capLeaseTTL)
 //	if err := fc.Err(); err != nil { ... os.Exit(2) }
 type FlagCheck struct {

@@ -12,7 +12,7 @@ func TestFlagCheckPasses(t *testing.T) {
 	fc.PositiveInt("servers", 960)
 	fc.NonNegativeInt("rpc-retries", 0)
 	fc.PositiveFloat("hours", 0.5)
-	fc.NonNegativeFloat("agg-epsilon", 0)
+	fc.NonNegativeFloat("quota", 0)
 	fc.FloatInRange("failover-jitter", 0.1, 0, 0.5)
 	fc.PositiveDuration("cap-lease-ttl", 12*time.Second)
 	fc.NonNegativeDuration("poll", 0)
@@ -26,7 +26,7 @@ func TestFlagCheckCollectsEveryFailure(t *testing.T) {
 	fc.PositiveInt("servers", 0)
 	fc.NonNegativeInt("rpc-retries", -1)
 	fc.PositiveFloat("hours", -2)
-	fc.NonNegativeFloat("agg-epsilon", math.NaN())
+	fc.NonNegativeFloat("quota", math.NaN())
 	fc.FloatInRange("failover-jitter", 0.75, 0, 0.5)
 	fc.PositiveDuration("cap-lease-ttl", 0)
 	fc.NonNegativeDuration("poll", -time.Second)
@@ -35,7 +35,7 @@ func TestFlagCheckCollectsEveryFailure(t *testing.T) {
 		t.Fatal("invalid flags accepted")
 	}
 	for _, name := range []string{
-		"-servers", "-rpc-retries", "-hours", "-agg-epsilon",
+		"-servers", "-rpc-retries", "-hours", "-quota",
 		"-failover-jitter", "-cap-lease-ttl", "-poll",
 	} {
 		if !strings.Contains(err.Error(), name) {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dynamo/internal/agent"
-	"dynamo/internal/metrics"
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
@@ -159,8 +158,7 @@ type Leaf struct {
 	dec wire.Decoder
 	msg agent.ReadPowerResponse
 
-	lastService   map[string]power.Watts
-	cappedHistory *metrics.Series
+	lastService map[string]power.Watts
 
 	// What this cycle's observe+decide phase planned beyond the kernel's
 	// cyclePlan: the caps to send and the circuit-breaker outcomes.
@@ -174,11 +172,10 @@ type Leaf struct {
 func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 	cfg.fillDefaults()
 	l := &Leaf{
-		cfg:           cfg,
-		agents:        make(map[string]*agentState, len(agents)),
-		list:          make([]*agentState, 0, len(agents)),
-		cappedHistory: metrics.NewSeries(1024),
-		lastService:   map[string]power.Watts{},
+		cfg:         cfg,
+		agents:      make(map[string]*agentState, len(agents)),
+		list:        make([]*agentState, 0, len(agents)),
+		lastService: map[string]power.Watts{},
 	}
 	pulls := make([]*pull, 0, len(agents))
 	for _, a := range agents {
@@ -213,9 +210,6 @@ func (l *Leaf) QuarantinedCount() int {
 	}
 	return n
 }
-
-// CappedHistory returns the capped-server-count time series.
-func (l *Leaf) CappedHistory() *metrics.Series { return l.cappedHistory }
 
 // CappedCount returns how many servers currently hold a cap we sent.
 func (l *Leaf) CappedCount() int { return l.cappedCount() }
@@ -482,8 +476,8 @@ func (l *Leaf) planCap(p *cyclePlan) {
 	p.sendCaps = true
 }
 
-// act records the cycle's circuit-breaker and capped-count outcome and, on
-// a live controller, sends caps or uncaps and renews cap leases. Leases are
+// act records the cycle's circuit-breaker outcome and, on a live
+// controller, sends caps or uncaps and renews cap leases. Leases are
 // renewed in invalid cycles too: an aggregation the controller cannot
 // trust is no reason to let still-valid caps lapse.
 //
@@ -491,9 +485,6 @@ func (l *Leaf) planCap(p *cyclePlan) {
 func (l *Leaf) act(now time.Duration, p *cyclePlan, live bool) {
 	if l.tel != nil && (l.quarantinedNew > 0 || l.readmitted > 0 || l.quarantinedNow > 0) {
 		l.tel.quarantine(l.quarantinedNew, l.readmitted, l.quarantinedNow)
-	}
-	if p.rec.Valid {
-		l.cappedHistory.Add(now, float64(p.capCount))
 	}
 	if !live {
 		return

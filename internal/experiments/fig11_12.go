@@ -76,10 +76,11 @@ func Figure11(o Options) Figure11Result {
 	s.At(11*time.Hour+45*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, -0.05) })
 	leaf := s.Hierarchy.Leaf(rpp.ID)
 
-	res := Figure11Result{Limit: rating}
+	res := Figure11Result{Limit: rating, CappedSeries: metrics.NewSeries(8192)}
 	lastCapped := 0
 	probe := func() {
 		n := leaf.CappedCount()
+		res.CappedSeries.Add(s.Loop.Now(), float64(n))
 		if n > 0 && lastCapped == 0 && res.FirstCap == 0 {
 			res.FirstCap = s.Loop.Now()
 		}
@@ -99,7 +100,6 @@ func Figure11(o Options) Figure11Result {
 	s.Run(4*time.Hour + 30*time.Minute)
 
 	res.RowSeries = s.Series(rpp.ID)
-	res.CappedSeries = leaf.CappedHistory()
 	res.Tripped = s.Breakers[rpp.ID].Tripped()
 
 	o.printf("%d web servers on a %v PDU breaker\n", spec.NumServers(), rating)

@@ -96,33 +96,6 @@ type classGauges struct {
 	stranded *telemetry.Gauge
 }
 
-// Quiescence describes how much of the fleet actually changed on one
-// simulator tick — the signal that incremental aggregation exploits. The
-// simulator's AggregationStats converts to this shape; operators watch
-// the gauges to confirm observation cost tracks change, not fleet size.
-type Quiescence struct {
-	// DirtyServers is how many servers moved beyond the aggregation
-	// epsilon on the last pass; Servers is the fleet size.
-	DirtyServers int
-	Servers      int
-	// ReaggregatedDevices is how many devices were recomputed on the last
-	// pass; Devices is the device count.
-	ReaggregatedDevices int
-	Devices             int
-	// WorkloadActivity is the largest service-wide workload movement hint
-	// observed on the tick (workload.Shared.TickHint).
-	WorkloadActivity float64
-}
-
-// quiesGauges are the quiescence gauges published by ObserveQuiescence.
-type quiesGauges struct {
-	dirtyServers *telemetry.Gauge
-	dirtyFrac    *telemetry.Gauge
-	reaggDevices *telemetry.Gauge
-	reaggFrac    *telemetry.Gauge
-	workloadHint *telemetry.Gauge
-}
-
 // Monitor aggregates fleet power observations.
 type Monitor struct {
 	cfg     Config
@@ -132,8 +105,6 @@ type Monitor struct {
 
 	gauges      map[power.DeviceClass]classGauges
 	alarmsTotal *telemetry.Counter
-	quies       *quiesGauges
-	lastQuies   Quiescence
 }
 
 // New creates a Monitor.
@@ -150,38 +121,9 @@ func New(cfg Config) *Monitor {
 			}
 		}
 		m.alarmsTotal = tel.Counter("dynamo_monitor_alarms_total")
-		m.quies = &quiesGauges{
-			dirtyServers: tel.Gauge("dynamo_monitor_dirty_servers"),
-			dirtyFrac:    tel.Gauge("dynamo_monitor_dirty_server_fraction"),
-			reaggDevices: tel.Gauge("dynamo_monitor_reaggregated_devices"),
-			reaggFrac:    tel.Gauge("dynamo_monitor_reaggregated_device_fraction"),
-			workloadHint: tel.Gauge("dynamo_monitor_workload_activity"),
-		}
 	}
 	return m
 }
-
-// ObserveQuiescence ingests one tick's aggregation work counters and
-// publishes the quiescence gauges: absolute and fractional dirty-server
-// and re-aggregated-device counts plus the workload activity hint.
-func (m *Monitor) ObserveQuiescence(q Quiescence) {
-	m.lastQuies = q
-	if m.quies == nil {
-		return
-	}
-	m.quies.dirtyServers.Set(float64(q.DirtyServers))
-	m.quies.reaggDevices.Set(float64(q.ReaggregatedDevices))
-	m.quies.workloadHint.Set(q.WorkloadActivity)
-	if q.Servers > 0 {
-		m.quies.dirtyFrac.Set(float64(q.DirtyServers) / float64(q.Servers))
-	}
-	if q.Devices > 0 {
-		m.quies.reaggFrac.Set(float64(q.ReaggregatedDevices) / float64(q.Devices))
-	}
-}
-
-// LastQuiescence returns the most recently observed quiescence sample.
-func (m *Monitor) LastQuiescence() Quiescence { return m.lastQuies }
 
 // Observe ingests a batch of samples taken at the same instant.
 func (m *Monitor) Observe(now time.Duration, obs []Observation) {

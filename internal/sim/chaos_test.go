@@ -149,7 +149,7 @@ func runChaosDetScenario(t *testing.T, workers, ctrlWorkers int, tel *telemetry.
 		Seed:                42,
 		EnableDynamo:        true,
 		TickWorkers:         workers,
-		ControlWorkers:      ctrlWorkers,
+		Hierarchy:           core.HierarchyConfig{ControlWorkers: ctrlWorkers},
 		Telemetry:           tel,
 		Checkpoint:          true,
 		ControlRetry:        chaosRetry(),

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamo/internal/core"
 	"dynamo/internal/power"
 	"dynamo/internal/statestore"
 	"dynamo/internal/telemetry"
@@ -50,25 +51,16 @@ func runDetScenario(t *testing.T, workers, ctrlWorkers int, tel *telemetry.Sink)
 // digest (nil when checkpointing is off).
 func runDetScenarioCkpt(t *testing.T, workers, ctrlWorkers int, tel *telemetry.Sink, ckpt bool) (fingerprint, map[string][]uint64) {
 	t.Helper()
-	return runDetScenarioOpts(t, workers, ctrlWorkers, tel, ckpt, 0, false)
-}
-
-// runDetScenarioOpts additionally exposes the aggregation epsilon and
-// the full-rebuild twin: with fullAgg every tick recomputes every device
-// (runAllDirty).
-func runDetScenarioOpts(t *testing.T, workers, ctrlWorkers int, tel *telemetry.Sink, ckpt bool, eps power.Watts, fullAgg bool) (fingerprint, map[string][]uint64) {
-	t.Helper()
 	spec := detSpec()
 	s, err := New(Config{
-		Spec:               spec,
-		Seed:               42,
-		EnableDynamo:       true,
-		ValidatorInterval:  30 * time.Second,
-		TickWorkers:        workers,
-		ControlWorkers:     ctrlWorkers,
-		Telemetry:          tel,
-		Checkpoint:         ckpt,
-		AggregationEpsilon: eps,
+		Spec:              spec,
+		Seed:              42,
+		EnableDynamo:      true,
+		ValidatorInterval: 30 * time.Second,
+		TickWorkers:       workers,
+		Hierarchy:         core.HierarchyConfig{ControlWorkers: ctrlWorkers},
+		Telemetry:         tel,
+		Checkpoint:        ckpt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +70,7 @@ func runDetScenarioOpts(t *testing.T, workers, ctrlWorkers int, tel *telemetry.S
 	s.At(2*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0.9) })
 	s.At(7*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0) })
 	s.At(8*time.Minute, func() { s.RestoreDevice(rpp.ID) })
-	if fullAgg {
-		runAllDirty(s, 12*time.Minute)
-	} else {
-		s.Run(12 * time.Minute)
-	}
+	s.Run(12 * time.Minute)
 
 	fp := fingerprint{
 		Trips:  s.Trips,
@@ -141,24 +129,6 @@ func TestSimDeterminismGolden(t *testing.T) {
 	// Telemetry must not perturb outcomes at any parallelism.
 	check("telemetry/ctrl-4", runDetScenario(t, 8, 4, telemetry.NewSink()))
 	check("telemetry/ctrl-16", runDetScenario(t, 4, 16, telemetry.NewSink()))
-
-	// The epsilon=0 incremental path (the default above) must be
-	// bit-identical to a run that rebuilds every device on every tick, at
-	// any worker count.
-	fullSerial, _ := runDetScenarioOpts(t, 1, 1, nil, false, 0, true)
-	check("full-rebuild/serial", fullSerial)
-	full84, _ := runDetScenarioOpts(t, 8, 4, nil, false, 0, true)
-	check("full-rebuild/tick-8/ctrl-4", full84)
-
-	// epsilon > 0 trades accuracy, not determinism: runs sharing an
-	// epsilon must stay byte-identical to each other across worker counts
-	// (they legitimately diverge from the epsilon=0 baseline).
-	epsBase, _ := runDetScenarioOpts(t, 1, 1, nil, false, 5, false)
-	eps84, _ := runDetScenarioOpts(t, 8, 4, nil, false, 5, false)
-	eps316, _ := runDetScenarioOpts(t, 3, 16, nil, false, 5, false)
-	if !reflect.DeepEqual(epsBase, eps84) || !reflect.DeepEqual(epsBase, eps316) {
-		t.Error("epsilon=5 runs diverge across worker counts; epsilon must not break determinism")
-	}
 
 	// Checkpointing must not perturb outcomes either (the act-phase
 	// ordering rule), and the store's streams must themselves be
@@ -262,7 +232,7 @@ func TestOracleModeMatchesSnapshotMode(t *testing.T) {
 		s.Run(s.Cfg.TickInterval)
 		for i, devID := range s.deviceOrder {
 			// Draws may differ by float summation order only.
-			got, oracle := float64(s.breakerDraw[i]), float64(s.devicePowerWalk(devID))
+			got, oracle := float64(s.snap.dev[s.devSnapIdx[i]]), float64(s.devicePowerWalk(devID))
 			if diff := math.Abs(got - oracle); diff > 1e-6*oracle {
 				t.Fatalf("at %v: breaker %s observed %.9f, oracle %.9f", s.Loop.Now(), devID, got, oracle)
 			}

@@ -43,7 +43,8 @@ type Config struct {
 	// EnableDynamo builds and starts the controller hierarchy; when false
 	// the fleet runs open-loop (the "without Dynamo" baseline).
 	EnableDynamo bool
-	// Hierarchy customizes the controller hierarchy when enabled.
+	// Hierarchy customizes the controller hierarchy when enabled. A zero
+	// Hierarchy.ControlWorkers means GOMAXPROCS, as with TickWorkers.
 	Hierarchy core.HierarchyConfig
 	// SensorlessGenerations lists hardware generations without power
 	// sensors; their agents use calibrated estimation models (§III-B).
@@ -79,21 +80,6 @@ type Config struct {
 	// are byte-identical at any setting — servers are independent once
 	// the per-service shared workload state is pre-advanced each tick.
 	TickWorkers int
-	// AggregationEpsilon gates incremental re-aggregation: a server is
-	// marked dirty (its home device's ancestor chain re-aggregated) only
-	// when its draw moved more than this many watts since the value last
-	// committed into the snapshot. 0 (the default) re-aggregates on any
-	// bitwise change, keeping snapshots bit-identical to a full rebuild;
-	// a small positive value trades a bounded per-device error (at most
-	// epsilon × servers in the device's subtree) for touching fewer
-	// devices on quiescent ticks.
-	AggregationEpsilon power.Watts
-	// ControlWorkers bounds the worker pool for the controller cohort
-	// scheduler's observe+decide phases (all controllers due at the same
-	// virtual instant). 0 uses GOMAXPROCS; 1 batches cohorts but runs
-	// their phases on the loop goroutine. Results are byte-identical at
-	// any setting, exactly as with TickWorkers.
-	ControlWorkers int
 	// Checkpoint attaches a replicated-state-store writer to every
 	// controller, checkpointing each decision cycle into Sim.Store.
 	// Checkpoint writes ride the serial act phase, so enabling this keeps
@@ -187,31 +173,10 @@ type Sim struct {
 	tickList      []*server.Server
 	constSwitches int
 	workers       int
-	// Breaker step scratch (see observeBreakers): breakers in deviceOrder,
-	// each device's snapshot index, and per-tick was-tripped/fired/draw
-	// results filled by the sharded heat integration and consumed by the
-	// serial trip handler.
-	breakerList  []*power.Breaker
-	devSnapIdx   []int
-	breakerWas   []bool
-	breakerFired []bool
-	breakerDraw  []power.Watts
-	// Incremental aggregation state (see aggregate.go): per-tickList-index
-	// last committed draw and home-device snapshot index (-1 when no
-	// device encloses the server), per-shard dirty-server lists filled by
-	// the sharded physics pass, and per-device dirty marks consumed by the
-	// serial incremental pass.
-	lastAgg    []power.Watts
-	homeDev    []int
-	shardDirty [][]int
-	devDirty   []bool
-	// Quiescence counters of the last committed pass (AggregationStats).
-	statDirtyServers     int
-	statReaggDevices     int
-	statIncPasses        uint64
-	statFullRebuilds     uint64
-	statSubtreeRefreshes uint64
-	statWorkloadHint     float64
+	// breakerList holds the breakers in deviceOrder and devSnapIdx each
+	// device's snapshot index, so the tick reads neither map.
+	breakerList []*power.Breaker
+	devSnapIdx  []int
 
 	recorded    map[topology.NodeID]*metrics.Series
 	recordEvery time.Duration
@@ -236,8 +201,6 @@ type Sim struct {
 	tel         *telemetry.Sink // nil when disabled
 	tripCount   *telemetry.Counter
 	cappedGauge *telemetry.Gauge
-	dirtyGauge  *telemetry.Gauge
-	reaggGauge  *telemetry.Gauge
 }
 
 // New builds a simulation. Servers are assigned per-service shared
@@ -271,8 +234,6 @@ func New(cfg Config) (*Sim, error) {
 		s.tel = cfg.Telemetry
 		s.tripCount = cfg.Telemetry.Counter("dynamo_sim_breaker_trips_total", "scenario", metricsScenario)
 		s.cappedGauge = cfg.Telemetry.Gauge("dynamo_sim_capped_servers", "scenario", metricsScenario)
-		s.dirtyGauge = cfg.Telemetry.Gauge("dynamo_sim_dirty_servers", "scenario", metricsScenario)
-		s.reaggGauge = cfg.Telemetry.Gauge("dynamo_sim_reaggregated_devices", "scenario", metricsScenario)
 	}
 
 	sensorless := map[string]bool{}
@@ -412,11 +373,8 @@ func New(cfg Config) (*Sim, error) {
 		if hcfg.Telemetry == nil {
 			hcfg.Telemetry = cfg.Telemetry
 		}
-		if hcfg.ControlWorkers == 0 {
-			hcfg.ControlWorkers = cfg.ControlWorkers
-			if hcfg.ControlWorkers <= 0 {
-				hcfg.ControlWorkers = runtime.GOMAXPROCS(0)
-			}
+		if hcfg.ControlWorkers <= 0 {
+			hcfg.ControlWorkers = runtime.GOMAXPROCS(0)
 		}
 		if cfg.CappableSwitches {
 			hcfg.IncludeSwitches = true
@@ -511,41 +469,34 @@ func (s *Sim) Mark(format string, args ...interface{}) {
 //     stage only reads it);
 //  2. every server steps its physics (load sample, RAPL slew, draw),
 //     sharded across the worker pool — servers are mutually independent;
-//  3. one bottom-up aggregation pass brings the per-tick snapshot to
-//     now, recomputing the devices whose inputs moved (fixed order, so
-//     results don't depend on the worker count);
-//  4. breaker heat integration runs sharded over the same worker pool
-//     (each breaker integrates its own thermal state from the snapshot),
-//     with trips handled serially in device order; validators, recorders,
-//     and telemetry read the snapshot — no per-device subtree walks and
-//     no O(N) loop-goroutine work anywhere on the hot path.
+//  3. one bottom-up aggregation pass brings the per-tick snapshot to now
+//     (fixed order, so results don't depend on the worker count);
+//  4. every breaker integrates its thermal state from the snapshot and
+//     trips are handled, in device order; validators, recorders, and
+//     telemetry read the snapshot — no per-device subtree walks anywhere
+//     on the hot path.
 func (s *Sim) tick() {
 	now := s.Loop.Now()
-	hint := 0.0
 	for _, svc := range s.sharedOrder {
-		sh := s.Shared[svc]
-		sh.Advance(now)
-		if h := sh.TickHint(); h > hint {
-			hint = h
-		}
+		s.Shared[svc].Advance(now)
 	}
-	s.statWorkloadHint = hint
 	s.tickServers(now)
-	s.aggregateIncremental(now)
-	s.observeBreakers(now)
-	for i, devID := range s.deviceOrder {
-		if !s.breakerFired[i] {
+	s.aggregate(now)
+	for i, br := range s.breakerList {
+		was := br.Tripped()
+		draw := s.snap.dev[s.devSnapIdx[i]]
+		if !br.Observe(draw, now) {
 			continue
 		}
-		draw := s.breakerDraw[i]
+		devID := s.deviceOrder[i]
 		s.Trips = append(s.Trips, TripEvent{
-			Device: devID, Class: s.breakerList[i].Class(), At: now, Draw: draw,
+			Device: devID, Class: br.Class(), At: now, Draw: draw,
 		})
 		if s.tel != nil {
 			s.tripCount.Inc()
 			s.Mark("breaker %s tripped at %v draw", devID, draw)
 		}
-		if !s.Cfg.DisableTripOutage && !s.breakerWas[i] {
+		if !s.Cfg.DisableTripOutage && !was {
 			s.outage(devID)
 		}
 	}
@@ -568,8 +519,6 @@ func (s *Sim) tick() {
 	}
 	if s.tel != nil {
 		s.cappedGauge.Set(float64(s.CappedServerCount()))
-		s.dirtyGauge.Set(float64(s.statDirtyServers))
-		s.reaggGauge.Set(float64(s.statReaggDevices))
 	}
 }
 
@@ -587,13 +536,12 @@ func (s *Sim) outage(devID topology.NodeID) {
 
 // DevicePower returns the instantaneous true power at a device: the sum
 // of all downstream servers plus top-of-rack switches. For devices this
-// is a snapshot lookup; when the snapshot is stale for the current loop
-// time only the queried device's subtree is re-aggregated (refreshDevice)
-// rather than rebuilding the fleet-wide snapshot. Non-device nodes fall
-// back to the subtree oracle.
+// is a snapshot lookup, after one aggregation pass if the snapshot is
+// stale for the current loop time (a read between ticks). Non-device
+// nodes fall back to the subtree oracle.
 func (s *Sim) DevicePower(devID topology.NodeID) power.Watts {
 	if i, ok := s.aggIdx[devID]; ok {
-		s.refreshDevice(i)
+		s.refresh()
 		return s.snap.dev[i]
 	}
 	return s.devicePowerWalk(devID)
@@ -690,11 +638,6 @@ func (s *Sim) TotalPower() power.Watts {
 	}
 	return s.snap.total
 }
-
-// SnapshotVersion returns the monotonically increasing version of the
-// power snapshot; it bumps once per committed aggregation pass, so
-// consumers caching snapshot-derived state can detect change cheaply.
-func (s *Sim) SnapshotVersion() uint64 { return s.snap.version }
 
 // Record starts sampling the given devices' true power every interval.
 func (s *Sim) Record(interval time.Duration, devices ...topology.NodeID) {
@@ -832,19 +775,6 @@ func (s *Sim) Observations() []monitor.Observation {
 		})
 	}
 	return out
-}
-
-// QuiescenceSample converts the last tick's aggregation work counters
-// into the monitor's quiescence shape, ready for ObserveQuiescence.
-func (s *Sim) QuiescenceSample() monitor.Quiescence {
-	st := s.AggregationStats()
-	return monitor.Quiescence{
-		DirtyServers:        st.DirtyServers,
-		Servers:             st.Servers,
-		ReaggregatedDevices: st.ReaggregatedDevices,
-		Devices:             st.Devices,
-		WorkloadActivity:    st.WorkloadActivity,
-	}
 }
 
 // TrippedDevices lists devices whose breakers have tripped.

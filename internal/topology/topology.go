@@ -105,21 +105,6 @@ type Node struct {
 	// devices' draws (plus any device-local draw such as DCUPS recharge).
 	directLeaves []*Node
 	childDevices []*Node
-
-	// Ancestor index, precomputed by New for incremental re-aggregation:
-	// parentDevice is the nearest breaker-protected proper ancestor (nil
-	// for top-level devices and the root), homeDevice is, for a
-	// server/switch leaf, the device whose directLeaves contains it (nil
-	// when no device encloses the leaf). devIndex is the node's position
-	// in DevicesPostOrder (-1 for non-devices); devSubtreeLo is the index
-	// of the first device in this device's subtree, so the device's whole
-	// device-subtree is the contiguous index range
-	// [devSubtreeLo, devIndex] — post-order contiguity makes the range
-	// check the subtree-membership bitset.
-	parentDevice *Node
-	homeDevice   *Node
-	devIndex     int
-	devSubtreeLo int
 }
 
 // IsDevice reports whether the node is a breaker-protected power device.
@@ -156,34 +141,6 @@ func (n *Node) DirectLeaves() []*Node { return n.directLeaves }
 // tree order. Precomputed at index time; callers must not mutate the
 // returned slice.
 func (n *Node) ChildDevices() []*Node { return n.childDevices }
-
-// ParentDevice returns the nearest breaker-protected proper ancestor of
-// n, or nil when no device encloses it (top-level devices, the root).
-// Precomputed at index time: dirty-subtree re-aggregation follows these
-// pointers to re-aggregate only the ancestor chain of a changed node.
-func (n *Node) ParentDevice() *Node { return n.parentDevice }
-
-// HomeDevice returns, for a server or switch leaf, the device whose
-// DirectLeaves contains it — the device whose aggregate the leaf's draw
-// lands in first. Nil for non-leaf nodes and for leaves outside any
-// breaker-protected device.
-func (n *Node) HomeDevice() *Node { return n.homeDevice }
-
-// DeviceIndex returns n's position in DevicesPostOrder, or -1 when n is
-// not a breaker-protected device.
-func (n *Node) DeviceIndex() int { return n.devIndex }
-
-// DeviceSubtreeRange returns the contiguous DevicesPostOrder index range
-// [lo, hi] spanned by the devices in n's subtree (hi == n.DeviceIndex()).
-// Post-order guarantees contiguity, so "device j lies in n's subtree" is
-// exactly lo <= j.DeviceIndex() <= hi — a range check standing in for a
-// subtree-membership bitset. ok is false for non-device nodes.
-func (n *Node) DeviceSubtreeRange() (lo, hi int, ok bool) {
-	if n.devIndex < 0 {
-		return 0, 0, false
-	}
-	return n.devSubtreeLo, n.devIndex, true
-}
 
 // Level returns the node's depth from the root (root = 0).
 func (n *Node) Level() int {
@@ -257,12 +214,8 @@ func New(root *Node) (*Topology, error) {
 // (servers/switches) and nearest descendant devices, and records devices
 // in post-order so a single forward pass over DevicesPostOrder can
 // aggregate power for the whole hierarchy with children always computed
-// before their parents. It also fills the ancestor index: per-device
-// post-order position and subtree range, each device's parent device,
-// and each leaf's home device.
+// before their parents.
 func (t *Topology) buildAggIndex(n *Node) {
-	n.devIndex = -1
-	lo := len(t.devPost) // first post-order slot a subtree device can take
 	for _, c := range n.Children {
 		t.buildAggIndex(c)
 	}
@@ -279,17 +232,6 @@ func (t *Topology) buildAggIndex(n *Node) {
 		}
 	}
 	if n.IsDevice() {
-		n.devIndex = len(t.devPost)
-		n.devSubtreeLo = lo
-		for p := n.Parent; p != nil; p = p.Parent {
-			if p.IsDevice() {
-				n.parentDevice = p
-				break
-			}
-		}
-		for _, l := range n.directLeaves {
-			l.homeDevice = n
-		}
 		t.devPost = append(t.devPost, n)
 	}
 }

@@ -210,13 +210,6 @@ type Shared struct {
 	loadFactor float64
 	// batchPhase is the service-wide job-wave phase (PatternBatch).
 	batchPhase float64
-	// tickHint is the magnitude of service-wide movement across the last
-	// Advance: |Δ common-mode OU| + |Δ deterministic base| (the base delta
-	// also captures load-factor shifts). A cheap "changed since last
-	// tick" signal for quiescence telemetry — it costs no extra RNG
-	// draws, so enabling consumers cannot perturb determinism.
-	tickHint float64
-	lastBase float64
 }
 
 // NewShared creates shared state for one service.
@@ -256,7 +249,6 @@ func (s *Shared) advance(now time.Duration) {
 	if !s.started {
 		s.started = true
 		s.last = now
-		s.lastBase = s.base(now)
 		return
 	}
 	if now <= s.last {
@@ -264,20 +256,8 @@ func (s *Shared) advance(now time.Duration) {
 	}
 	dt := (now - s.last).Seconds()
 	s.last = now
-	prevCommon := s.common.x
 	s.common.step(dt, s.rng)
-	b := s.base(now)
-	s.tickHint = math.Abs(s.common.x-prevCommon) + math.Abs(b-s.lastBase)
-	s.lastBase = b
 }
-
-// TickHint reports how much the service-wide load moved across the last
-// Advance: the absolute change of the common-mode OU process plus the
-// absolute change of the deterministic base (which also captures
-// load-factor scenario shifts). Zero means the service-wide component
-// was quiescent — individual servers may still move on local noise. The
-// simulator feeds the per-tick maximum into its quiescence telemetry.
-func (s *Shared) TickHint() float64 { return s.tickHint }
 
 // base returns the deterministic utilization component at time now.
 func (s *Shared) base(now time.Duration) float64 {
