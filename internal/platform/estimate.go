@@ -71,7 +71,7 @@ type Estimated struct {
 	host *server.Server
 	em   *EstimationModel
 	opts Options
-	rng  *rand.Rand
+	rng  *rand.Rand // nil until the first read; see stream
 }
 
 // NewEstimated creates an estimation-based backend. The model must match
@@ -84,7 +84,7 @@ func NewEstimated(host *server.Server, em *EstimationModel, opts Options) (*Esti
 		return nil, fmt.Errorf("platform: estimation model for %q does not fit host generation %q",
 			em.Generation(), host.Model().Name)
 	}
-	return &Estimated{host: host, em: em, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}, nil
+	return &Estimated{host: host, em: em, opts: opts}, nil
 }
 
 // Name implements Platform.
@@ -99,7 +99,7 @@ func (e *Estimated) ReadPower() (server.Breakdown, error) {
 	if e.host.Crashed() {
 		return server.Breakdown{}, ErrReadFailed
 	}
-	if e.opts.FailureRate > 0 && e.rng.Float64() < e.opts.FailureRate {
+	if e.opts.FailureRate > 0 && stream(&e.rng, e.opts.Seed).Float64() < e.opts.FailureRate {
 		return server.Breakdown{}, ErrReadFailed
 	}
 	est := e.em.Estimate(e.host.CPUUtil())

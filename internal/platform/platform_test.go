@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +40,34 @@ func TestMSRReadPower(t *testing.T) {
 	}
 	if !p.HasSensor() || p.Name() != "msr" {
 		t.Error("MSR identity wrong")
+	}
+}
+
+// TestSensorStreamBuiltOnFirstRead: a backend holds no random stream until
+// its first read, and the readings are then the seed's stream from its
+// start — whenever that first read comes.
+func TestSensorStreamBuiltOnFirstRead(t *testing.T) {
+	host := newHost(0.6)
+	p := NewMSR(host, Options{Seed: 9})
+	if p.rng != nil {
+		t.Fatal("noise stream built before the first read")
+	}
+	if err := p.SetPowerLimit(host.Power() + 100); err != nil { // no read: still none
+		t.Fatal(err)
+	}
+	if p.rng != nil {
+		t.Fatal("noise stream built by a write")
+	}
+	ref := rand.New(rand.NewSource(9))
+	for i := 0; i < 3; i++ {
+		b, err := p.ReadPower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Round((float64(host.Power())+0.8*ref.NormFloat64())/0.1) * 0.1
+		if float64(b.Total) != want {
+			t.Fatalf("read %d: %v, want %v from the seed's stream", i, float64(b.Total), want)
+		}
 	}
 }
 

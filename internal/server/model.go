@@ -105,12 +105,14 @@ func MustModel(name string) Model {
 	return m
 }
 
-// Span returns the dynamic power range peak − idle.
-func (m Model) Span() power.Watts { return m.Peak - m.Idle }
+// Span returns the dynamic power range peak − idle. Span, PowerAt and
+// FreqForPower run every server-tick, so they take the 80-byte Model by
+// pointer; the rest keep value receivers and work on map elements.
+func (m *Model) Span() power.Watts { return m.Peak - m.Idle }
 
 // PowerAt returns the DC power draw with offered load l and frequency
 // factor f.
-func (m Model) PowerAt(load, freq float64) power.Watts {
+func (m *Model) PowerAt(load, freq float64) power.Watts {
 	if freq <= 0 {
 		return m.Idle
 	}
@@ -148,7 +150,7 @@ func (m Model) MinPower() power.Watts {
 // Two regimes exist. While f ≥ l the CPU keeps up, utilization is l/f and
 // P = idle + span·l·f^(p−1). Once f < l the CPU saturates (u = 1) and
 // P = idle + span·f^p.
-func (m Model) FreqForPower(limit power.Watts, load, maxFreq float64) float64 {
+func (m *Model) FreqForPower(limit power.Watts, load, maxFreq float64) float64 {
 	span := float64(m.Span())
 	budget := float64(limit - m.Idle)
 	lo := m.MinFreq

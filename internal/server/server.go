@@ -7,8 +7,8 @@ import (
 	"dynamo/internal/power"
 )
 
-// LoadSource supplies offered load over time. workload.Generator satisfies
-// this via an adapter in the simulator; tests can use fixed functions.
+// LoadSource supplies offered load over time. *workload.Generator satisfies
+// it; tests can use fixed functions.
 type LoadSource interface {
 	// Step returns offered load (normalized CPU-seconds per second) at
 	// time now. Calls have non-decreasing timestamps.
@@ -57,6 +57,12 @@ type Server struct {
 	deliveredWork float64
 	lastTick      time.Duration
 	ticked        bool
+
+	// slewAlpha is the RAPL slew coefficient 1 − exp(−dt/τ) for a step of
+	// slewDt: the physics step changes only on SetTickInterval, so the
+	// exponential is computed once per step length, not once per tick.
+	slewDt    time.Duration
+	slewAlpha float64
 }
 
 // Config creates a Server.
@@ -191,8 +197,11 @@ func (s *Server) Tick(now time.Duration) {
 	case first:
 		s.freq = target
 	case dt > 0:
-		alpha := 1 - math.Exp(-dt.Seconds()/raplTau.Seconds())
-		s.freq += (target - s.freq) * alpha
+		if dt != s.slewDt {
+			s.slewDt = dt
+			s.slewAlpha = 1 - math.Exp(-dt.Seconds()/raplTau.Seconds())
+		}
+		s.freq += (target - s.freq) * s.slewAlpha
 	}
 
 	s.draw = s.model.PowerAt(s.load, s.freq)

@@ -245,3 +245,52 @@ func TestOracleModeMatchesSnapshotMode(t *testing.T) {
 		t.Fatal("no DCUPS recharge was active at the end; the restore leg is vacuous")
 	}
 }
+
+// TestShardedStepAcrossTickIntervalChange runs a fleet large enough to
+// shard at one tick worker and at four through a 30 s fast-forward, the
+// switch to a 1 s tick and a load-factor event that lands between ticks,
+// and compares every server's draw and every device's snapshot after every
+// tick, bit for bit. The per-service values the servers read (workload
+// Shared's det and OU coefficients) are re-keyed by the switch; under
+// -race this also proves the sharded step only reads them.
+func TestShardedStepAcrossTickIntervalChange(t *testing.T) {
+	build := func(workers int) *Sim {
+		s, err := New(Config{
+			Spec: detSpec(), Seed: 5, TickInterval: 30 * time.Second,
+			TickWorkers: workers, DisableTripOutage: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.tickList) < parallelTickMin {
+			t.Fatalf("%d servers do not reach the sharded path (parallelTickMin %d)", len(s.tickList), parallelTickMin)
+		}
+		s.At(5*time.Minute-30*time.Second, func() { s.SetTickInterval(time.Second) })
+		s.At(5*time.Minute+10*time.Second+500*time.Millisecond, func() { s.SetServiceLoadFactor("web", 1.3) })
+		s.Start()
+		return s
+	}
+	serial, sharded := build(1), build(4)
+	for serial.Loop.Now() < 6*time.Minute {
+		step := serial.Cfg.TickInterval
+		serial.Loop.RunFor(step)
+		sharded.Loop.RunFor(step)
+		now := serial.Loop.Now()
+		for i, sv := range serial.tickList {
+			if a, b := float64(sv.Power()), float64(sharded.tickList[i].Power()); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("at %v: server %s draws %v serial, %v sharded", now, sv.ID(), a, b)
+			}
+		}
+		for i, a := range serial.snap.dev {
+			if b := sharded.snap.dev[i]; math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+				t.Fatalf("at %v: device %s snapshot %v serial, %v sharded", now, serial.agg[i].id, a, b)
+			}
+		}
+	}
+	if got := serial.Cfg.TickInterval; got != time.Second {
+		t.Fatalf("tick interval %v at the end; the switch never happened", got)
+	}
+	if f := serial.Shared["web"].LoadFactor(); f != 1.3 {
+		t.Fatalf("web load factor %v at the end; the event never fired", f)
+	}
+}

@@ -280,7 +280,7 @@ func New(cfg Config) (*Sim, error) {
 		sv := server.New(server.Config{
 			ID: string(srvNode.ID), Service: svc,
 			Model:      model,
-			Source:     server.LoadFunc(gen.Step),
+			Source:     gen,
 			LoadScale:  scale,
 			Turbo:      cfg.Turbo[svc],
 			GovMaxFreq: cfg.GovMaxFreq[svc],
@@ -325,7 +325,7 @@ func New(cfg Config) (*Sim, error) {
 			sv := server.New(server.Config{
 				ID: string(sw.ID), Service: "network",
 				Model:  model,
-				Source: server.LoadFunc(gen.Step),
+				Source: gen,
 			})
 			sv.Tick(0)
 			s.Servers[string(sw.ID)] = sv

@@ -185,12 +185,21 @@ type ou struct {
 	tau   float64 // seconds
 }
 
-func (p *ou) step(dtSec float64, rng *rand.Rand) float64 {
+// ouCoef holds one step's decay a = exp(−dt/τ) and noise gain
+// b = σ·sqrt(1−a²). They depend only on the process parameters and dt, so
+// a service computes them once per dt, not once per server-tick.
+type ouCoef struct{ a, b float64 }
+
+func (p ou) coef(dtSec float64) ouCoef {
+	a := math.Exp(-dtSec / p.tau)
+	return ouCoef{a, p.sigma * math.Sqrt(1-a*a)}
+}
+
+func (p *ou) step(c ouCoef, rng *rand.Rand) float64 {
 	if p.tau <= 0 || p.sigma == 0 {
 		return 0
 	}
-	a := math.Exp(-dtSec / p.tau)
-	p.x = p.x*a + p.sigma*math.Sqrt(1-a*a)*rng.NormFloat64()
+	p.x = p.x*c.a + c.b*rng.NormFloat64()
 	return p.x
 }
 
@@ -210,6 +219,16 @@ type Shared struct {
 	loadFactor float64
 	// batchPhase is the service-wide job-wave phase (PatternBatch).
 	batchPhase float64
+
+	// What every generator of the service would otherwise recompute on
+	// every step, written only by advance: det is the deterministic
+	// utilization at last (before loadFactor, so SetLoadFactor between an
+	// advance and the steps that follow it stays exact), and commonC/localC
+	// are the OU coefficients of both processes for a step of dt seconds
+	// (dt −1: none yet, and no generator's dt matches).
+	det             float64
+	dt              float64
+	commonC, localC ouCoef
 }
 
 // NewShared creates shared state for one service.
@@ -221,6 +240,8 @@ func NewShared(p Profile, seed int64) *Shared {
 		common:     ou{sigma: p.CommonSigma, tau: p.CommonTau.Seconds()},
 		loadFactor: 1.0,
 		batchPhase: rng.Float64(),
+		det:        p.det(0),
+		dt:         -1,
 	}
 }
 
@@ -244,36 +265,49 @@ func (s *Shared) LoadFactor() float64 { return s.loadFactor }
 // new timestamp advances the shared state exactly once either way.
 func (s *Shared) Advance(now time.Duration) { s.advance(now) }
 
-// advance moves the common-mode process to time now.
+// advance moves the common-mode process, and the per-tick values the
+// generators read, to time now.
 func (s *Shared) advance(now time.Duration) {
+	if s.started && now <= s.last {
+		return
+	}
+	s.det = s.profile.det(now)
 	if !s.started {
 		s.started = true
 		s.last = now
 		return
 	}
-	if now <= s.last {
-		return
-	}
 	dt := (now - s.last).Seconds()
 	s.last = now
-	s.common.step(dt, s.rng)
+	if dt != s.dt {
+		s.dt = dt
+		s.commonC = s.common.coef(dt)
+		s.localC = ou{sigma: s.profile.LocalSigma, tau: s.profile.LocalTau.Seconds()}.coef(dt)
+	}
+	s.common.step(s.commonC, s.rng)
 }
 
-// base returns the deterministic utilization component at time now.
-func (s *Shared) base(now time.Duration) float64 {
-	p := s.profile
-	var det float64
+// det returns the profile's deterministic utilization at time now.
+func (p *Profile) det(now time.Duration) float64 {
 	switch p.Pattern {
-	case PatternDiurnal:
+	case PatternDiurnal, PatternFlat:
 		// Peak at 13:00, trough at 01:00 local (paper Fig 11 shows the
 		// morning ramp between 08:30 and 11:00).
 		dayFrac := math.Mod(now.Hours(), 24) / 24
-		det = p.BaseUtil + p.DiurnalAmp*math.Sin(2*math.Pi*(dayFrac-7.0/24))
+		return p.BaseUtil + p.DiurnalAmp*math.Sin(2*math.Pi*(dayFrac-7.0/24))
 	case PatternBatch:
-		det = p.BaseUtil
-	case PatternFlat:
-		dayFrac := math.Mod(now.Hours(), 24) / 24
-		det = p.BaseUtil + p.DiurnalAmp*math.Sin(2*math.Pi*(dayFrac-7.0/24))
+		return p.BaseUtil
+	}
+	return 0
+}
+
+// base returns the deterministic utilization component at time now: the
+// value advance computed when now is the shared timestamp (always, under
+// the simulator), computed on the spot otherwise.
+func (s *Shared) base(now time.Duration) float64 {
+	det := s.det
+	if now != s.last {
+		det = s.profile.det(now)
 	}
 	return det * s.loadFactor
 }
@@ -281,10 +315,9 @@ func (s *Shared) base(now time.Duration) float64 {
 // Generator produces a single server's utilization series. Step must be
 // called with non-decreasing timestamps.
 type Generator struct {
-	profile Profile
-	shared  *Shared
-	rng     *rand.Rand
-	local   ou
+	shared *Shared // its profile and per-tick values are read-only here
+	rng    *rand.Rand
+	local  ou
 
 	last    time.Duration
 	started bool
@@ -303,7 +336,6 @@ type Generator struct {
 func NewGenerator(shared *Shared, seed int64) *Generator {
 	rng := rand.New(rand.NewSource(seed))
 	return &Generator{
-		profile:    shared.profile,
 		shared:     shared,
 		rng:        rng,
 		local:      ou{sigma: shared.profile.LocalSigma, tau: shared.profile.LocalTau.Seconds()},
@@ -312,7 +344,7 @@ func NewGenerator(shared *Shared, seed int64) *Generator {
 }
 
 // Service returns the generator's service name.
-func (g *Generator) Service() string { return g.profile.Name }
+func (g *Generator) Service() string { return g.shared.profile.Name }
 
 // SetExtraLoad sets an additive utilization offset (scenario hook).
 func (g *Generator) SetExtraLoad(u float64) { g.extra = u }
@@ -322,7 +354,9 @@ func (g *Generator) ExtraLoad() float64 { return g.extra }
 
 // Step advances the generator to now and returns the utilization in [0,1].
 func (g *Generator) Step(now time.Duration) float64 {
-	g.shared.advance(now)
+	s := g.shared
+	p := &s.profile
+	s.advance(now)
 	var dt float64
 	if !g.started {
 		g.started = true
@@ -331,18 +365,24 @@ func (g *Generator) Step(now time.Duration) float64 {
 		dt = (now - g.last).Seconds()
 		g.last = now
 	}
-	local := g.local.step(dt, g.rng)
+	c := s.localC
+	if dt != s.dt {
+		// Out of step with the service: a first step, a repeated
+		// timestamp, or a generator stepped on its own schedule.
+		c = g.local.coef(dt)
+	}
+	local := g.local.step(c, g.rng)
 
 	// Spike process: Poisson arrivals, exponential duration.
-	if now >= g.spikeUntil && g.profile.SpikesPerHour > 0 && dt > 0 {
-		pStart := g.profile.SpikesPerHour * dt / 3600
+	if now >= g.spikeUntil && p.SpikesPerHour > 0 && dt > 0 {
+		pStart := p.SpikesPerHour * dt / 3600
 		if g.rng.Float64() < pStart {
-			mag := g.profile.SpikeMag + g.profile.SpikeMagSigma*g.rng.NormFloat64()
+			mag := p.SpikeMag + p.SpikeMagSigma*g.rng.NormFloat64()
 			if mag < 0 {
 				mag = 0
 			}
 			g.spikeMag = mag
-			dur := time.Duration(g.rng.ExpFloat64() * float64(g.profile.SpikeDur))
+			dur := time.Duration(g.rng.ExpFloat64() * float64(p.SpikeDur))
 			g.spikeUntil = now + dur
 		}
 	}
@@ -351,12 +391,15 @@ func (g *Generator) Step(now time.Duration) float64 {
 		spike = g.spikeMag
 	}
 
-	u := g.shared.base(now) + g.shared.common.x + local + spike + g.extra
+	u := s.base(now) + s.common.x + local + spike + g.extra
 
 	// Batch pattern: square wave of job activity with per-server phase.
-	if g.profile.Pattern == PatternBatch && g.profile.BatchPeriod > 0 {
-		cyc := math.Mod(now.Seconds()/g.profile.BatchPeriod.Seconds()+g.batchPhase, 1)
-		if cyc > g.profile.BatchDuty {
+	if p.Pattern == PatternBatch && p.BatchPeriod > 0 {
+		// x − trunc(x) is math.Mod(x, 1) exactly (both are the exact
+		// fractional part, sign kept) without Mod's frexp loop.
+		cyc := now.Seconds()/p.BatchPeriod.Seconds() + g.batchPhase
+		cyc -= math.Trunc(cyc)
+		if cyc > p.BatchDuty {
 			u -= 0.25 // between job waves the node quiesces
 		} else {
 			u += 0.10
