@@ -103,8 +103,7 @@ func (r *RedialClient) dial() {
 		r.fail(q, ErrUnreachable)
 		return
 	}
-	cl := &TCPClient{loop: r.loop, conn: conn, pending: make(map[uint64]*pendingCall)}
-	go cl.readLoop()
+	cl := newTCPClient(conn, r.loop)
 	if r.sink != nil {
 		cl.SetTelemetry(r.sink)
 	}

@@ -58,10 +58,9 @@ type Client interface {
 	// on success or (nil, err) on failure/timeout. timeout <= 0 means no
 	// deadline.
 	//
-	// resp is valid only until done returns: the in-proc transport hands
-	// out the buffer of a pooled call record and reuses it for a later
-	// call. Decode it inside done (Decode does), or copy the bytes to keep
-	// them.
+	// resp is valid only until done returns: both transports hand out
+	// the buffer of a pooled call record and reuse it for a later call.
+	// Decode it inside done (Decode does), or copy the bytes to keep them.
 	Call(method string, req wire.Message, timeout time.Duration, done func(resp []byte, err error))
 	// Close releases the client; in-flight calls fail with ErrClosed.
 	Close() error
@@ -80,21 +79,45 @@ func Decode(resp []byte, err error, m wire.Message) error {
 // single-threaded on their event loop) so it can be served by transports
 // that dispatch from other goroutines (TCPServer). Each request is
 // marshalled onto the loop and the caller's goroutine waits for the
-// result.
+// result. Posting allocates nothing: a request rides a pooled record whose
+// channel and loop callback are made once.
 func LoopHandler(loop simclock.Loop, h Handler) Handler {
-	type result struct {
-		m   wire.Message
-		err error
-	}
+	// Idle records. TCPServer serves a connection's requests in order, so a
+	// daemon needs one per connection it serves — a parent controller, a
+	// state-store peer, a handful. Past 16, records are made and dropped.
+	free := make(chan *loopCall, 16)
 	return func(method string, body []byte) (wire.Message, error) {
-		ch := make(chan result, 1)
-		loop.Post(func() {
-			m, err := h(method, body)
-			ch <- result{m, err}
-		})
-		r := <-ch
-		return r.m, r.err
+		var c *loopCall
+		select {
+		case c = <-free:
+		default:
+			c = &loopCall{done: make(chan struct{}, 1)}
+			c.run = func() {
+				c.m, c.err = h(c.method, c.body)
+				c.done <- struct{}{}
+			}
+		}
+		c.method, c.body = method, body
+		loop.Post(c.run)
+		<-c.done
+		m, err := c.m, c.err
+		c.method, c.body, c.m, c.err = "", nil, nil, nil
+		select {
+		case free <- c:
+		default:
+		}
+		return m, err
 	}
+}
+
+// loopCall carries one request onto the loop and its result back.
+type loopCall struct {
+	method string
+	body   []byte
+	m      wire.Message
+	err    error
+	done   chan struct{}
+	run    func() // made once per record
 }
 
 // empty is a zero-field message usable for requests with no arguments.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,8 +13,19 @@ import (
 	"dynamo/internal/wire"
 )
 
-// maxFrame bounds a single RPC frame.
-const maxFrame = 16 << 20
+// A frame is a 4-byte big-endian payload length followed by the payload,
+// one marshalled envelope (DESIGN.md, "The TCP transport").
+const (
+	maxFrame    = 16 << 20 // bounds a single RPC frame
+	readBufSize = 512      // per connection; one read takes in a whole agent reading
+	// growStep is the smallest payload buffer. Past it a buffer at most
+	// doubles per step, and only as bytes arrive: a length prefix alone
+	// buys the sender no memory.
+	growStep = 256
+	// keepFrame is the largest buffer a connection keeps between frames: a
+	// statestore batch may be megabytes once, and must not stay pinned.
+	keepFrame = 64 << 10
+)
 
 const (
 	kindRequest  = 0
@@ -40,45 +52,89 @@ func (v *envelope) MarshalWire(e *wire.Encoder) {
 	e.Bytes2(v.Body)
 }
 
-// UnmarshalWire implements wire.Message.
+// UnmarshalWire implements wire.Message. Decoding into the envelope of the
+// previous frame keeps its strings when they repeat, and Body aliases the
+// decoder's buffer.
 func (v *envelope) UnmarshalWire(d *wire.Decoder) error {
 	v.Kind = byte(d.Uvarint())
 	v.ID = d.Uvarint()
-	v.Method = d.String()
+	v.Method = d.StringKeep(v.Method)
 	v.IsErr = d.Bool()
-	v.ErrMsg = d.String()
-	v.Body = d.Bytes2()
+	v.ErrMsg = d.StringKeep(v.ErrMsg)
+	v.Body = d.BytesRef()
 	return d.Err()
 }
 
-func writeFrame(w io.Writer, mu *sync.Mutex, env *envelope) error {
-	payload := wire.Marshal(env)
-	hdr := make([]byte, 4, 4+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
-	mu.Lock()
-	defer mu.Unlock()
-	_, err := w.Write(append(hdr, payload...))
-	return err
+// reuse empties b for the next frame, or drops it if a large frame grew it.
+func reuse(b []byte) []byte {
+	if cap(b) > keepFrame {
+		return nil
+	}
+	return b[:0]
 }
 
-func readFrame(r io.Reader) (*envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader decodes a connection's frames into one envelope, through a
+// payload buffer it keeps. Body aliases that buffer: it is valid until the
+// next call to next.
+type frameReader struct {
+	r   *bufio.Reader
+	buf []byte
+	d   wire.Decoder
+	env envelope
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, readBufSize)}
+}
+
+func (fr *frameReader) next() (*envelope, error) {
+	fr.buf, fr.env.Body = reuse(fr.buf), nil
+	hdr, err := fr.r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
+	fr.r.Discard(4)
 	if n > maxFrame {
 		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	for len(fr.buf) < n {
+		if len(fr.buf) == cap(fr.buf) {
+			grown := make([]byte, len(fr.buf), min(max(2*cap(fr.buf), growStep), max(n, growStep)))
+			copy(grown, fr.buf)
+			fr.buf = grown
+		}
+		k, err := io.ReadFull(fr.r, fr.buf[len(fr.buf):min(n, cap(fr.buf))])
+		fr.buf = fr.buf[:len(fr.buf)+k]
+		if err != nil {
+			return nil, err
+		}
 	}
-	var env envelope
-	if err := wire.Unmarshal(payload, &env); err != nil {
-		return nil, err
-	}
-	return &env, nil
+	fr.d.Reset(fr.buf)
+	return &fr.env, fr.env.UnmarshalWire(&fr.d)
+}
+
+// frameWriter frames a connection's envelopes into a buffer it keeps. It
+// is not safe for concurrent use.
+type frameWriter struct {
+	w   io.Writer
+	enc wire.Encoder
+	env envelope
+	buf []byte
+}
+
+// frame encodes env, with the body its Body refers to, as one frame in buf.
+func (fw *frameWriter) frame() {
+	fw.buf = fw.enc.AppendMarshal(append(fw.buf[:0], 0, 0, 0, 0), &fw.env)
+	binary.BigEndian.PutUint32(fw.buf, uint32(len(fw.buf)-4))
+	fw.env.Body = nil
+}
+
+// flush writes the frame with one Write.
+func (fw *frameWriter) flush() error {
+	_, err := fw.w.Write(fw.buf)
+	fw.buf = reuse(fw.buf)
+	return err
 }
 
 // TCPServer serves a Handler over framed TCP connections.
@@ -133,6 +189,8 @@ func (s *TCPServer) acceptLoop(ln net.Listener) {
 	}
 }
 
+// serveConn answers a connection's requests in order, on this goroutine:
+// production handlers are LoopHandlers, which run one at a time anyway.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -141,41 +199,41 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var writeMu sync.Mutex
+	fr := newFrameReader(conn)
+	fw := &frameWriter{w: conn}
+	var body []byte
 	for {
-		env, err := readFrame(conn)
+		req, err := fr.next()
 		if err != nil {
 			return
 		}
-		if env.Kind != kindRequest {
+		if req.Kind != kindRequest {
 			continue
 		}
-		req := env
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			var start time.Time
+		var start time.Time
+		if s.tel != nil {
+			start = time.Now()
+			s.tel.requests.Inc()
+		}
+		fw.env = envelope{Kind: kindResponse, ID: req.ID}
+		m, err := s.handler(req.Method, req.Body)
+		if err != nil {
+			fw.env.IsErr, fw.env.ErrMsg = true, err.Error()
 			if s.tel != nil {
-				start = time.Now()
-				s.tel.requests.Inc()
+				s.tel.errors.Inc()
 			}
-			resp := &envelope{Kind: kindResponse, ID: req.ID}
-			m, err := s.handler(req.Method, req.Body)
-			if err != nil {
-				resp.IsErr = true
-				resp.ErrMsg = err.Error()
-				if s.tel != nil {
-					s.tel.errors.Inc()
-				}
-			} else if m != nil {
-				resp.Body = wire.Marshal(m)
-			}
-			if s.tel != nil {
-				s.tel.latency.Observe(time.Since(start).Seconds())
-			}
-			// Best effort: a write error means the conn is going away.
-			_ = writeFrame(conn, &writeMu, resp)
-		}()
+		} else if m != nil {
+			body = fw.enc.AppendMarshal(body, m)
+		}
+		if s.tel != nil {
+			s.tel.latency.Observe(time.Since(start).Seconds())
+		}
+		fw.env.Body = body
+		fw.frame()
+		body = reuse(body)
+		if fw.flush() != nil {
+			return // the connection is going away
+		}
 	}
 }
 
@@ -207,17 +265,37 @@ type TCPClient struct {
 	tel  *rpcInstr // nil when telemetry is disabled
 
 	writeMu sync.Mutex
+	w       frameWriter
 
 	mu      sync.Mutex
-	pending map[uint64]*pendingCall
+	pending map[uint64]*tcpCall
+	free    *tcpCall
 	nextID  uint64
 	closed  bool
 }
 
-type pendingCall struct {
-	once  sync.Once
-	done  func([]byte, error)
-	timer *time.Timer
+// tcpCall is one call's record. Records are pooled per client, so a
+// steady-state call allocates nothing: the request is marshalled and the
+// reply copied into buffers the record keeps, the deadline is a runtime
+// timer made once and re-armed, and the completion is bound once. Whoever
+// takes the record out of pending completes it; a record whose deadline
+// fired while the reply or a failure took it is dropped, not reused, so
+// that stale fire can never complete a later call (DESIGN.md, "The TCP
+// transport").
+type tcpCall struct {
+	c            *TCPClient
+	id           uint64
+	method       string
+	done         func([]byte, error)
+	post         func() // complete, bound once
+	timer        *time.Timer
+	enc          wire.Encoder
+	req          []byte
+	resp         []byte // valid until done returns
+	err          error
+	start        time.Time // telemetry only
+	next         *tcpCall  // free-list link
+	timed, reuse bool
 }
 
 // DialTCP connects to a TCP endpoint.
@@ -226,26 +304,31 @@ func DialTCP(addr string, loop simclock.Loop) (*TCPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &TCPClient{loop: loop, conn: conn, pending: make(map[uint64]*pendingCall)}
+	return newTCPClient(conn, loop), nil
+}
+
+func newTCPClient(conn net.Conn, loop simclock.Loop) *TCPClient {
+	c := &TCPClient{loop: loop, conn: conn, w: frameWriter{w: conn}, pending: make(map[uint64]*tcpCall)}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 func (c *TCPClient) readLoop() {
+	fr := newFrameReader(c.conn)
 	for {
-		env, err := readFrame(c.conn)
+		env, err := fr.next()
 		if err != nil {
-			c.markDead()
+			c.Close() // the peer is gone: fail fast from here on
 			return
 		}
 		if env.Kind != kindResponse {
 			continue
 		}
 		c.mu.Lock()
-		pc := c.pending[env.ID]
+		r := c.pending[env.ID]
 		delete(c.pending, env.ID)
 		c.mu.Unlock()
-		if pc == nil {
+		if r == nil {
 			// Late response: the call already timed out and its pending
 			// entry was reaped. Count it — a rising rate means timeouts
 			// are tuned below the peer's real latency.
@@ -254,94 +337,120 @@ func (c *TCPClient) readLoop() {
 			}
 			continue
 		}
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
 		if env.IsErr {
-			pc.complete(c.loop, nil, &RemoteError{Msg: env.ErrMsg})
+			r.err = &RemoteError{Method: r.method, Msg: env.ErrMsg}
 		} else {
-			pc.complete(c.loop, env.Body, nil)
+			r.resp = append(r.resp, env.Body...)
 		}
+		r.finish()
 	}
 }
 
-func (pc *pendingCall) complete(loop simclock.Loop, body []byte, err error) {
-	pc.once.Do(func() {
-		loop.Post(func() { pc.done(body, err) })
-	})
+// finish posts the completion of a record taken out of pending by anything
+// but its own deadline.
+func (r *tcpCall) finish() {
+	r.reuse = !r.timed || r.timer.Stop()
+	r.c.loop.Post(r.post)
+}
+
+func (r *tcpCall) deadline() {
+	c := r.c
+	c.mu.Lock()
+	if c.pending[r.id] != r {
+		c.mu.Unlock()
+		return
+	}
+	delete(c.pending, r.id)
+	c.mu.Unlock()
+	r.err, r.reuse = ErrTimeout, true
+	c.loop.Post(r.post)
+}
+
+// complete runs on the loop: it delivers the outcome, then frees the record.
+func (r *tcpCall) complete() {
+	c := r.c
+	resp, err := r.resp, r.err
+	if err != nil {
+		resp = nil
+	}
+	if c.tel != nil {
+		c.tel.latency.Observe(time.Since(r.start).Seconds())
+		if err != nil {
+			c.tel.errors.Inc()
+		}
+	}
+	r.done(resp, err)
+	if !r.reuse {
+		return
+	}
+	r.method, r.done, r.req, r.resp, r.err = "", nil, reuse(r.req), reuse(r.resp), nil
+	c.mu.Lock()
+	r.next, c.free = c.free, r
+	c.mu.Unlock()
 }
 
 func (c *TCPClient) failAll(err error) {
 	c.mu.Lock()
 	pending := c.pending
-	c.pending = make(map[uint64]*pendingCall)
+	c.pending = make(map[uint64]*tcpCall)
 	c.mu.Unlock()
-	for _, pc := range pending {
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-		pc.complete(c.loop, nil, err)
+	for _, r := range pending {
+		r.err = err
+		r.finish()
 	}
 }
 
 // Call implements Client.
 func (c *TCPClient) Call(method string, req wire.Message, timeout time.Duration, done func([]byte, error)) {
-	if c.tel != nil {
-		c.tel.requests.Inc()
-		start := time.Now()
-		userDone := done
-		done = func(body []byte, err error) {
-			c.tel.latency.Observe(time.Since(start).Seconds())
-			if err != nil {
-				c.tel.errors.Inc()
-			}
-			userDone(body, err)
-		}
-	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.loop.Post(func() { done(nil, ErrClosed) })
-		return
+	r := c.free
+	if r == nil {
+		r = &tcpCall{c: c, resp: make([]byte, 0, respBufSize)}
+		r.post = r.complete
+	} else {
+		c.free = r.next
 	}
 	c.nextID++
 	id := c.nextID
-	pc := &pendingCall{done: done}
-	c.pending[id] = pc
 	c.mu.Unlock()
 
-	if timeout > 0 {
-		pc.timer = time.AfterFunc(timeout, func() {
-			c.mu.Lock()
-			delete(c.pending, id)
-			c.mu.Unlock()
-			pc.complete(c.loop, nil, ErrTimeout)
-		})
+	// The record is this call's alone until it is pending; after that it
+	// may complete, and be reused, at any moment.
+	r.id, r.method, r.done, r.timed = id, method, done, timeout > 0
+	if c.tel != nil {
+		c.tel.requests.Inc()
+		r.start = time.Now()
 	}
+	r.req = r.enc.AppendMarshal(r.req, req)
 
-	env := &envelope{Kind: kindRequest, ID: id, Method: method, Body: wire.Marshal(req)}
-	if err := writeFrame(c.conn, &c.writeMu, env); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-		pc.complete(c.loop, nil, err)
-	}
-}
-
-// markDead is the readLoop's exit path: the connection is unusable, so
-// fail fast from here on instead of writing into a broken socket.
-func (c *TCPClient) markDead() {
+	c.writeMu.Lock()
+	c.w.env = envelope{Kind: kindRequest, ID: id, Method: method, Body: r.req}
+	c.w.frame()
 	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	c.mu.Unlock()
-	if !already {
-		c.conn.Close()
+	open := !c.closed
+	if open {
+		switch {
+		case !r.timed:
+		case r.timer == nil:
+			r.timer = time.AfterFunc(timeout, r.deadline)
+		default:
+			r.timer.Reset(timeout)
+		}
+		c.pending[id] = r
 	}
-	c.failAll(ErrClosed)
+	c.mu.Unlock()
+	var err error
+	if open {
+		err = c.w.flush()
+	}
+	c.writeMu.Unlock()
+	switch {
+	case !open:
+		r.err, r.reuse = ErrClosed, true
+		c.loop.Post(r.post)
+	case err != nil:
+		c.Close() // a broken socket: fail this call and every other one now
+	}
 }
 
 // Alive reports whether the connection can still carry calls. False once
@@ -355,13 +464,13 @@ func (c *TCPClient) Alive() bool {
 // Close implements Client.
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
+	already := c.closed
 	c.closed = true
 	c.mu.Unlock()
-	err := c.conn.Close()
+	var err error
+	if !already {
+		err = c.conn.Close()
+	}
 	c.failAll(ErrClosed)
 	return err
 }

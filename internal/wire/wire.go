@@ -220,6 +220,11 @@ func (d *Decoder) Bytes2() []byte {
 	return append(make([]byte, 0, len(b)), b...)
 }
 
+// BytesRef reads a length-prefixed byte slice without copying it: the
+// result aliases the decoder's buffer, so it is valid only as long as that
+// buffer is.
+func (d *Decoder) BytesRef() []byte { return d.lenPrefixed("bytes") }
+
 // lenPrefixed reads a length and returns that many bytes of the buffer,
 // uncopied; nil after an error.
 func (d *Decoder) lenPrefixed(what string) []byte {
