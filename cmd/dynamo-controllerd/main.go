@@ -43,7 +43,9 @@ import (
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
+	"dynamo/internal/suite"
 	"dynamo/internal/telemetry"
+	"dynamo/internal/topology"
 )
 
 func main() {
@@ -103,15 +105,10 @@ func main() {
 		sink = telemetry.NewSink()
 	}
 
-	refs, closers, err := dialAgents(*agents, loop, sink, *rpcTimeout)
+	entries, err := parseAgents(*agents)
 	if err != nil {
 		fatal(logger, err)
 	}
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
 
 	// The local state store holds this controller's checkpoint stream. A
 	// primary writes into it and ships to peers; a backup's copy is the
@@ -122,21 +119,15 @@ func main() {
 	}
 	store := statestore.NewStore(loop, *device+"/"+role, sink)
 
-	// A 1-worker cohort keeps the wall-clock daemon's inline execution
-	// semantics while routing the cycle through the same phase machinery
-	// (and phase histograms) as the simulated hierarchy.
-	sched := core.NewCohortScheduler(loop, 1, sink)
-	leaf := core.NewLeaf(loop, core.LeafConfig{
-		DeviceID:     *device,
-		Limit:        power.Watts(*limit),
-		Quota:        power.Watts(*quota),
-		PollInterval: *poll,
-		DryRun:       *dryRun,
-		Telemetry:    sink,
-		Alerts:       alertLogger(logger),
-		Scheduler:    sched,
-		Checkpoint:   store.NewWriter(*device, *device+"@"+role),
-
+	// The daemon is a one-leaf suite, assembled by the same builder (and
+	// 1-worker cohort scheduler) as dynamo-suited and the simulator.
+	cfg := &config.Suite{Name: role, Controllers: []config.Controller{{
+		Device: *device, Level: "leaf",
+		LimitWatts: *limit, QuotaWatts: *quota, PollSeconds: poll.Seconds(),
+		DryRun: *dryRun, Agents: entries,
+	}}}
+	asm, err := suite.Build(loop, cfg, suite.TCPDialer(loop, sink, *rpcTimeout), suite.AlertLogger(logger), sink, suite.Options{
+		Store: store,
 		Retry: core.RetryConfig{
 			MaxRetries: *rpcRetries,
 			Backoff:    *rpcRetryBackoff,
@@ -145,7 +136,11 @@ func main() {
 		},
 		QuarantineThreshold: *quarantineAfter,
 		CapLeaseTTL:         *capLeaseTTL,
-	}, refs)
+	})
+	if err != nil {
+		fatal(logger, err)
+	}
+	leaf := asm.Leaf(topology.NodeID(*device))
 	if !*backup {
 		loop.Post(leaf.Start)
 	}
@@ -158,7 +153,7 @@ func main() {
 	}
 	defer srv.Close()
 	logger.Log(telemetry.LevelInfo, "listening",
-		"device", *device, "limit", power.Watts(*limit), "agents", len(refs), "addr", addr, "role", role)
+		"device", *device, "limit", power.Watts(*limit), "agents", len(entries), "addr", addr, "role", role)
 
 	if *storeListen != "" {
 		ssrv := rpc.NewTCPServer(rpc.LoopHandler(loop, store.Handler()))
@@ -193,7 +188,7 @@ func main() {
 				FailThreshold:  *failMisses,
 				PingJitterFrac: *failJitter,
 				Store:          store,
-				Alerts:         alertLogger(logger),
+				Alerts:         suite.AlertLogger(logger),
 				Telemetry:      sink,
 				OnPromoted: func() {
 					logger.Log(telemetry.LevelWarning, "promoted to active controller",
@@ -235,21 +230,6 @@ func main() {
 	loop.Call(leaf.Stop)
 }
 
-// alertLogger routes controller alerts to the structured log with their
-// severity and loop timestamp (wall time is stamped by the logger).
-func alertLogger(logger *telemetry.Logger) core.AlertFunc {
-	return func(a core.Alert) {
-		lvl := telemetry.LevelInfo
-		switch a.Level {
-		case core.AlertWarning:
-			lvl = telemetry.LevelWarning
-		case core.AlertCritical:
-			lvl = telemetry.LevelError
-		}
-		logger.Log(lvl, a.Msg, "alert", a.Level, "controller", a.Controller, "uptime", a.Time)
-	}
-}
-
 // dialPersist dials addr in the background, retrying until it succeeds,
 // then hands the connected client to wire on the loop goroutine. The
 // daemons of a failover pair reference each other (the backup probes the
@@ -274,34 +254,23 @@ func dialPersist(loop *simclock.WallLoop, addr string, sink *telemetry.Sink, log
 	}()
 }
 
-// dialAgents parses "id=service@host:port,..." and connects each agent
-// through a self-reconnecting client: an agent that is down at launch or
-// restarted mid-flight surfaces as retryable pull failures (retry →
-// quarantine → probe re-admission), never as a permanently dead socket.
-// Each client is wrapped with a default RPC deadline so no production
-// path can issue an unbounded Call.
-func dialAgents(list string, loop simclock.Loop, sink *telemetry.Sink, defaultTimeout time.Duration) ([]core.AgentRef, []rpc.Client, error) {
-	var refs []core.AgentRef
-	var closers []rpc.Client
+// parseAgents parses "id=service@host:port,..." into the leaf's agent
+// entries; an empty list yields none, which config validation rejects.
+func parseAgents(list string) ([]config.AgentEntry, error) {
+	var out []config.AgentEntry
 	if strings.TrimSpace(list) == "" {
-		return refs, closers, nil
+		return out, nil
 	}
 	for _, entry := range strings.Split(list, ",") {
 		entry = strings.TrimSpace(entry)
 		idSvc, addr, ok := strings.Cut(entry, "@")
-		if !ok {
-			return nil, nil, fmt.Errorf("bad agent entry %q (want id=service@host:port)", entry)
+		id, svc, ok2 := strings.Cut(idSvc, "=")
+		if !ok || !ok2 {
+			return nil, fmt.Errorf("bad agent entry %q (want id=service@host:port)", entry)
 		}
-		id, svc, ok := strings.Cut(idSvc, "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("bad agent entry %q (want id=service@host:port)", entry)
-		}
-		cl := rpc.RedialTCP(addr, loop)
-		cl.SetTelemetry(sink)
-		closers = append(closers, cl)
-		refs = append(refs, core.AgentRef{ServerID: id, Service: svc, Client: rpc.WithDefaultTimeout(cl, defaultTimeout)})
+		out = append(out, config.AgentEntry{ID: id, Service: svc, Addr: addr})
 	}
-	return refs, closers, nil
+	return out, nil
 }
 
 func fatal(logger *telemetry.Logger, err error) {

@@ -74,18 +74,11 @@ func main() {
 		sink = telemetry.NewSink()
 	}
 
-	// Self-reconnecting clients: an agent or out-of-suite child that is
-	// down at launch (or restarts later) degrades to retryable failures —
-	// and quarantine probes can re-admit it — instead of a dead socket.
-	dial := func(addr string) (rpc.Client, error) {
-		cl := rpc.RedialTCP(addr, loop)
-		cl.SetTelemetry(sink)
-		return rpc.WithDefaultTimeout(cl, *rpcTimeout), nil
-	}
 	// Every controller in the suite checkpoints into one shared state
 	// store; serve and/or replicate it when the flags ask for it.
 	store := statestore.NewStore(loop, cfg.Name, sink)
-	asm, err := suite.BuildWith(loop, cfg, dial, alertLogger(logger), sink, suite.Options{
+	dial := suite.TCPDialer(loop, sink, *rpcTimeout)
+	asm, err := suite.Build(loop, cfg, dial, suite.AlertLogger(logger), sink, suite.Options{
 		Store: store,
 		Retry: core.RetryConfig{
 			MaxRetries: *rpcRetries,
@@ -170,14 +163,16 @@ func main() {
 	}
 
 	status := simclock.NewTicker(loop, 15*time.Second, func() {
-		for dev, leaf := range asm.Leaves {
-			agg, valid := leaf.LastAggregate()
-			logger.Log(telemetry.LevelInfo, "status", "device", dev,
-				"agg", agg, "valid", valid, "capped", leaf.CappedCount())
-		}
-		for dev, up := range asm.Uppers {
+		for _, dev := range asm.Devices() {
+			if leaf := asm.Leaf(dev); leaf != nil {
+				agg, valid := leaf.LastAggregate()
+				logger.Log(telemetry.LevelInfo, "status", "device", string(dev),
+					"agg", agg, "valid", valid, "capped", leaf.CappedCount())
+				continue
+			}
+			up := asm.Upper(dev)
 			agg, valid := up.LastAggregate()
-			logger.Log(telemetry.LevelInfo, "status", "device", dev,
+			logger.Log(telemetry.LevelInfo, "status", "device", string(dev),
 				"agg", agg, "valid", valid, "contracted", up.ContractedChildren())
 		}
 	})
@@ -188,21 +183,6 @@ func main() {
 	<-sig
 	logger.Log(telemetry.LevelInfo, "shutting down")
 	loop.Call(asm.StopAll)
-}
-
-// alertLogger routes controller alerts to the structured log with their
-// severity and loop timestamp (wall time is stamped by the logger).
-func alertLogger(logger *telemetry.Logger) core.AlertFunc {
-	return func(a core.Alert) {
-		lvl := telemetry.LevelInfo
-		switch a.Level {
-		case core.AlertWarning:
-			lvl = telemetry.LevelWarning
-		case core.AlertCritical:
-			lvl = telemetry.LevelError
-		}
-		logger.Log(lvl, a.Msg, "alert", a.Level, "controller", a.Controller, "uptime", a.Time)
-	}
 }
 
 func fatal(logger *telemetry.Logger, err error) {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"dynamo/internal/agent"
+	"dynamo/internal/config"
 	"dynamo/internal/core"
 	"dynamo/internal/metrics"
 	"dynamo/internal/monitor"
@@ -46,6 +47,7 @@ import (
 	"dynamo/internal/sim"
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
+	"dynamo/internal/suite"
 	"dynamo/internal/telemetry"
 	"dynamo/internal/topology"
 	"dynamo/internal/workload"
@@ -131,9 +133,13 @@ type (
 	BandConfig = core.BandConfig
 	// PriorityConfig maps services to priority groups and SLA floors.
 	PriorityConfig = core.PriorityConfig
-	// Hierarchy is a built controller tree.
-	Hierarchy = core.Hierarchy
-	// HierarchyConfig configures BuildHierarchy.
+	// SuiteConfig describes a controller tree: the JSON deployment
+	// configuration dynamo-suited loads.
+	SuiteConfig = config.Suite
+	// Hierarchy is an assembled controller tree (see BuildSuite).
+	Hierarchy = suite.Assembly
+	// HierarchyConfig customizes the controller tree a simulation
+	// assembles.
 	HierarchyConfig = core.HierarchyConfig
 	// Alert is an operator-facing controller event.
 	Alert = core.Alert
@@ -252,10 +258,18 @@ func NewUpperController(loop Loop, cfg UpperConfig, children []ChildRef) *UpperC
 	return core.NewUpper(loop, cfg, children)
 }
 
-// BuildHierarchy instantiates one controller per protected power device,
-// mirroring the topology, and registers each on the network.
-func BuildHierarchy(loop Loop, net *RPCNetwork, topo *Topology, cfg HierarchyConfig) (*Hierarchy, error) {
-	return core.BuildHierarchy(loop, net, topo, cfg)
+// CompileSuite describes the controller tree a simulation of topo runs:
+// one leaf per RPP over its servers' agents (at AgentAddr), one upper per
+// SB and MSB.
+func CompileSuite(topo *Topology, bands BandConfig, cappableSwitches bool) *SuiteConfig {
+	return sim.CompileSuite(topo, bands, cappableSwitches)
+}
+
+// BuildSuite assembles every controller of a suite configuration on one
+// loop — the builder the daemons and the simulator share. dial connects
+// each agent address; alerts and tel may be nil.
+func BuildSuite(loop Loop, cfg *SuiteConfig, dial func(addr string) (RPCClient, error), alerts AlertFunc, tel *TelemetrySink) (*Hierarchy, error) {
+	return suite.Build(loop, cfg, dial, alerts, tel)
 }
 
 // NewCohortScheduler creates a scheduler that batches same-instant

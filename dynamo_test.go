@@ -115,8 +115,9 @@ func TestFacadeOperationsSurface(t *testing.T) {
 	}
 }
 
-// TestFacadeHierarchyBuild builds a hierarchy via the façade over a real
-// topology with manually registered agents.
+// TestFacadeHierarchyBuild compiles a real topology into a suite
+// configuration and assembles it via the façade, dialing agents on an
+// in-process network.
 func TestFacadeHierarchyBuild(t *testing.T) {
 	spec := DefaultDatacenterSpec()
 	spec.MSBs, spec.SBsPerMSB, spec.RPPsPerSB = 1, 1, 2
@@ -127,7 +128,8 @@ func TestFacadeHierarchyBuild(t *testing.T) {
 	}
 	loop := NewSimLoop()
 	net := NewRPCNetwork(loop, time.Millisecond, 1)
-	h, err := BuildHierarchy(loop, net, topo, HierarchyConfig{})
+	dial := func(addr string) (RPCClient, error) { return net.Dial(addr), nil }
+	h, err := BuildSuite(loop, CompileSuite(topo, BandConfig{}, false), dial, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

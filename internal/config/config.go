@@ -41,6 +41,10 @@ type Controller struct {
 	PollSeconds float64 `json:"poll_seconds,omitempty"`
 	// Agents lists a leaf's downstream agents.
 	Agents []AgentEntry `json:"agents,omitempty"`
+	// NonServerWatts is constant draw on a leaf's breaker from devices
+	// that have no agent, such as top-of-rack switches: added to the
+	// aggregate, never capped (paper §III-E).
+	NonServerWatts float64 `json:"non_server_watts,omitempty"`
 	// Children lists an upper controller's downstream controllers.
 	Children []ChildEntry `json:"children,omitempty"`
 	// Bands optionally overrides the three-band thresholds.
@@ -121,6 +125,9 @@ func (s *Suite) Validate() error {
 		}
 		if c.LimitWatts <= 0 {
 			return fmt.Errorf("config: device %q needs a positive limit", c.Device)
+		}
+		if c.NonServerWatts < 0 || (c.NonServerWatts != 0 && c.Level != "leaf") {
+			return fmt.Errorf("config: device %q: non_server_watts must be non-negative and only on a leaf", c.Device)
 		}
 		devices[c.Device] = c.Level
 	}

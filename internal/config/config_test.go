@@ -106,6 +106,12 @@ func TestValidationErrors(t *testing.T) {
 			"agents":[{"id":"s"}]}]}`, "without id/addr"},
 		{"emptydevice", `{"controllers":[{"device":"","level":"leaf","limit_watts":1,
 			"agents":[{"id":"s","addr":"x"}]}]}`, "empty device"},
+		{"negativenonserver", `{"controllers":[{"device":"a","level":"leaf","limit_watts":1,
+			"non_server_watts":-1,"agents":[{"id":"s","addr":"x"}]}]}`, "non_server_watts"},
+		{"uppernonserver", `{"controllers":[
+			{"device":"l","level":"leaf","limit_watts":1,"agents":[{"id":"s","addr":"x"}]},
+			{"device":"a","level":"upper","limit_watts":1,"non_server_watts":150,
+			 "children":[{"device":"l"}]}]}`, "non_server_watts"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.doc))

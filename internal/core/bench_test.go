@@ -102,7 +102,7 @@ func buildLeafRPCBench(b *testing.B, dropP float64) (*simclock.SimLoop, *Leaf) {
 	if dropP > 0 {
 		inj := faults.New(loop, 17, nil)
 		inj.Add(faults.Rule{Peer: "agent/*", Method: agent.MethodReadPower, DropP: dropP})
-		dial = inj.WrapDial(net.Dial)
+		dial = wrapDial(inj, net.Dial)
 	}
 	var refs []AgentRef
 	for i := 0; i < perLeaf; i++ {

@@ -10,6 +10,12 @@ import (
 	"dynamo/internal/wire"
 )
 
+// wrapDial decorates a dial function so every client it returns goes
+// through the injector, keyed by the dialed address.
+func wrapDial(inj *faults.Injector, dial func(addr string) rpc.Client) func(addr string) rpc.Client {
+	return func(addr string) rpc.Client { return inj.WrapClient(addr, dial(addr)) }
+}
+
 // TestOverlappingPullsKeepTheirOwnReading: two controllers pull the same
 // child in overlapping cycles and the child answers each pull differently.
 // Each controller also has an unreachable child (one in five, so the cycle
@@ -37,7 +43,7 @@ func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 			inj := faults.New(loop, 1, nil)
 			build := func(device, lost string) *cycleKernel {
 				inj.Add(faults.Partition(lv.addr(lost), 0, 0))
-				return lv.build(loop, device, []string{"shared", "pad1", "pad2", "pad3", lost}, inj.WrapDial(net.Dial))
+				return lv.build(loop, device, []string{"shared", "pad1", "pad2", "pad3", lost}, wrapDial(inj, net.Dial))
 			}
 			a, b := build("dev-a", "lost-a"), build("dev-b", "lost-b")
 

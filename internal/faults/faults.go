@@ -129,14 +129,6 @@ func (in *Injector) WrapClient(peer string, c rpc.Client) rpc.Client {
 	return &faultClient{in: in, idx: callIndex{peer: peer}, next: c}
 }
 
-// WrapDial decorates a dial function so every client it returns is
-// wrapped, keyed by the dialed address.
-func (in *Injector) WrapDial(dial func(addr string) rpc.Client) func(addr string) rpc.Client {
-	return func(addr string) rpc.Client {
-		return in.WrapClient(addr, dial(addr))
-	}
-}
-
 // WrapHandler applies the schedule on the server side, keyed by the
 // serving peer's own address: a drop becomes a remote error (the
 // transport delivers it; a true server-side black hole cannot be

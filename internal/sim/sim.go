@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dynamo/internal/agent"
+	"dynamo/internal/config"
 	"dynamo/internal/core"
 	"dynamo/internal/faults"
 	"dynamo/internal/metrics"
@@ -25,6 +26,7 @@ import (
 	"dynamo/internal/server"
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
+	"dynamo/internal/suite"
 	"dynamo/internal/telemetry"
 	"dynamo/internal/topology"
 	"dynamo/internal/workload"
@@ -43,7 +45,7 @@ type Config struct {
 	// EnableDynamo builds and starts the controller hierarchy; when false
 	// the fleet runs open-loop (the "without Dynamo" baseline).
 	EnableDynamo bool
-	// Hierarchy customizes the controller hierarchy when enabled. A zero
+	// Hierarchy customizes the controller tree when enabled. A zero
 	// Hierarchy.ControlWorkers means GOMAXPROCS, as with TickWorkers.
 	Hierarchy core.HierarchyConfig
 	// SensorlessGenerations lists hardware generations without power
@@ -148,7 +150,8 @@ type Sim struct {
 	Shared  map[string]*workload.Shared
 	Gens    map[string]*workload.Generator
 
-	Hierarchy *core.Hierarchy
+	// Hierarchy is the controller tree (nil unless Cfg.EnableDynamo).
+	Hierarchy *suite.Assembly
 	Breakers  map[topology.NodeID]*power.Breaker
 	// Store is the controller state store (nil unless Cfg.Checkpoint).
 	Store *statestore.Store
@@ -366,60 +369,127 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	if cfg.EnableDynamo {
-		hcfg := cfg.Hierarchy
-		if hcfg.NonServerDrawPerRack == 0 {
-			hcfg.NonServerDrawPerRack = switchDraw
-		}
-		if hcfg.Telemetry == nil {
-			hcfg.Telemetry = cfg.Telemetry
-		}
-		if hcfg.ControlWorkers <= 0 {
-			hcfg.ControlWorkers = runtime.GOMAXPROCS(0)
-		}
-		if cfg.CappableSwitches {
-			hcfg.IncludeSwitches = true
-		}
-		userAlerts := hcfg.Alerts
-		hcfg.Alerts = func(a core.Alert) {
-			s.Alerts = append(s.Alerts, a)
-			if userAlerts != nil {
-				userAlerts(a)
-			}
-		}
-		if cfg.ValidatorInterval > 0 {
-			hcfg.Validators = func(id topology.NodeID) func() (power.Watts, bool) {
-				return func() (power.Watts, bool) {
-					v, ok := s.meter[id]
-					return v, ok
-				}
-			}
-		}
-		if cfg.Checkpoint && hcfg.StateStore == nil {
-			s.Store = statestore.NewStore(s.Loop, "sim", cfg.Telemetry)
-			hcfg.StateStore = s.Store
-		} else if hcfg.StateStore != nil {
-			s.Store = hcfg.StateStore
-		}
-		// Every controller-side client dials through the fault injector;
-		// with no rules it is a zero-cost pass-through.
-		s.Faults = faults.New(s.Loop, cfg.Seed^0xfa17, cfg.Telemetry)
-		s.Faults.Add(cfg.FaultRules...)
-		hcfg.Dial = s.Faults.WrapDial(s.Net.Dial)
-		hcfg.Retry = cfg.ControlRetry
-		if hcfg.Retry.Enabled() && hcfg.Retry.Seed == 0 {
-			hcfg.Retry.Seed = cfg.Seed ^ 0x6e77
-		}
-		hcfg.QuarantineThreshold = cfg.QuarantineThreshold
-		hcfg.CapLeaseTTL = cfg.CapLeaseTTL
-		h, err := core.BuildHierarchy(s.Loop, s.Net, topo, hcfg)
-		if err != nil {
+		if err := s.assemble(); err != nil {
 			return nil, err
 		}
-		s.Hierarchy = h
 	}
 
 	s.ticker = simclock.NewTicker(loop, cfg.TickInterval, s.tick)
 	return s, nil
+}
+
+// assemble builds the controller tree the way the daemons do: the
+// topology compiles to a config.Suite and suite.Build assembles it on the
+// simulator's network (so sibling traffic pays netLatency), with every
+// controller-side client — agents and siblings alike — wrapped by the
+// fault injector; with no rules it is a zero-cost pass-through.
+func (s *Sim) assemble() error {
+	cfg := s.Cfg
+	if cfg.Checkpoint {
+		s.Store = statestore.NewStore(s.Loop, "sim", cfg.Telemetry)
+	}
+	s.Faults = faults.New(s.Loop, cfg.Seed^0xfa17, cfg.Telemetry)
+	s.Faults.Add(cfg.FaultRules...)
+	retry := cfg.ControlRetry
+	if retry.Enabled() && retry.Seed == 0 {
+		retry.Seed = cfg.Seed ^ 0x6e77
+	}
+	workers := cfg.Hierarchy.ControlWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	opts := suite.Options{
+		Net:                 s.Net,
+		Wrap:                s.Faults.WrapClient,
+		Store:               s.Store,
+		Retry:               retry,
+		QuarantineThreshold: cfg.QuarantineThreshold,
+		CapLeaseTTL:         cfg.CapLeaseTTL,
+		Priorities:          cfg.Hierarchy.Priorities,
+		ControlWorkers:      workers,
+	}
+	if cfg.ValidatorInterval > 0 {
+		opts.Validators = func(device string) func() (power.Watts, bool) {
+			id := topology.NodeID(device)
+			return func() (power.Watts, bool) {
+				v, ok := s.meter[id]
+				return v, ok
+			}
+		}
+	}
+	dial := func(addr string) (rpc.Client, error) { return s.Net.Dial(addr), nil }
+	alerts := func(a core.Alert) { s.Alerts = append(s.Alerts, a) }
+	h, err := suite.Build(s.Loop, CompileSuite(s.Topo, cfg.Hierarchy.Bands, cfg.CappableSwitches),
+		dial, alerts, cfg.Telemetry, opts)
+	if err != nil {
+		return err
+	}
+	s.Hierarchy = h
+	return nil
+}
+
+// CompileSuite describes the topology's controller tree as the
+// configuration the daemons load. The leaves come first: one per RPP in
+// topology order, whose agents are its servers and then, with
+// cappableSwitches, its top-of-rack switches in walk order (otherwise each
+// rack's switch is budgeted as a constant switchDraw). The SBs follow,
+// then the MSBs, each naming its children by device in child order. bands,
+// when set, applies to every controller.
+func CompileSuite(topo *topology.Topology, bands core.BandConfig, cappableSwitches bool) *config.Suite {
+	var b *config.Bands
+	if bands != (core.BandConfig{}) {
+		b = &config.Bands{
+			CapThresholdFrac:   bands.CapThresholdFrac,
+			CapTargetFrac:      bands.CapTargetFrac,
+			UncapThresholdFrac: bands.UncapThresholdFrac,
+		}
+	}
+	device := func(n *topology.Node, level string) config.Controller {
+		return config.Controller{
+			Device: string(n.ID), Level: level,
+			LimitWatts: float64(n.Rating), QuotaWatts: float64(n.Quota), Bands: b,
+		}
+	}
+	agentEntry := func(id topology.NodeID, service, generation string) config.AgentEntry {
+		return config.AgentEntry{ID: string(id), Service: service, Generation: generation, Addr: core.AgentAddr(string(id))}
+	}
+	out := &config.Suite{Name: "sim"}
+	for _, rpp := range topo.OfKind(topology.KindRPP) {
+		c := device(rpp, "leaf")
+		servers := rpp.Servers()
+		c.Agents = make([]config.AgentEntry, 0, len(servers))
+		for _, srv := range servers {
+			c.Agents = append(c.Agents, agentEntry(srv.ID, srv.Service, srv.Generation))
+		}
+		racks := 0
+		rpp.Walk(func(n *topology.Node) {
+			switch {
+			case n.Kind == topology.KindRack:
+				racks++
+			case n.Kind == topology.KindSwitch && cappableSwitches:
+				c.Agents = append(c.Agents, agentEntry(n.ID, "network", "torswitch"))
+			}
+		})
+		if !cappableSwitches {
+			c.NonServerWatts = float64(switchDraw) * float64(racks)
+		}
+		out.Controllers = append(out.Controllers, c)
+	}
+	for _, level := range [...]struct{ kind, child topology.Kind }{
+		{topology.KindSB, topology.KindRPP},
+		{topology.KindMSB, topology.KindSB},
+	} {
+		for _, n := range topo.OfKind(level.kind) {
+			c := device(n, "upper")
+			for _, ch := range n.Children {
+				if ch.Kind == level.child {
+					c.Children = append(c.Children, config.ChildEntry{Device: string(ch.ID), QuotaWatts: float64(ch.Quota)})
+				}
+			}
+			out.Controllers = append(out.Controllers, c)
+		}
+	}
+	return out
 }
 
 // Start arms the physics ticker and (when enabled) the controllers.

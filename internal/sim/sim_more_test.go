@@ -141,7 +141,7 @@ func TestSimWatchdogIntegration(t *testing.T) {
 // callers outside tests and examples that set it differently, and then
 // another field has to go (ROADMAP aim 2, "Finish the collapse").
 func TestConfigKnobBudget(t *testing.T) {
-	const budget = 65
+	const budget = 53
 	total := 0
 	for _, c := range []any{Config{}, core.HierarchyConfig{}, core.LeafConfig{}, core.UpperConfig{}} {
 		total += reflect.TypeOf(c).NumField()

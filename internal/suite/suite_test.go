@@ -15,6 +15,7 @@ import (
 	"dynamo/internal/rpc"
 	"dynamo/internal/server"
 	"dynamo/internal/simclock"
+	"dynamo/internal/topology"
 )
 
 // testWorld hosts agents on an "external" in-proc network standing in for
@@ -167,6 +168,48 @@ func TestControllerLookup(t *testing.T) {
 	}
 	if asm.Controller("ghost") != nil {
 		t.Error("unknown device should be nil")
+	}
+}
+
+// TestBuildRackLeaves assembles a tree whose leaves protect racks rather
+// than RPPs (rack power is over-provisioned in the paper's deployment, so
+// it has no rack controllers; other deployments may): every RPP becomes an
+// upper over its racks.
+func TestBuildRackLeaves(t *testing.T) {
+	spec := topology.DefaultSpec()
+	spec.MSBs, spec.SBsPerMSB, spec.RPPsPerSB = 1, 2, 2
+	spec.RacksPerRPP, spec.ServersPerRack = 2, 5
+	topo := spec.MustBuild()
+	cfg := &config.Suite{Name: "racks"}
+	for _, rack := range topo.OfKind(topology.KindRack) {
+		c := config.Controller{Device: string(rack.ID), Level: "leaf", LimitWatts: float64(rack.Rating)}
+		for _, srv := range rack.Servers() {
+			c.Agents = append(c.Agents, config.AgentEntry{ID: string(srv.ID), Service: srv.Service, Addr: "tcp/" + string(srv.ID)})
+		}
+		cfg.Controllers = append(cfg.Controllers, c)
+	}
+	for _, k := range []topology.Kind{topology.KindRPP, topology.KindSB, topology.KindMSB} {
+		for _, n := range topo.OfKind(k) {
+			c := config.Controller{Device: string(n.ID), Level: "upper", LimitWatts: float64(n.Rating)}
+			for _, ch := range n.Children {
+				c.Children = append(c.Children, config.ChildEntry{Device: string(ch.ID), QuotaWatts: float64(ch.Quota)})
+			}
+			cfg.Controllers = append(cfg.Controllers, c)
+		}
+	}
+	w := newWorld(t)
+	asm, err := Build(w.loop, cfg, w.dialer(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(asm.Leaves); got != 8 { // one per rack
+		t.Errorf("leaves = %d, want 8", got)
+	}
+	if got := len(asm.Uppers); got != 7 { // 4 RPP + 2 SB + 1 MSB
+		t.Errorf("uppers = %d, want 7", got)
+	}
+	if asm.Leaf(topo.OfKind(topology.KindRack)[0].ID) == nil || asm.Upper(topo.OfKind(topology.KindRPP)[0].ID) == nil {
+		t.Error("rack leaf or RPP upper missing")
 	}
 }
 

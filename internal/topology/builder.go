@@ -74,8 +74,8 @@ func DefaultSpec() Spec {
 
 // FullSpec returns the full 30 MW Facebook data center of the paper: four
 // suites worth of MSBs (12 × 2.5 MW ≈ 30 MW utility feed), four SBs each,
-// with OCP fan-out below. On the order of 100k servers; build time is
-// proportional to node count.
+// with OCP fan-out below: 12 × 4 × 8 × 18 × 30 = 207,360 servers; build
+// time is proportional to node count.
 func FullSpec() Spec {
 	s := DefaultSpec()
 	s.MSBs = 12
