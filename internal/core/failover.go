@@ -1,9 +1,10 @@
 package core
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
+	"dynamo/internal/noise"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
@@ -155,7 +156,7 @@ func NewFailoverProbe(loop simclock.Loop, probe rpc.Client, deviceID string, bac
 		deviceID: deviceID,
 		backup:   backup,
 		probe:    probe,
-		rng:      rand.New(rand.NewSource(cfg.JitterSeed)),
+		rng:      noise.New(cfg.JitterSeed),
 	}
 	if cfg.Telemetry.Enabled() {
 		lb := []string{"device", deviceID}

@@ -6,7 +6,7 @@
 //
 // Determinism contract: every fault decision is a pure function of
 // (seed, peer, method, per-(peer,method) call index, rule index) — a
-// stateless splitmix64-style hash, never a shared RNG stream — and all
+// stateless noise.Mix64 hash, never a shared RNG stream — and all
 // injected waits run on the simclock loop. Same seed + same schedule +
 // same call sequence therefore yields byte-identical outcomes at any
 // GOMAXPROCS or worker-pool width, so chaos runs are covered by the
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"dynamo/internal/noise"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/telemetry"
@@ -361,31 +362,12 @@ func newFaultInstr(s *telemetry.Sink) *faultInstr {
 	}
 }
 
-// splitmix64 is the finalizer from Vigna's SplitMix64 — a cheap,
-// high-quality 64-bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// fnv64a hashes a string (FNV-1a).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // unit returns a uniform float in [0, 1) determined purely by its
 // arguments.
 func unit(seed int64, peer, method string, n, salt uint64) float64 {
-	h := splitmix64(uint64(seed) ^ fnv64a(peer))
-	h = splitmix64(h ^ fnv64a(method))
-	h = splitmix64(h ^ n)
-	h = splitmix64(h ^ salt)
+	h := noise.Mix64(uint64(seed) ^ noise.FNV64a(peer))
+	h = noise.Mix64(h ^ noise.FNV64a(method))
+	h = noise.Mix64(h ^ n)
+	h = noise.Mix64(h ^ salt)
 	return float64(h>>11) / float64(1<<53)
 }

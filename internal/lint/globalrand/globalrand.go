@@ -2,8 +2,8 @@
 // everywhere outside tests.
 //
 // Reproducibility demands that every random draw trace to an explicitly
-// seeded generator owned by a component (workload shares, fault verdicts,
-// retry jitter all carry their own *rand.Rand or stateless hash draws).
+// seeded generator owned by a component (workload streams, fault verdicts,
+// retry jitter all carry their own noise stream or stateless hash draws).
 // The package-level math/rand functions share one global, lock-guarded
 // source: seeding it from one place perturbs draws everywhere else, and
 // concurrent callers interleave nondeterministically. This rule applies to

@@ -2,9 +2,10 @@ package platform
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
+	"dynamo/internal/noise"
 	"dynamo/internal/power"
 	"dynamo/internal/server"
 )
@@ -28,7 +29,7 @@ func Calibrate(model server.Model, points int, meterNoise float64, seed int64) *
 	if points < 2 {
 		points = 2
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := noise.New(seed)
 	em := &EstimationModel{generation: model.Name}
 	for i := 0; i < points; i++ {
 		u := float64(i) / float64(points-1)
@@ -71,7 +72,7 @@ type Estimated struct {
 	host *server.Server
 	em   *EstimationModel
 	opts Options
-	rng  *rand.Rand // nil until the first read; see stream
+	rng  *rand.Rand
 }
 
 // NewEstimated creates an estimation-based backend. The model must match
@@ -84,7 +85,7 @@ func NewEstimated(host *server.Server, em *EstimationModel, opts Options) (*Esti
 		return nil, fmt.Errorf("platform: estimation model for %q does not fit host generation %q",
 			em.Generation(), host.Model().Name)
 	}
-	return &Estimated{host: host, em: em, opts: opts}, nil
+	return &Estimated{host: host, em: em, opts: opts, rng: noise.New(opts.Seed)}, nil
 }
 
 // Name implements Platform.
@@ -99,7 +100,7 @@ func (e *Estimated) ReadPower() (server.Breakdown, error) {
 	if e.host.Crashed() {
 		return server.Breakdown{}, ErrReadFailed
 	}
-	if e.opts.FailureRate > 0 && stream(&e.rng, e.opts.Seed).Float64() < e.opts.FailureRate {
+	if e.opts.FailureRate > 0 && e.rng.Float64() < e.opts.FailureRate {
 		return server.Breakdown{}, ErrReadFailed
 	}
 	est := e.em.Estimate(e.host.CPUUtil())

@@ -16,8 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
+	"dynamo/internal/noise"
 	"dynamo/internal/power"
 	"dynamo/internal/server"
 )
@@ -64,22 +65,12 @@ type Options struct {
 	Seed int64
 }
 
-// stream returns a backend's noise stream, seeding it on the first draw: a
-// math/rand source is 4.9 KB and ~10 µs of seeding, and in a run without
-// controllers no agent ever reads. Same seed, same stream, whenever built.
-func stream(rng **rand.Rand, seed int64) *rand.Rand {
-	if *rng == nil {
-		*rng = rand.New(rand.NewSource(seed))
-	}
-	return *rng
-}
-
 // MSR is the register-level RAPL backend used on generations that allow
 // direct MSR access. It has a fine-grained on-board sensor.
 type MSR struct {
 	host *server.Server
 	opts Options
-	rng  *rand.Rand // nil until the first read; see stream
+	rng  *rand.Rand
 }
 
 // NewMSR creates an MSR backend for the host.
@@ -90,7 +81,7 @@ func NewMSR(host *server.Server, opts Options) *MSR {
 	if opts.NoiseSigma == 0 {
 		opts.NoiseSigma = 0.8
 	}
-	return &MSR{host: host, opts: opts}
+	return &MSR{host: host, opts: opts, rng: noise.New(opts.Seed)}
 }
 
 // Name implements Platform.
@@ -101,7 +92,7 @@ func (m *MSR) HasSensor() bool { return true }
 
 // ReadPower implements Platform.
 func (m *MSR) ReadPower() (server.Breakdown, error) {
-	return readSensor(m.host, m.opts, &m.rng)
+	return readSensor(m.host, m.opts, m.rng)
 }
 
 // SetPowerLimit implements Platform. MSR writes accept any value; values
@@ -134,7 +125,7 @@ func (m *MSR) CPUUtil() float64 { return m.host.CPUUtil() }
 type IPMI struct {
 	host *server.Server
 	opts Options
-	rng  *rand.Rand // nil until the first read; see stream
+	rng  *rand.Rand
 }
 
 // NewIPMI creates an IPMI/node-manager backend for the host.
@@ -145,7 +136,7 @@ func NewIPMI(host *server.Server, opts Options) *IPMI {
 	if opts.NoiseSigma == 0 {
 		opts.NoiseSigma = 1.5
 	}
-	return &IPMI{host: host, opts: opts}
+	return &IPMI{host: host, opts: opts, rng: noise.New(opts.Seed)}
 }
 
 // Name implements Platform.
@@ -156,7 +147,7 @@ func (i *IPMI) HasSensor() bool { return true }
 
 // ReadPower implements Platform.
 func (i *IPMI) ReadPower() (server.Breakdown, error) {
-	return readSensor(i.host, i.opts, &i.rng)
+	return readSensor(i.host, i.opts, i.rng)
 }
 
 // SetPowerLimit implements Platform. The node manager rejects limits
@@ -189,11 +180,10 @@ func (i *IPMI) PowerLimit() (power.Watts, bool) { return i.host.Limit() }
 // CPUUtil implements Platform.
 func (i *IPMI) CPUUtil() float64 { return i.host.CPUUtil() }
 
-func readSensor(host *server.Server, opts Options, lazy **rand.Rand) (server.Breakdown, error) {
+func readSensor(host *server.Server, opts Options, rng *rand.Rand) (server.Breakdown, error) {
 	if host.Crashed() {
 		return server.Breakdown{}, ErrReadFailed
 	}
-	rng := stream(lazy, opts.Seed)
 	if opts.FailureRate > 0 && rng.Float64() < opts.FailureRate {
 		return server.Breakdown{}, ErrReadFailed
 	}

@@ -3,11 +3,12 @@ package platform
 import (
 	"errors"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"dynamo/internal/noise"
 	"dynamo/internal/power"
 	"dynamo/internal/server"
 )
@@ -43,30 +44,34 @@ func TestMSRReadPower(t *testing.T) {
 	}
 }
 
-// TestSensorStreamBuiltOnFirstRead: a backend holds no random stream until
-// its first read, and the readings are then the seed's stream from its
-// start — whenever that first read comes.
-func TestSensorStreamBuiltOnFirstRead(t *testing.T) {
+// TestSensorReadsFollowSeedStream: a backend's readings are its seed's
+// noise stream from the first draw on, and a write draws nothing from it.
+func TestSensorReadsFollowSeedStream(t *testing.T) {
 	host := newHost(0.6)
-	p := NewMSR(host, Options{Seed: 9})
-	if p.rng != nil {
-		t.Fatal("noise stream built before the first read")
-	}
-	if err := p.SetPowerLimit(host.Power() + 100); err != nil { // no read: still none
-		t.Fatal(err)
-	}
-	if p.rng != nil {
-		t.Fatal("noise stream built by a write")
-	}
-	ref := rand.New(rand.NewSource(9))
-	for i := 0; i < 3; i++ {
-		b, err := p.ReadPower()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := math.Round((float64(host.Power())+0.8*ref.NormFloat64())/0.1) * 0.1
-		if float64(b.Total) != want {
-			t.Fatalf("read %d: %v, want %v from the seed's stream", i, float64(b.Total), want)
+	for _, c := range []struct {
+		p            Platform
+		sigma, quant float64
+	}{
+		{NewMSR(host, Options{Seed: 9}), 0.8, 0.1},
+		{NewIPMI(host, Options{Seed: 9}), 1.5, 1.0},
+	} {
+		src := noise.NewStream(9)
+		ref := rand.New(&src)
+		for i := 0; i < 4; i++ {
+			if err := c.p.SetPowerLimit(host.Power() + 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.p.ClearPowerLimit(); err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.p.ReadPower()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := math.Round((float64(host.Power())+c.sigma*ref.NormFloat64())/c.quant) * c.quant
+			if float64(b.Total) != want {
+				t.Fatalf("%s read %d: %v, want %v from the seed's stream", c.p.Name(), i, float64(b.Total), want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"time"
 
+	"dynamo/internal/noise"
 	"dynamo/internal/simclock"
 	"dynamo/internal/wire"
 )
@@ -126,28 +127,12 @@ func (p RetryPolicy) backoff(key, method string, n int) time.Duration {
 }
 
 // hashUnit maps (seed, key, method, n) to a uniform float in [0, 1)
-// via a splitmix64-style finalizer over FNV-1a string hashes.
+// via noise.Mix64 over FNV-1a string hashes.
 func hashUnit(seed int64, key, method string, n uint64) float64 {
-	h := mix64(uint64(seed) ^ fnv64a(key))
-	h = mix64(h ^ fnv64a(method))
-	h = mix64(h ^ n)
+	h := noise.Mix64(uint64(seed) ^ noise.FNV64a(key))
+	h = noise.Mix64(h ^ noise.FNV64a(method))
+	h = noise.Mix64(h ^ n)
 	return float64(h>>11) / float64(1<<53)
-}
-
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // WithDefaultTimeout wraps c so calls issued without a deadline

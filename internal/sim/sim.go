@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -20,6 +19,7 @@ import (
 	"dynamo/internal/faults"
 	"dynamo/internal/metrics"
 	"dynamo/internal/monitor"
+	"dynamo/internal/noise"
 	"dynamo/internal/platform"
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
@@ -248,7 +248,7 @@ func New(cfg Config) (*Sim, error) {
 	seed := cfg.Seed
 	next := func() int64 { seed++; return seed }
 
-	hwRng := rand.New(rand.NewSource(cfg.Seed ^ 0x4a11))
+	hwRng := noise.New(cfg.Seed ^ 0x4a11)
 
 	for _, srvNode := range topo.Servers() {
 		svc := srvNode.Service

@@ -2,10 +2,12 @@ package workload
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"time"
+
+	"dynamo/internal/noise"
 )
 
 // refShared, refGen and refStep are the utilization process with nothing
@@ -13,6 +15,13 @@ import (
 // exp, sqrt, mod and sin. Production computes those once per service per
 // tick (Shared.advance) and must agree with this bit for bit, draw for
 // draw.
+
+// refRand is the reference's draw source: math/rand/v2 over the seed's
+// noise.Stream.
+func refRand(seed int64) *rand.Rand {
+	s := noise.NewStream(seed)
+	return rand.New(&s)
+}
 
 type refOU struct{ x, sigma, tau float64 }
 
@@ -36,7 +45,7 @@ type refShared struct {
 }
 
 func newRefShared(p Profile, seed int64) *refShared {
-	rng := rand.New(rand.NewSource(seed))
+	rng := refRand(seed)
 	return &refShared{
 		profile:    p,
 		rng:        rng,
@@ -86,7 +95,7 @@ type refGen struct {
 }
 
 func newRefGen(shared *refShared, seed int64) *refGen {
-	rng := rand.New(rand.NewSource(seed))
+	rng := refRand(seed)
 	return &refGen{
 		shared:     shared,
 		rng:        rng,
@@ -241,10 +250,10 @@ func TestStepMatchesPerServerReference(t *testing.T) {
 // relies on: x − trunc(x) equals math.Mod(x, 1) (up to the sign of a zero,
 // which no comparison sees) for negative, fractional, integral and huge x.
 func TestFractionalPartMatchesMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := refRand(3)
 	xs := []float64{0, -0.024, 0.3, 1, -1, 2.5, -2.5, 1 << 52, 1<<53 + 2, 1e300, math.SmallestNonzeroFloat64}
 	for i := 0; i < 10000; i++ {
-		xs = append(xs, (rng.Float64()-0.1)*math.Pow(10, float64(rng.Intn(18))))
+		xs = append(xs, (rng.Float64()-0.1)*math.Pow(10, float64(rng.IntN(18))))
 	}
 	for _, x := range xs {
 		if got, want := x-math.Trunc(x), math.Mod(x, 1); got != want {

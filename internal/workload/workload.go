@@ -22,8 +22,10 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"time"
+
+	"dynamo/internal/noise"
 )
 
 // Pattern selects the deterministic component of a profile's load.
@@ -233,7 +235,7 @@ type Shared struct {
 
 // NewShared creates shared state for one service.
 func NewShared(p Profile, seed int64) *Shared {
-	rng := rand.New(rand.NewSource(seed))
+	rng := noise.New(seed)
 	return &Shared{
 		profile:    p,
 		rng:        rng,
@@ -334,7 +336,7 @@ type Generator struct {
 
 // NewGenerator creates a generator for one server of the shared service.
 func NewGenerator(shared *Shared, seed int64) *Generator {
-	rng := rand.New(rand.NewSource(seed))
+	rng := noise.New(seed)
 	return &Generator{
 		shared:     shared,
 		rng:        rng,

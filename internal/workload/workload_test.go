@@ -115,30 +115,33 @@ func TestExtraLoadRaisesUtil(t *testing.T) {
 func TestCommonModeCorrelation(t *testing.T) {
 	// Two servers of the same service share the common-mode process, so
 	// their utilizations should be positively correlated; two servers on
-	// independent Shared states should be (near) uncorrelated.
-	sh := NewShared(MustLookup("web"), 11)
-	g1 := NewGenerator(sh, 21)
-	g2 := NewGenerator(sh, 22)
-	shX := NewShared(MustLookup("web"), 99)
-	g3 := NewGenerator(shX, 23)
-
-	n := 4000
-	u1 := make([]float64, n)
-	u2 := make([]float64, n)
-	u3 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ts := time.Duration(i) * 3 * time.Second
-		u1[i] = g1.Step(ts)
-		u2[i] = g2.Step(ts)
-		u3[i] = g3.Step(ts)
+	// independent Shared states share only the diurnal curve. One pair's
+	// correlation over 4000 steps spreads from about −0.1 to 0.2 around a
+	// true value near 0.06, so the assertions are on the mean over many
+	// seed pairs (standard error ≈ 0.003).
+	const pairs, n = 256, 4000
+	var same, diff float64
+	u1, u2, u3 := make([]float64, n), make([]float64, n), make([]float64, n)
+	for k := int64(0); k < pairs; k++ {
+		seed := 1000 + 10*k
+		sh := NewShared(MustLookup("web"), seed)
+		g1 := NewGenerator(sh, seed+1)
+		g2 := NewGenerator(sh, seed+2)
+		g3 := NewGenerator(NewShared(MustLookup("web"), seed+3), seed+4)
+		for i := 0; i < n; i++ {
+			ts := time.Duration(i) * 3 * time.Second
+			u1[i] = g1.Step(ts)
+			u2[i] = g2.Step(ts)
+			u3[i] = g3.Step(ts)
+		}
+		same += corr(u1, u2) / pairs
+		diff += corr(u1, u3) / pairs
 	}
-	corrSame := corr(u1, u2)
-	corrDiff := corr(u1, u3)
-	if corrSame < 0.05 {
-		t.Errorf("same-service correlation = %.3f, want >= 0.05", corrSame)
+	if same < 0.05 {
+		t.Errorf("mean same-service correlation = %.3f, want >= 0.05", same)
 	}
-	if corrSame <= corrDiff {
-		t.Errorf("same-service corr %.3f should exceed cross-shared corr %.3f", corrSame, corrDiff)
+	if same <= diff {
+		t.Errorf("mean same-service corr %.3f should exceed mean cross-shared corr %.3f", same, diff)
 	}
 }
 
