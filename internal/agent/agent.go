@@ -17,15 +17,19 @@ import (
 // the platform layer; it keeps no policy and never talks to other agents
 // (paper §III-A).
 type Agent struct {
-	id         string
-	service    string
-	generation string
-	plat       platform.Platform
-
+	id   string
+	plat platform.Platform
 	// Operation counters, indexed by op. Atomic so Stats and Ping can be
 	// read from any goroutine without the request path taking a lock.
-	ops [numOps]atomic.Uint64
+	ops [numOps]atomic.Uint32
+	x   *extras // nil until EnableLease or SetTelemetry
+	// resp is the ReadPower reply, which every read rewrites (rpc.Handler).
+	resp ReadPowerResponse
+}
 
+// extras is what only some agents carry, behind one pointer so that an
+// agent with neither lease nor telemetry stays in the 160-byte size class.
+type extras struct {
 	// Cap-lease fail-safe (paper §III-E: capping must not survive
 	// controller death). All lease fields except leaseExpiries are
 	// loop-confined: handlers run on the loop (in-proc transport or
@@ -35,9 +39,26 @@ type Agent struct {
 	leaseTimer    *simclock.Timer
 	onLeaseExpire func(id string, limit power.Watts)
 	leaseExpiries atomic.Uint64
-
-	tel *agentInstr // nil when telemetry is disabled
+	tel           *agentInstr // nil when telemetry is disabled
 }
+
+func (a *Agent) extras() *extras {
+	if a.x == nil {
+		a.x = &extras{}
+	}
+	return a.x
+}
+
+// tel returns the agent's instruments, nil when telemetry is disabled.
+func (a *Agent) tel() *agentInstr {
+	if a.x == nil {
+		return nil
+	}
+	return a.x.tel
+}
+
+// capOK is every successful cap, uncap or renewal reply; it is immutable.
+var capOK = &CapResponse{OK: true}
 
 // op names one of the agent's operation counters.
 type op int
@@ -66,7 +87,7 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 		return
 	}
 	lb := []string{"server", a.id}
-	a.tel = &agentInstr{
+	a.extras().tel = &agentInstr{
 		ops: [numOps]*telemetry.Counter{
 			opRead:  s.Counter("dynamo_agent_reads_total", lb...),
 			opCap:   s.Counter("dynamo_agent_caps_total", lb...),
@@ -88,35 +109,33 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 // applies to SetCaps that carry no lease of their own; zero means such
 // caps are not guarded. Call before the agent starts serving.
 func (a *Agent) EnableLease(loop simclock.Loop, defaultTTL time.Duration, onExpire func(id string, limit power.Watts)) {
-	a.loop = loop
-	a.leaseTTL = defaultTTL
-	a.onLeaseExpire = onExpire
+	x := a.extras()
+	x.loop, x.leaseTTL, x.onLeaseExpire = loop, defaultTTL, onExpire
 }
 
 // LeaseExpiries returns how many caps this agent has released because
 // their lease went unrenewed.
-func (a *Agent) LeaseExpiries() uint64 { return a.leaseExpiries.Load() }
+func (a *Agent) LeaseExpiries() uint64 {
+	if a.x == nil {
+		return 0
+	}
+	return a.x.leaseExpiries.Load()
+}
 
 // New creates an agent for a server.
 func New(id, service, generation string, plat platform.Platform) *Agent {
-	return &Agent{id: id, service: service, generation: generation, plat: plat}
+	return &Agent{id: id, plat: plat, resp: ReadPowerResponse{Service: service, Generation: generation}}
 }
-
-// ID returns the agent's server identifier.
-func (a *Agent) ID() string { return a.id }
-
-// Service returns the service the host runs.
-func (a *Agent) Service() string { return a.service }
 
 // Stats returns the operation counters (reads, caps, uncaps, errors).
 func (a *Agent) Stats() (reads, caps, uncaps, errs uint64) {
-	return a.ops[opRead].Load(), a.ops[opCap].Load(), a.ops[opUncap].Load(), a.ops[opErr].Load()
+	return uint64(a.ops[opRead].Load()), uint64(a.ops[opCap].Load()), uint64(a.ops[opUncap].Load()), uint64(a.ops[opErr].Load())
 }
 
 func (a *Agent) count(o op) {
 	a.ops[o].Add(1)
-	if a.tel != nil {
-		a.tel.ops[o].Inc()
+	if t := a.tel(); t != nil {
+		t.ops[o].Inc()
 	}
 }
 
@@ -154,9 +173,9 @@ func (a *Agent) Handler() rpc.Handler {
 }
 
 func (a *Agent) readPower() (wire.Message, error) {
-	if a.tel != nil {
+	if t := a.tel(); t != nil {
 		start := time.Now()
-		defer func() { a.tel.readDur.Observe(time.Since(start).Seconds()) }()
+		defer func() { t.readDur.Observe(time.Since(start).Seconds()) }()
 	}
 	b, err := a.plat.ReadPower()
 	if err != nil {
@@ -165,25 +184,18 @@ func (a *Agent) readPower() (wire.Message, error) {
 	}
 	a.count(opRead)
 	cap, capped := a.plat.PowerLimit()
-	return &ReadPowerResponse{
-		TotalWatts:    float64(b.Total),
-		CPUWatts:      float64(b.CPU),
-		MemoryWatts:   float64(b.Memory),
-		OtherWatts:    float64(b.Other),
-		ACDCLossWatts: float64(b.ACDCLoss),
-		HasSensor:     a.plat.HasSensor(),
-		CPUUtil:       a.plat.CPUUtil(),
-		Service:       a.service,
-		Generation:    a.generation,
-		CapWatts:      float64(cap),
-		Capped:        capped,
-	}, nil
+	r := &a.resp
+	r.TotalWatts, r.CPUWatts, r.MemoryWatts = float64(b.Total), float64(b.CPU), float64(b.Memory)
+	r.OtherWatts, r.ACDCLossWatts = float64(b.Other), float64(b.ACDCLoss)
+	r.HasSensor, r.CPUUtil = a.plat.HasSensor(), a.plat.CPUUtil()
+	r.CapWatts, r.Capped = float64(cap), capped
+	return r, nil
 }
 
 func (a *Agent) setCap(limitWatts float64, lease time.Duration) (wire.Message, error) {
-	if a.tel != nil {
+	if t := a.tel(); t != nil {
 		start := time.Now()
-		defer func() { a.tel.capDur.Observe(time.Since(start).Seconds()) }()
+		defer func() { t.capDur.Observe(time.Since(start).Seconds()) }()
 	}
 	if limitWatts <= 0 {
 		a.count(opErr)
@@ -195,13 +207,13 @@ func (a *Agent) setCap(limitWatts float64, lease time.Duration) (wire.Message, e
 	}
 	a.count(opCap)
 	a.armLease(lease, power.Watts(limitWatts))
-	return &CapResponse{OK: true}, nil
+	return capOK, nil
 }
 
 func (a *Agent) clearCap() (wire.Message, error) {
-	if a.tel != nil {
+	if t := a.tel(); t != nil {
 		start := time.Now()
-		defer func() { a.tel.capDur.Observe(time.Since(start).Seconds()) }()
+		defer func() { t.capDur.Observe(time.Since(start).Seconds()) }()
 	}
 	if err := a.plat.ClearPowerLimit(); err != nil {
 		a.count(opErr)
@@ -209,7 +221,7 @@ func (a *Agent) clearCap() (wire.Message, error) {
 	}
 	a.stopLease()
 	a.count(opUncap)
-	return &CapResponse{OK: true}, nil
+	return capOK, nil
 }
 
 // renewLease refreshes the cap lease without changing the limit. A
@@ -221,33 +233,34 @@ func (a *Agent) renewLease(ttl time.Duration) (wire.Message, error) {
 		return &CapResponse{OK: false, Msg: "no active cap"}, nil
 	}
 	a.armLease(ttl, limit)
-	if a.tel != nil {
-		a.tel.leaseRenew.Inc()
+	if t := a.tel(); t != nil {
+		t.leaseRenew.Inc()
 	}
-	return &CapResponse{OK: true}, nil
+	return capOK, nil
 }
 
 // armLease (re)starts the lease timer. ttl <= 0 falls back to the
 // default TTL; no loop or no TTL means the cap is unguarded. Runs on the
 // loop goroutine (handler context), as simclock timers require.
 func (a *Agent) armLease(ttl time.Duration, limit power.Watts) {
-	if a.loop == nil {
+	x := a.x
+	if x == nil || x.loop == nil {
 		return
 	}
 	a.stopLease()
 	if ttl <= 0 {
-		ttl = a.leaseTTL
+		ttl = x.leaseTTL
 	}
 	if ttl <= 0 {
 		return
 	}
-	a.leaseTimer = a.loop.After(ttl, func() { a.expireLease(limit) })
+	x.leaseTimer = x.loop.After(ttl, func() { a.expireLease(limit) })
 }
 
 func (a *Agent) stopLease() {
-	if a.leaseTimer != nil {
-		a.leaseTimer.Stop()
-		a.leaseTimer = nil
+	if a.x != nil && a.x.leaseTimer != nil {
+		a.x.leaseTimer.Stop()
+		a.x.leaseTimer = nil
 	}
 }
 
@@ -255,7 +268,8 @@ func (a *Agent) stopLease() {
 // the fail-safe against a dead controller leaving servers throttled —
 // and surface the event.
 func (a *Agent) expireLease(limit power.Watts) {
-	a.leaseTimer = nil
+	x := a.x
+	x.leaseTimer = nil
 	if _, capped := a.plat.PowerLimit(); !capped {
 		return // cap already cleared through the normal path
 	}
@@ -263,11 +277,11 @@ func (a *Agent) expireLease(limit power.Watts) {
 		a.count(opErr)
 		return
 	}
-	a.leaseExpiries.Add(1)
-	if a.tel != nil {
-		a.tel.leaseExp.Inc()
+	x.leaseExpiries.Add(1)
+	if x.tel != nil {
+		x.tel.leaseExp.Inc()
 	}
-	if a.onLeaseExpire != nil {
-		a.onLeaseExpire(a.id, limit)
+	if x.onLeaseExpire != nil {
+		x.onLeaseExpire(a.id, limit)
 	}
 }

@@ -103,14 +103,6 @@ func NewCohortScheduler(loop simclock.Loop, workers int, tel *telemetry.Sink) *C
 	return s
 }
 
-// Workers returns the observe worker count.
-func (s *CohortScheduler) Workers() int {
-	if s == nil {
-		return 1
-	}
-	return s.workers
-}
-
 // register assigns the next device-order index. Called from controller
 // constructors; the construction order (leaves first, then uppers,
 // topology order within each level) is the fixed act order.

@@ -24,16 +24,23 @@ import (
 // is only valid inside the completion callback) in storage reused from
 // cycle to cycle; decoding happens in the observe phase, so the callback
 // does no per-child work beyond copying bytes.
+// Its completions, bound on first issue, are picked by cycle parity: a cycle
+// opens only once the last one's pulls are all complete, so the other is stale.
 type pull struct {
-	id     string
-	client rpc.Client
-
+	id       string
+	client   rpc.Client
+	k        *cycleKernel
+	done     [2]func([]byte, error) // onEven, onOdd; nil until first issued
 	raw      []byte
 	rawValid bool
 	ok       bool // the level decoded a usable reading this cycle
 	skip     bool // not pulled this cycle
 	probe    bool // pulled with one unretried attempt this cycle
+	awaiting bool // issued this cycle and not yet completed
 }
+
+func (h *pull) onEven(resp []byte, err error) { h.k.onPull(h, 0, resp, err) }
+func (h *pull) onOdd(resp []byte, err error)  { h.k.onPull(h, 1, resp, err) }
 
 // level is what differs between a leaf and an upper controller.
 // aggregate and decide make up the observe+decide phase: they may run on a
@@ -154,6 +161,7 @@ type cycleKernel struct {
 
 	tel          *ctrlInstr // nil when telemetry is disabled
 	cycleStartAt time.Duration
+	resp         CtrlReadPowerResponse // the Handler's pull reply, reused
 }
 
 func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink *telemetry.Sink, retry RetryConfig, pulls []*pull) {
@@ -319,7 +327,6 @@ func (k *cycleKernel) pollCycle() {
 		return
 	}
 	k.cycleSeq++
-	seq := k.cycleSeq
 	k.cycleOpen = true
 	k.cycleGen = k.gen
 	if k.tel != nil {
@@ -338,9 +345,11 @@ func (k *cycleKernel) pollCycle() {
 		if h.skip {
 			continue
 		}
-		// The completion captures the kernel, the cycle and the child and
-		// nothing else: one 32-byte closure per pull.
-		done := func(resp []byte, err error) { k.onPull(seq, h, resp, err) }
+		if h.k == nil {
+			h.k, h.done = k, [2]func([]byte, error){h.onEven, h.onOdd}
+		}
+		h.awaiting = true
+		done := h.done[k.cycleSeq&1]
 		if h.probe {
 			h.client.Call(k.pullMethod, rpc.Empty, k.pullTimeout, done)
 		} else {
@@ -352,10 +361,11 @@ func (k *cycleKernel) pollCycle() {
 // onPull records one pull completion. It runs on the loop goroutine and
 // only stores the raw response; decoding is deferred to the observe
 // phase, which may run on a cohort worker.
-func (k *cycleKernel) onPull(seq uint64, h *pull, resp []byte, err error) {
-	if seq != k.cycleSeq {
-		return // stale response from a superseded cycle
+func (k *cycleKernel) onPull(h *pull, parity uint64, resp []byte, err error) {
+	if parity != k.cycleSeq&1 || !h.awaiting {
+		return // stale response from a superseded cycle, or a second delivery
 	}
+	h.awaiting = false
 	if err != nil && k.tel != nil {
 		k.tel.rpcFailure(k.cycles+1, k.loop.Now(), h.id, k.pullOp, err)
 	}
@@ -485,30 +495,35 @@ func (k *cycleKernel) emitAlerts(now time.Duration, p *cyclePlan) {
 	}
 }
 
+// ackOK is every successful contract reply; it is immutable.
+var ackOK = &AckResponse{OK: true}
+
 // Handler serves the controller-to-controller protocol for this device, so
 // an MSB controller pulls an SB controller exactly as an SB pulls leaves.
+// Every pull rewrites the one CtrlReadPower reply it returns (rpc.Handler).
 func (k *cycleKernel) Handler() rpc.Handler {
 	return func(method string, body []byte) (wire.Message, error) {
 		switch method {
 		case MethodCtrlReadPower:
-			return &CtrlReadPowerResponse{
+			k.resp = CtrlReadPowerResponse{
 				AggWatts:      float64(k.lastAgg),
 				Valid:         k.lastValid,
 				CappedServers: k.lvl.cappedCount(),
 				QuotaWatts:    float64(k.quota),
 				LimitWatts:    float64(k.limit),
 				ContractWatts: float64(k.contract),
-			}, nil
+			}
+			return &k.resp, nil
 		case MethodCtrlSetContract:
 			var req SetContractRequest
 			if err := wire.Unmarshal(body, &req); err != nil {
 				return nil, err
 			}
 			k.setContract(power.Watts(req.LimitWatts))
-			return &AckResponse{OK: true}, nil
+			return ackOK, nil
 		case MethodCtrlClearContract:
 			k.setContract(0)
-			return &AckResponse{OK: true}, nil
+			return ackOK, nil
 		case MethodCtrlPing:
 			return &CtrlPingResponse{Healthy: k.Running(), Cycles: k.cycles}, nil
 		default:

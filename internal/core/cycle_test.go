@@ -109,6 +109,21 @@ func TestCycleKernel(t *testing.T) {
 				t.Errorf("cycle 2 aggregate = %v (valid %v), want 300 W from its own pulls", agg, valid)
 			}
 		}},
+		{"a completion delivered twice within one cycle counts once", func(t *testing.T, lv levelCase, loop *simclock.SimLoop) {
+			held := &heldClient{}
+			k := lv.build(loop, "dev", []string{"a", "b"}, func(string) rpc.Client { return held })
+			k.Start()
+			loop.RunUntil(k.pollInterval)
+			held.done[0](wire.Marshal(lv.answer(100)), nil)
+			held.done[0](wire.Marshal(lv.answer(999)), nil)
+			if k.inflight != 1 || k.cycles != 0 {
+				t.Fatalf("the second delivery counted: inflight %d, cycles %d", k.inflight, k.cycles)
+			}
+			held.answerAll(lv, 1, 150)
+			if agg, valid := k.LastAggregate(); !valid || agg != 250 {
+				t.Errorf("aggregate = %v (valid %v), want 250 W from a's first delivery and b's", agg, valid)
+			}
+		}},
 		{"poll skips while the previous cycle is open", func(t *testing.T, lv levelCase, loop *simclock.SimLoop) {
 			held := &heldClient{}
 			k := lv.build(loop, "dev", []string{"a", "b"}, func(string) rpc.Client { return held })

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"dynamo/internal/agent"
 	"dynamo/internal/faults"
+	"dynamo/internal/platform"
+	"dynamo/internal/power"
 	"dynamo/internal/rpc"
+	"dynamo/internal/server"
 	"dynamo/internal/simclock"
 	"dynamo/internal/wire"
 )
@@ -76,5 +81,51 @@ func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLeafCycleAllocs: in steady state a whole leaf cycle allocates
+// nothing — 30 pulls through zero-rule fault wrappers and the in-proc
+// network to real agents, then observe, decide and act. The completions
+// are bound once per child, each agent reuses its reply, and the network
+// its call records.
+func TestLeafCycleAllocs(t *testing.T) {
+	const agents = 30
+	loop := simclock.NewSimLoop()
+	loop.SetStepLimit(0)
+	net := rpc.NewNetwork(loop, 2*time.Millisecond, 1)
+	inj := faults.New(loop, 1, nil)
+	var refs []AgentRef
+	for i := 0; i < agents; i++ {
+		id := fmt.Sprintf("srv%02d", i)
+		host := server.New(server.Config{
+			ID: id, Service: "web", Model: server.MustModel("haswell2015"),
+			Source: server.LoadFunc(func(time.Duration) float64 { return 0.5 }),
+		})
+		host.Tick(0)
+		ag := agent.New(id, "web", "haswell2015", platform.NewMSR(host, platform.Options{Seed: int64(i + 1)}))
+		net.Register(AgentAddr(id), ag.Handler())
+		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015",
+			Client: inj.WrapClient(AgentAddr(id), net.Dial(AgentAddr(id)))})
+	}
+	leaf := NewLeaf(loop, LeafConfig{DeviceID: "rpp", Limit: power.KW(100), Alerts: func(Alert) {}}, refs)
+	leaf.Start()
+	until := time.Second
+	cycle := func() {
+		until += leaf.pollInterval
+		loop.RunUntil(until)
+	}
+	const warm, runs = 4, 20
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Errorf("a steady-state leaf cycle over %d agents allocates %v, want 0", agents, n)
+	}
+	if got := leaf.Cycles(); got != warm+runs+1 {
+		t.Fatalf("%d cycles ran, want %d", got, warm+runs+1)
+	}
+	if agg, valid := leaf.LastAggregate(); !valid || agg < power.Watts(agents*100) {
+		t.Fatalf("aggregate %v (valid %v): the agents' readings did not arrive", agg, valid)
 	}
 }

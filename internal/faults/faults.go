@@ -70,7 +70,7 @@ type Injector struct {
 
 	mu    sync.Mutex
 	rules []Rule
-	calls map[string]*uint64 // per peer+method call index, shared by every wrapper of the peer
+	calls map[callKey]*uint64 // per-(peer, method) call index, shared by every wrapper of the peer
 
 	dropped    uint64
 	delayed    uint64
@@ -81,7 +81,7 @@ type Injector struct {
 
 // New builds an injector. sink may be nil (no metrics).
 func New(loop simclock.Loop, seed int64, sink *telemetry.Sink) *Injector {
-	in := &Injector{loop: loop, seed: seed, calls: make(map[string]*uint64)}
+	in := &Injector{loop: loop, seed: seed, calls: make(map[callKey]*uint64)}
 	if sink != nil {
 		in.tel = newFaultInstr(sink)
 	}
@@ -163,9 +163,12 @@ type verdict struct {
 	dup   bool
 }
 
+// callKey names a call index by the wrapper's peer and the caller's method.
+type callKey struct{ peer, method string }
+
 // callIndex is one wrapper's view of the injector's per-(peer, method)
 // call indices: it remembers where the shared counter of each method it
-// has seen lives, so a call finds it without building the peer+method map
+// has seen lives, so a call finds it without hashing the (peer, method)
 // key. A peer is called with a handful of methods; a linear scan over
 // them beats hashing the key. Guarded by Injector.mu.
 type callIndex struct {
@@ -184,7 +187,7 @@ func (ci *callIndex) next(in *Injector, method string) uint64 {
 		}
 	}
 	if p == nil {
-		key := ci.peer + "\x00" + method
+		key := callKey{ci.peer, method}
 		if p = in.calls[key]; p == nil {
 			p = new(uint64)
 			in.calls[key] = p

@@ -363,9 +363,9 @@ func TestCallIndexMatchesKeyedMap(t *testing.T) {
 }
 
 // TestZeroRulePullAllocs: a steady-state ReadPower round trip over the
-// in-proc transport, through a fault wrapper with no rules, allocates only
-// what the agent's handler returns. (The caller's completion closure is
-// the other allocation a controller pays; this caller reuses one.)
+// in-proc transport, through a fault wrapper with no rules, allocates
+// nothing: the agent reuses its reply, the transport its call record, and
+// this caller its completion (as a controller does).
 func TestZeroRulePullAllocs(t *testing.T) {
 	loop := simclock.NewSimLoop()
 	net := rpc.NewNetwork(loop, 2*time.Millisecond, 7)
@@ -392,8 +392,8 @@ func TestZeroRulePullAllocs(t *testing.T) {
 	}
 	pull() // warm-up: the call record, its buffers, the decoded strings
 	n := testing.AllocsPerRun(200, pull)
-	if n > 2 {
-		t.Errorf("zero-rule in-proc ReadPower allocates %v per round trip, want <= 2", n)
+	if n != 0 {
+		t.Errorf("zero-rule in-proc ReadPower allocates %v per round trip, want 0", n)
 	}
 	if ok != 202 {
 		t.Fatalf("%d of 202 pulls returned a reading", ok)

@@ -41,9 +41,6 @@ func (s *Series) At(i int) (time.Duration, float64) { return s.times[i], s.vals[
 // Values returns the underlying value slice (not a copy).
 func (s *Series) Values() []float64 { return s.vals }
 
-// Times returns the underlying timestamp slice (not a copy).
-func (s *Series) Times() []time.Duration { return s.times }
-
 // Last returns the most recent sample; ok is false when empty.
 func (s *Series) Last() (time.Duration, float64, bool) {
 	if len(s.vals) == 0 {

@@ -10,6 +10,16 @@ import (
 	"dynamo/internal/wire"
 )
 
+// decodeEcho reads a LoopHandler reply the way a transport sends it: the
+// reply is the handler's message already encoded, not the message itself.
+func decodeEcho(m wire.Message) string {
+	var out echoMsg
+	if err := wire.Unmarshal(wire.Marshal(m), &out); err != nil {
+		return "undecodable: " + err.Error()
+	}
+	return out.S
+}
+
 func TestLoopHandlerMarshalsOntoLoop(t *testing.T) {
 	loop := simclock.NewWallLoop()
 	defer loop.Close()
@@ -36,7 +46,7 @@ func TestLoopHandlerMarshalsOntoLoop(t *testing.T) {
 				errs <- err
 				return
 			}
-			if m.(*echoMsg).S != "hello" {
+			if decodeEcho(m) != "hello" {
 				errs <- errors.New("wrong response")
 			}
 		}()
@@ -64,7 +74,7 @@ func TestLoopHandlerWithSimLoop(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if m, err := h("x", nil); err != nil || m.(*echoMsg).S != "ok" {
+		if m, err := h("x", nil); err != nil || decodeEcho(m) != "ok" {
 			t.Errorf("m=%v err=%v", m, err)
 		}
 	}()

@@ -48,7 +48,10 @@ func (e *RemoteError) Error() string {
 // (methods are strings like "Agent.ReadPower") and returns the response
 // message, or an error that travels back to the caller as a RemoteError.
 // body belongs to the transport and is valid only until the handler
-// returns.
+// returns. The returned message is valid until the handler is next
+// invoked, so a handler may return one reply it keeps and rewrites: every
+// transport encodes it first (the in-proc network at delivery, LoopHandler
+// on the handler's loop).
 type Handler func(method string, body []byte) (wire.Message, error)
 
 // Client issues asynchronous calls to a single endpoint.
@@ -77,10 +80,10 @@ func Decode(resp []byte, err error, m wire.Message) error {
 
 // LoopHandler wraps a loop-confined handler (controllers and agents are
 // single-threaded on their event loop) so it can be served by transports
-// that dispatch from other goroutines (TCPServer). Each request is
-// marshalled onto the loop and the caller's goroutine waits for the
-// result. Posting allocates nothing: a request rides a pooled record whose
-// channel and loop callback are made once.
+// that dispatch from other goroutines (TCPServer): h runs, and its reply is
+// encoded, on the loop while the caller's goroutine waits. A request rides
+// a pooled record, made once with its channel and loop callback, which is
+// also the returned message; TCPServer puts it back once it is framed.
 func LoopHandler(loop simclock.Loop, h Handler) Handler {
 	// Idle records. TCPServer serves a connection's requests in order, so a
 	// daemon needs one per connection it serves — a parent controller, a
@@ -91,33 +94,52 @@ func LoopHandler(loop simclock.Loop, h Handler) Handler {
 		select {
 		case c = <-free:
 		default:
-			c = &loopCall{done: make(chan struct{}, 1)}
+			c = &loopCall{done: make(chan struct{}, 1), free: free}
 			c.run = func() {
-				c.m, c.err = h(c.method, c.body)
+				var m wire.Message
+				if m, c.err = h(c.method, c.body); c.err == nil && m != nil {
+					c.reply = c.enc.AppendMarshal(c.reply, m)
+				}
 				c.done <- struct{}{}
 			}
 		}
 		c.method, c.body = method, body
 		loop.Post(c.run)
 		<-c.done
-		m, err := c.m, c.err
-		c.method, c.body, c.m, c.err = "", nil, nil, nil
-		select {
-		case free <- c:
-		default:
+		if err := c.err; err != nil {
+			c.release()
+			return nil, err
 		}
-		return m, err
+		return c, nil
 	}
 }
 
-// loopCall carries one request onto the loop and its result back.
+// loopCall carries one request onto the loop and its encoded reply back.
 type loopCall struct {
 	method string
 	body   []byte
-	m      wire.Message
+	enc    wire.Encoder
+	reply  []byte
 	err    error
 	done   chan struct{}
-	run    func() // made once per record
+	free   chan *loopCall // its pool
+	run    func()         // made once per record
+}
+
+// MarshalWire and UnmarshalWire implement wire.Message: a record marshals
+// as the reply h encoded, and is only ever sent.
+func (c *loopCall) MarshalWire(e *wire.Encoder) { e.Raw(c.reply) }
+func (*loopCall) UnmarshalWire(*wire.Decoder) error {
+	return errors.New("rpc: a loop reply is only sent")
+}
+
+// release empties the record and returns it to its pool.
+func (c *loopCall) release() {
+	c.method, c.body, c.reply, c.err = "", nil, reuse(c.reply), nil
+	select {
+	case c.free <- c:
+	default:
+	}
 }
 
 // empty is a zero-field message usable for requests with no arguments.

@@ -224,6 +224,9 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 		} else if m != nil {
 			body = fw.enc.AppendMarshal(body, m)
+			if c, ok := m.(*loopCall); ok {
+				c.release()
+			}
 		}
 		if s.tel != nil {
 			s.tel.latency.Observe(time.Since(start).Seconds())

@@ -71,17 +71,16 @@ func (t *Timer) Stop() bool {
 // Stopped reports whether Stop was called before the callback ran.
 func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
-// When returns the loop time at which the timer is scheduled to fire.
-func (t *Timer) When() time.Duration { return t.when }
-
 // Ticker repeatedly invokes a callback at a fixed period on a Loop. It is
 // the building block for control cycles (the 3 s leaf pull cycle, the 9 s
-// upper-level pull cycle, the agent watchdog, ...).
+// upper-level pull cycle, the agent watchdog, ...). It re-arms one Timer
+// it owns with a callback bound once, so a tick allocates nothing.
 type Ticker struct {
 	loop   Loop
 	period time.Duration
 	f      func()
-	timer  *Timer
+	timer  Timer
+	tick   func() // t.fire
 	active bool
 }
 
@@ -90,7 +89,9 @@ func NewTicker(loop Loop, period time.Duration, f func()) *Ticker {
 	if period <= 0 {
 		panic("simclock: ticker period must be positive")
 	}
-	return &Ticker{loop: loop, period: period, f: f}
+	t := &Ticker{loop: loop, period: period, f: f}
+	t.tick = t.fire
+	return t
 }
 
 // Start schedules the first tick one period from now. Starting a started
@@ -100,16 +101,13 @@ func (t *Ticker) Start() {
 		return
 	}
 	t.active = true
-	t.schedule()
+	t.loop.Arm(&t.timer, t.period, t.tick)
 }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
 	t.active = false
-	if t.timer != nil {
-		t.timer.Stop()
-		t.timer = nil
-	}
+	t.loop.Cancel(&t.timer)
 }
 
 // Active reports whether the ticker is running.
@@ -123,14 +121,12 @@ func (t *Ticker) SetPeriod(p time.Duration) {
 	t.period = p
 }
 
-func (t *Ticker) schedule() {
-	t.timer = t.loop.After(t.period, func() {
-		if !t.active {
-			return
-		}
-		t.f()
-		if t.active {
-			t.schedule()
-		}
-	})
+func (t *Ticker) fire() {
+	if !t.active {
+		return
+	}
+	t.f()
+	if t.active {
+		t.loop.Arm(&t.timer, t.period, t.tick)
+	}
 }

@@ -43,9 +43,6 @@ func (w *Writer) SetSnapshotEvery(n int) {
 	}
 }
 
-// Device returns the device whose stream this writer appends to.
-func (w *Writer) Device() string { return w.device }
-
 // Epoch returns the writer's granted epoch (0 before the first append).
 func (w *Writer) Epoch() uint64 { return w.epoch }
 

@@ -84,16 +84,6 @@ func (l *Logger) Log(level Level, msg string, kv ...interface{}) {
 	io.WriteString(l.w, b.String())
 }
 
-// Warnf logs a formatted warning line.
-func (l *Logger) Warnf(format string, args ...interface{}) {
-	l.Log(LevelWarning, fmt.Sprintf(format, args...))
-}
-
-// Errorf logs a formatted error line.
-func (l *Logger) Errorf(format string, args ...interface{}) {
-	l.Log(LevelError, fmt.Sprintf(format, args...))
-}
-
 // quote wraps s in double quotes when it contains logfmt-hostile
 // characters.
 func quote(s string) string {

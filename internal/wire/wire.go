@@ -99,6 +99,9 @@ func (e *Encoder) Bytes2(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Raw appends b as it is: bytes another Encoder already produced.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Decoder reads primitive values from a buffer. The first error sticks;
 // check Err (or the error from Unmarshal helpers) after decoding.
 type Decoder struct {

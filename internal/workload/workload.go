@@ -351,9 +351,6 @@ func (g *Generator) Service() string { return g.shared.profile.Name }
 // SetExtraLoad sets an additive utilization offset (scenario hook).
 func (g *Generator) SetExtraLoad(u float64) { g.extra = u }
 
-// ExtraLoad returns the current additive offset.
-func (g *Generator) ExtraLoad() float64 { return g.extra }
-
 // Step advances the generator to now and returns the utilization in [0,1].
 func (g *Generator) Step(now time.Duration) float64 {
 	s := g.shared
