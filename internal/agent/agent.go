@@ -36,7 +36,9 @@ type extras struct {
 	// rpc.LoopHandler), so timer arm/stop never races.
 	loop          simclock.Loop
 	leaseTTL      time.Duration
-	leaseTimer    *simclock.Timer
+	lease         simclock.Timer // re-armed by every SetCap and RenewLease
+	leaseLimit    power.Watts    // the limit the lease guards
+	expire        func()         // a.expireLease, bound once
 	onLeaseExpire func(id string, limit power.Watts)
 	leaseExpiries atomic.Uint64
 	tel           *agentInstr // nil when telemetry is disabled
@@ -110,7 +112,7 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 // caps are not guarded. Call before the agent starts serving.
 func (a *Agent) EnableLease(loop simclock.Loop, defaultTTL time.Duration, onExpire func(id string, limit power.Watts)) {
 	x := a.extras()
-	x.loop, x.leaseTTL, x.onLeaseExpire = loop, defaultTTL, onExpire
+	x.loop, x.leaseTTL, x.onLeaseExpire, x.expire = loop, defaultTTL, onExpire, a.expireLease
 }
 
 // LeaseExpiries returns how many caps this agent has released because
@@ -247,29 +249,28 @@ func (a *Agent) armLease(ttl time.Duration, limit power.Watts) {
 	if x == nil || x.loop == nil {
 		return
 	}
-	a.stopLease()
 	if ttl <= 0 {
 		ttl = x.leaseTTL
 	}
 	if ttl <= 0 {
+		a.stopLease()
 		return
 	}
-	x.leaseTimer = x.loop.After(ttl, func() { a.expireLease(limit) })
+	x.leaseLimit = limit
+	x.loop.Arm(&x.lease, ttl, x.expire)
 }
 
 func (a *Agent) stopLease() {
-	if a.x != nil && a.x.leaseTimer != nil {
-		a.x.leaseTimer.Stop()
-		a.x.leaseTimer = nil
+	if a.x != nil && a.x.loop != nil {
+		a.x.loop.Cancel(&a.x.lease)
 	}
 }
 
 // expireLease fires when a cap outlives its lease: release the limit —
 // the fail-safe against a dead controller leaving servers throttled —
 // and surface the event.
-func (a *Agent) expireLease(limit power.Watts) {
+func (a *Agent) expireLease() {
 	x := a.x
-	x.leaseTimer = nil
 	if _, capped := a.plat.PowerLimit(); !capped {
 		return // cap already cleared through the normal path
 	}
@@ -282,6 +283,6 @@ func (a *Agent) expireLease(limit power.Watts) {
 		x.tel.leaseExp.Inc()
 	}
 	if x.onLeaseExpire != nil {
-		x.onLeaseExpire(a.id, limit)
+		x.onLeaseExpire(a.id, x.leaseLimit)
 	}
 }

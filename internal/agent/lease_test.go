@@ -166,3 +166,24 @@ func TestAgentLeaseReplacedBySecondSetCap(t *testing.T) {
 		t.Fatal("cap survived the replacement lease")
 	}
 }
+
+// TestRenewLeaseAllocs: a steady-state renewal re-arms the agent's own
+// lease timer with its bound expiry, so it allocates nothing. It calls the
+// method behind the handler: decoding the request (wire.Unmarshal) is the
+// transport's cost, not the lease's.
+func TestRenewLeaseAllocs(t *testing.T) {
+	lf := newLeaseFixture(t, 0)
+	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
+	if n := testing.AllocsPerRun(1000, func() {
+		if m, err := lf.a.renewLease(10 * time.Second); err != nil || m != capOK {
+			t.Fatalf("renewal: %v, %v", m, err)
+		}
+		lf.loop.RunFor(time.Second)
+	}); n != 0 {
+		t.Errorf("RenewLease allocates %v per run, want 0", n)
+	}
+	if lf.loop.Pending() != 1 || !lf.capped(t) || lf.a.LeaseExpiries() != 0 {
+		t.Errorf("after renewals: Pending %d, capped %v, expiries %d; want 1, true, 0",
+			lf.loop.Pending(), lf.capped(t), lf.a.LeaseExpiries())
+	}
+}

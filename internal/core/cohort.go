@@ -62,6 +62,8 @@ type CohortScheduler struct {
 	nextOrder int
 	pending   []phasedCycle
 	armed     bool
+	flushAt   simclock.Timer // the flush event, re-armed by each cohort
+	onFlush   func()         // s.flush, bound once
 
 	// telemetry (nil when disabled)
 	tel *cohortInstr
@@ -92,6 +94,7 @@ func NewCohortScheduler(loop simclock.Loop, workers int, tel *telemetry.Sink) *C
 		workers = 1
 	}
 	s := &CohortScheduler{loop: loop, workers: workers}
+	s.onFlush = s.flush
 	if tel.Enabled() {
 		s.tel = &cohortInstr{
 			flushes:    tel.Counter("dynamo_control_cohort_flushes_total"),
@@ -118,7 +121,7 @@ func (s *CohortScheduler) submit(c phasedController, order int) {
 	s.pending = append(s.pending, phasedCycle{order: order, ctrl: c})
 	if !s.armed {
 		s.armed = true
-		s.loop.After(0, s.flush)
+		s.loop.Arm(&s.flushAt, 0, s.onFlush)
 	}
 }
 

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynamo/internal/simclock"
@@ -24,6 +25,7 @@ type Network struct {
 
 	mu        sync.Mutex
 	endpoints map[string]Handler
+	gen       atomic.Uint64 // bumped under mu by every Register and Unregister
 
 	// Loop-confined: the free list of call records, and the scratch
 	// encoder every request and response is marshalled through.
@@ -44,6 +46,7 @@ func (n *Network) Register(addr string, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.endpoints[addr] = h
+	n.gen.Add(1)
 }
 
 // Unregister removes the endpoint; subsequent calls get ErrUnreachable.
@@ -51,13 +54,7 @@ func (n *Network) Unregister(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.endpoints, addr)
-}
-
-// lookup returns addr's handler, nil if there is none.
-func (n *Network) lookup(addr string) Handler {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.endpoints[addr]
+	n.gen.Add(1)
 }
 
 // Dial returns a client for addr. Dialling an unknown address succeeds;
@@ -71,6 +68,23 @@ type inprocClient struct {
 	net    *Network
 	addr   string
 	closed bool
+
+	// The endpoint's handler as of Network.gen == gen. Loop-confined.
+	h   Handler
+	gen uint64
+}
+
+// handler returns the endpoint's handler, nil if there is none. It takes
+// the network's lock only after a Register or Unregister; until the first
+// one, gen is 0 on both sides and there is no endpoint to find.
+func (c *inprocClient) handler() Handler {
+	n := c.net
+	if g := n.gen.Load(); g != c.gen {
+		n.mu.Lock()
+		c.h, c.gen = n.endpoints[c.addr], g
+		n.mu.Unlock()
+	}
+	return c.h
 }
 
 // respBufSize is what a record's response buffer starts with: the 96-byte
@@ -79,24 +93,24 @@ type inprocClient struct {
 const respBufSize = 96
 
 // call is one in-flight in-proc call. Records are pooled on Network.free,
-// so a steady-state call allocates nothing of its own: both timers are
-// embedded and armed in place, their callbacks are bound once when the
-// record is made, and request and response are marshalled into buffers the
-// record keeps. A record goes back to the free list only when done has run
-// and none of its events is still queued (DESIGN.md, "Pull path").
+// so a steady-state call allocates nothing of its own: the step timer is
+// embedded and armed in place, its callback is bound once when the record
+// is made, and request and response are marshalled into buffers the record
+// keeps. A record goes back to the free list only when done has run and
+// none of its events is still queued (DESIGN.md, "Pull path").
 type call struct {
 	c      *inprocClient
 	method string
 	done   func([]byte, error)
 
-	deadline, step     simclock.Timer // step is the delivery event, then re-armed as the reply event
+	step               simclock.Timer  // the delivery event, then re-armed as the reply event
+	deadline           *simclock.Timer // nil unless the deadline can fire first (Call)
 	onDeadline, onStep func()
 
 	req, resp []byte // resp is marshalled at delivery and handed to done at reply
 	err       error  // the handler's error, as the caller will see it
 	next      *call  // free-list link
 
-	timed    bool // a deadline was armed
 	finished bool // done has been invoked
 	queued   bool // the step event is on the loop
 	replying bool // ... and it is the reply
@@ -116,9 +130,12 @@ func (c *inprocClient) Call(method string, req wire.Message, timeout time.Durati
 	} else {
 		n.free = r.next
 	}
-	r.c, r.method, r.done, r.timed, r.queued = c, method, done, timeout > 0, true
-	if r.timed {
-		n.loop.Arm(&r.deadline, timeout, r.onDeadline)
+	r.c, r.method, r.done, r.queued = c, method, done, true
+	// Delivery either fails fast or schedules the reply, 2×latency after
+	// the call, so a longer deadline could never fire first and is not
+	// armed. One of exactly 2×latency is armed before the reply and wins.
+	if timeout > 0 && timeout <= 2*n.latency {
+		r.deadline = n.loop.After(timeout, r.onDeadline)
 	}
 	r.req = n.enc.AppendMarshal(r.req[:0], req)
 	n.loop.Arm(&r.step, n.latency, r.onStep)
@@ -131,8 +148,9 @@ func (r *call) finish(resp []byte, err error) {
 		return
 	}
 	r.finished = true
-	if r.timed {
-		r.c.net.loop.Cancel(&r.deadline)
+	if r.deadline != nil {
+		r.c.net.loop.Cancel(r.deadline)
+		r.deadline = nil
 	}
 	r.done(resp, err)
 }
@@ -145,7 +163,7 @@ func (r *call) recycle() {
 	}
 	n := r.c.net
 	r.c, r.method, r.done, r.err = nil, "", nil, nil
-	r.timed, r.finished, r.replying = false, false, false
+	r.finished, r.replying = false, false
 	r.next, n.free = n.free, r
 }
 
@@ -166,7 +184,7 @@ func (r *call) stepFired() {
 		r.recycle()
 		return
 	}
-	h := n.lookup(r.c.addr)
+	h := r.c.handler()
 	if h == nil {
 		// No endpoint fails fast, deadline or not.
 		r.queued = false

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -171,5 +172,98 @@ func TestInProcOnWallLoop(t *testing.T) {
 	loop.Call(func() { free = freeRecords(n) })
 	if free != 1 {
 		t.Fatalf("%d records on the free list, want the one record both calls used", free)
+	}
+}
+
+// TestDeadlineArmedOnlyWhenItCanFire covers the three timeout regimes. The
+// reply lands 2×latency after the call, so a longer deadline is never
+// armed; one of exactly 2×latency is armed first and wins the tie; a
+// shorter one fires while the request is in flight, and the record waits
+// for the reply before it is freed.
+func TestDeadlineArmedOnlyWhenItCanFire(t *testing.T) {
+	const lat = 10 * time.Millisecond
+	cases := []struct {
+		name        string
+		timeout     time.Duration
+		pending     int // queued events right after Call
+		wantErr     error
+		doneAt      time.Duration
+		freedAtDone bool
+	}{
+		{"timeout > 2L", 2*lat + 1, 1, nil, 2 * lat, true},
+		{"timeout == 2L", 2 * lat, 2, ErrTimeout, 2 * lat, true},
+		{"L < timeout < 2L", 3 * lat / 2, 2, ErrTimeout, 3 * lat / 2, false},
+	}
+	for _, tc := range cases {
+		loop := simclock.NewSimLoop()
+		n := NewNetwork(loop, lat, 1)
+		served := 0
+		n.Register("a1", func(method string, body []byte) (wire.Message, error) {
+			served++
+			return echoHandler(method, body)
+		})
+		var errs []error
+		var doneAt time.Duration
+		n.Dial("a1").Call("echo", &echoMsg{S: "x"}, tc.timeout, func(_ []byte, err error) {
+			errs = append(errs, err)
+			doneAt = loop.Now()
+		})
+		if got := loop.Pending(); got != tc.pending {
+			t.Errorf("%s: Pending = %d after Call, want %d", tc.name, got, tc.pending)
+		}
+		loop.RunUntil(tc.doneAt)
+		if len(errs) != 1 || !errors.Is(errs[0], tc.wantErr) || doneAt != tc.doneAt {
+			t.Fatalf("%s: done %v at %v, want [%v] at %v", tc.name, errs, doneAt, tc.wantErr, tc.doneAt)
+		}
+		if served != 1 {
+			t.Errorf("%s: handler ran %d times by %v, want 1", tc.name, served, tc.doneAt)
+		}
+		if free := freeRecords(n); (free == 1) != tc.freedAtDone {
+			t.Errorf("%s: %d records free when done ran, want freed=%v", tc.name, free, tc.freedAtDone)
+		}
+		loop.Drain()
+		if len(errs) != 1 || freeRecords(n) != 1 || loop.Pending() != 0 {
+			t.Errorf("%s: after Drain done ran %d times, %d records free, Pending %d; want 1, 1, 0",
+				tc.name, len(errs), freeRecords(n), loop.Pending())
+		}
+	}
+}
+
+// TestDeliveryFollowsRegistry checks the client's cached handler against
+// Register and Unregister: a replacement takes effect at the next delivery,
+// even for a call already in flight, and so does an Unregister.
+func TestDeliveryFollowsRegistry(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	n := NewNetwork(loop, time.Millisecond, 1)
+	tag := func(name string) Handler {
+		return func(string, []byte) (wire.Message, error) { return &echoMsg{S: name}, nil }
+	}
+	cl := n.Dial("a1")
+	var got []string
+	call := func() {
+		cl.Call("echo", Empty, time.Second, func(resp []byte, err error) {
+			var m echoMsg
+			if err := Decode(resp, err, &m); err != nil {
+				got = append(got, err.Error())
+				return
+			}
+			got = append(got, m.S)
+		})
+	}
+	n.Register("a1", tag("one"))
+	call()
+	loop.Drain()
+	n.Register("a1", tag("two")) // replaced after a delivery cached "one"
+	call()
+	loop.Drain()
+	call()
+	n.Register("a1", tag("three")) // replaced while the call is in flight
+	loop.Drain()
+	call()
+	n.Unregister("a1") // gone while the call is in flight
+	loop.Drain()
+	want := []string{"one", "two", "three", ErrUnreachable.Error()}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replies %q, want %q", got, want)
 	}
 }

@@ -44,17 +44,19 @@ type Loop interface {
 // Timer is a handle to a scheduled callback. The zero value is an unarmed
 // timer ready for Loop.Arm.
 //
-// Timer is 32 bytes and must stay in that allocation size class: every
-// After allocates one, and on workloads that do little else per event a
-// fifth word shows up directly in bytes per unit of work. That is why the
-// queue position is an int32 and why eager removal is a method on the loop
-// (Loop.Cancel) rather than a loop pointer in the timer.
+// Timer is 48 bytes and must stay in that allocation size class. The links
+// make SimLoop's queue one FIFO lane per instant. Recurring events embed
+// their timer (pull path, Ticker, agent lease, cohort flush), so After —
+// and a Timer allocated per event — is left to rare paths: faults,
+// retries, failover, rollout, Sim.At. Eager removal is a method on the
+// loop (Loop.Cancel) rather than a loop pointer in the timer.
 type Timer struct {
-	when    time.Duration
-	seq     uint64 // SimLoop: scheduling order
-	f       func()
-	pos     int32 // 0 when not pending; SimLoop: 1-based heap position
-	stopped bool
+	when       time.Duration
+	f          func()
+	prev, next *Timer // SimLoop: neighbours in the lane
+	lane       *lane  // SimLoop: the lane it is queued in; nil when not queued
+	stopped    bool
+	armed      bool // WallLoop: armed and not yet run
 }
 
 // Stop cancels the timer. It reports whether the callback had not yet run.

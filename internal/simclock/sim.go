@@ -13,14 +13,24 @@ import (
 // the order they were scheduled. All experiment and simulation code runs on
 // a SimLoop so results are bit-reproducible for a given seed.
 //
+// The queue is one FIFO lane per pending instant, and a heap of lanes
+// ordered by instant. Every arming is later than every timer already
+// queued, so appending to the tail of its instant's lane keeps each lane in
+// scheduling order without a sequence number. A leaf's pull burst — every
+// agent's delivery, then every reply, due at one instant — is one lane, so
+// an event costs a few pointer writes however many share its instant.
+//
 // SimLoop is not itself goroutine-safe except for Post, which may be called
 // from other goroutines (e.g. a TCP reader feeding a simulated controller in
 // integration tests); posted events are folded into the queue at the loop's
 // current time the next time the loop looks for work.
 type SimLoop struct {
-	now time.Duration
-	pq  eventHeap
-	seq uint64
+	now    time.Duration
+	pq     eventHeap
+	lanes  map[time.Duration]*lane // the lane of every instant in pq
+	last   *lane                   // the lane armed into last: a burst arms one instant in a row
+	spare  *lane                   // retired lanes, linked through next
+	queued int                     // timers in lanes, stopped ones included
 
 	mu        sync.Mutex
 	posted    []func()
@@ -31,9 +41,17 @@ type SimLoop struct {
 	limit uint64
 }
 
+// lane is the FIFO of timers due at one instant, linked through
+// Timer.prev and Timer.next.
+type lane struct {
+	when       time.Duration
+	head, tail *Timer
+	next       *lane // spare-list link
+}
+
 // NewSimLoop returns an empty loop positioned at time zero.
 func NewSimLoop() *SimLoop {
-	return &SimLoop{limit: 0}
+	return &SimLoop{lanes: make(map[time.Duration]*lane)}
 }
 
 // Now returns the current virtual time.
@@ -58,20 +76,66 @@ func (l *SimLoop) Arm(t *Timer, d time.Duration, f func()) {
 	if d < 0 {
 		d = 0
 	}
-	if t.pos != 0 {
-		l.pq.remove(t)
+	if t.lane != nil {
+		l.unlink(t)
 	}
-	t.when, t.seq, t.f, t.stopped = l.now+d, l.seq, f, false
-	l.seq++
-	l.pq.push(t)
+	t.when, t.f, t.stopped = l.now+d, f, false
+	ln := l.laneAt(t.when)
+	t.lane, t.prev = ln, ln.tail
+	if ln.tail != nil {
+		ln.tail.next = t
+	} else {
+		ln.head = t
+	}
+	ln.tail = t
+	l.queued++
 }
 
 // Cancel implements Loop.
 func (l *SimLoop) Cancel(t *Timer) {
-	if t.pos != 0 {
-		l.pq.remove(t)
+	if t.lane != nil {
+		l.unlink(t)
 	}
 	t.stopped = true
+}
+
+// laneAt returns the lane of instant when, queueing a new one if there is
+// none.
+func (l *SimLoop) laneAt(when time.Duration) *lane {
+	if ln := l.last; ln != nil && ln.when == when {
+		return ln
+	}
+	ln := l.lanes[when]
+	if ln == nil {
+		if ln = l.spare; ln != nil {
+			l.spare, ln.next = ln.next, nil
+		} else {
+			ln = &lane{}
+		}
+		ln.when = when
+		l.lanes[when] = ln
+		l.pq.push(ln)
+	}
+	l.last = ln
+	return ln
+}
+
+// unlink takes a queued timer out of its lane. The lane stays queued even
+// when it empties; it is retired when it reaches the front.
+func (l *SimLoop) unlink(t *Timer) {
+	ln := t.lane
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		ln.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		ln.tail = t.prev
+	}
+	t.prev, t.next, t.lane = nil, nil, nil
+	l.queued--
 }
 
 // Post implements Loop. It is safe for concurrent use.
@@ -97,15 +161,25 @@ func (l *SimLoop) drainPosted() {
 }
 
 // next takes the first live event due by deadline off the queue, or
-// returns nil. Stopped timers met on the way are discarded.
+// returns nil. Stopped timers and empty lanes met on the way are discarded.
 func (l *SimLoop) next(deadline time.Duration) *Timer {
 	l.drainPosted()
 	for len(l.pq) > 0 {
-		t := l.pq[0]
-		if !t.stopped && t.when > deadline {
+		ln := l.pq[0]
+		t := ln.head
+		if t == nil {
+			l.pq.pop()
+			delete(l.lanes, ln.when)
+			if l.last == ln {
+				l.last = nil
+			}
+			ln.next, l.spare = l.spare, ln
+			continue
+		}
+		if !t.stopped && ln.when > deadline {
 			break
 		}
-		l.pq.remove(t)
+		l.unlink(t)
 		if !t.stopped {
 			return t
 		}
@@ -150,7 +224,7 @@ func (l *SimLoop) Pending() int {
 	l.mu.Lock()
 	n := len(l.posted)
 	l.mu.Unlock()
-	return len(l.pq) + n
+	return l.queued + n
 }
 
 // run executes a timer already taken off the queue.
@@ -163,57 +237,45 @@ func (l *SimLoop) run(t *Timer) {
 	t.f()
 }
 
-// eventHeap is a binary min-heap of timers ordered by (when, seq). Every
-// queued timer records its own position, so any of them can be removed in
-// O(log n) without a search.
-type eventHeap []*Timer
+// eventHeap is a binary min-heap of lanes ordered by instant. Lanes leave
+// it only from the front, so it needs no positions.
+type eventHeap []*lane
 
-func (t *Timer) before(u *Timer) bool {
-	return t.when < u.when || (t.when == u.when && t.seq < u.seq)
+func (h *eventHeap) push(ln *lane) {
+	*h = append(*h, ln)
+	h.up(len(*h)-1, ln)
 }
 
-func (h eventHeap) set(i int, t *Timer) { h[i], t.pos = t, int32(i+1) }
-
-func (h *eventHeap) push(t *Timer) {
-	*h = append(*h, t)
-	h.up(len(*h)-1, t)
-}
-
-// remove takes a queued timer out of the heap, wherever it sits, and
-// seats the last timer in its place.
-func (h *eventHeap) remove(t *Timer) {
+// pop removes the earliest lane and seats the last one in its place.
+func (h *eventHeap) pop() {
 	old := *h
-	i, n := int(t.pos)-1, len(old)-1
+	n := len(old) - 1
 	last := old[n]
-	old[n], t.pos, *h = nil, 0, old[:n]
-	switch {
-	case i == n:
-	case i > 0 && last.before(old[(i-1)/2]):
-		h.up(i, last)
-	default:
-		h.down(i, last)
+	old[n], *h = nil, old[:n]
+	if n > 0 {
+		h.down(0, last)
 	}
 }
 
-// up seats t at index i or above, moving later parents down.
-func (h eventHeap) up(i int, t *Timer) {
-	for ; i > 0 && t.before(h[(i-1)/2]); i = (i - 1) / 2 {
-		h.set(i, h[(i-1)/2])
+// up seats ln at index i or above, moving later parents down.
+func (h eventHeap) up(i int, ln *lane) {
+	for ; i > 0 && ln.when < h[(i-1)/2].when; i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
 	}
-	h.set(i, t)
+	h[i] = ln
 }
 
-// down seats t at index i or below, moving earlier children up.
-func (h eventHeap) down(i int, t *Timer) {
+// down seats ln at index i or below, moving earlier children up.
+func (h eventHeap) down(i int, ln *lane) {
 	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
-		if c+1 < len(h) && h[c+1].before(h[c]) {
+		if c+1 < len(h) && h[c+1].when < h[c].when {
 			c++
 		}
-		if !h[c].before(t) {
+		if h[c].when >= ln.when {
 			break
 		}
-		h.set(i, h[c])
+		h[i] = h[c]
 		i = c
 	}
-	h.set(i, t)
+	h[i] = ln
 }

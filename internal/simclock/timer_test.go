@@ -10,11 +10,14 @@ import (
 	"unsafe"
 )
 
-// TestTimerSizeClass pins Timer to the 32-byte allocation class (see the
-// type's comment): a fifth word raises bytes per After by a half.
+// TestTimerSizeClass pins Timer to the 48-byte allocation class (see the
+// type's comment). The lane links cost 16 bytes over the old 32; the pull
+// path, the ticker and the agent lease embed their timers, so only fault,
+// retry, failover and rollout events allocate one, and a seventh word would
+// raise what those pay per After by a third.
 func TestTimerSizeClass(t *testing.T) {
-	if s := unsafe.Sizeof(Timer{}); s > 32 {
-		t.Fatalf("Timer is %d bytes, want <= 32", s)
+	if s := unsafe.Sizeof(Timer{}); s > 48 {
+		t.Fatalf("Timer is %d bytes, want <= 48", s)
 	}
 }
 
@@ -232,113 +235,270 @@ func (l *refLoop) run(t *refTimer) {
 	t.f()
 }
 
+const orderSlots = 16
+
+// orderHarness applies each operation to a SimLoop and to the reference
+// and checks after it that both agree on Now(), Steps() and the number of
+// callbacks run. In the reference an owned timer is a pointer to its
+// latest arming, and Cancel is Stop: removal at once must be unobservable.
+type orderHarness struct {
+	t              *testing.T
+	sim            *SimLoop
+	ref            *refLoop
+	simLog, refLog []string
+	simOwned       [orderSlots]Timer
+	refOwned       [orderSlots]*refTimer
+	simHandles     []*Timer
+	refHandles     []*refTimer
+}
+
+func newOrderHarness(t *testing.T) *orderHarness {
+	return &orderHarness{t: t, sim: NewSimLoop(), ref: &refLoop{}}
+}
+
+func stopRef(t *refTimer) {
+	if t != nil {
+		t.stopped = true
+	}
+}
+
+// callbacks builds the pair of callbacks for event id. What an event does
+// when it fires depends only on id, so both loops see the same nested
+// operations: schedule a follow-up, re-arm an owned timer (maybe the one
+// firing), or cancel one.
+func (h *orderHarness) callbacks(id int) (func(), func()) {
+	act := func(log *[]string, now func() time.Duration, onSim bool) {
+		*log = append(*log, fmt.Sprintf("%d@%d", id, now()))
+		child, k := id*31+7, (id*13)%orderSlots
+		d := time.Duration(id%5) * time.Millisecond
+		cs, cr := h.callbacks(child)
+		switch id % 4 {
+		case 0:
+			if onSim {
+				h.sim.After(d, cs)
+			} else {
+				h.ref.after(d, cr)
+			}
+		case 1:
+			if onSim {
+				h.sim.Arm(&h.simOwned[k], d, cs)
+			} else {
+				stopRef(h.refOwned[k])
+				h.refOwned[k] = h.ref.after(d, cr)
+			}
+		case 2:
+			if onSim {
+				h.sim.Cancel(&h.simOwned[k])
+			} else {
+				stopRef(h.refOwned[k])
+			}
+		}
+	}
+	return func() { act(&h.simLog, h.sim.Now, true) }, func() { act(&h.refLog, func() time.Duration { return h.ref.now }, false) }
+}
+
+// after schedules event id on both loops and returns its handle index.
+func (h *orderHarness) after(d time.Duration, id int) int {
+	s, r := h.callbacks(id)
+	h.simHandles = append(h.simHandles, h.sim.After(d, s))
+	h.refHandles = append(h.refHandles, h.ref.after(d, r))
+	return len(h.simHandles) - 1
+}
+
+// arm (re)arms owned timer k as event id on both loops.
+func (h *orderHarness) arm(k int, d time.Duration, id int) {
+	s, r := h.callbacks(id)
+	h.sim.Arm(&h.simOwned[k], d, s)
+	stopRef(h.refOwned[k])
+	h.refOwned[k] = h.ref.after(d, r)
+}
+
+func (h *orderHarness) stop(i int) {
+	h.simHandles[i].Stop()
+	h.refHandles[i].stopped = true
+}
+
+func (h *orderHarness) cancel(i int) {
+	h.sim.Cancel(h.simHandles[i])
+	h.refHandles[i].stopped = true
+}
+
+func (h *orderHarness) cancelOwned(k int) {
+	h.sim.Cancel(&h.simOwned[k])
+	stopRef(h.refOwned[k])
+}
+
+func (h *orderHarness) runUntil(until time.Duration) {
+	h.sim.RunUntil(until)
+	h.ref.runUntil(until)
+}
+
+func (h *orderHarness) step(where string) {
+	if a, b := h.sim.Step(), h.ref.step(); a != b {
+		h.t.Fatalf("%s: Step = %v, reference %v", where, a, b)
+	}
+}
+
+func (h *orderHarness) check(where string) {
+	if h.sim.Now() != h.ref.now || h.sim.Steps() != h.ref.steps || len(h.simLog) != len(h.refLog) {
+		h.t.Fatalf("%s: now %v/%v steps %d/%d events %d/%d (SimLoop/reference)",
+			where, h.sim.Now(), h.ref.now, h.sim.Steps(), h.ref.steps, len(h.simLog), len(h.refLog))
+	}
+}
+
+// finish runs both loops a second further and compares the logs event by
+// event; at least minEvents callbacks must have run.
+func (h *orderHarness) finish(where string, minEvents int) {
+	h.sim.RunFor(time.Second)
+	h.ref.runUntil(h.ref.now + time.Second)
+	if h.sim.Now() != h.ref.now || h.sim.Steps() != h.ref.steps {
+		h.t.Fatalf("%s: final now %v/%v steps %d/%d", where, h.sim.Now(), h.ref.now, h.sim.Steps(), h.ref.steps)
+	}
+	for i := range h.refLog {
+		if i >= len(h.simLog) || h.simLog[i] != h.refLog[i] {
+			h.t.Fatalf("%s: event %d differs: SimLoop %v, reference %v", where, i, h.simLog[i:min(i+3, len(h.simLog))], h.refLog[i:min(i+3, len(h.refLog))])
+		}
+	}
+	if len(h.simLog) < minEvents {
+		h.t.Fatalf("%s: only %d events ran; the test is not exercising the loop", where, len(h.simLog))
+	}
+}
+
 // TestEventOrderMatchesReference drives SimLoop and refLoop with the same
 // random sequence of After, Arm, Stop, Cancel, RunUntil and Step — with
 // callbacks that schedule, re-arm and cancel in turn — and requires the
 // same callbacks in the same order at the same times, the same Now() and
-// the same Steps(). In the reference an owned timer is a pointer to its
-// latest arming, and Cancel is Stop: removal at once must be unobservable.
+// the same Steps(). The first mix spreads timers over ~50 instants; the
+// second is shaped like a pull burst, hundreds of timers at two or three
+// shared instants, so lanes are long and their heads, middles and tails
+// are cancelled, stopped and re-armed.
 func TestEventOrderMatchesReference(t *testing.T) {
-	const ops, slots = 12000, 16
 	for _, seed := range []int64{1, 7, 42, 1234, 99991} {
-		rng := rand.New(rand.NewSource(seed))
-		sim, ref := NewSimLoop(), &refLoop{}
-		var simLog, refLog []string
-		var simOwned [slots]Timer
-		var refOwned [slots]*refTimer
-		var simHandles []*Timer
-		var refHandles []*refTimer
+		t.Run(fmt.Sprintf("spread/seed=%d", seed), func(t *testing.T) { spreadMix(t, seed) })
+		t.Run(fmt.Sprintf("burst/seed=%d", seed), func(t *testing.T) { burstMix(t, seed) })
+	}
+}
 
-		stopRef := func(t *refTimer) {
-			if t != nil {
-				t.stopped = true
-			}
+func spreadMix(t *testing.T, seed int64) {
+	const ops = 12000
+	rng := rand.New(rand.NewSource(seed))
+	h := newOrderHarness(t)
+	for i := 0; i < ops; i++ {
+		d := time.Duration(rng.Intn(50)-2) * time.Millisecond
+		id := i + 1
+		switch op := rng.Intn(10); {
+		case op < 3:
+			h.after(d, id)
+		case op < 5:
+			h.arm(rng.Intn(orderSlots), d, id)
+		case op < 6 && len(h.simHandles) > 0:
+			h.stop(rng.Intn(len(h.simHandles)))
+		case op < 7 && len(h.simHandles) > 0:
+			h.cancel(rng.Intn(len(h.simHandles)))
+		case op < 8:
+			h.cancelOwned(rng.Intn(orderSlots))
+		case op < 9:
+			h.runUntil(h.sim.Now() + time.Duration(rng.Intn(30))*time.Millisecond)
+		default:
+			h.step(fmt.Sprintf("op %d", i))
 		}
-		// callbacks builds the pair of callbacks for event id. What an
-		// event does when it fires depends only on id, so both loops see
-		// the same nested operations.
-		var callbacks func(id int) (func(), func())
-		callbacks = func(id int) (func(), func()) {
-			act := func(log *[]string, now func() time.Duration, onSim bool) {
-				*log = append(*log, fmt.Sprintf("%d@%d", id, now()))
-				child, k := id*31+7, (id*13)%slots
-				d := time.Duration(id%5) * time.Millisecond
-				cs, cr := callbacks(child)
-				switch id % 4 {
-				case 0: // schedule a follow-up
-					if onSim {
-						sim.After(d, cs)
-					} else {
-						ref.after(d, cr)
-					}
-				case 1: // re-arm an owned timer, maybe the one firing
-					if onSim {
-						sim.Arm(&simOwned[k], d, cs)
-					} else {
-						stopRef(refOwned[k])
-						refOwned[k] = ref.after(d, cr)
-					}
-				case 2: // cancel an owned timer
-					if onSim {
-						sim.Cancel(&simOwned[k])
-					} else {
-						stopRef(refOwned[k])
-					}
+		h.check(fmt.Sprintf("op %d", i))
+	}
+	h.finish("spread", ops/4)
+}
+
+func burstMix(t *testing.T, seed int64) {
+	const ops = 1500
+	rng := rand.New(rand.NewSource(seed))
+	h := newOrderHarness(t)
+	id := 0
+	nextID := func() int { id++; return id }
+	var instants []time.Duration // the last burst's instants, absolute
+	for i := 0; i < ops; i++ {
+		where := fmt.Sprintf("op %d", i)
+		switch op := rng.Intn(10); {
+		case op < 3:
+			// A burst: a fresh instant per lane, a head armed first, a
+			// mix of After and owned re-arms (which move an owned timer
+			// to its lane's tail), then a tail.
+			base := h.sim.Now() + 100*time.Millisecond + time.Duration(i)*time.Microsecond
+			instants = instants[:0]
+			for k := 0; k < 2+rng.Intn(2); k++ {
+				instants = append(instants, base+time.Duration(3*k)*time.Millisecond)
+			}
+			lanes := make([][]int, len(instants))
+			for k, at := range instants {
+				lanes[k] = append(lanes[k], h.after(at-h.sim.Now(), nextID()))
+			}
+			for n := 100 + rng.Intn(300); n > 0; n-- {
+				k := rng.Intn(len(instants))
+				if rng.Intn(4) == 0 {
+					h.arm(rng.Intn(orderSlots), instants[k]-h.sim.Now(), nextID())
+				} else {
+					lanes[k] = append(lanes[k], h.after(instants[k]-h.sim.Now(), nextID()))
 				}
 			}
-			return func() { act(&simLog, sim.Now, true) }, func() { act(&refLog, func() time.Duration { return ref.now }, false) }
+			for k, at := range instants {
+				lanes[k] = append(lanes[k], h.after(at-h.sim.Now(), nextID()))
+			}
+			// Cancel the first lane's head, middle and tail; Stop the
+			// second lane's head, and sometimes run to just before it so
+			// the stopped head is met at the front past the deadline.
+			first := lanes[0]
+			h.cancel(first[0])
+			h.cancel(first[len(first)/2])
+			h.cancel(first[len(first)-1])
+			h.stop(lanes[1][0])
+			if rng.Intn(2) == 0 {
+				h.runUntil(instants[1] - 1)
+			}
+		case op < 5 && len(instants) > 0:
+			// Re-arm an owned timer into a burst instant still ahead.
+			at := instants[rng.Intn(len(instants))]
+			h.arm(rng.Intn(orderSlots), at-h.sim.Now(), nextID())
+		case op < 6 && len(h.simHandles) > 0:
+			h.cancel(rng.Intn(len(h.simHandles)))
+		case op < 7 && len(h.simHandles) > 0:
+			h.stop(rng.Intn(len(h.simHandles)))
+		case op < 8:
+			h.runUntil(h.sim.Now() + time.Duration(rng.Intn(120))*time.Millisecond)
+		case op < 9:
+			h.step(where)
+		default:
+			h.after(time.Duration(rng.Intn(4))*time.Millisecond, nextID())
 		}
+		h.check(where)
+	}
+	h.finish("burst", ops*20)
+}
 
-		for i := 0; i < ops; i++ {
-			d := time.Duration(rng.Intn(50)-2) * time.Millisecond
-			simF, refF := callbacks(i + 1)
-			switch op := rng.Intn(10); {
-			case op < 3:
-				simHandles = append(simHandles, sim.After(d, simF))
-				refHandles = append(refHandles, ref.after(d, refF))
-			case op < 5:
-				k := rng.Intn(slots)
-				sim.Arm(&simOwned[k], d, simF)
-				stopRef(refOwned[k])
-				refOwned[k] = ref.after(d, refF)
-			case op < 6 && len(simHandles) > 0:
-				h := rng.Intn(len(simHandles))
-				simHandles[h].Stop()
-				refHandles[h].stopped = true
-			case op < 7 && len(simHandles) > 0:
-				h := rng.Intn(len(simHandles))
-				sim.Cancel(simHandles[h])
-				refHandles[h].stopped = true
-			case op < 8:
-				k := rng.Intn(slots)
-				sim.Cancel(&simOwned[k])
-				stopRef(refOwned[k])
-			case op < 9:
-				until := sim.Now() + time.Duration(rng.Intn(30))*time.Millisecond
-				sim.RunUntil(until)
-				ref.runUntil(until)
-			default:
-				if a, b := sim.Step(), ref.step(); a != b {
-					t.Fatalf("seed %d op %d: Step = %v, reference %v", seed, i, a, b)
-				}
-			}
-			if sim.Now() != ref.now || sim.Steps() != ref.steps || len(simLog) != len(refLog) {
-				t.Fatalf("seed %d op %d: now %v/%v steps %d/%d events %d/%d (SimLoop/reference)",
-					seed, i, sim.Now(), ref.now, sim.Steps(), ref.steps, len(simLog), len(refLog))
-			}
-		}
-		sim.RunFor(time.Second)
-		ref.runUntil(ref.now + time.Second)
-		if sim.Now() != ref.now || sim.Steps() != ref.steps {
-			t.Fatalf("seed %d: final now %v/%v steps %d/%d", seed, sim.Now(), ref.now, sim.Steps(), ref.steps)
-		}
-		for i := range refLog {
-			if i >= len(simLog) || simLog[i] != refLog[i] {
-				t.Fatalf("seed %d: event %d differs: SimLoop %v, reference %v", seed, i, simLog[i:min(i+3, len(simLog))], refLog[i:min(i+3, len(refLog))])
-			}
-		}
-		if len(simLog) < ops/4 {
-			t.Fatalf("seed %d: only %d events ran; the test is not exercising the loop", seed, len(simLog))
-		}
+// TestLanesPerInstant arms 10,000 timers at three instants: the queue holds
+// three lanes, and Pending counts stopped timers that are still queued but
+// not cancelled ones.
+func TestLanesPerInstant(t *testing.T) {
+	l := NewSimLoop()
+	f := func() {}
+	var timers []*Timer
+	for i := 0; i < 10000; i++ {
+		timers = append(timers, l.After(time.Duration(1+i%3)*time.Second, f))
+	}
+	if len(l.pq) != 3 || len(l.lanes) != 3 {
+		t.Fatalf("%d lanes in the heap, %d in the map, want 3 and 3", len(l.pq), len(l.lanes))
+	}
+	for _, tm := range timers[:100] {
+		tm.Stop()
+	}
+	for _, tm := range timers[100:300] {
+		l.Cancel(tm)
+	}
+	if got := l.Pending(); got != 9800 {
+		t.Fatalf("Pending = %d, want 9800 (stopped timers stay queued, cancelled ones leave)", got)
+	}
+	l.Drain()
+	if l.Steps() != 9700 || l.Pending() != 0 {
+		t.Fatalf("Steps = %d, Pending = %d after Drain; want 9700 and 0", l.Steps(), l.Pending())
+	}
+	if len(l.pq) != 0 || len(l.lanes) != 0 || l.last != nil {
+		t.Fatalf("%d lanes in the heap, %d in the map, cache %v after Drain; want none", len(l.pq), len(l.lanes), l.last)
 	}
 }

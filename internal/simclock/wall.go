@@ -65,11 +65,11 @@ func (l *WallLoop) After(d time.Duration, f func()) *Timer {
 // re-armed for a later time, and does nothing. Should it find the Timer
 // re-armed and due, it runs it, and the later post finds it already run.
 func (l *WallLoop) Arm(t *Timer, d time.Duration, f func()) {
-	t.when, t.f, t.stopped, t.pos = l.Now()+d, f, false, 1
+	t.when, t.f, t.stopped, t.armed = l.Now()+d, f, false, true
 	time.AfterFunc(d, func() {
 		l.Post(func() {
-			if t.pos != 0 && !t.stopped && l.Now() >= t.when {
-				t.pos = 0
+			if t.armed && !t.stopped && l.Now() >= t.when {
+				t.armed = false
 				t.f()
 			}
 		})
