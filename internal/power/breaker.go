@@ -159,8 +159,8 @@ func (b *Breaker) Observe(draw Watts, now time.Duration) bool {
 			b.trippedAt = now
 			return true
 		}
-	} else {
-		// Exponential cooling toward zero.
+	} else if b.heat != 0 {
+		// Exponential cooling toward zero (a cold breaker stays at 0).
 		b.heat *= math.Exp(-secs / b.recoveryTau.Seconds())
 		if b.heat < 1e-12 {
 			b.heat = 0

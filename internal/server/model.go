@@ -123,7 +123,14 @@ func (m *Model) PowerAt(load, freq float64) power.Watts {
 	if util < 0 {
 		util = 0
 	}
-	dyn := float64(m.Span()) * util * math.Pow(freq, m.PowerExp)
+	// f² as one multiply: for y = 2 math.Pow squares Frexp's mantissa and
+	// scales back by an exact power of two, so every normal result has the
+	// same bits (TestSquareMatchesPow).
+	fp := freq * freq
+	if m.PowerExp != 2 {
+		fp = math.Pow(freq, m.PowerExp)
+	}
+	dyn := float64(m.Span()) * util * fp
 	return m.Idle + power.Watts(dyn)
 }
 

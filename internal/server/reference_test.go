@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"time"
@@ -96,6 +97,25 @@ func refTick(s *Server, now time.Duration) {
 		sec := dt.Seconds()
 		s.offeredWork += s.load * sec
 		s.deliveredWork += math.Min(s.load, s.freq) * sec
+	}
+}
+
+// TestSquareMatchesPow pins the identity PowerAt's p = 2 path relies on:
+// f*f has the bits of math.Pow(f, 2), over a dense sweep of the operating
+// range [0.3, 1.2] and a million random values in (0, 2].
+func TestSquareMatchesPow(t *testing.T) {
+	check := func(f float64) {
+		if got, want := f*f, math.Pow(f, 2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("f = %v: f*f = %v, math.Pow(f, 2) = %v", f, got, want)
+		}
+	}
+	const n = 3_000_000
+	for i := 0; i <= n; i++ {
+		check(0.3 + 0.9*float64(i)/n)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 1_000_000; i++ {
+		check(2 * (1 - rng.Float64())) // (0, 2]
 	}
 }
 

@@ -58,10 +58,12 @@ type Server struct {
 	lastTick      time.Duration
 	ticked        bool
 
-	// slewAlpha is the RAPL slew coefficient 1 − exp(−dt/τ) for a step of
-	// slewDt: the physics step changes only on SetTickInterval, so the
-	// exponential is computed once per step length, not once per tick.
+	// slewAlpha is the RAPL slew coefficient 1 − exp(−dt/τ) and slewSec
+	// the length in seconds of a step of slewDt: the physics step changes
+	// only on SetTickInterval, so both are computed once per step length,
+	// not once per tick.
 	slewDt    time.Duration
+	slewSec   float64
 	slewAlpha float64
 }
 
@@ -82,6 +84,14 @@ type Config struct {
 
 // New creates a server at nominal frequency with no power limit.
 func New(cfg Config) *Server {
+	s := new(Server)
+	s.Init(cfg)
+	return s
+}
+
+// Init sets s up in place as New(cfg) would, so a simulator can lay its
+// fleet out in one slice in the order it ticks it.
+func (s *Server) Init(cfg Config) {
 	if cfg.Source == nil {
 		cfg.Source = LoadFunc(func(time.Duration) float64 { return 0 })
 	}
@@ -89,7 +99,7 @@ func New(cfg Config) *Server {
 	if scale <= 0 {
 		scale = 1.0
 	}
-	s := &Server{
+	*s = Server{
 		id:        cfg.ID,
 		service:   cfg.Service,
 		model:     cfg.Model,
@@ -97,11 +107,9 @@ func New(cfg Config) *Server {
 		loadScale: scale,
 		turbo:     cfg.Turbo,
 		govMax:    cfg.GovMaxFreq,
-		freq:      1.0,
 	}
 	s.freq = s.maxFreq()
 	s.draw = s.model.Idle
-	return s
 }
 
 // ID returns the server's identifier.
@@ -191,7 +199,7 @@ func (s *Server) Tick(now time.Duration) {
 
 	target := s.maxFreq()
 	if s.limited {
-		target = s.model.FreqForPower(s.limit, s.load, s.maxFreq())
+		target = s.model.FreqForPower(s.limit, s.load, target)
 	}
 	switch {
 	case first:
@@ -199,7 +207,8 @@ func (s *Server) Tick(now time.Duration) {
 	case dt > 0:
 		if dt != s.slewDt {
 			s.slewDt = dt
-			s.slewAlpha = 1 - math.Exp(-dt.Seconds()/raplTau.Seconds())
+			s.slewSec = dt.Seconds()
+			s.slewAlpha = 1 - math.Exp(-s.slewSec/raplTau.Seconds())
 		}
 		s.freq += (target - s.freq) * s.slewAlpha
 	}
@@ -215,9 +224,14 @@ func (s *Server) Tick(now time.Duration) {
 	}
 
 	if dt > 0 {
-		sec := dt.Seconds()
-		s.offeredWork += s.load * sec
-		s.deliveredWork += math.Min(s.load, s.freq) * sec
+		// slewSec is dt in seconds (dt > 0 took the slew branch). Load and
+		// freq are finite, freq > 0: the compare is exactly math.Min.
+		done := s.load
+		if s.freq < done {
+			done = s.freq
+		}
+		s.offeredWork += s.load * s.slewSec
+		s.deliveredWork += done * s.slewSec
 	}
 }
 

@@ -37,6 +37,10 @@ type snapshot struct {
 	valid  bool
 	passes uint64 // aggregation passes so far; read only by AggregationStats
 	dev    []power.Watts
+	// draw is every server's draw in tick order, written by tickServers
+	// right after each Tick, so the pass reads one dense slice instead of
+	// the servers the shard loop has just moved through the cache.
+	draw []power.Watts
 	// Fleet total is computed lazily (TotalPower), in fixed server order,
 	// so the per-tick hot path never pays for an O(N) sum nobody reads.
 	total      power.Watts
@@ -49,9 +53,11 @@ type snapshot struct {
 // (including cappable switches) exist.
 func (s *Sim) buildAggIndex() {
 	s.tickList = make([]*server.Server, len(s.serverOrder))
+	s.snap.draw = make([]power.Watts, len(s.serverOrder))
 	tickIdx := make(map[string]int, len(s.serverOrder))
 	for i, id := range s.serverOrder {
 		s.tickList[i] = s.Servers[id]
+		s.snap.draw[i] = s.tickList[i].Power()
 		tickIdx[id] = i
 	}
 
@@ -111,7 +117,7 @@ func (s *Sim) aggregate(now time.Duration) {
 			sum += s.rechargeAt(d.id, now)
 		}
 		for _, li := range d.leafIdx {
-			sum += s.tickList[li].Power()
+			sum += s.snap.draw[li]
 		}
 		if d.constSw > 0 {
 			sum += power.Watts(d.constSw) * switchDraw
@@ -156,9 +162,7 @@ func (s *Sim) tickServers(now time.Duration) {
 		w = n
 	}
 	if w <= 1 || n < parallelTickMin {
-		for _, sv := range s.tickList {
-			sv.Tick(now)
-		}
+		s.tickRange(now, 0, n)
 		return
 	}
 	chunk := (n + w - 1) / w
@@ -171,12 +175,21 @@ func (s *Sim) tickServers(now time.Duration) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for _, sv := range s.tickList[lo:hi] {
-				sv.Tick(now)
-			}
+			s.tickRange(now, lo, hi)
 		}(start, end)
 	}
 	wg.Wait()
+}
+
+// tickRange ticks servers [lo, hi) of the tick list and records each draw
+// in the snapshot's draw slice: the only place sim ticks a server after
+// New, so the slice always equals the servers' Power.
+func (s *Sim) tickRange(now time.Duration, lo, hi int) {
+	draw := s.snap.draw[lo:hi]
+	for i, sv := range s.tickList[lo:hi] {
+		sv.Tick(now)
+		draw[i] = sv.Power()
+	}
 }
 
 // snapPower returns a node's draw from the current snapshot, falling back

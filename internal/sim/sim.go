@@ -250,7 +250,18 @@ func New(cfg Config) (*Sim, error) {
 
 	hwRng := noise.New(cfg.Seed ^ 0x4a11)
 
-	for _, srvNode := range topo.Servers() {
+	// The fleet lives in two slices in tick order (servers, then cappable
+	// switches), so each sharded pass walks memory in order; the maps and
+	// the tick list point into them.
+	srvNodes := topo.Servers()
+	var swNodes []*topology.Node
+	if cfg.CappableSwitches {
+		swNodes = topo.OfKind(topology.KindSwitch)
+	}
+	fleet := make([]server.Server, len(srvNodes)+len(swNodes))
+	gens := make([]workload.Generator, len(fleet))
+
+	for i, srvNode := range srvNodes {
 		svc := srvNode.Service
 		sh, ok := s.Shared[svc]
 		if !ok {
@@ -262,7 +273,8 @@ func New(cfg Config) (*Sim, error) {
 			s.Shared[svc] = sh
 			s.sharedOrder = append(s.sharedOrder, svc)
 		}
-		gen := workload.NewGenerator(sh, next())
+		gen := &gens[i]
+		gen.Init(sh, next())
 		s.Gens[string(srvNode.ID)] = gen
 
 		model, err := server.LookupModel(srvNode.Generation)
@@ -280,7 +292,8 @@ func New(cfg Config) (*Sim, error) {
 		if v, ok := cfg.LoadScale[svc]; ok {
 			scale = v
 		}
-		sv := server.New(server.Config{
+		sv := &fleet[i]
+		sv.Init(server.Config{
 			ID: string(srvNode.ID), Service: svc,
 			Model:      model,
 			Source:     gen,
@@ -322,10 +335,12 @@ func New(cfg Config) (*Sim, error) {
 		s.Shared["network"] = shared
 		s.sharedOrder = append(s.sharedOrder, "network")
 		model := server.MustModel("torswitch")
-		for _, sw := range topo.OfKind(topology.KindSwitch) {
-			gen := workload.NewGenerator(shared, next())
+		for j, sw := range swNodes {
+			gen := &gens[len(srvNodes)+j]
+			gen.Init(shared, next())
 			s.Gens[string(sw.ID)] = gen
-			sv := server.New(server.Config{
+			sv := &fleet[len(srvNodes)+j]
+			sv.Init(server.Config{
 				ID: string(sw.ID), Service: "network",
 				Model:  model,
 				Source: gen,
@@ -698,8 +713,8 @@ func (s *Sim) TotalPower() power.Watts {
 	s.refresh()
 	if now := s.Loop.Now(); !s.snap.totalValid || s.snap.totalAt != now {
 		var sum power.Watts
-		for _, sv := range s.tickList {
-			sum += sv.Power()
+		for _, d := range s.snap.draw {
+			sum += d
 		}
 		sum += power.Watts(s.constSwitches) * switchDraw
 		s.snap.total = sum
@@ -762,9 +777,9 @@ func (s *Sim) SetTurboForService(service string, on bool) {
 	if s.tel != nil {
 		s.Mark("turbo %v for service %s", on, service)
 	}
-	for _, id := range s.serverOrder {
-		if s.Servers[id].Service() == service {
-			s.Servers[id].SetTurbo(on)
+	for _, sv := range s.tickList {
+		if sv.Service() == service {
+			sv.SetTurbo(on)
 		}
 	}
 }
@@ -784,8 +799,8 @@ func (s *Sim) LeaseExpiries() uint64 {
 // CappedServerCount returns how many servers currently hold a RAPL limit.
 func (s *Sim) CappedServerCount() int {
 	n := 0
-	for _, id := range s.serverOrder {
-		if _, ok := s.Servers[id].Limit(); ok {
+	for _, sv := range s.tickList {
+		if _, ok := sv.Limit(); ok {
 			n++
 		}
 	}
@@ -804,8 +819,7 @@ type ServiceStats struct {
 // StatsForService summarizes a service's performance counters.
 func (s *Sim) StatsForService(service string) ServiceStats {
 	var st ServiceStats
-	for _, id := range s.serverOrder {
-		sv := s.Servers[id]
+	for _, sv := range s.tickList {
 		if sv.Service() != service {
 			continue
 		}
@@ -824,8 +838,8 @@ func (s *Sim) StatsForService(service string) ServiceStats {
 // ResetWork clears every server's work counters (to scope throughput
 // measurements to a window).
 func (s *Sim) ResetWork() {
-	for _, id := range s.serverOrder {
-		s.Servers[id].ResetWork()
+	for _, sv := range s.tickList {
+		sv.ResetWork()
 	}
 }
 
