@@ -40,21 +40,7 @@ func BenchmarkAggregation(b *testing.B) {
 // machine they coincide).
 func BenchmarkSimTick10k(b *testing.B) {
 	run := func(b *testing.B, workers int) {
-		s, err := New(Config{
-			Spec:              topology.DefaultSpec().Scale(10000),
-			Seed:              1,
-			TickWorkers:       workers,
-			ValidatorInterval: 30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var recID []topology.NodeID
-		for _, n := range s.Topo.OfKind(topology.KindRPP) {
-			recID = append(recID, n.ID)
-		}
-		s.Record(5*time.Second, recID...)
-		s.Run(time.Second) // arm the ticker
+		s := newTick10k(b, workers)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Run(s.Cfg.TickInterval)
@@ -63,4 +49,26 @@ func BenchmarkSimTick10k(b *testing.B) {
 	}
 	b.Run("snapshot", func(b *testing.B) { run(b, 0) })
 	b.Run("snapshot-serial", func(b *testing.B) { run(b, 1) })
+}
+
+// newTick10k builds BenchmarkSimTick10k's sim (the open_loop_10k fleet,
+// validators every 30 s, every RPP recorded every 5 s) and runs it one
+// tick, which arms the ticker.
+func newTick10k(tb testing.TB, workers int) *Sim {
+	s, err := New(Config{
+		Spec:              topology.DefaultSpec().Scale(10000),
+		Seed:              1,
+		TickWorkers:       workers,
+		ValidatorInterval: 30 * time.Second,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var recID []topology.NodeID
+	for _, n := range s.Topo.OfKind(topology.KindRPP) {
+		recID = append(recID, n.ID)
+	}
+	s.Record(5*time.Second, recID...)
+	s.Run(time.Second)
+	return s
 }
