@@ -148,8 +148,10 @@ func (a *Agent) Handler() rpc.Handler {
 		case MethodReadPower:
 			return a.readPower()
 		case MethodSetCap:
+			var d wire.Decoder
 			var req SetCapRequest
-			if err := wire.Unmarshal(body, &req); err != nil {
+			d.Reset(body)
+			if err := req.UnmarshalWire(&d); err != nil {
 				a.count(opErr)
 				return nil, err
 			}
@@ -157,8 +159,10 @@ func (a *Agent) Handler() rpc.Handler {
 		case MethodClearCap:
 			return a.clearCap()
 		case MethodRenewLease:
+			var d wire.Decoder
 			var req RenewLeaseRequest
-			if err := wire.Unmarshal(body, &req); err != nil {
+			d.Reset(body)
+			if err := req.UnmarshalWire(&d); err != nil {
 				a.count(opErr)
 				return nil, err
 			}

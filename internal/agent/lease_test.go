@@ -169,8 +169,7 @@ func TestAgentLeaseReplacedBySecondSetCap(t *testing.T) {
 
 // TestRenewLeaseAllocs: a steady-state renewal re-arms the agent's own
 // lease timer with its bound expiry, so it allocates nothing. It calls the
-// method behind the handler: decoding the request (wire.Unmarshal) is the
-// transport's cost, not the lease's.
+// method behind the handler; TestCapRequestDecodeAllocs covers the decode.
 func TestRenewLeaseAllocs(t *testing.T) {
 	lf := newLeaseFixture(t, 0)
 	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
@@ -185,5 +184,42 @@ func TestRenewLeaseAllocs(t *testing.T) {
 	if lf.loop.Pending() != 1 || !lf.capped(t) || lf.a.LeaseExpiries() != 0 {
 		t.Errorf("after renewals: Pending %d, capped %v, expiries %d; want 1, true, 0",
 			lf.loop.Pending(), lf.capped(t), lf.a.LeaseExpiries())
+	}
+}
+
+// TestCapRequestDecodeAllocs: the handler decodes SetCap and RenewLease
+// requests on its stack, so serving either allocates nothing — with the
+// lease fail-safe armed, and on an agent that carries no extras at all.
+func TestCapRequestDecodeAllocs(t *testing.T) {
+	setCap := wire.Marshal(&SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)})
+	renew := wire.Marshal(&RenewLeaseRequest{LeaseNanos: uint64(10 * time.Second)})
+	serve := func(h func(string, []byte) (wire.Message, error), method string, body []byte) {
+		if m, err := h(method, body); err != nil || m != capOK {
+			t.Fatalf("%s: %v, %v", method, m, err)
+		}
+	}
+	lf := newLeaseFixture(t, 0)
+	h := lf.a.Handler()
+	if n := testing.AllocsPerRun(1000, func() {
+		serve(h, MethodSetCap, setCap)
+		serve(h, MethodRenewLease, renew)
+		lf.loop.RunFor(time.Second)
+	}); n != 0 {
+		t.Errorf("serving SetCap and RenewLease allocates %v per pair, want 0", n)
+	}
+	if lf.a.LeaseExpiries() != 0 || !lf.capped(t) {
+		t.Errorf("after renewals: expiries %d, capped %v; want 0, true", lf.a.LeaseExpiries(), lf.capped(t))
+	}
+
+	bare, _ := newTestAgent(t, 0.8, platform.Options{Seed: 3})
+	h = bare.Handler()
+	if n := testing.AllocsPerRun(1000, func() {
+		serve(h, MethodSetCap, setCap)
+		serve(h, MethodRenewLease, renew)
+	}); n != 0 {
+		t.Errorf("an agent without extras allocates %v per SetCap and RenewLease, want 0", n)
+	}
+	if bare.x != nil {
+		t.Error("serving caps gave the agent extras")
 	}
 }

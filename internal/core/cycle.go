@@ -135,10 +135,10 @@ type cycleKernel struct {
 	gen      uint64
 	cycleGen uint64
 
-	// retryPol is the rpc retry policy (zero when retries are off);
-	// retries counts re-attempts across all downstream calls.
-	retryPol rpc.RetryPolicy
-	retries  uint64
+	// retrier issues every downstream call (one attempt when retries are
+	// off); retries counts re-attempts across all of them.
+	retrier *rpc.Retrier
+	retries uint64
 
 	contract   power.Watts // from the parent; 0 = none
 	lastAgg    power.Watts
@@ -176,9 +176,9 @@ func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink 
 	if k.sched != nil {
 		k.schedOrder = k.sched.register()
 	}
-	if retry.Enabled() {
-		k.retryPol = retry.policy(cfg.pollInterval)
-	}
+	pol := retry.policy(cfg.pollInterval)
+	pol.OnRetry = k.onRetry
+	k.retrier = rpc.NewRetrier(loop, pol)
 	k.ticker = simclock.NewTicker(loop, cfg.pollInterval, k.pollCycle)
 }
 
@@ -186,18 +186,15 @@ func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink 
 // retries disabled it is a plain single-attempt Call. Always invoked on
 // the loop goroutine (poll broadcast or act phase).
 func (k *cycleKernel) call(h *pull, method string, req wire.Message, done func([]byte, error)) {
-	if !k.retryPol.Enabled() {
-		h.client.Call(method, req, k.pullTimeout, done)
-		return
+	k.retrier.Call(h.client, method, h.id, req, k.pullTimeout, done)
+}
+
+// onRetry observes each re-attempt of a downstream call.
+func (k *cycleKernel) onRetry(id, method string, attempt int, err error) {
+	k.retries++
+	if k.tel != nil {
+		k.tel.rpcRetry(k.cycles, k.loop.Now(), id, method, attempt, err)
 	}
-	pol := k.retryPol
-	pol.OnRetry = func(attempt int, err error) {
-		k.retries++
-		if k.tel != nil {
-			k.tel.rpcRetry(k.cycles, k.loop.Now(), h.id, method, attempt, err)
-		}
-	}
-	rpc.CallRetry(k.loop, h.client, method, h.id, req, k.pullTimeout, pol, done)
 }
 
 // commandFailed reports an act-phase command the child did not accept.

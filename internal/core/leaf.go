@@ -127,7 +127,8 @@ type agentState struct {
 	everSeen  bool
 	capSent   power.Watts
 	capped    bool
-	recapped  uint64 // the cycle that last sent this agent a SetCap
+	recapped  uint64        // the cycle that last sent this agent a SetCap
+	renew     *leaseRenewal // nil until the agent's first lease renewal
 
 	// Circuit-breaker state (quarantine). consecFails counts consecutive
 	// failed pulls; at the configured threshold the agent is quarantined:
@@ -143,6 +144,16 @@ type agentState struct {
 	reading   float64
 }
 
+// leaseRenewal is an agent's renewal completion, bound once, and the
+// generation its renewals are sent under. A Stop moves the generation on,
+// fencing acks in flight, and the next renewal gets a new record.
+type leaseRenewal struct {
+	l    *Leaf
+	st   *agentState
+	gen  uint64
+	done func([]byte, error) // r.acked, bound once
+}
+
 // Leaf is a leaf power controller: the cycle kernel over server agents,
 // with failure estimation, per-agent quarantine, priority-aware capping
 // plans and cap leases. Like the kernel it is confined to its event loop.
@@ -154,9 +165,12 @@ type Leaf struct {
 	list   []*agentState          // the same agents in configuration order; every per-cycle loop walks this
 
 	// Reused across pulls by the observe phase: one decoder and one
-	// response message per controller, not per reading.
-	dec wire.Decoder
-	msg agent.ReadPowerResponse
+	// response message per controller, not per reading. Lease acks decode
+	// through dec into ack on the loop, which no observe phase overlaps.
+	dec      wire.Decoder
+	msg      agent.ReadPowerResponse
+	ack      agent.CapResponse
+	renewReq agent.RenewLeaseRequest // what every renewal sends; retries re-send it, so it never changes
 
 	lastService map[string]power.Watts
 
@@ -176,6 +190,7 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 		agents:      make(map[string]*agentState, len(agents)),
 		list:        make([]*agentState, 0, len(agents)),
 		lastService: map[string]power.Watts{},
+		renewReq:    agent.RenewLeaseRequest{LeaseNanos: uint64(cfg.CapLeaseTTL)},
 	}
 	pulls := make([]*pull, 0, len(agents))
 	for _, a := range agents {
@@ -506,38 +521,42 @@ func (l *Leaf) renewLeases() {
 	if l.cfg.CapLeaseTTL <= 0 {
 		return
 	}
-	gen := l.gen
-	req := &agent.RenewLeaseRequest{LeaseNanos: uint64(l.cfg.CapLeaseTTL)}
 	for _, st := range l.list {
 		if !st.capped || st.quarantined || st.recapped == l.cycles {
 			continue
 		}
-		l.call(&st.pull, agent.MethodRenewLease, req, func(resp []byte, err error) {
-			if l.gen != gen {
-				return
-			}
-			var ack agent.CapResponse
-			if derr := rpc.Decode(resp, err, &ack); derr != nil {
-				if l.tel != nil {
-					l.tel.leaseRenewFailed(l.cycles, l.loop.Now(), st.id, derr)
-				}
-				return
-			}
-			if !ack.OK {
-				// The agent no longer holds the cap (its lease expired
-				// while we couldn't reach it): adopt its view so the next
-				// cycle re-plans from truth.
-				st.capped = false
-				st.capSent = 0
-				if l.tel != nil {
-					l.tel.leaseRenewFailed(l.cycles, l.loop.Now(), st.id, nil)
-				}
-				return
-			}
-			if l.tel != nil {
-				l.tel.leaseRenewed()
-			}
-		})
+		r := st.renew
+		if r == nil || r.gen != l.gen {
+			r = &leaseRenewal{l: l, st: st, gen: l.gen}
+			r.done = r.acked
+			st.renew = r
+		}
+		l.call(&st.pull, agent.MethodRenewLease, &l.renewReq, r.done)
+	}
+}
+
+// acked takes a renewal's outcome, unless the controller was stopped since
+// it was sent.
+func (r *leaseRenewal) acked(resp []byte, err error) {
+	l, st := r.l, r.st
+	if l.gen != r.gen {
+		return
+	}
+	if err == nil {
+		l.dec.Reset(resp)
+		err = l.ack.UnmarshalWire(&l.dec)
+	}
+	renewed := err == nil && l.ack.OK
+	if err == nil && !renewed {
+		// The agent no longer holds the cap (its lease expired while we
+		// couldn't reach it): adopt its view so the next cycle re-plans
+		// from truth.
+		st.capped, st.capSent = false, 0
+	}
+	if l.tel != nil && renewed {
+		l.tel.leaseRenewed()
+	} else if l.tel != nil {
+		l.tel.leaseRenewFailed(l.cycles, l.loop.Now(), st.id, err)
 	}
 }
 

@@ -163,6 +163,75 @@ func TestLeafCapLeaseRenewalAndExpiry(t *testing.T) {
 	}
 }
 
+// TestLeaseAckAfterStopStartIsFenced: renewals are in flight when the leaf
+// is stopped and at once started again — three about to be acked, one
+// dropped and waiting out its deadline and backoff before its retry. Every
+// ack says the agent no longer holds its cap, which would clear the
+// leaf's capped view; landing after Stop, none of them may touch it. The
+// unstopped control shows the acks would.
+func TestLeaseAckAfterStopStartIsFenced(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
+			f := newFixture(t)
+			refs := f.addFleet(4, "web", 0.6)
+			served := 0
+			for _, id := range f.order {
+				ag := f.agents[id]
+				ag.EnableLease(f.loop, 0, nil)
+				h := ag.Handler()
+				if _, err := h(agent.MethodSetCap, wire.Marshal(&agent.SetCapRequest{LimitWatts: 1000, LeaseNanos: uint64(15 * time.Second)})); err != nil {
+					t.Fatal(err)
+				}
+				f.net.Register(AgentAddr(id), func(method string, body []byte) (wire.Message, error) {
+					if method == agent.MethodRenewLease {
+						served++
+					}
+					return h(method, body)
+				})
+			}
+			// The first renewal to web-000 is dropped; its retry gets through.
+			f.faults.Add(faults.Rule{Peer: AgentAddr("web-000"), Method: agent.MethodRenewLease,
+				Until: 3*time.Second + 100*time.Millisecond, DropP: 1})
+			leaf := NewLeaf(f.loop, LeafConfig{
+				DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
+				Bands:       BandConfig{CapThresholdFrac: 0.99, CapTargetFrac: 0.95, UncapThresholdFrac: 0.01},
+				PullTimeout: 200 * time.Millisecond,
+				Retry:       retryCfg(),
+				CapLeaseTTL: 15 * time.Second,
+			}, refs)
+			leaf.Start()
+			// The cycle polling at 3 s completes, and renews every lease, at
+			// 3.004 s; the renewals reach the agents at 3.006 s, once their
+			// caps are gone, and are acked at 3.008 s.
+			f.loop.RunUntil(3*time.Second + 5*time.Millisecond)
+			if got := leaf.CappedCount(); got != 4 {
+				t.Fatalf("%d agents capped after the first cycle, want 4", got)
+			}
+			for _, id := range f.order {
+				if _, err := f.agents[id].Handler()(agent.MethodClearCap, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.loop.RunUntil(3*time.Second + 7*time.Millisecond)
+			if restart {
+				leaf.Stop()
+				leaf.Start()
+			}
+			f.loop.RunUntil(3*time.Second + 500*time.Millisecond)
+			if served != 4 || leaf.Retries() != 1 {
+				t.Fatalf("agents served %d renewals after %d retries, want 4 after 1", served, leaf.Retries())
+			}
+			want := 0
+			if restart {
+				want = 4
+			}
+			if got := leaf.CappedCount(); got != want {
+				t.Errorf("%d agents capped in the leaf's view after the acks, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestLeafStopMidCycleSendsNothing stops a controller of either level
 // while the pulls of a cycle that will decide to cut are still in flight:
 // the completions must not actuate anything, though the cycle still

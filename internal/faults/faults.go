@@ -63,14 +63,16 @@ func Partition(peerGlob string, from, until time.Duration) Rule {
 }
 
 // Injector applies fault rules to wrapped clients. Safe for concurrent
-// use; per-(peer, method) call indices are the only mutable state.
+// use, except that a wrapped client's Call runs on the loop goroutine, as
+// the timers it arms must.
 type Injector struct {
 	loop simclock.Loop
 	seed int64
 
 	mu    sync.Mutex
 	rules []Rule
-	calls map[callKey]*uint64 // per-(peer, method) call index, shared by every wrapper of the peer
+	calls map[callKey]*counter // per-(peer, method) call index, shared by every wrapper of the peer
+	free  *lapse               // idle records of dropped calls; loop-confined, like the timers they arm
 
 	dropped    uint64
 	delayed    uint64
@@ -81,7 +83,7 @@ type Injector struct {
 
 // New builds an injector. sink may be nil (no metrics).
 func New(loop simclock.Loop, seed int64, sink *telemetry.Sink) *Injector {
-	in := &Injector{loop: loop, seed: seed, calls: make(map[callKey]*uint64)}
+	in := &Injector{loop: loop, seed: seed, calls: make(map[callKey]*counter)}
 	if sink != nil {
 		in.tel = newFaultInstr(sink)
 	}
@@ -166,6 +168,10 @@ type verdict struct {
 // callKey names a call index by the wrapper's peer and the caller's method.
 type callKey struct{ peer, method string }
 
+// counter is one (peer, method)'s call index n, beside the start of every
+// draw's hash for the pair (Injector.prefix; the seed is fixed at New).
+type counter struct{ n, prefix uint64 }
+
 // callIndex is one wrapper's view of the injector's per-(peer, method)
 // call indices: it remembers where the shared counter of each method it
 // has seen lives, so a call finds it without hashing the (peer, method)
@@ -174,28 +180,34 @@ type callKey struct{ peer, method string }
 type callIndex struct {
 	peer    string
 	methods []string
-	counts  []*uint64
+	counts  []*counter
 }
 
-// next returns this call's index and advances the shared counter.
-func (ci *callIndex) next(in *Injector, method string) uint64 {
-	var p *uint64
+// next returns this call's index and its pair's hash prefix, and advances
+// the shared counter.
+func (ci *callIndex) next(in *Injector, method string) (n, prefix uint64) {
+	var c *counter
 	for i, m := range ci.methods {
 		if m == method {
-			p = ci.counts[i]
+			c = ci.counts[i]
 			break
 		}
 	}
-	if p == nil {
+	if c == nil {
 		key := callKey{ci.peer, method}
-		if p = in.calls[key]; p == nil {
-			p = new(uint64)
-			in.calls[key] = p
+		if c = in.calls[key]; c == nil {
+			c = &counter{prefix: in.prefix(ci.peer, method)}
+			in.calls[key] = c
 		}
-		ci.methods, ci.counts = append(ci.methods, method), append(ci.counts, p)
+		ci.methods, ci.counts = append(ci.methods, method), append(ci.counts, c)
 	}
-	*p++
-	return *p - 1
+	c.n++
+	return c.n - 1, c.prefix
+}
+
+// prefix hashes what every draw for the pair starts from.
+func (in *Injector) prefix(peer, method string) uint64 {
+	return noise.Mix64(noise.Mix64(uint64(in.seed)^noise.FNV64a(peer)) ^ noise.FNV64a(method))
 }
 
 // verdict draws this call's fate from the schedule. The per-(peer,
@@ -206,18 +218,19 @@ func (ci *callIndex) next(in *Injector, method string) uint64 {
 func (in *Injector) verdict(ci *callIndex, method string) verdict {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	n := ci.next(in, method)
+	n, prefix := ci.next(in, method)
 	if len(in.rules) == 0 {
 		return verdict{}
 	}
-	return in.draw(ci.peer, method, n)
+	return in.draw(ci.peer, method, n, prefix)
 }
 
-// draw evaluates the schedule for the n-th call of method to peer: a pure
-// function of its arguments, the seed, the rules and the loop's clock.
-// Callers hold in.mu.
-func (in *Injector) draw(peer, method string, n uint64) verdict {
+// draw evaluates the schedule for the n-th call of method to peer (hash
+// prefix prefix): a pure function of its arguments, the seed, the rules
+// and the loop's clock. Callers hold in.mu.
+func (in *Injector) draw(peer, method string, n, prefix uint64) verdict {
 	now := in.loop.Now()
+	call := noise.Mix64(prefix ^ n)
 	var v verdict
 	for i, r := range in.rules {
 		if now < r.From || (r.Until > 0 && now >= r.Until) {
@@ -227,17 +240,17 @@ func (in *Injector) draw(peer, method string, n uint64) verdict {
 			continue
 		}
 		salt := uint64(i) << 8
-		if r.DropP > 0 && unit(in.seed, peer, method, n, salt|1) < r.DropP {
+		if r.DropP > 0 && unit(call, salt|1) < r.DropP {
 			v.drop = true
 		}
 		if r.Delay > 0 || r.DelayJitter > 0 {
 			d := r.Delay
 			if r.DelayJitter > 0 {
-				d += time.Duration(float64(r.DelayJitter) * unit(in.seed, peer, method, n, salt|2))
+				d += time.Duration(float64(r.DelayJitter) * unit(call, salt|2))
 			}
 			v.delay += d
 		}
-		if r.DupP > 0 && unit(in.seed, peer, method, n, salt|3) < r.DupP {
+		if r.DupP > 0 && unit(call, salt|3) < r.DupP {
 			v.dup = true
 		}
 	}
@@ -284,9 +297,9 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 		// no deadline there is nothing to wait for, so it is told at once
 		// that the peer cannot be reached.
 		if timeout > 0 {
-			c.in.loop.After(timeout, func() { done(nil, rpc.ErrTimeout) })
+			c.in.fail(timeout, rpc.ErrTimeout, done)
 		} else {
-			c.in.loop.After(0, func() { done(nil, rpc.ErrUnreachable) })
+			c.in.fail(0, rpc.ErrUnreachable, done)
 		}
 		return
 	}
@@ -298,7 +311,7 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 			if v.delay >= timeout {
 				// The response cannot make the deadline; equivalent to a
 				// drop from the caller's side.
-				c.in.loop.After(timeout, func() { done(nil, rpc.ErrTimeout) })
+				c.in.fail(timeout, rpc.ErrTimeout, done)
 				return
 			}
 			remaining = timeout - v.delay
@@ -327,6 +340,38 @@ func (c *faultClient) Call(method string, req wire.Message, timeout time.Duratio
 
 // Close implements rpc.Client.
 func (c *faultClient) Close() error { return c.next.Close() }
+
+// lapse is a dropped call waiting out the caller's deadline, on a pooled
+// record (timer embedded, callback bound once). One free list serves every
+// wrapper, so only calls in flight hold a record.
+type lapse struct {
+	in   *Injector
+	t    simclock.Timer
+	done func([]byte, error)
+	err  error
+	fire func() // l.fired
+	next *lapse
+}
+
+// fail tells done err after d, on the loop.
+func (in *Injector) fail(d time.Duration, err error, done func([]byte, error)) {
+	l := in.free
+	if l == nil {
+		l = &lapse{in: in}
+		l.fire = l.fired
+	} else {
+		in.free = l.next
+	}
+	l.done, l.err = done, err
+	in.loop.Arm(&l.t, d, l.fire)
+}
+
+// fired frees the record before done runs, so done's next call may reuse it.
+func (l *lapse) fired() {
+	done, err := l.done, l.err
+	l.done, l.next, l.in.free = nil, l.in.free, l
+	done(nil, err)
+}
 
 // faultInstr holds the injector's metrics; nil when telemetry is off, so
 // its methods guard their receiver.
@@ -365,12 +410,8 @@ func newFaultInstr(s *telemetry.Sink) *faultInstr {
 	}
 }
 
-// unit returns a uniform float in [0, 1) determined purely by its
-// arguments.
-func unit(seed int64, peer, method string, n, salt uint64) float64 {
-	h := noise.Mix64(uint64(seed) ^ noise.FNV64a(peer))
-	h = noise.Mix64(h ^ noise.FNV64a(method))
-	h = noise.Mix64(h ^ n)
-	h = noise.Mix64(h ^ salt)
-	return float64(h>>11) / float64(1<<53)
+// unit returns a uniform float in [0, 1) determined purely by a call's
+// hash, Mix64(prefix ^ n), and the salt naming the rule and the draw.
+func unit(call, salt uint64) float64 {
+	return float64(noise.Mix64(call^salt)>>11) / float64(1<<53)
 }

@@ -2,11 +2,13 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"dynamo/internal/agent"
+	"dynamo/internal/noise"
 	"dynamo/internal/platform"
 	"dynamo/internal/rpc"
 	"dynamo/internal/server"
@@ -319,7 +321,7 @@ func (k keyedIndex) verdict(in *Injector, peer, method string) verdict {
 	if len(in.rules) == 0 {
 		return verdict{}
 	}
-	return in.draw(peer, method, n)
+	return in.draw(peer, method, n, in.prefix(peer, method))
 }
 
 // TestCallIndexMatchesKeyedMap: calls made while the schedule is empty
@@ -397,5 +399,72 @@ func TestZeroRulePullAllocs(t *testing.T) {
 	}
 	if ok != 202 {
 		t.Fatalf("%d of 202 pulls returned a reading", ok)
+	}
+}
+
+// unitOracle is how a draw was computed when every rule of every call
+// hashed the peer and method strings.
+func unitOracle(seed int64, peer, method string, n, salt uint64) float64 {
+	h := noise.Mix64(uint64(seed) ^ noise.FNV64a(peer))
+	h = noise.Mix64(h ^ noise.FNV64a(method))
+	h = noise.Mix64(h ^ n)
+	h = noise.Mix64(h ^ salt)
+	return float64(h>>11) / float64(1<<53)
+}
+
+// TestPrefixedDrawsMatchOracle: a draw from the per-(peer, method) prefix
+// is bit-identical to hashing the strings on every draw.
+func TestPrefixedDrawsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	str := func() string {
+		b := make([]byte, rng.Intn(24))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		seed := rng.Int63() - rng.Int63()
+		in := New(simclock.NewSimLoop(), seed, nil)
+		peer, method := str(), str()
+		n, salt := rng.Uint64()>>uint(rng.Intn(64)), uint64(rng.Intn(64))<<8|uint64(1+rng.Intn(3))
+		got := unit(noise.Mix64(in.prefix(peer, method)^n), salt)
+		if want := unitOracle(seed, peer, method, n, salt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d peer %q method %q n %d salt %#x: draw %v, oracle %v", seed, peer, method, n, salt, got, want)
+		}
+	}
+}
+
+// TestDropAllocs: a dropped call, answered with ErrTimeout at its deadline,
+// allocates nothing once the injector holds an idle record — also when the
+// caller's done issues the next call, which then reuses that record.
+func TestDropAllocs(t *testing.T) {
+	h := newHarness(t, 5, Rule{Peer: "agent/a1", Method: "*", DropP: 1})
+	timeouts := 0
+	var again bool
+	var done func([]byte, error)
+	done = func(_ []byte, err error) {
+		if errors.Is(err, rpc.ErrTimeout) {
+			timeouts++
+		}
+		if again {
+			again = false
+			h.client.Call("Echo", rpc.Empty, 10*time.Millisecond, done)
+		}
+	}
+	call := func() {
+		again = true
+		h.client.Call("Echo", rpc.Empty, 10*time.Millisecond, done)
+		h.loop.RunFor(50 * time.Millisecond)
+	}
+	call() // warm-up: the record
+	if n := testing.AllocsPerRun(100, call); n != 0 {
+		t.Errorf("a dropped call allocates %v, want 0", n)
+	}
+	if timeouts != 204 || h.served != 0 {
+		t.Fatalf("%d timeouts and %d served, want 204 and 0", timeouts, h.served)
+	}
+	if l := h.inj.free; l == nil || l.next != nil || l.done != nil {
+		t.Fatal("want one idle record, emptied, after calls that never overlapped")
 	}
 }

@@ -33,77 +33,113 @@ type RetryPolicy struct {
 	// remains; its timeout is clipped to the remainder. <= 0 means
 	// attempts alone bound the call.
 	Budget time.Duration
-	// OnRetry, if set, observes each re-attempt (attempt counts from 1)
-	// with the error that triggered it. Runs on the loop goroutine.
-	OnRetry func(attempt int, err error)
+	// OnRetry, if set, observes each re-attempt of method to key (attempt
+	// counts from 1) with the error that triggered it. Runs on the loop
+	// goroutine.
+	OnRetry func(key, method string, attempt int, err error)
 }
 
-// Enabled reports whether the policy performs any retries.
-func (p RetryPolicy) Enabled() bool { return p.MaxRetries > 0 }
+// Retrier issues calls with bounded retries under one policy, on its loop.
+// A call rides a pooled record (attempt state, backoff timer, callbacks
+// bound once), so in steady state it allocates nothing. The record is freed
+// just before done runs — Client.Call delivers each attempt's outcome
+// exactly once, so nothing of the call is queued — and done may reuse it.
+type Retrier struct {
+	loop simclock.Loop
+	p    RetryPolicy // defaults filled
+	free *retryCall
+}
 
-// withDefaults fills Backoff/BackoffMax.
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// NewRetrier returns a Retrier for p, filling in Backoff and BackoffMax.
+// With p.MaxRetries <= 0 its Call is exactly c.Call.
+func NewRetrier(loop simclock.Loop, p RetryPolicy) *Retrier {
 	if p.Backoff <= 0 {
 		p.Backoff = 50 * time.Millisecond
 	}
 	if p.BackoffMax <= 0 {
 		p.BackoffMax = 8 * p.Backoff
 	}
-	return p
+	return &Retrier{loop: loop, p: p}
 }
 
-// Retryable reports whether err is worth retrying: transport-level
-// timeouts and unreachability are; application (remote) errors and a
-// locally closed client are not.
-func Retryable(err error) bool {
-	return err == ErrTimeout || err == ErrUnreachable
+// retryCall is one retried call; n is the attempt in flight, from 0.
+type retryCall struct {
+	r              *Retrier
+	c              Client
+	method, key    string
+	req            wire.Message
+	timeout, start time.Duration
+	n              int
+	done, onReply  func([]byte, error) // onReply is rc.replied
+	onBackoff      func()              // rc.attempt
+	backoff        simclock.Timer
+	next           *retryCall // free-list link
 }
 
-// CallRetry issues c.Call with bounded retries under p. key names the
-// callee for jitter purposes (typically the peer id) so concurrent
-// retriers against different peers don't thunder in lockstep. done is
-// invoked exactly once, on the loop goroutine, with the final outcome.
-//
-// With p.MaxRetries <= 0 this is exactly c.Call.
-func CallRetry(loop simclock.Loop, c Client, method, key string, req wire.Message, timeout time.Duration, p RetryPolicy, done func(resp []byte, err error)) {
-	if !p.Enabled() {
+// Call issues c.Call with bounded retries. key names the callee for jitter
+// purposes (typically the peer id) so concurrent retriers against
+// different peers don't thunder in lockstep. done is invoked exactly once,
+// on the loop goroutine, with the final outcome.
+func (r *Retrier) Call(c Client, method, key string, req wire.Message, timeout time.Duration, done func(resp []byte, err error)) {
+	if r.p.MaxRetries <= 0 {
 		c.Call(method, req, timeout, done)
 		return
 	}
-	p = p.withDefaults()
-	start := loop.Now()
-	var attempt func(n int)
-	attempt = func(n int) {
-		attemptTimeout := timeout
-		if p.Budget > 0 {
-			remaining := p.Budget - (loop.Now() - start)
-			if remaining <= 0 {
-				// Budget exhausted before this attempt could start.
-				done(nil, ErrTimeout)
-				return
-			}
-			if attemptTimeout <= 0 || attemptTimeout > remaining {
-				attemptTimeout = remaining
-			}
-		}
-		c.Call(method, req, attemptTimeout, func(resp []byte, err error) {
-			if err == nil || !Retryable(err) || n >= p.MaxRetries {
-				done(resp, err)
-				return
-			}
-			backoff := p.backoff(key, method, n)
-			if p.Budget > 0 && loop.Now()-start+backoff >= p.Budget {
-				// No room for a further attempt after the backoff.
-				done(resp, err)
-				return
-			}
-			if p.OnRetry != nil {
-				p.OnRetry(n+1, err)
-			}
-			loop.After(backoff, func() { attempt(n + 1) })
-		})
+	rc := r.free
+	if rc == nil {
+		rc = &retryCall{r: r}
+		rc.onReply, rc.onBackoff = rc.replied, rc.attempt
+	} else {
+		r.free = rc.next
 	}
-	attempt(0)
+	rc.c, rc.method, rc.key, rc.req, rc.timeout, rc.done = c, method, key, req, timeout, done
+	rc.start, rc.n = r.loop.Now(), 0
+	rc.attempt()
+}
+
+func (rc *retryCall) attempt() {
+	p, timeout := &rc.r.p, rc.timeout
+	if p.Budget > 0 {
+		remaining := p.Budget - (rc.r.loop.Now() - rc.start)
+		if remaining <= 0 {
+			// Budget exhausted before this attempt could start.
+			rc.finish(nil, ErrTimeout)
+			return
+		}
+		if timeout <= 0 || timeout > remaining {
+			timeout = remaining
+		}
+	}
+	rc.c.Call(rc.method, rc.req, timeout, rc.onReply)
+}
+
+// replied retries transport-level timeouts and unreachability; remote
+// errors and a locally closed client are final.
+func (rc *retryCall) replied(resp []byte, err error) {
+	r, p := rc.r, &rc.r.p
+	if err == nil || (err != ErrTimeout && err != ErrUnreachable) || rc.n >= p.MaxRetries {
+		rc.finish(resp, err)
+		return
+	}
+	backoff := p.backoff(rc.key, rc.method, rc.n)
+	if p.Budget > 0 && r.loop.Now()-rc.start+backoff >= p.Budget {
+		// No room for a further attempt after the backoff.
+		rc.finish(resp, err)
+		return
+	}
+	rc.n++
+	if p.OnRetry != nil {
+		p.OnRetry(rc.key, rc.method, rc.n, err)
+	}
+	r.loop.Arm(&rc.backoff, backoff, rc.onBackoff)
+}
+
+// finish frees the record, then delivers the outcome.
+func (rc *retryCall) finish(resp []byte, err error) {
+	r, done := rc.r, rc.done
+	rc.c, rc.req, rc.done = nil, nil, nil
+	rc.next, r.free = r.free, rc
+	done(resp, err)
 }
 
 // backoff computes the jittered delay before attempt n+1.
@@ -117,22 +153,15 @@ func (p RetryPolicy) backoff(key, method string, n int) time.Duration {
 		b = p.BackoffMax
 	}
 	if p.JitterFrac > 0 {
-		u := hashUnit(p.Seed, key, method, uint64(n))
+		// A uniform draw in [0, 1) from a stateless hash of (seed, key, method, n).
+		h := noise.Mix64(noise.Mix64(uint64(p.Seed)^noise.FNV64a(key)) ^ noise.FNV64a(method))
+		u := float64(noise.Mix64(h^uint64(n))>>11) / float64(1<<53)
 		b = time.Duration(float64(b) * (1 + p.JitterFrac*(2*u-1)))
 		if b < time.Millisecond {
 			b = time.Millisecond
 		}
 	}
 	return b
-}
-
-// hashUnit maps (seed, key, method, n) to a uniform float in [0, 1)
-// via noise.Mix64 over FNV-1a string hashes.
-func hashUnit(seed int64, key, method string, n uint64) float64 {
-	h := noise.Mix64(uint64(seed) ^ noise.FNV64a(key))
-	h = noise.Mix64(h ^ noise.FNV64a(method))
-	h = noise.Mix64(h ^ n)
-	return float64(h>>11) / float64(1<<53)
 }
 
 // WithDefaultTimeout wraps c so calls issued without a deadline

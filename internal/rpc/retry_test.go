@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func runRetry(t *testing.T, loop *simclock.SimLoop, c Client, timeout time.Durat
 	start := loop.Now()
 	got := false
 	loop.Post(func() {
-		CallRetry(loop, c, "M", "peer1", Empty, timeout, p, func(r []byte, e error) {
+		NewRetrier(loop, p).Call(c, "M", "peer1", Empty, timeout, func(r []byte, e error) {
 			got, resp, err, elapsed = true, r, e, loop.Now()-start
 		})
 	})
@@ -52,7 +53,7 @@ func runRetry(t *testing.T, loop *simclock.SimLoop, c Client, timeout time.Durat
 		}
 	}
 	if !got {
-		t.Fatalf("CallRetry never completed")
+		t.Fatalf("the retried call never completed")
 	}
 	return resp, err, elapsed
 }
@@ -64,7 +65,7 @@ func TestCallRetrySucceedsAfterFailures(t *testing.T) {
 	resp, err, _ := runRetry(t, loop, c, time.Second, RetryPolicy{
 		MaxRetries: 3,
 		Backoff:    10 * time.Millisecond,
-		OnRetry:    func(attempt int, err error) { retried++ },
+		OnRetry:    func(key, method string, attempt int, err error) { retried++ },
 	})
 	if err != nil || len(resp) != 1 {
 		t.Fatalf("want success after retries, got (%v, %v)", resp, err)
@@ -128,7 +129,7 @@ func TestCallRetryBudget(t *testing.T) {
 // TestCallRetryBackoffDeterministic checks jittered backoff schedules
 // are a pure function of (seed, key, method, attempt).
 func TestCallRetryBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{MaxRetries: 5, Backoff: 40 * time.Millisecond, JitterFrac: 0.3, Seed: 7}.withDefaults()
+	p := NewRetrier(nil, RetryPolicy{MaxRetries: 5, Backoff: 40 * time.Millisecond, JitterFrac: 0.3, Seed: 7}).p
 	for n := 0; n < 5; n++ {
 		a := p.backoff("peer1", "M", n)
 		b := p.backoff("peer1", "M", n)
@@ -147,6 +148,114 @@ func TestCallRetryBackoffDeterministic(t *testing.T) {
 	pNoJit := RetryPolicy{MaxRetries: 99, Backoff: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond}
 	if got := pNoJit.backoff("p", "M", 50); got != 80*time.Millisecond {
 		t.Fatalf("backoff cap broken: %v", got)
+	}
+}
+
+// timeoutOnce fails every even-numbered call with ErrTimeout at its
+// deadline and answers every odd one after a millisecond, on timers it
+// owns, so a call that times out once and succeeds on the retry costs the
+// client nothing.
+type timeoutOnce struct {
+	loop  *simclock.SimLoop
+	calls int
+	t     simclock.Timer
+	done  func([]byte, error)
+	fail  bool
+	fire  func()
+	reply []byte
+}
+
+func newTimeoutOnce(loop *simclock.SimLoop) *timeoutOnce {
+	c := &timeoutOnce{loop: loop, reply: []byte{1}}
+	c.fire = func() {
+		if c.fail {
+			c.done(nil, ErrTimeout)
+		} else {
+			c.done(c.reply, nil)
+		}
+	}
+	return c
+}
+
+func (c *timeoutOnce) Call(method string, req wire.Message, timeout time.Duration, done func([]byte, error)) {
+	c.fail = c.calls%2 == 0
+	c.calls++
+	c.done = done
+	d := time.Millisecond
+	if c.fail {
+		d = timeout
+	}
+	c.loop.Arm(&c.t, d, c.fire)
+}
+
+func (c *timeoutOnce) Close() error { return nil }
+
+// TestRetrierAllocs: a steady-state call that times out once and succeeds
+// on the retry allocates nothing — the record, its backoff timer and its
+// callbacks are the Retrier's, and OnRetry is bound once.
+func TestRetrierAllocs(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	c := newTimeoutOnce(loop)
+	retried, ok := 0, 0
+	onRetry := func(key, method string, attempt int, err error) { retried++ }
+	r := NewRetrier(loop, RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Millisecond, JitterFrac: 0.2, Seed: 3,
+		Budget: time.Second, OnRetry: onRetry})
+	done := func(resp []byte, err error) {
+		if err == nil && len(resp) == 1 {
+			ok++
+		}
+	}
+	call := func() {
+		r.Call(c, "M", "peer1", Empty, 100*time.Millisecond, done)
+		loop.RunFor(time.Second)
+	}
+	call() // warm-up: the record
+	if n := testing.AllocsPerRun(100, call); n != 0 {
+		t.Errorf("a call retried once allocates %v, want 0", n)
+	}
+	// AllocsPerRun makes one more call than it measures.
+	if ok != 102 || retried != 102 || c.calls != 204 {
+		t.Fatalf("%d calls succeeded after %d retries and %d attempts; want 102, 102, 204", ok, retried, c.calls)
+	}
+}
+
+// TestRetrierReentrantDone: a done that issues the next call on the same
+// Retrier gets a clean record — the finished call's record, back on the
+// free list before done ran — with its own attempt count and budget.
+func TestRetrierReentrantDone(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	c := &flakyClient{loop: loop, failN: 2, failErr: ErrTimeout}
+	var attempts []int
+	r := NewRetrier(loop, RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Millisecond, Budget: time.Second,
+		OnRetry: func(key, method string, attempt int, err error) { attempts = append(attempts, attempt) }})
+	var outcomes []error
+	var second func([]byte, error)
+	first := func(resp []byte, err error) {
+		outcomes = append(outcomes, err)
+		c.failN = c.calls + 2 // the next call fails twice too
+		r.Call(c, "M", "peer2", Empty, time.Second, second)
+	}
+	second = func(resp []byte, err error) { outcomes = append(outcomes, err) }
+	r.Call(c, "M", "peer1", Empty, time.Second, first)
+	if r.free != nil {
+		t.Fatal("the call in flight left its record on the free list")
+	}
+	loop.RunFor(5 * time.Second)
+	if len(outcomes) != 2 || outcomes[0] != nil || outcomes[1] != nil {
+		t.Fatalf("outcomes %v, want two successes", outcomes)
+	}
+	if want := []int{1, 2, 1, 2}; fmt.Sprint(attempts) != fmt.Sprint(want) {
+		t.Fatalf("retry attempts %v, want %v: the reused record kept the old count", attempts, want)
+	}
+	if c.calls != 6 {
+		t.Fatalf("%d attempts, want 6", c.calls)
+	}
+	rc := r.free
+	if rc == nil || rc.next != nil {
+		t.Fatal("want exactly one record, reused, back on the free list")
+	}
+	if rc.c != nil || rc.done != nil || rc.req != nil {
+		t.Fatalf("a freed record still holds its call: %+v", rc)
 	}
 }
 
