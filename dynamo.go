@@ -15,7 +15,7 @@
 // Everything runs against an event-loop abstraction with two
 // implementations: a deterministic simulated clock used by the bundled
 // data center simulator (see NewSimulation) and a wall clock used by the
-// real-network daemons in cmd/dynamo-agentd and cmd/dynamo-controllerd.
+// real-network daemons in cmd/dynamo-agentd and cmd/dynamo-suited.
 //
 // Quick start: build a simulated data center with the Dynamo hierarchy and
 // watch it hold power under its breaker limits:
@@ -150,7 +150,10 @@ type (
 	CohortScheduler = core.CohortScheduler
 	// TelemetrySink collects metrics and decision traces (nil disables).
 	TelemetrySink = telemetry.Sink
-	// Failover supervises a primary/backup controller pair.
+	// Controller is the surface of a leaf or upper controller that a
+	// Failover promotes.
+	Controller = core.Controller
+	// Failover promotes standby controllers when their primary fails.
 	Failover = core.Failover
 	// FailoverConfig configures failover supervision.
 	FailoverConfig = core.FailoverConfig
@@ -312,10 +315,11 @@ func NewWatchdog(loop Loop, net *RPCNetwork, serverIDs []string, cfg WatchdogCon
 	return core.NewWatchdog(loop, net, serverIDs, cfg)
 }
 
-// NewFailover wires a backup controller to supervise the primary
-// registered at CtrlAddr(deviceID).
-func NewFailover(loop Loop, net *RPCNetwork, deviceID string, backup core.Controller, cfg FailoverConfig) *Failover {
-	return core.NewFailover(loop, net, deviceID, backup, cfg)
+// NewFailover wires standby controllers to supervise the primary
+// registered at CtrlAddr of the first one's device; on promotion each
+// takes over CtrlAddr of its own.
+func NewFailover(loop Loop, net *RPCNetwork, ctrls []Controller, cfg FailoverConfig) *Failover {
+	return core.NewFailover(loop, net, ctrls, cfg)
 }
 
 // NewStateStore creates a replicated controller state store on the loop

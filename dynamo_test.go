@@ -102,7 +102,7 @@ func TestFacadeOperationsSurface(t *testing.T) {
 	backup := NewLeafController(loop, LeafConfig{DeviceID: "d1", Limit: KW(10)}, nil)
 	net.Register(CtrlAddr("d1"), primary.Handler())
 	primary.Start()
-	fo := NewFailover(loop, net, "d1", backup, FailoverConfig{})
+	fo := NewFailover(loop, net, []Controller{backup}, FailoverConfig{})
 	fo.Start()
 	loop.RunUntil(4*time.Hour + 2*time.Minute)
 	if fo.Promoted() {

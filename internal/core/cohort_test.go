@@ -272,7 +272,7 @@ func TestFailoverJournalHandoff(t *testing.T) {
 	}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailover(f.loop, f.net, "rpp1", backup, FailoverConfig{
+	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{
 		PingInterval: 3 * time.Second, FailThreshold: 3,
 		Store: store, Alerts: f.alertSink(),
 	})

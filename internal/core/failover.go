@@ -108,18 +108,18 @@ func (c *FailoverConfig) fillDefaults() {
 	}
 }
 
-// Failover supervises a primary controller and promotes the backup when
-// the primary stops responding to health probes. On promotion the backup
-// adopts the primary's recoverable state from the replicated state store
-// (never from a direct reference to the primary instance — the primary is
-// presumed dead or unreachable), and the adoption bumps the stream epoch
-// so a zombie primary's late checkpoint writes are rejected.
+// Failover supervises a primary and promotes a set of standby controllers
+// when the primary stops responding to health probes: one backup, or every
+// controller of a backup suite. On promotion each standby adopts its
+// primary's recoverable state from the replicated state store (never from
+// a direct reference to the primary instance — the primary is presumed
+// dead or unreachable), and each adoption bumps that stream's epoch so a
+// zombie primary's late checkpoint writes are rejected.
 type Failover struct {
-	cfg      FailoverConfig
-	loop     simclock.Loop
-	net      *rpc.Network // nil when probing over TCP
-	deviceID string
-	backup   Controller
+	cfg  FailoverConfig
+	loop simclock.Loop
+	net  *rpc.Network // nil when probing over TCP
+	set  []standby
 
 	probe rpc.Client
 	rng   *rand.Rand
@@ -129,39 +129,47 @@ type Failover struct {
 	inflight bool
 	misses   int
 	promoted bool
-
-	promotions *telemetry.Counter
-	adoptFails *telemetry.Counter
 }
 
-// NewFailover wires a backup to watch the controller currently registered
-// at CtrlAddr(deviceID) on an in-process network. The primary must already
-// be registered and started by the caller. On promotion the backup's
-// handler replaces the primary's registration.
-func NewFailover(loop simclock.Loop, net *rpc.Network, deviceID string, backup Controller, cfg FailoverConfig) *Failover {
-	f := NewFailoverProbe(loop, net.Dial(CtrlAddr(deviceID)), deviceID, backup, cfg)
+// standby is one controller a Failover promotes: its failover series and
+// what its promotion adopted.
+type standby struct {
+	ctrl                   Controller
+	promotions, adoptFails *telemetry.Counter
+	records                int
+	epoch                  uint64
+	fromStore              bool
+}
+
+// NewFailover wires ctrls to watch the controller currently registered at
+// CtrlAddr of the first one's device on an in-process network. The
+// primary must already be registered and started by the caller. On
+// promotion each controller's handler replaces the registration at
+// CtrlAddr of its own device.
+func NewFailover(loop simclock.Loop, net *rpc.Network, ctrls []Controller, cfg FailoverConfig) *Failover {
+	f := NewFailoverProbe(loop, net.Dial(CtrlAddr(ctrls[0].DeviceID())), ctrls, cfg)
 	f.net = net
 	return f
 }
 
 // NewFailoverProbe is the transport-agnostic constructor: probe is any
 // client reaching the primary's control handler (a TCP client for daemon
-// deployments). The caller is responsible for routing after promotion
-// (cfg.OnPromoted).
-func NewFailoverProbe(loop simclock.Loop, probe rpc.Client, deviceID string, backup Controller, cfg FailoverConfig) *Failover {
+// deployments). ctrls are promoted together, in order. The caller is
+// responsible for routing after promotion (cfg.OnPromoted).
+func NewFailoverProbe(loop simclock.Loop, probe rpc.Client, ctrls []Controller, cfg FailoverConfig) *Failover {
 	cfg.fillDefaults()
 	f := &Failover{
-		cfg:      cfg,
-		loop:     loop,
-		deviceID: deviceID,
-		backup:   backup,
-		probe:    probe,
-		rng:      noise.New(cfg.JitterSeed),
+		cfg:   cfg,
+		loop:  loop,
+		set:   make([]standby, len(ctrls)),
+		probe: probe,
+		rng:   noise.New(cfg.JitterSeed),
 	}
-	if cfg.Telemetry.Enabled() {
-		lb := []string{"device", deviceID}
-		f.promotions = cfg.Telemetry.Counter("dynamo_failover_promotions_total", lb...)
-		f.adoptFails = cfg.Telemetry.Counter("dynamo_failover_adoption_failures_total", lb...)
+	for i, c := range ctrls {
+		f.set[i] = standby{ctrl: c,
+			promotions: cfg.Telemetry.Counter("dynamo_failover_promotions_total", "device", c.DeviceID()),
+			adoptFails: cfg.Telemetry.Counter("dynamo_failover_adoption_failures_total", "device", c.DeviceID()),
+		}
 	}
 	return f
 }
@@ -239,64 +247,71 @@ func (f *Failover) check() {
 	})
 }
 
-// promote adopts the failed primary's state from the store and starts the
-// backup. Adoption itself fences the stream: the store bumps the epoch, so
-// a zombie primary's next checkpoint write fails with ErrFenced and the
+// promote adopts each standby's state from the store, then starts them.
+// Adoption itself fences each stream: the store bumps the epoch, so a
+// zombie primary's next checkpoint write fails with ErrFenced and the
 // zombie stops actuating.
 func (f *Failover) promote() {
 	f.promoted = true
 	f.active = false
-	if f.cfg.Store == nil {
-		f.finish(0, 0, false)
-		return
-	}
-	f.cfg.Store.AdoptState(f.deviceID, f.backup.DeviceID(), f.cfg.AdoptTimeout,
-		func(res statestore.AdoptResult, err error) {
-			if err != nil || !res.Found {
-				if f.adoptFails != nil && err != nil {
-					f.adoptFails.Inc()
-				}
-				if err != nil {
-					f.cfg.Alerts.emit(f.loop.Now(), AlertWarning, f.backup.DeviceID(),
-						"state-store adoption failed (%v); backup starts fresh", err)
-				}
-				f.finish(0, 0, false)
-				return
-			}
-			recs, last, ok := ReplayCheckpoints(res.Entries)
-			if ok {
-				f.backup.AdoptJournal(recs, last.Cycles)
-				f.backup.AdoptInternals(last)
-			}
-			if w := f.backup.CheckpointWriter(); w != nil {
-				w.Install(res.Epoch, res.NextSeq)
-			}
-			f.finish(len(recs), res.Epoch, ok)
-		})
+	f.adopt(0)
 }
 
-// finish completes the promotion: route, start, announce.
-func (f *Failover) finish(adopted int, epoch uint64, fromStore bool) {
-	if f.net != nil {
-		f.net.Register(CtrlAddr(f.deviceID), f.backup.Handler())
+// adopt adopts the stream named by set[i]'s device, then each later
+// standby's in order, and finishes the promotion after the last.
+func (f *Failover) adopt(i int) {
+	if i == len(f.set) || f.cfg.Store == nil {
+		f.finish()
+		return
 	}
-	f.backup.Start()
-	if f.promotions != nil {
-		f.promotions.Inc()
+	s := &f.set[i]
+	id := s.ctrl.DeviceID()
+	f.cfg.Store.AdoptState(id, id, f.cfg.AdoptTimeout, func(res statestore.AdoptResult, err error) {
+		if err != nil {
+			s.adoptFails.Inc()
+			f.cfg.Alerts.emit(f.loop.Now(), AlertWarning, id,
+				"state-store adoption failed (%v); backup starts fresh", err)
+		} else if res.Found {
+			recs, last, ok := ReplayCheckpoints(res.Entries)
+			if ok {
+				s.ctrl.AdoptJournal(recs, last.Cycles)
+				s.ctrl.AdoptInternals(last)
+			}
+			if w := s.ctrl.CheckpointWriter(); w != nil {
+				w.Install(res.Epoch, res.NextSeq)
+			}
+			s.records, s.epoch, s.fromStore = len(recs), res.Epoch, ok
+		}
+		f.adopt(i + 1)
+	})
+}
+
+// finish completes the promotion: route and start every standby in order,
+// announce each, then run OnPromoted once.
+func (f *Failover) finish() {
+	for _, s := range f.set {
+		if f.net != nil {
+			f.net.Register(CtrlAddr(s.ctrl.DeviceID()), s.ctrl.Handler())
+		}
+		s.ctrl.Start()
 	}
 	now := f.loop.Now()
-	if f.cfg.Telemetry.Enabled() {
-		f.cfg.Telemetry.Emit(telemetry.EventPromotion, f.backup.DeviceID(), f.backup.Cycles(), now,
-			"backup promoted for %s (adopted %d records, epoch %d)", f.deviceID, adopted, epoch)
-	}
-	if fromStore {
-		f.cfg.Alerts.emit(now, AlertCritical, f.backup.DeviceID(),
-			"primary controller unresponsive for %d probes; backup promoted (%d journal records adopted from state store, epoch %d)",
-			f.misses, adopted, epoch)
-	} else {
-		f.cfg.Alerts.emit(now, AlertCritical, f.backup.DeviceID(),
-			"primary controller unresponsive for %d probes; backup promoted with fresh state (no store)",
-			f.misses)
+	for _, s := range f.set {
+		id := s.ctrl.DeviceID()
+		s.promotions.Inc()
+		if f.cfg.Telemetry.Enabled() {
+			f.cfg.Telemetry.Emit(telemetry.EventPromotion, id, s.ctrl.Cycles(), now,
+				"backup promoted for %s (adopted %d records, epoch %d)", id, s.records, s.epoch)
+		}
+		if s.fromStore {
+			f.cfg.Alerts.emit(now, AlertCritical, id,
+				"primary controller unresponsive for %d probes; backup promoted (%d journal records adopted from state store, epoch %d)",
+				f.misses, s.records, s.epoch)
+		} else {
+			f.cfg.Alerts.emit(now, AlertCritical, id,
+				"primary controller unresponsive for %d probes; backup promoted with fresh state (no store)",
+				f.misses)
+		}
 	}
 	if f.cfg.OnPromoted != nil {
 		f.cfg.OnPromoted()

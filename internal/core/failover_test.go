@@ -15,7 +15,7 @@ func TestFailoverPromotesBackup(t *testing.T) {
 	backup := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50)}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailover(f.loop, f.net, "rpp1", backup, FailoverConfig{
+	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{
 		PingInterval: 3 * time.Second, FailThreshold: 3, Alerts: f.alertSink(),
 	})
 	fo.Start()
@@ -59,7 +59,7 @@ func TestFailoverUnreachablePrimary(t *testing.T) {
 	backup := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50)}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailover(f.loop, f.net, "rpp1", backup, FailoverConfig{Alerts: f.alertSink()})
+	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{Alerts: f.alertSink()})
 	fo.Start()
 	f.loop.RunUntil(10 * time.Second)
 	// Hard crash: the address stops answering entirely.

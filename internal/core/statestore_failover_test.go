@@ -46,7 +46,7 @@ func TestFailoverAdoptsFromReplicaOverLossyLink(t *testing.T) {
 	primary.Start()
 
 	var adopted []DecisionRecord
-	fo := NewFailover(f.loop, f.net, "rpp1", backup, FailoverConfig{
+	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{
 		PingInterval: 2 * time.Second, FailThreshold: 3,
 		Store: replica, Alerts: f.alertSink(),
 		OnPromoted: func() { adopted = backup.Journal().Records() },
@@ -136,7 +136,7 @@ func TestZombiePrimaryFencedAtReplica(t *testing.T) {
 	}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), "rpp1", backup, FailoverConfig{
+	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), []Controller{backup}, FailoverConfig{
 		PingInterval: 2 * time.Second, FailThreshold: 3,
 		Store: replica, Alerts: f.alertSink(),
 	})
@@ -248,7 +248,7 @@ func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 	backup := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50)}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), "rpp1", backup, FailoverConfig{
+	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), []Controller{backup}, FailoverConfig{
 		PingInterval: 2 * time.Second, FailThreshold: 3,
 		PingJitterFrac: 0.2, JitterSeed: 42, Alerts: f.alertSink(),
 	})

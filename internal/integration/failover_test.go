@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
-	"strings"
 	"testing"
 	"time"
 
+	"dynamo/internal/config"
 	"dynamo/internal/core"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
@@ -69,17 +70,20 @@ func call(loop *simclock.WallLoop, cl *rpc.TCPClient, method string, req wire.Me
 }
 
 // TestProcessFailoverOverTCP is the full cross-process failover path: two
-// dynamo-controllerd daemons as a primary/backup pair over real TCP, the
-// primary capping a fleet of in-test agents while shipping its checkpoint
-// stream to the backup's state store. SIGKILL the primary mid-capping;
-// the backup must promote, adopt the replicated journal, resume the
-// primary's cycle numbering with no gap, and keep controlling the fleet.
+// dynamo-suited daemons running the same one-leaf suite as a
+// primary/backup pair over real TCP, the primary capping a fleet of
+// in-test agents while shipping its checkpoint stream to the backup's
+// state store. The primary is launched first, before the backup's store
+// listens. SIGKILL the primary mid-capping; the backup must promote, adopt
+// the replicated journal, resume the primary's cycle numbering with no
+// gap, and keep controlling the fleet.
 func TestProcessFailoverOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time integration test")
 	}
-	bin := t.TempDir() + "/dynamo-controllerd"
-	build := exec.Command("go", "build", "-o", bin, "dynamo/cmd/dynamo-controllerd")
+	dir := t.TempDir()
+	bin := dir + "/dynamo-suited"
+	build := exec.Command("go", "build", "-o", bin, "dynamo/cmd/dynamo-suited")
 	build.Dir = "../.."
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build daemon: %v\n%s", err, out)
@@ -91,17 +95,32 @@ func TestProcessFailoverOverTCP(t *testing.T) {
 	// In-test fleet: four agents at ~295 W each; a 1.1 kW limit forces a
 	// capping episode (as in TestTCPEndToEndCapping).
 	const n = 4
-	var agentArgs []string
+	var agents []config.AgentEntry
 	for i := 0; i < n; i++ {
 		a := startAgent(t, loop, fmt.Sprintf("fsrv%02d", i), 0.8)
-		agentArgs = append(agentArgs, fmt.Sprintf("%s=web@%s", a.host.ID(), a.addr))
+		agents = append(agents, config.AgentEntry{ID: a.host.ID(), Service: "web", Addr: a.addr})
 	}
-	agents := strings.Join(agentArgs, ",")
 
 	primaryCtrl := freePort(t)
 	backupCtrl := freePort(t)
 	backupStore := freePort(t)
 	backupMetrics := freePort(t)
+
+	// The pair runs one suite of one leaf; only the listen address differs.
+	suiteFile := func(name, listen string) string {
+		b, err := json.Marshal(config.Suite{Name: "e2e", Controllers: []config.Controller{{
+			Device: "rpp-e2e", Level: "leaf", LimitWatts: 1100, PollSeconds: 0.3,
+			Agents: agents, Listen: listen,
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/" + name
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 
 	var primaryLog, backupLog bytes.Buffer
 	daemon := func(logBuf *bytes.Buffer, args ...string) *exec.Cmd {
@@ -123,14 +142,11 @@ func TestProcessFailoverOverTCP(t *testing.T) {
 	}
 
 	primary := daemon(&primaryLog,
-		"-device", "rpp-e2e", "-limit", "1100", "-agents", agents,
-		"-listen", primaryCtrl, "-poll", "300ms",
+		"-config", suiteFile("primary.json", primaryCtrl),
 		"-store-peers", backupStore, "-store-interval", "150ms")
 	daemon(&backupLog,
-		"-device", "rpp-e2e", "-limit", "1100", "-agents", agents,
-		"-listen", backupCtrl, "-poll", "300ms",
-		"-backup", "-primary", primaryCtrl, "-store-listen", backupStore,
-		"-failover-interval", "400ms", "-failover-misses", "3",
+		"-config", suiteFile("backup.json", backupCtrl),
+		"-primary", primaryCtrl, "-store-listen", backupStore,
 		"-metrics-addr", backupMetrics)
 
 	// Wait for the primary to settle into a capping episode.
@@ -209,12 +225,18 @@ func TestProcessFailoverOverTCP(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var payload struct {
-		State core.ControllerStatus `json:"state"`
+		State struct {
+			Suite       string                  `json:"suite"`
+			Controllers []core.ControllerStatus `json:"controllers"`
+		} `json:"state"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	st := payload.State
+	if len(payload.State.Controllers) != 1 {
+		t.Fatalf("backup suite %q reports %d controllers, want 1", payload.State.Suite, len(payload.State.Controllers))
+	}
+	st := payload.State.Controllers[0]
 	if !st.Running {
 		t.Error("promoted backup reports not running")
 	}

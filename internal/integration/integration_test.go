@@ -1,6 +1,6 @@
 // Package integration exercises the real-network deployment path: agents
 // served over TCP (as dynamo-agentd does), a leaf controller pulling them
-// over TCP on a wall-clock loop (as dynamo-controllerd does), and a parent
+// over TCP on a wall-clock loop (as dynamo-suited does), and a parent
 // reaching the controller through its TCP handler.
 package integration
 

@@ -18,7 +18,7 @@ import (
 	"dynamo/internal/telemetry"
 )
 
-// TestTelemetryEndToEnd runs the dynamo-controllerd deployment shape with
+// TestTelemetryEndToEnd runs a one-leaf dynamo-suited deployment shape with
 // telemetry enabled — TCP agents, a leaf controller on a wall-clock loop,
 // and the HTTP exposition server — drives a capping episode, and asserts
 // the episode is visible through /metrics and /debug/state.

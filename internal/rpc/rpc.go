@@ -7,7 +7,7 @@
 //     use it, so runs are reproducible. Drops, delays and partitions are
 //     injected around it by internal/faults.
 //   - TCP: a framed binary protocol over real sockets, used by the
-//     dynamo-agentd / dynamo-controllerd daemons and integration tests.
+//     dynamo-agentd / dynamo-suited daemons and integration tests.
 //
 // Both transports deliver completion callbacks on the caller's event loop,
 // so controller logic is single-threaded regardless of transport.

@@ -97,8 +97,8 @@ type Config struct {
 	FaultRules []faults.Rule
 	// ControlRetry configures bounded RPC retries for every controller.
 	// The zero value means one attempt per call: retries are off in the
-	// in-process simulation unless a scenario turns them on (both daemons
-	// default them on).
+	// in-process simulation unless a scenario turns them on (dynamo-suited
+	// defaults them on).
 	ControlRetry core.RetryConfig
 	// QuarantineThreshold trips a leaf's per-agent circuit breaker after
 	// this many consecutive failed pulls. 0 disables.
@@ -107,7 +107,7 @@ type Config struct {
 	// leaves attach this lease to every SetCap and renew it each cycle;
 	// agents release unrenewed caps and raise a warning alert. 0 sends
 	// caps without a lease: off in the in-process simulation unless a
-	// scenario turns it on (both daemons default it on).
+	// scenario turns it on (dynamo-suited and dynamo-agentd default it on).
 	CapLeaseTTL time.Duration
 }
 

@@ -3,7 +3,7 @@
 // deterministic discrete-event scheduler driven by virtual time (used by the
 // simulator and by every experiment so that a simulated day runs in
 // milliseconds and is reproducible from a seed), and WallLoop, a real-time
-// loop used by the dynamo-agentd and dynamo-controllerd daemons that speak
+// loop used by the dynamo-agentd and dynamo-suited daemons that speak
 // RPC over real TCP.
 //
 // Components never sleep and never read the wall clock; they schedule

@@ -7,7 +7,7 @@ import (
 
 // WallLoop is a Loop driven by the real clock. It runs callbacks on a single
 // dedicated goroutine, so components written for SimLoop work unchanged in
-// the real-time daemons (dynamo-agentd, dynamo-controllerd).
+// the real-time daemons (dynamo-agentd, dynamo-suited).
 type WallLoop struct {
 	epoch time.Time
 	work  chan func()

@@ -3,9 +3,9 @@
 // controller-to-controller traffic stays on an in-process network, and
 // agents (plus optional out-of-suite parents) are reached over the
 // injected dialer — the paper's production packaging (§IV). It is the one
-// builder of controller trees: dynamo-suited and dynamo-controllerd build
-// through it from their configuration, and the simulator from the
-// config.Suite it compiles out of its topology.
+// builder of controller trees: dynamo-suited builds through it from its
+// configuration, and the simulator from the config.Suite it compiles out
+// of its topology.
 package suite
 
 import (
@@ -355,6 +355,16 @@ func (a *Assembly) Controller(device string) core.Controller {
 // leaves, then the uppers, each in declaration order. The slice is the
 // assembly's own; do not modify it.
 func (a *Assembly) Devices() []topology.NodeID { return a.order }
+
+// Controllers lists every controller in the assembly's order: the set a
+// backup suite's core.Failover promotes.
+func (a *Assembly) Controllers() []core.Controller {
+	out := make([]core.Controller, 0, len(a.order))
+	for _, d := range a.order {
+		out = append(out, a.Controller(string(d)))
+	}
+	return out
+}
 
 // StartAll starts every controller in the assembly's order.
 func (a *Assembly) StartAll() {

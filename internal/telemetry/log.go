@@ -37,7 +37,7 @@ func (l Level) String() string {
 
 // Logger writes structured logfmt lines:
 //
-//	ts=2016-06-18T14:03:05.123Z level=warning component=dynamo-controllerd msg="cap command failed" device=rpp1
+//	ts=2016-06-18T14:03:05.123Z level=warning component=dynamo-suited msg="cap command failed" device=rpp1
 //
 // replacing the daemons' ad-hoc fmt.Printf output. Every line carries a
 // wall-clock timestamp and a severity, which the bare "ALERT %v" lines
