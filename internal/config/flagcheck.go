@@ -64,6 +64,13 @@ func (c *FlagCheck) FloatInRange(name string, v, lo, hi float64) {
 	}
 }
 
+// Fraction requires 0 < v <= 1 and not NaN.
+func (c *FlagCheck) Fraction(name string, v float64) {
+	if math.IsNaN(v) || v <= 0 || v > 1 {
+		c.failf("-%s must be in (0, 1] (got %v)", name, v)
+	}
+}
+
 // PositiveDuration requires v > 0.
 func (c *FlagCheck) PositiveDuration(name string, v time.Duration) {
 	if v <= 0 {

@@ -14,6 +14,7 @@ func TestFlagCheckPasses(t *testing.T) {
 	fc.PositiveFloat("hours", 0.5)
 	fc.NonNegativeFloat("quota", 0)
 	fc.FloatInRange("failover-jitter", 0.1, 0, 0.5)
+	fc.Fraction("scale", 1)
 	fc.PositiveDuration("cap-lease-ttl", 12*time.Second)
 	fc.NonNegativeDuration("poll", 0)
 	if err := fc.Err(); err != nil {
@@ -28,6 +29,7 @@ func TestFlagCheckCollectsEveryFailure(t *testing.T) {
 	fc.PositiveFloat("hours", -2)
 	fc.NonNegativeFloat("quota", math.NaN())
 	fc.FloatInRange("failover-jitter", 0.75, 0, 0.5)
+	fc.Fraction("scale", 1.5)
 	fc.PositiveDuration("cap-lease-ttl", 0)
 	fc.NonNegativeDuration("poll", -time.Second)
 	err := fc.Err()
@@ -36,7 +38,7 @@ func TestFlagCheckCollectsEveryFailure(t *testing.T) {
 	}
 	for _, name := range []string{
 		"-servers", "-rpc-retries", "-hours", "-quota",
-		"-failover-jitter", "-cap-lease-ttl", "-poll",
+		"-failover-jitter", "-scale", "-cap-lease-ttl", "-poll",
 	} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not name %s: %v", name, err)
@@ -55,6 +57,11 @@ func TestFlagCheckRejectsNaNEverywhere(t *testing.T) {
 	if fc.Err() == nil {
 		t.Error("FloatInRange accepted NaN")
 	}
+	fc = FlagCheck{}
+	fc.Fraction("scale", math.NaN())
+	if fc.Err() == nil {
+		t.Error("Fraction accepted NaN")
+	}
 }
 
 func TestFlagCheckZeroBoundaries(t *testing.T) {
@@ -62,6 +69,11 @@ func TestFlagCheckZeroBoundaries(t *testing.T) {
 	fc.PositiveDuration("store-interval", 0)
 	if fc.Err() == nil {
 		t.Error("PositiveDuration accepted 0")
+	}
+	fc = FlagCheck{}
+	fc.Fraction("scale", 0)
+	if fc.Err() == nil {
+		t.Error("Fraction accepted 0")
 	}
 	fc = FlagCheck{}
 	fc.NonNegativeInt("tick-workers", 0)

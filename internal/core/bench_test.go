@@ -178,3 +178,26 @@ func BenchmarkControlCycle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkComputePlan500Servers measures one capping plan over 500
+// servers of four services.
+func BenchmarkComputePlan500Servers(b *testing.B) {
+	cfg := DefaultPriorityConfig()
+	services := []string{"web", "cache", "hadoop", "newsfeed"}
+	servers := make([]ServerState, 500)
+	for i := range servers {
+		servers[i] = ServerState{
+			ID:      fmt.Sprintf("s%03d", i),
+			Service: services[i%len(services)],
+			Power:   power.Watts(180 + float64(i%170)),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan := ComputePlan(servers, power.KW(8), cfg)
+		if plan.Achieved <= 0 {
+			b.Fatal("no plan")
+		}
+	}
+}

@@ -303,3 +303,27 @@ func TestReportWriterReceivesOutput(t *testing.T) {
 		t.Error("report output missing")
 	}
 }
+
+// TestAblationsDirection asserts each design ablation's direction on
+// seeds 1–5: the paper's choice beats the alternative it argues against.
+func TestAblationsDirection(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		res := Ablations(Options{Seed: seed})
+		if res.ThreeBandCaps != 1 || res.SingleThresholdCaps < 10*res.ThreeBandCaps {
+			t.Errorf("seed %d: cap transitions three-band %d, single threshold %d; want 1 and at least 10× more",
+				seed, res.ThreeBandCaps, res.SingleThresholdCaps)
+		}
+		if res.Trips3s != 0 || res.Trips2min == 0 {
+			t.Errorf("seed %d: trips with a 3 s poll %d, with a 2 min poll %d; want 0 and > 0",
+				seed, res.Trips3s, res.Trips2min)
+		}
+		if 2*res.BucketedCapped > res.UniformCapped {
+			t.Errorf("seed %d: servers capped high-bucket-first %d, uniform %d; want under half",
+				seed, res.BucketedCapped, res.UniformCapped)
+		}
+		if !(res.ThreeBandSettle < res.PIDSettle && res.PIDSettle <= 1) {
+			t.Errorf("seed %d: settled power / limit three-band %.4f, PID %.4f; want three-band < PID <= 1",
+				seed, res.ThreeBandSettle, res.PIDSettle)
+		}
+	}
+}

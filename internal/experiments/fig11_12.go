@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"dynamo/internal/core"
@@ -44,7 +45,7 @@ func Figure11(o Options) Figure11Result {
 	spec.SBRating = rating * 4
 	spec.MSBRating = rating * 8
 
-	s, err := sim.New(sim.Config{
+	s := newSim(sim.Config{
 		Spec: spec, Seed: o.Seed, EnableDynamo: true,
 		Hierarchy: core.HierarchyConfig{
 			// The production PDU used a 127/126 kW threshold/target pair
@@ -52,9 +53,6 @@ func Figure11(o Options) Figure11Result {
 			Bands: core.BandConfig{CapThresholdFrac: 0.996, CapTargetFrac: 0.988, UncapThresholdFrac: 0.925},
 		},
 	})
-	if err != nil {
-		panic(err)
-	}
 	rpp := s.Topo.OfKind(topology.KindRPP)[0]
 
 	// Fast-forward through the night, then sample at production speed
@@ -159,10 +157,7 @@ func Figure12(o Options) Figure12Result {
 		spec.QuotaFraction = 0.92
 		res.SBLimit = sbLimit
 
-		s, err := sim.New(sim.Config{Spec: spec, Seed: o.Seed, EnableDynamo: enable})
-		if err != nil {
-			panic(err)
-		}
+		s := newSim(sim.Config{Spec: spec, Seed: o.Seed, EnableDynamo: enable})
 		rpps := s.Topo.OfKind(topology.KindRPP)
 		offenders := rpps[:3]
 
@@ -249,17 +244,7 @@ func clock(d time.Duration) string {
 	if d == 0 {
 		return "never"
 	}
-	h := int(d.Hours())
-	m := int(d.Minutes()) % 60
-	sec := int(d.Seconds()) % 60
-	return pad(h) + ":" + pad(m) + ":" + pad(sec)
-}
-
-func pad(n int) string {
-	if n < 10 {
-		return "0" + string(rune('0'+n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
+	return fmt.Sprintf("%02d:%02d:%02d", int(d.Hours()), int(d.Minutes())%60, int(d.Seconds())%60)
 }
 
 // printSeriesByMinute prints a coarse view of a power series.

@@ -137,7 +137,7 @@ func Figure14(o Options) Figure14Result {
 		spec.RPPRating = limit / 4 // rows are not the bottleneck
 		spec.MSBRating = limit * 2
 
-		s, err := sim.New(sim.Config{
+		s := newSim(sim.Config{
 			Spec: spec, Seed: o.Seed, EnableDynamo: true,
 			LoadScale: map[string]float64{"hadoop": 1.35},
 			Turbo:     map[string]bool{"hadoop": turbo},
@@ -149,9 +149,6 @@ func Figure14(o Options) Figure14Result {
 				Bands: core.BandConfig{CapThresholdFrac: 0.99, CapTargetFrac: 0.975, UncapThresholdFrac: 0.90},
 			},
 		})
-		if err != nil {
-			panic(err)
-		}
 		return s, limit
 	}
 

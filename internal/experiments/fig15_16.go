@@ -29,13 +29,10 @@ func fig15Setup(o Options) (*sim.Sim, topology.NodeID) {
 	prio.MinCap = map[int]power.Watts{2: 210, 4: 240}
 	prio.DefaultMinCap = 210
 
-	s, err := sim.New(sim.Config{
+	s := newSim(sim.Config{
 		Spec: spec, Seed: o.Seed, EnableDynamo: true,
 		Hierarchy: core.HierarchyConfig{Priorities: prio},
 	})
-	if err != nil {
-		panic(err)
-	}
 	return s, s.Topo.OfKind(topology.KindRPP)[0].ID
 }
 

@@ -41,10 +41,7 @@ func Figure5(o Options) Figure5Result {
 	spec.RacksPerRPP = o.scaleInt(6, 2)
 	spec.ServersPerRack = o.scaleInt(15, 5)
 
-	s, err := sim.New(sim.Config{Spec: spec, Seed: o.Seed})
-	if err != nil {
-		panic(err)
-	}
+	s := newSim(sim.Config{Spec: spec, Seed: o.Seed})
 	var all []topology.NodeID
 	for _, d := range s.Topo.Devices() {
 		all = append(all, d.ID)
@@ -127,10 +124,7 @@ func Figure6(o Options) Figure6Result {
 	spec.ServersPerRack = o.scaleInt(15, 5)
 	spec.Services = shares
 
-	s, err := sim.New(sim.Config{Spec: spec, Seed: o.Seed})
-	if err != nil {
-		panic(err)
-	}
+	s := newSim(sim.Config{Spec: spec, Seed: o.Seed})
 	var ids []string
 	for _, srv := range s.Topo.Servers() {
 		ids = append(ids, string(srv.ID))

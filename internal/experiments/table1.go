@@ -77,10 +77,7 @@ func surgeBatch(o Options) (events, prevented int) {
 			spec.RPPRating = power.Watts(float64(worst) / 1.15)
 			spec.SBRating = spec.RPPRating * 4
 			spec.MSBRating = spec.RPPRating * 8
-			s, err := sim.New(sim.Config{Spec: spec, Seed: seed, EnableDynamo: enable})
-			if err != nil {
-				panic(err)
-			}
+			s := newSim(sim.Config{Spec: spec, Seed: seed, EnableDynamo: enable})
 			// Normal load, then a surge of varying magnitude and length.
 			s.SetServiceLoadFactor("web", 0.9)
 			s.SetTickInterval(30 * time.Second)
@@ -157,10 +154,7 @@ func searchQPSGain(o Options) float64 {
 		} else {
 			cfg.Turbo = map[string]bool{"search": true}
 		}
-		s, err := sim.New(cfg)
-		if err != nil {
-			panic(err)
-		}
+		s := newSim(cfg)
 		// Typical load is moderate; bursts saturate.
 		s.SetServiceLoadFactor("search", 0.45)
 		s.Run(2 * time.Minute)
@@ -189,10 +183,7 @@ func packingGain(o Options) float64 {
 	spec.MSBs, spec.SBsPerMSB, spec.RPPsPerSB = 1, 1, 4
 	spec.RacksPerRPP = 4
 	spec.ServersPerRack = o.scaleInt(30, 10)
-	s, err := sim.New(sim.Config{Spec: spec, Seed: o.Seed})
-	if err != nil {
-		panic(err)
-	}
+	s := newSim(sim.Config{Spec: spec, Seed: o.Seed})
 	n := spec.NumServers()
 	msb := s.Topo.OfKind(topology.KindMSB)[0]
 	s.Record(time.Minute, msb.ID)

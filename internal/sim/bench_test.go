@@ -72,3 +72,21 @@ func newTick10k(tb testing.TB, workers int) *Sim {
 	s.Run(time.Second)
 	return s
 }
+
+// BenchmarkSimDay measures simulating one day of 40 servers under Dynamo
+// at a 3 s tick (physics and control).
+func BenchmarkSimDay(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		spec := topology.DefaultSpec()
+		spec.MSBs, spec.SBsPerMSB, spec.RPPsPerSB = 1, 1, 2
+		spec.RacksPerRPP, spec.ServersPerRack = 2, 10
+		s, err := New(Config{Spec: spec, Seed: int64(i), EnableDynamo: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.SetTickInterval(3 * time.Second)
+		b.StartTimer()
+		s.Run(24 * time.Hour)
+	}
+}
