@@ -28,8 +28,9 @@
 //	if err != nil { ... }
 //	s.Run(10 * time.Minute)
 //
-// See examples/ for runnable scenarios and internal/experiments for the
-// code that regenerates every table and figure in the paper.
+// The package's Example functions are runnable, output-checked scenarios
+// (go test -run '^Example' -v .); internal/experiments holds the code
+// that regenerates every table and figure in the paper.
 package dynamo
 
 import (
@@ -143,6 +144,8 @@ type (
 	HierarchyConfig = core.HierarchyConfig
 	// Alert is an operator-facing controller event.
 	Alert = core.Alert
+	// AlertLevel classifies alerts.
+	AlertLevel = core.AlertLevel
 	// AlertFunc receives alerts.
 	AlertFunc = core.AlertFunc
 	// CohortScheduler batches same-instant controller cycles and fans
@@ -157,16 +160,6 @@ type (
 	Failover = core.Failover
 	// FailoverConfig configures failover supervision.
 	FailoverConfig = core.FailoverConfig
-	// Watchdog restarts unresponsive agents.
-	Watchdog = core.Watchdog
-	// WatchdogConfig configures the agent watchdog.
-	WatchdogConfig = core.WatchdogConfig
-	// Rollout executes a staged four-phase deployment with health gates.
-	Rollout = core.Rollout
-	// RolloutConfig configures a staged rollout.
-	RolloutConfig = core.RolloutConfig
-	// RolloutPhase is one stage of a staged rollout.
-	RolloutPhase = core.RolloutPhase
 )
 
 // Replicated controller state store (cross-process failover).
@@ -218,6 +211,13 @@ type (
 	Series = metrics.Series
 	// Distribution is an empirical distribution (CDFs, percentiles).
 	Distribution = metrics.Distribution
+)
+
+// Alert levels, from informational to calling for a human operator.
+const (
+	AlertInfo     = core.AlertInfo
+	AlertWarning  = core.AlertWarning
+	AlertCritical = core.AlertCritical
 )
 
 // KW constructs a Watts value from kilowatts.
@@ -310,11 +310,6 @@ func WorkloadProfiles() map[string]WorkloadProfile { return workload.Profiles() 
 // NewPowerMonitor creates a fleet power monitor.
 func NewPowerMonitor(cfg MonitorConfig) *PowerMonitor { return monitor.New(cfg) }
 
-// NewWatchdog creates an agent health checker over the given server IDs.
-func NewWatchdog(loop Loop, net *RPCNetwork, serverIDs []string, cfg WatchdogConfig) *Watchdog {
-	return core.NewWatchdog(loop, net, serverIDs, cfg)
-}
-
 // NewFailover wires standby controllers to supervise the primary
 // registered at CtrlAddr of the first one's device; on promotion each
 // takes over CtrlAddr of its own.
@@ -333,11 +328,3 @@ func NewStateStore(loop Loop, name string, tel *TelemetrySink) *StateStore {
 func NewCheckpointShipper(loop Loop, store *StateStore, peers []StorePeer, cfg ShipperConfig) *CheckpointShipper {
 	return statestore.NewShipper(loop, store, peers, cfg)
 }
-
-// NewRollout creates a staged rollout over the target list.
-func NewRollout(loop Loop, targets []string, cfg RolloutConfig) *Rollout {
-	return core.NewRollout(loop, targets, cfg)
-}
-
-// DefaultRolloutPhases returns the paper's four-phase staged roll-out.
-func DefaultRolloutPhases() []RolloutPhase { return core.DefaultRolloutPhases() }

@@ -19,8 +19,8 @@ import (
 type Agent struct {
 	id   string
 	plat platform.Platform
-	// Operation counters, indexed by op. Atomic so Stats and Ping can be
-	// read from any goroutine without the request path taking a lock.
+	// Operation counters, indexed by op. Atomic so Stats can be read from
+	// any goroutine without the request path taking a lock.
 	ops [numOps]atomic.Uint32
 	x   *extras // nil until EnableLease or SetTelemetry
 	// resp is the ReadPower reply, which every read rewrites (rpc.Handler).
@@ -167,10 +167,6 @@ func (a *Agent) Handler() rpc.Handler {
 				return nil, err
 			}
 			return a.renewLease(time.Duration(req.LeaseNanos))
-		case MethodPing:
-			resp := &PingResponse{Healthy: true}
-			resp.Reads, resp.Caps, resp.Uncaps, resp.Errors = a.Stats()
-			return resp, nil
 		default:
 			a.count(opErr)
 			return nil, fmt.Errorf("agent %s: unknown method %q", a.id, method)

@@ -125,7 +125,8 @@ func TestAgentReadFailurePropagates(t *testing.T) {
 	}
 }
 
-func TestAgentPingAndCounters(t *testing.T) {
+// TestAgentCounters: Stats counts every served read, cap and uncap.
+func TestAgentCounters(t *testing.T) {
 	a, _ := newTestAgent(t, 0.5, platform.Options{Seed: 6})
 	for i := 0; i < 3; i++ {
 		var r ReadPowerResponse
@@ -140,12 +141,8 @@ func TestAgentPingAndCounters(t *testing.T) {
 	if err := call(t, a, MethodClearCap, nil, &capResp); err != nil {
 		t.Fatal(err)
 	}
-	var ping PingResponse
-	if err := call(t, a, MethodPing, nil, &ping); err != nil {
-		t.Fatal(err)
-	}
-	if !ping.Healthy || ping.Reads != 3 || ping.Caps != 1 || ping.Uncaps != 1 {
-		t.Errorf("ping = %+v", ping)
+	if reads, caps, uncaps, errs := a.Stats(); reads != 3 || caps != 1 || uncaps != 1 || errs != 0 {
+		t.Errorf("stats = %d reads, %d caps, %d uncaps, %d errors; want 3, 1, 1, 0", reads, caps, uncaps, errs)
 	}
 }
 
@@ -163,7 +160,6 @@ func TestProtoRoundTrips(t *testing.T) {
 			Service: "cache", Generation: "haswell2015", CapWatts: 230, Capped: true},
 		&SetCapRequest{LimitWatts: 199.5},
 		&CapResponse{OK: false, Msg: "nope"},
-		&PingResponse{Healthy: true, Reads: 10, Caps: 2, Uncaps: 1, Errors: 3},
 	}
 	for _, in := range msgs {
 		buf := wire.Marshal(in)
@@ -180,11 +176,6 @@ func TestProtoRoundTrips(t *testing.T) {
 			}
 		case *CapResponse:
 			var out CapResponse
-			if err := wire.Unmarshal(buf, &out); err != nil || out != *v {
-				t.Errorf("round trip %T failed", in)
-			}
-		case *PingResponse:
-			var out PingResponse
 			if err := wire.Unmarshal(buf, &out); err != nil || out != *v {
 				t.Errorf("round trip %T failed", in)
 			}

@@ -14,7 +14,6 @@ const (
 	MethodSetCap     = "Agent.SetCap"
 	MethodClearCap   = "Agent.ClearCap"
 	MethodRenewLease = "Agent.RenewLease"
-	MethodPing       = "Agent.Ping"
 )
 
 // ReadPowerResponse reports the server's power and identity. Identity
@@ -135,31 +134,5 @@ func (m *CapResponse) MarshalWire(e *wire.Encoder) {
 func (m *CapResponse) UnmarshalWire(d *wire.Decoder) error {
 	m.OK = d.Bool()
 	m.Msg = d.String()
-	return d.Err()
-}
-
-// PingResponse reports agent liveness for the watchdog.
-type PingResponse struct {
-	Healthy bool
-	// Uptime-ish counters for monitoring.
-	Reads, Caps, Uncaps, Errors uint64
-}
-
-// MarshalWire implements wire.Message.
-func (m *PingResponse) MarshalWire(e *wire.Encoder) {
-	e.Bool(m.Healthy)
-	e.Uvarint(m.Reads)
-	e.Uvarint(m.Caps)
-	e.Uvarint(m.Uncaps)
-	e.Uvarint(m.Errors)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *PingResponse) UnmarshalWire(d *wire.Decoder) error {
-	m.Healthy = d.Bool()
-	m.Reads = d.Uvarint()
-	m.Caps = d.Uvarint()
-	m.Uncaps = d.Uvarint()
-	m.Errors = d.Uvarint()
 	return d.Err()
 }

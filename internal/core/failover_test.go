@@ -70,56 +70,3 @@ func TestFailoverUnreachablePrimary(t *testing.T) {
 		t.Fatal("backup not promoted after primary became unreachable")
 	}
 }
-
-func TestWatchdogRestartsAgent(t *testing.T) {
-	f := newFixture(t)
-	f.addFleet(5, "web", 0.5)
-	restarted := map[string]int{}
-	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Interval: 5 * time.Second, FailThreshold: 2,
-		Restart: func(id string) {
-			restarted[id]++
-			// The "init system" restarts the agent process.
-			f.restart(id)
-		},
-		Alerts: f.alertSink(),
-	})
-	w.Start()
-	f.loop.RunUntil(20 * time.Second)
-	if w.Restarts() != 0 {
-		t.Fatal("no restarts expected while healthy")
-	}
-	f.crash("web-002")
-	f.loop.RunUntil(60 * time.Second)
-	if restarted["web-002"] == 0 {
-		t.Fatal("crashed agent was not restarted")
-	}
-	if restarted["web-000"] != 0 {
-		t.Error("healthy agent restarted")
-	}
-	// After the restart the agent serves again and stays healthy.
-	count := restarted["web-002"]
-	f.loop.RunUntil(120 * time.Second)
-	if restarted["web-002"] != count {
-		t.Error("agent kept being restarted after heal")
-	}
-}
-
-func TestWatchdogMultipleFailures(t *testing.T) {
-	f := newFixture(t)
-	f.addFleet(6, "web", 0.5)
-	restarted := map[string]int{}
-	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Restart: func(id string) { restarted[id]++; f.restart(id) },
-	})
-	w.Start()
-	f.crash("web-001")
-	f.crash("web-004")
-	f.loop.RunUntil(2 * time.Minute)
-	if restarted["web-001"] == 0 || restarted["web-004"] == 0 {
-		t.Errorf("restarts = %v", restarted)
-	}
-	if w.Restarts() < 2 {
-		t.Errorf("total restarts = %d", w.Restarts())
-	}
-}

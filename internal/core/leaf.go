@@ -91,6 +91,14 @@ const (
 	// quarantineProbeEvery is the cadence, in cycles, of half-open probe
 	// pulls to quarantined agents.
 	quarantineProbeEvery = 2
+	// restartEvery is the cadence, in cycles, of restarts of an agent that
+	// stays quarantined: five probes get to show a restart took (or an
+	// agent booting slowly to answer) before the next restart.
+	restartEvery = 10
+	// maxRestartsPerCycle bounds the restarts one leaf requests per cycle:
+	// a correlated outage (a partition, a bad push) is not cured by
+	// restarting every agent behind it at once.
+	maxRestartsPerCycle = 4
 )
 
 func (c *LeafConfig) fillDefaults() {
@@ -180,6 +188,9 @@ type Leaf struct {
 	quarantinedNow int // agents in quarantine after this cycle
 	quarantinedNew int // breakers tripped this cycle
 	readmitted     int // agents re-admitted this cycle
+
+	restart  func(serverID string) // SetRestart's hook; nil disables restarts
+	restarts []*agentState         // quarantined agents due a restart this cycle
 }
 
 // NewLeaf creates a leaf controller over the given agents.
@@ -277,6 +288,18 @@ func (l *Leaf) SetBands(b BandConfig) error {
 	return nil
 }
 
+// SetRestart installs the hook that restarts an agent's process, the
+// paper's watchdog (§III-E): the environment (simulator or init system)
+// owns the mechanism. The leaf requests a restart, from its act phase,
+// when an agent enters quarantine and every restartEvery cycles while it
+// stays there, at most maxRestartsPerCycle per cycle, each with a warning
+// alert; the half-open probe then re-admits the restarted agent. nil (the
+// default) disables restarts, and without a QuarantineThreshold the hook
+// never fires. Like SetBands, a mid-cycle call applies at the boundary.
+func (l *Leaf) SetRestart(restart func(serverID string)) {
+	l.atBoundary(func() { l.restart = restart })
+}
+
 // DeferredReconfigs returns how many SetBands/SetPollInterval calls were
 // deferred to a cycle boundary because a cycle was in flight.
 func (l *Leaf) DeferredReconfigs() uint64 { return l.deferredReconfigs }
@@ -306,6 +329,7 @@ func (l *Leaf) selectPulls() (skipped int) {
 // accounting and estimates the power of agents that did not answer.
 func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 	l.caps = l.caps[:0]
+	l.restarts = l.restarts[:0]
 	l.quarantinedNow, l.quarantinedNew, l.readmitted = 0, 0, 0
 
 	for _, st := range l.list {
@@ -333,7 +357,9 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 
 	// Circuit-breaker accounting: consecutive failed pulls trip a
 	// per-agent quarantine; any successful pull (including a half-open
-	// probe) re-admits the agent.
+	// probe) re-admits the agent. An agent entering quarantine (quarCycles
+	// 0), and one still in it every restartEvery cycles, is due a restart,
+	// which act requests: this phase may run on a cohort worker.
 	if l.cfg.QuarantineThreshold > 0 {
 		for _, st := range l.list {
 			if st.ok {
@@ -346,18 +372,20 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 				}
 				continue
 			}
-			if st.quarantined {
-				continue // already isolated; estimation covers it
+			if !st.quarantined { // a quarantined agent is already isolated; estimation covers it
+				st.consecFails++
+				if st.consecFails >= l.cfg.QuarantineThreshold {
+					st.quarantined = true
+					st.quarCycles = 0
+					st.consecFails = 0
+					l.quarantinedNew++
+					p.alert(AlertWarning,
+						"agent %s quarantined after %d consecutive failed pulls; estimating until a probe succeeds",
+						st.id, l.cfg.QuarantineThreshold)
+				}
 			}
-			st.consecFails++
-			if st.consecFails >= l.cfg.QuarantineThreshold {
-				st.quarantined = true
-				st.quarCycles = 0
-				st.consecFails = 0
-				l.quarantinedNew++
-				p.alert(AlertWarning,
-					"agent %s quarantined after %d consecutive failed pulls; estimating until a probe succeeds",
-					st.id, l.cfg.QuarantineThreshold)
+			if st.quarantined && l.restart != nil && st.quarCycles%restartEvery == 0 {
+				l.restarts = append(l.restarts, st)
 			}
 		}
 	}
@@ -492,9 +520,10 @@ func (l *Leaf) planCap(p *cyclePlan) {
 }
 
 // act records the cycle's circuit-breaker outcome and, on a live
-// controller, sends caps or uncaps and renews cap leases. Leases are
-// renewed in invalid cycles too: an aggregation the controller cannot
-// trust is no reason to let still-valid caps lapse.
+// controller, requests the due agent restarts, sends caps or uncaps and
+// renews cap leases. Leases are renewed in invalid cycles too: an
+// aggregation the controller cannot trust is no reason to let still-valid
+// caps lapse.
 //
 //dynamo:serial
 func (l *Leaf) act(now time.Duration, p *cyclePlan, live bool) {
@@ -503,6 +532,13 @@ func (l *Leaf) act(now time.Duration, p *cyclePlan, live bool) {
 	}
 	if !live {
 		return
+	}
+	for i, st := range l.restarts {
+		if i == maxRestartsPerCycle {
+			break
+		}
+		l.alerts.emit(now, AlertWarning, l.deviceID, "agent %s quarantined; restarting it", st.id)
+		l.restart(st.id)
 	}
 	if p.sendCaps {
 		l.sendCaps()

@@ -9,7 +9,6 @@ import (
 	"dynamo/internal/agent"
 	"dynamo/internal/faults"
 	"dynamo/internal/power"
-	"dynamo/internal/rpc"
 	"dynamo/internal/wire"
 )
 
@@ -295,187 +294,6 @@ func TestLeafStopMidCycleSendsNothing(t *testing.T) {
 				t.Errorf("journal %v: the stopped cycle should still record its cap decision", recs)
 			}
 		})
-	}
-}
-
-// TestWatchdogRestartStormRateLimited fails many agents at once; the
-// per-sweep cap spreads restarts over sweeps instead of restarting the
-// whole fleet in one shot, and every agent is still eventually healed.
-func TestWatchdogRestartStormRateLimited(t *testing.T) {
-	f := newFixture(t)
-	f.addFleet(8, "web", 0.5)
-	restarted := map[string]int{}
-	var maxPerSweep int
-	sweepCounts := map[time.Duration]int{}
-	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Interval: 5 * time.Second, FailThreshold: 2,
-		MaxRestartsPerSweep: 2,
-		Restart: func(id string) {
-			restarted[id]++
-			sweepCounts[f.loop.Now()]++
-			if sweepCounts[f.loop.Now()] > maxPerSweep {
-				maxPerSweep = sweepCounts[f.loop.Now()]
-			}
-			f.restart(id)
-		},
-		Alerts: f.alertSink(),
-	})
-	w.Start()
-	for _, id := range f.order {
-		f.crash(id)
-	}
-	f.loop.RunUntil(2 * time.Minute)
-	if maxPerSweep > 2 {
-		t.Errorf("restart storm: %d restarts in one sweep, cap is 2", maxPerSweep)
-	}
-	if w.Suppressed() == 0 {
-		t.Error("expected suppressed restarts under the storm limiter")
-	}
-	for _, id := range f.order {
-		if restarted[id] == 0 {
-			t.Errorf("agent %s never restarted", id)
-		}
-	}
-}
-
-// TestWatchdogRestartCooldown keeps one agent permanently broken (the
-// restart does not heal it); the cooldown spaces successive restarts.
-func TestWatchdogRestartCooldown(t *testing.T) {
-	f := newFixture(t)
-	f.addFleet(3, "web", 0.5)
-	var restartTimes []time.Duration
-	const cooldown = 40 * time.Second
-	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Interval: 5 * time.Second, FailThreshold: 2,
-		RestartCooldown: cooldown,
-		// Restart never heals: the agent stays down.
-		Restart: func(id string) { restartTimes = append(restartTimes, f.loop.Now()) },
-	})
-	w.Start()
-	f.crash("web-001")
-	f.loop.RunUntil(3 * time.Minute)
-	if len(restartTimes) < 2 {
-		t.Fatalf("expected repeated restarts of a permanently broken agent, got %d", len(restartTimes))
-	}
-	for i := 1; i < len(restartTimes); i++ {
-		if gap := restartTimes[i] - restartTimes[i-1]; gap < cooldown {
-			t.Errorf("restarts %v apart, cooldown is %v", gap, cooldown)
-		}
-	}
-	if w.Suppressed() == 0 {
-		t.Error("cooldown should have suppressed some restart decisions")
-	}
-}
-
-// zombieAgent answers pings over a healthy transport but reports
-// Healthy=false until healed — the sick-process (vs dead-network) case.
-type zombieAgent struct{ healthy bool }
-
-func newZombieAgent() *zombieAgent { return &zombieAgent{} }
-
-func (z *zombieAgent) heal() { z.healthy = true }
-
-func (z *zombieAgent) handler() rpc.Handler {
-	return func(method string, body []byte) (wire.Message, error) {
-		return &agent.PingResponse{Healthy: z.healthy}, nil
-	}
-}
-
-// TestWatchdogHealthyFalseVsTimeout covers both unhealthy modes side by
-// side: web-000 times out (partitioned), the zombie answers Healthy=false.
-// Both must be restarted; the healthy agent must not.
-func TestWatchdogHealthyFalseVsTimeout(t *testing.T) {
-	f := newFixture(t)
-	f.addFleet(2, "web", 0.5)
-	zombie := newZombieAgent()
-	f.net.Register(AgentAddr("zombie"), zombie.handler())
-	ids := append([]string{}, f.order...)
-	ids = append(ids, "zombie")
-	restarted := map[string]int{}
-	w := NewWatchdog(f.loop, f.net, ids, WatchdogConfig{
-		Interval: 5 * time.Second, FailThreshold: 2,
-		Dial: f.dial,
-		Restart: func(id string) {
-			restarted[id]++
-			f.heal(AgentAddr(id))
-			zombie.heal()
-		},
-		Alerts: f.alertSink(),
-	})
-	w.Start()
-	f.partition(AgentAddr("web-000"))
-	f.loop.RunUntil(time.Minute)
-	if restarted["web-000"] == 0 {
-		t.Error("timed-out agent not restarted")
-	}
-	if restarted["zombie"] == 0 {
-		t.Error("Healthy=false agent not restarted")
-	}
-	if restarted["web-001"] != 0 {
-		t.Error("healthy agent restarted")
-	}
-}
-
-// TestWatchdogWithQuarantinedAgent runs the watchdog and a quarantining
-// leaf against the same broken agent: the watchdog's restart heals it, and
-// the leaf's half-open probe then re-admits it — the two mechanisms
-// compose instead of fighting.
-func TestWatchdogWithQuarantinedAgent(t *testing.T) {
-	f := newFixture(t)
-	refs := f.addFleet(6, "web", 0.7)
-	leaf := NewLeaf(f.loop, LeafConfig{
-		DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
-		QuarantineThreshold: 2,
-	}, refs)
-	leaf.Start()
-	restarted := map[string]int{}
-	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Interval: 10 * time.Second, FailThreshold: 2,
-		Dial: f.dial,
-		Restart: func(id string) {
-			restarted[id]++
-			f.heal(AgentAddr(id))
-		},
-		Alerts: f.alertSink(),
-	})
-	w.Start()
-	f.loop.RunUntil(5 * time.Second)
-	f.partition(AgentAddr("web-002"))
-	f.loop.RunUntil(20 * time.Second)
-	if leaf.QuarantinedCount() != 1 {
-		t.Fatalf("quarantined = %d, want 1 before the watchdog heals", leaf.QuarantinedCount())
-	}
-	f.loop.RunUntil(2 * time.Minute)
-	if restarted["web-002"] == 0 {
-		t.Error("watchdog never restarted the broken agent")
-	}
-	if leaf.QuarantinedCount() != 0 {
-		t.Error("leaf did not re-admit the agent after the watchdog healed it")
-	}
-	if _, valid := leaf.LastAggregate(); !valid {
-		t.Error("aggregation should be valid after recovery")
-	}
-}
-
-// TestWatchdogDialOverride routes watchdog pings through the fault
-// injector; a 100% drop rule makes a healthy agent look dead.
-func TestWatchdogDialOverride(t *testing.T) {
-	f := newFixture(t)
-	f.addFleet(3, "web", 0.5)
-	f.partition(AgentAddr("web-001"))
-	restarted := map[string]int{}
-	w := NewWatchdog(f.loop, f.net, f.order, WatchdogConfig{
-		Interval: 5 * time.Second, FailThreshold: 2,
-		Dial:    f.dial,
-		Restart: func(id string) { restarted[id]++ },
-	})
-	w.Start()
-	f.loop.RunUntil(time.Minute)
-	if restarted["web-001"] == 0 {
-		t.Error("injector-partitioned agent not restarted")
-	}
-	if restarted["web-000"] != 0 || restarted["web-002"] != 0 {
-		t.Errorf("untargeted agents restarted: %v", restarted)
 	}
 }
 

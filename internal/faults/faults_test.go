@@ -338,7 +338,7 @@ func TestCallIndexMatchesKeyedMap(t *testing.T) {
 		&in.WrapClient("agent/a2", nil).(*faultClient).idx,
 		{peer: "agent/a1"}, // what WrapHandler holds
 	}
-	methods := []string{"Agent.ReadPower", "Agent.SetCap", "Agent.Ping"}
+	methods := []string{"Agent.ReadPower", "Agent.SetCap", "Agent.RenewLease"}
 	rng := rand.New(rand.NewSource(3))
 	drive := func(n int) (drops int) {
 		for i := 0; i < n; i++ {

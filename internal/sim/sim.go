@@ -694,6 +694,14 @@ func (s *Sim) RestoreDevice(devID topology.NodeID) {
 	}
 }
 
+// RestartAgent is the simulated init system restarting one agent's
+// process: the agent serves at its address again, as it did before a
+// Net.Unregister crash. Hand it to each leaf's SetRestart to let the
+// leaves restart the agents they quarantine; New wires no hook.
+func (s *Sim) RestartAgent(serverID string) {
+	s.Net.Register(core.AgentAddr(serverID), s.Agents[serverID].Handler())
+}
+
 // isAncestorOf reports whether candidate lies in root's subtree.
 func isAncestorOf(root, candidate *topology.Node) bool {
 	for p := candidate; p != nil; p = p.Parent {

@@ -10,13 +10,6 @@ import (
 	"dynamo/internal/topology"
 )
 
-// newWatchdogForTest builds a core watchdog over the sim's network.
-func newWatchdogForTest(s *Sim, ids []string, restart func(string)) *core.Watchdog {
-	return core.NewWatchdog(s.Loop, s.Net, ids, core.WatchdogConfig{
-		Interval: 5 * time.Second, FailThreshold: 2, Restart: restart,
-	})
-}
-
 func TestSimSensorlessGeneration(t *testing.T) {
 	spec := tinySpec()
 	spec.Services = []topology.ServiceShare{
@@ -111,28 +104,45 @@ func TestSimHardwareSpread(t *testing.T) {
 	}
 }
 
+// TestSimWatchdogIntegration crashes an agent's process in the sim: the
+// leaf over it quarantines it, restarts it through its SetRestart hook
+// (the paper's watchdog) and re-admits it at the next probe.
 func TestSimWatchdogIntegration(t *testing.T) {
-	// Wire a core watchdog against the sim's network: crash an agent's
-	// process and let the watchdog restart it.
-	s, _ := New(Config{Spec: tinySpec(), Seed: 4, EnableDynamo: true})
-	victim := string(s.Topo.Servers()[0].ID)
-	ids := make([]string, 0, len(s.Servers))
-	for id := range s.Servers {
-		ids = append(ids, id)
+	s, err := New(Config{Spec: tinySpec(), Seed: 4, EnableDynamo: true, QuarantineThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	healed := false
-	w := newWatchdogForTest(s, ids, func(id string) {
-		if id == victim {
-			healed = true
-			s.Net.Register(core.AgentAddr(victim), s.Agents[victim].Handler())
+	victim := string(s.Topo.Servers()[0].ID)
+	restarts := map[string]int{}
+	var leaves []*core.Leaf
+	for _, id := range s.Hierarchy.Devices() {
+		if l := s.Hierarchy.Leaf(id); l != nil {
+			l.SetRestart(func(id string) { restarts[id]++; s.RestartAgent(id) })
+			leaves = append(leaves, l)
 		}
-	})
-	w.Start()
+	}
+	quarantined := func() int {
+		n := 0
+		for _, l := range leaves {
+			n += l.QuarantinedCount()
+		}
+		return n
+	}
 	s.Run(30 * time.Second)
+	if len(restarts) != 0 {
+		t.Fatalf("restarts %v while every agent is up", restarts)
+	}
+	reads, _, _, _ := s.Agents[victim].Stats()
 	s.Net.Unregister(core.AgentAddr(victim))
 	s.Run(2 * time.Minute)
-	if !healed {
-		t.Error("watchdog did not restart the crashed agent")
+	if restarts[victim] != 1 || len(restarts) != 1 {
+		t.Errorf("restarts = %v, want one of %s", restarts, victim)
+	}
+	if q := quarantined(); q != 0 {
+		t.Errorf("%d agents still quarantined: the probe did not re-admit the restarted agent", q)
+	}
+	if after, _, _, _ := s.Agents[victim].Stats(); after <= reads {
+		t.Error("the restarted agent serves no pulls")
 	}
 }
 
