@@ -52,6 +52,15 @@ const maxCheckpointRecords = 1 << 14
 
 // MarshalWire implements wire.Message.
 func (c *ControllerCheckpoint) MarshalWire(e *wire.Encoder) {
+	c.marshalInternals(e)
+	e.Uvarint(uint64(len(c.Records)))
+	for i := range c.Records {
+		encodeDecisionRecord(e, &c.Records[i])
+	}
+}
+
+// marshalInternals encodes every field but Records.
+func (c *ControllerCheckpoint) marshalInternals(e *wire.Encoder) {
 	e.Uvarint(c.Cycles)
 	e.Uvarint(uint64(c.LastAction))
 	e.Float64(float64(c.Contract))
@@ -59,10 +68,6 @@ func (c *ControllerCheckpoint) MarshalWire(e *wire.Encoder) {
 	e.Varint(int64(c.PIDLast))
 	e.Bool(c.PIDEngaged)
 	e.Bool(c.PIDStarted)
-	e.Uvarint(uint64(len(c.Records)))
-	for i := range c.Records {
-		encodeDecisionRecord(e, &c.Records[i])
-	}
 }
 
 // UnmarshalWire implements wire.Message.
@@ -142,10 +147,12 @@ func ReplayCheckpoints(entries []statestore.Entry) (recs []DecisionRecord, last 
 	return recs, last, ok
 }
 
-// buildCheckpoint assembles the payload for one cycle. snapshot selects
-// the full journal; rec is the cycle's own record for deltas.
-func buildCheckpoint(snapshot bool, j *Journal, rec DecisionRecord, cycles uint64,
-	lastAction Action, contract power.Watts, pid *pidState) []byte {
+// encodeCheckpoint encodes one cycle's checkpoint into e: the bytes
+// wire.Marshal gives for a ControllerCheckpoint whose Records are the
+// whole journal (snapshot) or the cycle's own record (delta), read
+// straight from the journal's ring instead of copied out of it.
+func encodeCheckpoint(e *wire.Encoder, snapshot bool, j *Journal, rec *DecisionRecord, cycles uint64,
+	lastAction Action, contract power.Watts, pid *pidState) {
 	ck := ControllerCheckpoint{
 		Cycles:     cycles,
 		LastAction: lastAction,
@@ -157,21 +164,31 @@ func buildCheckpoint(snapshot bool, j *Journal, rec DecisionRecord, cycles uint6
 		ck.PIDEngaged = pid.engaged
 		ck.PIDStarted = pid.started
 	}
-	if snapshot {
-		ck.Records = j.Records()
-	} else {
-		ck.Records = []DecisionRecord{rec}
+	ck.marshalInternals(e)
+	if !snapshot {
+		e.Uvarint(1)
+		encodeDecisionRecord(e, rec)
+		return
 	}
-	return wire.Marshal(&ck)
+	older, newer := j.ordered()
+	e.Uvarint(uint64(len(older) + len(newer)))
+	for i := range older {
+		encodeDecisionRecord(e, &older[i])
+	}
+	for i := range newer {
+		encodeDecisionRecord(e, &newer[i])
+	}
 }
 
 // writeCheckpoint appends one cycle's checkpoint to the writer. It is
-// shared by Leaf and Upper and runs in the act phase. The returned fenced
-// flag is true when the stream has been adopted by a promoted backup — the
-// calling controller is a zombie and must stop actuating.
+// shared by Leaf and Upper and runs in the act phase. The payload is
+// encoded through the store's one encoder and copied once, into the entry
+// the store keeps. The returned fenced flag is true when the stream has
+// been adopted by a promoted backup — the calling controller is a zombie
+// and must stop actuating.
 //
 //dynamo:serial
-func writeCheckpoint(w *statestore.Writer, j *Journal, rec DecisionRecord, cycles uint64,
+func writeCheckpoint(w *statestore.Writer, j *Journal, rec *DecisionRecord, cycles uint64,
 	lastAction Action, contract power.Watts, pid *pidState) (fenced bool, err error) {
 	if w == nil || w.Fenced() {
 		return w != nil && w.Fenced(), nil
@@ -181,8 +198,9 @@ func writeCheckpoint(w *statestore.Writer, j *Journal, rec DecisionRecord, cycle
 	if snapshot {
 		kind = statestore.KindSnapshot
 	}
-	payload := buildCheckpoint(snapshot, j, rec, cycles, lastAction, contract, pid)
-	if err := w.Append(kind, cycles, payload); err != nil {
+	e := w.Encoder()
+	encodeCheckpoint(e, snapshot, j, rec, cycles, lastAction, contract, pid)
+	if err := w.Append(kind, cycles, e.Bytes()); err != nil {
 		if errors.Is(err, statestore.ErrFenced) {
 			return true, err
 		}

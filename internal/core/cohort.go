@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,6 +62,7 @@ type CohortScheduler struct {
 
 	nextOrder int
 	pending   []phasedCycle
+	spare     []phasedCycle // the last flushed batch's storage: the next cohort collects into it
 	armed     bool
 	flushAt   simclock.Timer // the flush event, re-armed by each cohort
 	onFlush   func()         // s.flush, bound once
@@ -128,13 +130,14 @@ func (s *CohortScheduler) submit(c phasedController, order int) {
 // flush runs the cohort that accumulated at the current instant: observe+
 // decide fanned across the worker pool, acts serial in fixed device order.
 func (s *CohortScheduler) flush() {
+	// A submit during this flush joins the next cohort, in the other buffer.
 	batch := s.pending
-	s.pending = nil
+	s.pending, s.spare = s.spare[:0], batch
 	s.armed = false
 	if len(batch) == 0 {
 		return
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].order < batch[j].order })
+	slices.SortFunc(batch, func(a, b phasedCycle) int { return cmp.Compare(a.order, b.order) })
 	now := s.loop.Now()
 
 	var tObserve time.Time

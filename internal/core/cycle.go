@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"dynamo/internal/agent"
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
@@ -26,17 +28,20 @@ import (
 // does no per-child work beyond copying bytes.
 // Its completions, bound on first issue, are picked by cycle parity: a cycle
 // opens only once the last one's pulls are all complete, so the other is stale.
+// The act phase's commands to the child go through cmd.
 type pull struct {
 	id       string
 	client   rpc.Client
 	k        *cycleKernel
 	done     [2]func([]byte, error) // onEven, onOdd; nil until first issued
 	raw      []byte
+	cmd      *command // nil until the first command
 	rawValid bool
 	ok       bool // the level decoded a usable reading this cycle
 	skip     bool // not pulled this cycle
 	probe    bool // pulled with one unretried attempt this cycle
 	awaiting bool // issued this cycle and not yet completed
+	capped   bool // held down: a capped server for a leaf, a contracted child for an upper
 }
 
 func (h *pull) onEven(resp []byte, err error) { h.k.onPull(h, 0, resp, err) }
@@ -64,9 +69,6 @@ type level interface {
 	// controller was stopped after this cycle was collected: the level may
 	// record, but must send nothing.
 	act(now time.Duration, p *cyclePlan, live bool)
-	// cappedCount is the number of children currently held down: capped
-	// servers for a leaf, contracted children for an upper.
-	cappedCount() int
 }
 
 // cycleConfig is the configuration both levels share; the constructors copy
@@ -82,6 +84,7 @@ type cycleConfig struct {
 	pollInterval time.Duration
 	pullTimeout  time.Duration
 	dryRun       bool
+	capLease     time.Duration // stamped on every SetCap (leaf; 0 = no lease)
 	alerts       AlertFunc
 	sched        *CohortScheduler
 	ckpt         *statestore.Writer
@@ -162,6 +165,14 @@ type cycleKernel struct {
 	tel          *ctrlInstr // nil when telemetry is disabled
 	cycleStartAt time.Duration
 	resp         CtrlReadPowerResponse // the Handler's pull reply, reused
+
+	// dec decodes what the children answer: pull responses in the observe
+	// phase and, on the loop, which no observe phase overlaps, command and
+	// lease acks into agentAck (from agents) or ctrlAck (from controllers),
+	// and the parent's contracts (Handler).
+	dec      wire.Decoder
+	agentAck agent.CapResponse
+	ctrlAck  AckResponse
 }
 
 func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink *telemetry.Sink, retry RetryConfig, pulls []*pull) {
@@ -170,6 +181,9 @@ func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink 
 		k.bands = DefaultBandConfig()
 	}
 	k.loop, k.lvl, k.pulls = loop, lvl, pulls
+	for _, h := range pulls {
+		h.k = k
+	}
 	k.journal = NewJournal(512)
 	k.tel = newCtrlInstr(sink, cfg.deviceID, cfg.kind)
 	k.alerts = k.tel.wrapAlerts(cfg.alerts)
@@ -197,12 +211,127 @@ func (k *cycleKernel) onRetry(id, method string, attempt int, err error) {
 	}
 }
 
+// commandOp is an act-phase command to a child.
+type commandOp uint8
+
+const (
+	opSetCap        commandOp = iota // leaf to agent
+	opClearCap                       // leaf to agent
+	opSetContract                    // upper to child controller
+	opClearContract                  // upper to child controller
+)
+
+// commandOps gives each command its method and how a failure is named in
+// telemetry (op) and in the warning alert (what).
+var commandOps = [...]struct{ method, op, what string }{
+	opSetCap:        {agent.MethodSetCap, "cap command", "cap command"},
+	opClearCap:      {agent.MethodClearCap, "uncap command", "uncap command"},
+	opSetContract:   {MethodCtrlSetContract, "set contract", "contract"},
+	opClearContract: {MethodCtrlClearContract, "clear contract", "clear contract"},
+}
+
+// command is a child's reusable act-phase command record: its completion
+// is bound once and it is itself the request it sends, so once every child
+// has one a cap, uncap or contract allocates nothing. A record carries one
+// call at a time: a retry re-sends the request the call was first sent
+// with, and the ack applies that call's outcome. A command issued while
+// the child's previous one is still in flight gets a fresh record.
+type command struct {
+	h     *pull
+	gen   uint64  // the controller generation the call was sent under
+	value float64 // the cap or contract a set carries
+	op    commandOp
+	busy  bool                // a call is in flight
+	done  func([]byte, error) // c.acked, bound once
+}
+
+// send issues a command to child h: a set carries value, the cap or
+// contract. Like every act-phase send it runs on the loop goroutine.
+func (k *cycleKernel) send(h *pull, op commandOp, value power.Watts) {
+	c := h.cmd
+	if c == nil || c.busy {
+		c = &command{h: h}
+		c.done = c.acked
+		h.cmd = c
+	}
+	c.gen, c.value, c.op, c.busy = k.gen, float64(value), op, true
+	k.call(h, commandOps[op].method, c, c.done)
+}
+
+// MarshalWire implements wire.Message: the request of the command's op,
+// a set's carrying its value (and a SetCap the leaf's lease).
+func (c *command) MarshalWire(e *wire.Encoder) {
+	switch c.op {
+	case opSetCap:
+		req := agent.SetCapRequest{LimitWatts: c.value, LeaseNanos: uint64(c.h.k.capLease)}
+		req.MarshalWire(e)
+	case opSetContract:
+		req := SetContractRequest{LimitWatts: c.value}
+		req.MarshalWire(e)
+	}
+}
+
+// UnmarshalWire implements wire.Message. A command is only ever sent.
+func (c *command) UnmarshalWire(*wire.Decoder) error {
+	return errors.New("core: a command is not decoded")
+}
+
+// acked takes a command's outcome. A Stop since the call was sent fences
+// it: an ack (or a late retry) must not touch a stopped controller.
+func (c *command) acked(resp []byte, err error) {
+	h := c.h
+	k := h.k
+	c.busy = false
+	if k.gen != c.gen {
+		return
+	}
+	ok, err := k.decodeAck(resp, err, c.op <= opClearCap)
+	if err != nil || !ok {
+		k.commandFailed(h, commandOps[c.op].op, commandOps[c.op].what, err)
+		return
+	}
+	switch c.op {
+	case opSetCap:
+		h.capped = true
+	case opClearCap, opClearContract:
+		h.capped = false
+	}
+}
+
+// decodeAck reads a command or lease ack: an agent answers with an
+// agent.CapResponse, a child controller with an AckResponse. err is the
+// call's own error, returned as it is.
+func (k *cycleKernel) decodeAck(resp []byte, err error, fromAgent bool) (ok bool, _ error) {
+	if err != nil {
+		return false, err
+	}
+	k.dec.Reset(resp)
+	if fromAgent {
+		err = k.agentAck.UnmarshalWire(&k.dec)
+		return k.agentAck.OK, err
+	}
+	err = k.ctrlAck.UnmarshalWire(&k.dec)
+	return k.ctrlAck.OK, err
+}
+
 // commandFailed reports an act-phase command the child did not accept.
 func (k *cycleKernel) commandFailed(h *pull, op, what string, err error) {
 	if k.tel != nil {
 		k.tel.rpcFailure(k.cycles, k.loop.Now(), h.id, op, err)
 	}
 	k.alerts.emit(k.loop.Now(), AlertWarning, k.deviceID, "%s to %s failed", what, h.id)
+}
+
+// cappedCount is the number of children currently held down: capped
+// servers for a leaf, contracted children for an upper.
+func (k *cycleKernel) cappedCount() int {
+	n := 0
+	for _, h := range k.pulls {
+		if h.capped {
+			n++
+		}
+	}
+	return n
 }
 
 // atBoundary applies a reconfiguration at once between cycles, or at the
@@ -342,8 +471,8 @@ func (k *cycleKernel) pollCycle() {
 		if h.skip {
 			continue
 		}
-		if h.k == nil {
-			h.k, h.done = k, [2]func([]byte, error){h.onEven, h.onOdd}
+		if h.done[0] == nil {
+			h.done = [2]func([]byte, error){h.onEven, h.onOdd}
 		}
 		h.awaiting = true
 		done := h.done[k.cycleSeq&1]
@@ -415,7 +544,7 @@ func (k *cycleKernel) runObserveDecide(now time.Duration) {
 	}
 	k.lastAgg = agg
 	p.rec.Valid, p.rec.Agg, p.rec.EffLimit, p.rec.DryRun = true, agg, k.EffectiveLimit(), k.dryRun
-	p.capCount = k.lvl.cappedCount()
+	p.capCount = k.cappedCount()
 	k.lvl.decide(now, p)
 	k.lastAction = p.rec.Action
 }
@@ -461,7 +590,7 @@ func (k *cycleKernel) runAct(now time.Duration) {
 	}
 	k.lvl.act(now, p, live)
 	k.journal.Add(*rec)
-	k.checkpoint(now, *rec)
+	k.checkpoint(now, rec)
 	if k.tel != nil && rec.Valid {
 		k.tel.cycleEnd(k.cycles, k.cycleStartAt, now, rec.Agg, rec.EffLimit, p.capCount, rec.Action)
 	}
@@ -471,7 +600,7 @@ func (k *cycleKernel) runAct(now time.Duration) {
 // (act-phase effect, always after the journal write of the same cycle —
 // see the ordering rule in checkpoint.go). A fenced append means a backup
 // has adopted this device: this instance is a zombie and stops itself.
-func (k *cycleKernel) checkpoint(now time.Duration, rec DecisionRecord) {
+func (k *cycleKernel) checkpoint(now time.Duration, rec *DecisionRecord) {
 	fenced, err := writeCheckpoint(k.ckpt, k.journal, rec, k.cycles, k.lastAction, k.contract, k.pid)
 	if err == nil {
 		return
@@ -505,15 +634,16 @@ func (k *cycleKernel) Handler() rpc.Handler {
 			k.resp = CtrlReadPowerResponse{
 				AggWatts:      float64(k.lastAgg),
 				Valid:         k.lastValid,
-				CappedServers: k.lvl.cappedCount(),
+				CappedServers: k.cappedCount(),
 				QuotaWatts:    float64(k.quota),
 				LimitWatts:    float64(k.limit),
 				ContractWatts: float64(k.contract),
 			}
 			return &k.resp, nil
 		case MethodCtrlSetContract:
+			k.dec.Reset(body)
 			var req SetContractRequest
-			if err := wire.Unmarshal(body, &req); err != nil {
+			if err := req.UnmarshalWire(&k.dec); err != nil {
 				return nil, err
 			}
 			k.setContract(power.Watts(req.LimitWatts))

@@ -183,3 +183,80 @@ func TestCycleKernel(t *testing.T) {
 		}
 	}
 }
+
+// recordingClient keeps every attempt's method, encoded request and
+// completion, so the test decides how each attempt ends.
+type recordingClient struct{ calls []recordedCall }
+
+type recordedCall struct {
+	method string
+	body   []byte
+	done   func([]byte, error)
+}
+
+func (c *recordingClient) Call(method string, req wire.Message, _ time.Duration, done func([]byte, error)) {
+	c.calls = append(c.calls, recordedCall{method, wire.Marshal(req), done})
+}
+func (c *recordingClient) Close() error { return nil }
+
+// TestCommandRecordCarriesOneCall: a command record serves one call at a
+// time. A retry re-sends the request the call was first sent with, even
+// after a newer command went out to the same child on a fresh record; a
+// completed record is reused; and an ack landing after Stop changes
+// nothing.
+func TestCommandRecordCarriesOneCall(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	client := &recordingClient{}
+	leaf := NewLeaf(loop, LeafConfig{
+		DeviceID: "rpp", Limit: power.KW(10), CapLeaseTTL: 10 * time.Second,
+		Retry:  RetryConfig{MaxRetries: 1, Backoff: 10 * time.Millisecond},
+		Alerts: func(Alert) {},
+	}, []AgentRef{{ServerID: "srv", Service: "web", Client: client}})
+	h := &leaf.list[0].pull
+	limitOf := func(i int) float64 {
+		t.Helper()
+		var req agent.SetCapRequest
+		if err := wire.Unmarshal(client.calls[i].body, &req); err != nil {
+			t.Fatal(err)
+		}
+		if req.LeaseNanos != uint64(10*time.Second) {
+			t.Fatalf("call %d carries lease %d, want the leaf's 10 s", i, req.LeaseNanos)
+		}
+		return req.LimitWatts
+	}
+	ok := wire.Marshal(&agent.CapResponse{OK: true})
+
+	leaf.send(h, opSetCap, 200)
+	first := h.cmd
+	client.calls[0].done(nil, rpc.ErrTimeout) // the first attempt fails; a retry is due
+	leaf.send(h, opSetCap, 180)               // a newer cap while the first call still retries
+	if h.cmd == first {
+		t.Error("a command issued while the child's last one is in flight reused its record")
+	}
+	loop.RunUntil(time.Second)
+	if len(client.calls) != 3 || client.calls[2].method != agent.MethodSetCap {
+		t.Fatalf("%d attempts, want the first, the newer cap and the first's retry", len(client.calls))
+	}
+	if got := limitOf(2); got != 200 {
+		t.Errorf("the retry re-sent %v W, want the 200 W its call was first sent with", got)
+	}
+	if got := limitOf(1); got != 180 {
+		t.Errorf("the newer cap sent %v W, want 180 W", got)
+	}
+	client.calls[2].done(ok, nil)
+	client.calls[1].done(ok, nil)
+	if !h.capped {
+		t.Fatal("an accepted cap did not mark the agent capped")
+	}
+
+	second := h.cmd
+	leaf.send(h, opClearCap, 0)
+	if h.cmd != second {
+		t.Error("a completed record was not reused")
+	}
+	leaf.Stop()
+	client.calls[3].done(ok, nil) // the uncap's ack lands after Stop
+	if !h.capped {
+		t.Error("an ack after Stop changed the controller's view")
+	}
+}

@@ -88,14 +88,19 @@ func (j *Journal) Len() int { return len(j.recs) }
 
 // Records returns retained records oldest-first.
 func (j *Journal) Records() []DecisionRecord {
+	older, newer := j.ordered()
 	out := make([]DecisionRecord, 0, len(j.recs))
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
+// ordered returns the retained records oldest-first as the ring's two
+// runs, without copying them: older then newer (nil until the ring wraps).
+func (j *Journal) ordered() (older, newer []DecisionRecord) {
 	if j.full {
-		out = append(out, j.recs[j.next:]...)
-		out = append(out, j.recs[:j.next]...)
-	} else {
-		out = append(out, j.recs...)
+		return j.recs[j.next:], j.recs[:j.next]
 	}
-	return out
+	return j.recs, nil
 }
 
 // LastAction returns the most recent record whose action is not

@@ -9,7 +9,6 @@ import (
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
 	"dynamo/internal/telemetry"
-	"dynamo/internal/wire"
 )
 
 // LeafConfig configures a leaf power controller (paper §III-C).
@@ -132,24 +131,19 @@ type agentState struct {
 	generation string
 
 	lastPower float64
-	everSeen  bool
-	capSent   power.Watts
-	capped    bool
 	recapped  uint64        // the cycle that last sent this agent a SetCap
 	renew     *leaseRenewal // nil until the agent's first lease renewal
+	reading   float64       // this cycle's reading, estimated when the pull failed
+	everSeen  bool
 
 	// Circuit-breaker state (quarantine). consecFails counts consecutive
 	// failed pulls; at the configured threshold the agent is quarantined:
 	// excluded from pulls (except periodic half-open probes) and from
 	// actuation, with estimation covering its draw. A successful pull
 	// re-admits it.
-	consecFails int
 	quarantined bool
-	quarCycles  int
-
-	// cycle-local state
-	estimated bool
-	reading   float64
+	consecFails int32
+	quarCycles  int32
 }
 
 // leaseRenewal is an agent's renewal completion, bound once, and the
@@ -169,22 +163,22 @@ type Leaf struct {
 	cycleKernel
 	cfg LeafConfig // the leaf-only knobs; what both levels share lives in the kernel
 
-	agents map[string]*agentState // by server ID
-	list   []*agentState          // the same agents in configuration order; every per-cycle loop walks this
+	list []*agentState // the agents in configuration order; every per-cycle loop walks this
 
-	// Reused across pulls by the observe phase: one decoder and one
-	// response message per controller, not per reading. Lease acks decode
-	// through dec into ack on the loop, which no observe phase overlaps.
-	dec      wire.Decoder
+	// Reused across pulls by the observe phase: one response message per
+	// controller, not per reading, decoded through the kernel's dec.
 	msg      agent.ReadPowerResponse
-	ack      agent.CapResponse
 	renewReq agent.RenewLeaseRequest // what every renewal sends; retries re-send it, so it never changes
 
 	lastService map[string]power.Watts
 
-	// What this cycle's observe+decide phase planned beyond the kernel's
-	// cyclePlan: the caps to send and the circuit-breaker outcomes.
-	caps           []PlannedCap
+	// planner computes the capping plan in scratch kept across cycles;
+	// caps are the members it cuts, which act sends.
+	planner planner
+	caps    []member
+
+	// What this cycle's observe+decide phase found beyond the kernel's
+	// cyclePlan: the circuit-breaker outcomes.
 	quarantinedNow int // agents in quarantine after this cycle
 	quarantinedNew int // breakers tripped this cycle
 	readmitted     int // agents re-admitted this cycle
@@ -198,7 +192,6 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 	cfg.fillDefaults()
 	l := &Leaf{
 		cfg:         cfg,
-		agents:      make(map[string]*agentState, len(agents)),
 		list:        make([]*agentState, 0, len(agents)),
 		lastService: map[string]power.Watts{},
 		renewReq:    agent.RenewLeaseRequest{LeaseNanos: uint64(cfg.CapLeaseTTL)},
@@ -209,7 +202,6 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 			pull:    pull{id: a.ServerID, client: a.Client},
 			service: a.Service, generation: a.Generation,
 		}
-		l.agents[a.ServerID] = st
 		l.list = append(l.list, st)
 		pulls = append(pulls, &st.pull)
 	}
@@ -220,7 +212,8 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 		kind: "leaf", pullMethod: agent.MethodReadPower, pullOp: "power pull",
 		deviceID: cfg.DeviceID, limit: cfg.Limit, quota: cfg.Quota, bands: cfg.Bands,
 		pollInterval: cfg.PollInterval, pullTimeout: cfg.PullTimeout,
-		dryRun: cfg.DryRun, alerts: cfg.Alerts, sched: cfg.Scheduler, ckpt: cfg.Checkpoint,
+		dryRun: cfg.DryRun, capLease: cfg.CapLeaseTTL,
+		alerts: cfg.Alerts, sched: cfg.Scheduler, ckpt: cfg.Checkpoint,
 	}, cfg.Telemetry, cfg.Retry, pulls)
 	return l
 }
@@ -239,16 +232,6 @@ func (l *Leaf) QuarantinedCount() int {
 
 // CappedCount returns how many servers currently hold a cap we sent.
 func (l *Leaf) CappedCount() int { return l.cappedCount() }
-
-func (l *Leaf) cappedCount() int {
-	n := 0
-	for _, a := range l.list {
-		if a.capped {
-			n++
-		}
-	}
-	return n
-}
 
 // ServiceBreakdown returns the last cycle's per-service power.
 func (l *Leaf) ServiceBreakdown() map[string]power.Watts {
@@ -310,7 +293,6 @@ func (l *Leaf) DeferredReconfigs() uint64 { return l.deferredReconfigs }
 // budget — tests whether they can be re-admitted.
 func (l *Leaf) selectPulls() (skipped int) {
 	for _, st := range l.list {
-		st.estimated = false
 		st.reading = 0
 		if !st.quarantined {
 			continue
@@ -349,9 +331,6 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			st.service = r.Service
 			st.generation = r.Generation
 			st.capped = r.Capped
-			if r.Capped {
-				st.capSent = power.Watts(r.CapWatts)
-			}
 		}
 	}
 
@@ -374,7 +353,7 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			}
 			if !st.quarantined { // a quarantined agent is already isolated; estimation covers it
 				st.consecFails++
-				if st.consecFails >= l.cfg.QuarantineThreshold {
+				if int(st.consecFails) >= l.cfg.QuarantineThreshold {
 					st.quarantined = true
 					st.quarCycles = 0
 					st.consecFails = 0
@@ -422,7 +401,6 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			} else {
 				st.reading = 0
 			}
-			st.estimated = true
 		}
 		total += st.reading
 		l.lastService[st.service] += power.Watts(st.reading)
@@ -495,27 +473,21 @@ func (l *Leaf) planCap(p *cyclePlan) {
 	if totalCut <= 0 {
 		return
 	}
-	snapshot := make([]ServerState, 0, len(l.list))
-	for _, st := range l.list {
-		snapshot = append(snapshot, ServerState{
-			ID:        st.id,
-			Service:   st.service,
-			Power:     power.Watts(st.reading),
-			Estimated: st.estimated,
-		})
+	l.planner.start(len(l.list))
+	for i, st := range l.list {
+		l.planner.add(i, l.cfg.Priorities.priorityOf(st.service), power.Watts(st.reading))
 	}
-	plan := ComputePlan(snapshot, totalCut, l.cfg.Priorities)
-	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = len(plan.Caps), plan.Achieved, plan.Shortfall
+	achieved, shortfall, caps := l.planner.plan(totalCut, l.cfg.Priorities, func(i int) string { return l.list[i].id })
+	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = len(caps), achieved, shortfall
 	p.planComputed = true
-	if plan.Shortfall > 0 {
-		p.alert(AlertCritical, "capping plan short by %v (SLA floors reached)", plan.Shortfall)
+	if shortfall > 0 {
+		p.alert(AlertCritical, "capping plan short by %v (SLA floors reached)", shortfall)
 	}
 	if l.dryRun {
-		p.alert(AlertInfo, "dry-run: would cap %d servers for %v total cut",
-			len(plan.Caps), plan.Achieved)
+		p.alert(AlertInfo, "dry-run: would cap %d servers for %v total cut", len(caps), achieved)
 		return
 	}
-	l.caps = append(l.caps, plan.Caps...)
+	l.caps = caps
 	p.sendCaps = true
 }
 
@@ -578,16 +550,13 @@ func (r *leaseRenewal) acked(resp []byte, err error) {
 	if l.gen != r.gen {
 		return
 	}
-	if err == nil {
-		l.dec.Reset(resp)
-		err = l.ack.UnmarshalWire(&l.dec)
-	}
-	renewed := err == nil && l.ack.OK
+	ok, err := l.decodeAck(resp, err, true)
+	renewed := err == nil && ok
 	if err == nil && !renewed {
 		// The agent no longer holds the cap (its lease expired while we
 		// couldn't reach it): adopt its view so the next cycle re-plans
 		// from truth.
-		st.capped, st.capSent = false, 0
+		st.capped = false
 	}
 	if l.tel != nil && renewed {
 		l.tel.leaseRenewed()
@@ -596,33 +565,17 @@ func (r *leaseRenewal) acked(resp []byte, err error) {
 	}
 }
 
-// sendCaps issues the planned cap commands. Completions are gated on the
-// controller generation so a cap ack (or a late retry) landing after Stop
-// cannot mutate state. Quarantined agents are skipped: a command to an
-// unreachable agent would only burn budget, and estimation already prices
-// their draw in.
+// sendCaps issues the planned cap commands. Quarantined agents are
+// skipped: a command to an unreachable agent would only burn budget, and
+// estimation already prices their draw in.
 func (l *Leaf) sendCaps() {
-	gen := l.gen
-	for _, pc := range l.caps {
-		st := l.agents[pc.ID]
+	for _, m := range l.caps {
+		st := l.list[m.i]
 		if st.quarantined {
 			continue
 		}
 		st.recapped = l.cycles
-		req := &agent.SetCapRequest{LimitWatts: float64(pc.Cap), LeaseNanos: uint64(l.cfg.CapLeaseTTL)}
-		capVal := pc.Cap
-		l.call(&st.pull, agent.MethodSetCap, req, func(resp []byte, err error) {
-			if l.gen != gen {
-				return
-			}
-			var ack agent.CapResponse
-			if derr := rpc.Decode(resp, err, &ack); derr != nil || !ack.OK {
-				l.commandFailed(&st.pull, "cap command", "cap command", derr)
-				return
-			}
-			st.capped = true
-			st.capSent = capVal
-		})
+		l.send(&st.pull, opSetCap, m.power-m.cut)
 	}
 }
 
@@ -630,22 +583,9 @@ func (l *Leaf) sendCaps() {
 // their caps release through lease expiry, and the capped view corrects
 // itself on the next successful pull.
 func (l *Leaf) sendUncaps() {
-	gen := l.gen
 	for _, st := range l.list {
-		if !st.capped || st.quarantined {
-			continue
+		if st.capped && !st.quarantined {
+			l.send(&st.pull, opClearCap, 0)
 		}
-		l.call(&st.pull, agent.MethodClearCap, rpc.Empty, func(resp []byte, err error) {
-			if l.gen != gen {
-				return
-			}
-			var ack agent.CapResponse
-			if derr := rpc.Decode(resp, err, &ack); derr != nil || !ack.OK {
-				l.commandFailed(&st.pull, "uncap command", "uncap command", derr)
-				return
-			}
-			st.capped = false
-			st.capSent = 0
-		})
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"dynamo/internal/power"
 )
@@ -14,9 +16,6 @@ type ServerState struct {
 	Service string
 	// Power is the server's current draw (possibly estimated).
 	Power power.Watts
-	// Estimated marks servers whose reading was reconstructed after a
-	// pull failure.
-	Estimated bool
 }
 
 // PriorityConfig maps services to priority groups and SLA floors
@@ -107,7 +106,8 @@ type Plan struct {
 }
 
 // ComputePlan distributes totalCut across servers, lowest priority group
-// first, high-bucket-first within each group (paper §III-C3).
+// first, high-bucket-first within each group (paper §III-C3). Server IDs
+// must be unique.
 //
 // Within a group, servers are bucketed by current power (bucket width
 // cfg.BucketSize). Buckets are consumed from the highest down: the active
@@ -117,91 +117,134 @@ type Plan struct {
 // width — reproducing the Fig 16 picture where all web servers above
 // 210 W share the cut and every computed cap is at least 210 W.
 func ComputePlan(servers []ServerState, totalCut power.Watts, cfg PriorityConfig) Plan {
+	var pl planner
+	pl.start(len(servers))
+	for i := range servers {
+		pl.add(i, cfg.priorityOf(servers[i].Service), servers[i].Power)
+	}
 	var plan Plan
-	if totalCut <= 0 || len(servers) == 0 {
-		return plan
+	var capped []member
+	plan.Achieved, plan.Shortfall, capped = pl.plan(totalCut, cfg, func(i int) string { return servers[i].ID })
+	if len(capped) > 0 {
+		plan.Caps = make([]PlannedCap, len(capped))
+		for k, m := range capped {
+			plan.Caps[k] = PlannedCap{ID: servers[m.i].ID, Cap: m.power - m.cut, Cut: m.cut}
+		}
+	}
+	return plan
+}
+
+// planner is the scratch capping plans are computed in. A controller keeps
+// one, so once it has grown to the controller's children planning
+// allocates nothing; ComputePlan uses a fresh one.
+type planner struct {
+	members []member
+	rooms   []room
+}
+
+// member is one server being planned: the power the plan cuts from, its
+// index in the caller's list and its priority group, and what planGroup
+// works out for it — its bucket, its cut, and whether it was given a
+// share (hit, possibly of nothing). Its cap is power - cut.
+type member struct {
+	power power.Watts
+	cut   power.Watts
+	i     int32
+	prio  int32
+	edge  int32
+	hit   bool
+}
+
+// start begins a plan over n servers, sizing the scratch to n the first
+// time.
+func (pl *planner) start(n int) {
+	if cap(pl.members) < n {
+		pl.members = make([]member, 0, n)
+		pl.rooms = make([]room, 0, n)
+	}
+	pl.members = pl.members[:0]
+}
+
+// add enters server i of the caller's list, drawing pw, in priority group
+// prio.
+func (pl *planner) add(i, prio int, pw power.Watts) {
+	pl.members = append(pl.members, member{power: pw, i: int32(i), prio: int32(prio)})
+}
+
+// plan distributes totalCut over the servers added since start, as
+// ComputePlan does; id names server i. It returns the cut achieved, the
+// shortfall and the members it cuts, ordered by ID: the planner's
+// scratch, valid until its next start.
+func (pl *planner) plan(totalCut power.Watts, cfg PriorityConfig, id func(i int) string) (achieved, shortfall power.Watts, capped []member) {
+	ms := pl.members
+	if totalCut <= 0 || len(ms) == 0 {
+		return 0, 0, nil
 	}
 	bucket := cfg.BucketSize
 	if bucket <= 0 {
 		bucket = 20
 	}
 
-	// Group servers by priority, ascending (cap lowest priority first).
-	groups := map[int][]ServerState{}
-	for _, s := range servers {
-		p := cfg.priorityOf(s.Service)
-		groups[p] = append(groups[p], s)
-	}
-	prios := make([]int, 0, len(groups))
-	for p := range groups {
-		prios = append(prios, p)
-	}
-	sort.Ints(prios)
-
+	// Group servers by priority, ascending (cap lowest priority first),
+	// each group in input order.
+	slices.SortStableFunc(ms, func(a, b member) int { return cmp.Compare(a.prio, b.prio) })
 	remaining := totalCut
-	for _, prio := range prios {
-		if remaining <= 0 {
-			break
+	for lo, hi := 0, 0; lo < len(ms) && remaining > 0; lo = hi {
+		prio := ms[lo].prio
+		for hi = lo + 1; hi < len(ms) && ms[hi].prio == prio; hi++ {
 		}
-		group := groups[prio]
-		floorSLA := cfg.minCapOf(prio)
-		cuts, achieved := planGroup(group, remaining, bucket, floorSLA)
-		for id, cut := range cuts {
-			if cut <= 0 {
-				continue
-			}
-			cur := power.Watts(0)
-			for _, s := range group {
-				if s.ID == id {
-					cur = s.Power
-					break
-				}
-			}
-			plan.Caps = append(plan.Caps, PlannedCap{ID: id, Cap: cur - cut, Cut: cut})
-		}
-		plan.Achieved += achieved
-		remaining -= achieved
+		got := pl.planGroup(ms[lo:hi], remaining, bucket, cfg.minCapOf(int(prio)))
+		achieved += got
+		remaining -= got
 	}
 	if remaining > 0 {
-		plan.Shortfall = remaining
+		shortfall = remaining
+	}
+	capped = ms[:0] // compacted in place: it never overtakes the range
+	for _, m := range ms {
+		if m.cut > 0 {
+			capped = append(capped, m)
+		}
 	}
 	// Deterministic order for tests and logs.
-	sort.Slice(plan.Caps, func(i, j int) bool { return plan.Caps[i].ID < plan.Caps[j].ID })
-	return plan
+	slices.SortFunc(capped, func(a, b member) int { return strings.Compare(id(int(a.i)), id(int(b.i))) })
+	return achieved, shortfall, capped
 }
 
-// planGroup distributes cut within one priority group using
-// high-bucket-first and returns per-server cuts and the achieved total.
+// planGroup distributes cut within one group (its members in group order,
+// each with a zero cut) using high-bucket-first: it adds each member's
+// share to its cut and returns the achieved total. It reorders group.
 //
 // The cap level descends one bucket edge per round: servers in the highest
 // bucket are cut down toward the next bucket edge first; when that is not
 // enough, the next bucket's servers join the active set and the floor
 // drops another bucket width, and so on until the cut is satisfied or the
 // floor reaches the group's SLA lower bound.
-func planGroup(group []ServerState, cut power.Watts, bucket, slaFloor power.Watts) (map[string]power.Watts, power.Watts) {
-	cuts := make(map[string]power.Watts)
+func (pl *planner) planGroup(group []member, cut, bucket, slaFloor power.Watts) power.Watts {
 	if cut <= 0 || len(group) == 0 {
-		return cuts, 0
+		return 0
 	}
-	bucketOf := func(w power.Watts) int {
-		return int(math.Floor(float64(w) / float64(bucket)))
-	}
-	byEdge := map[int][]ServerState{}
 	maxEdge := math.MinInt32
-	for _, s := range group {
-		e := bucketOf(s.Power)
-		byEdge[e] = append(byEdge[e], s)
+	for k := range group {
+		m := &group[k]
+		e := int(math.Floor(float64(m.power) / float64(bucket)))
+		m.edge = int32(e)
 		if e > maxEdge {
 			maxEdge = e
 		}
 	}
+	// Highest bucket first, group order within a bucket: the order the
+	// rounds admit servers to the active set, group[:active]. Their
+	// position there decides tie-breaks in distributeEven's water-filling
+	// sort.
+	slices.SortStableFunc(group, func(a, b member) int { return cmp.Compare(b.edge, a.edge) })
 
 	remaining := cut
 	var achieved power.Watts
-	active := make([]ServerState, 0, len(group))
+	active := 0
 	for edge := maxEdge; remaining > 0 && edge >= 0; edge-- {
-		active = append(active, byEdge[edge]...)
 		floor := power.Watts(edge) * bucket
+		lowest := edge // the lowest bucket admitted this round
 		final := false
 		if floor <= slaFloor {
 			// Final round: the SLA bound is the floor, and every server
@@ -209,30 +252,28 @@ func planGroup(group []ServerState, cut power.Watts, bucket, slaFloor power.Watt
 			// contribute its remaining headroom above it.
 			floor = slaFloor
 			final = true
-			// Descending edge order, matching the outer loop: iterating
-			// the byEdge map directly would admit the low-bucket servers
-			// in map order, and their position in active decides
-			// tie-breaks in distributeEven's water-filling sort.
-			for e := edge - 1; e >= 0; e-- {
-				active = append(active, byEdge[e]...)
-			}
+			lowest = 0
 		}
-		rooms := make([]room, 0, len(active))
+		for active < len(group) && int(group[active].edge) >= lowest {
+			active++
+		}
+		rooms := pl.rooms[:0]
 		var capacity power.Watts
-		for i, s := range active {
-			head := s.Power - floor - cuts[s.ID]
+		for k := range group[:active] {
+			head := group[k].power - floor - group[k].cut
 			if head < 0 {
 				head = 0
 			}
-			rooms = append(rooms, room{idx: i, head: head})
+			rooms = append(rooms, room{idx: k, head: head})
 			capacity += head
 		}
+		pl.rooms = rooms
 		take := remaining
 		if take > capacity {
 			take = capacity
 		}
 		if take > 0 {
-			distributeEven(active, rooms, take, cuts)
+			distributeEven(group, rooms, take)
 			achieved += take
 			remaining -= take
 		}
@@ -240,7 +281,7 @@ func planGroup(group []ServerState, cut power.Watts, bucket, slaFloor power.Watt
 			break
 		}
 	}
-	return cuts, achieved
+	return achieved
 }
 
 // room tracks one active server's remaining cuttable headroom.
@@ -252,9 +293,17 @@ type room struct {
 // distributeEven spreads take across the active servers as evenly as
 // possible subject to per-server headroom (water-filling): the paper's
 // "within the bucket, all servers will get an even amount of power cut".
-func distributeEven(active []ServerState, rooms []room, take power.Watts, cuts map[string]power.Watts) {
+func distributeEven(group []member, rooms []room, take power.Watts) {
 	// Sort by headroom ascending; assign min(even share, headroom).
-	sort.Slice(rooms, func(i, j int) bool { return rooms[i].head < rooms[j].head })
+	slices.SortFunc(rooms, func(a, b room) int {
+		switch {
+		case a.head < b.head:
+			return -1
+		case a.head > b.head:
+			return 1
+		}
+		return 0
+	})
 	n := len(rooms)
 	for i, r := range rooms {
 		if take <= 0 {
@@ -266,7 +315,9 @@ func distributeEven(active []ServerState, rooms []room, take power.Watts, cuts m
 		if give > r.head {
 			give = r.head
 		}
-		cuts[active[r.idx].ID] += give
+		m := &group[r.idx]
+		m.cut += give
+		m.hit = true
 		take -= give
 	}
 }

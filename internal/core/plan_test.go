@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"dynamo/internal/power"
+	"dynamo/internal/simclock"
 )
 
 func TestBandConfigValidate(t *testing.T) {
@@ -307,5 +310,301 @@ func TestPriorityDefaults(t *testing.T) {
 	}
 	if cfg.minCapOf(99) != cfg.DefaultMinCap {
 		t.Error("unknown group should get default floor")
+	}
+}
+
+// The map-based planner the kept-scratch planner replaced, kept as the
+// reference it must match bit for bit: refComputePlan is ComputePlan,
+// refPlanGroup planGroup and refPlanChildCuts Upper.planChildCuts as they
+// were.
+
+func refComputePlan(servers []ServerState, totalCut power.Watts, cfg PriorityConfig) Plan {
+	var plan Plan
+	if totalCut <= 0 || len(servers) == 0 {
+		return plan
+	}
+	bucket := cfg.BucketSize
+	if bucket <= 0 {
+		bucket = 20
+	}
+	groups := map[int][]ServerState{}
+	for _, s := range servers {
+		p := cfg.priorityOf(s.Service)
+		groups[p] = append(groups[p], s)
+	}
+	prios := make([]int, 0, len(groups))
+	for p := range groups {
+		prios = append(prios, p)
+	}
+	sort.Ints(prios)
+	remaining := totalCut
+	for _, prio := range prios {
+		if remaining <= 0 {
+			break
+		}
+		group := groups[prio]
+		cuts, achieved := refPlanGroup(group, remaining, bucket, cfg.minCapOf(prio))
+		for id, cut := range cuts {
+			if cut <= 0 {
+				continue
+			}
+			cur := power.Watts(0)
+			for _, s := range group {
+				if s.ID == id {
+					cur = s.Power
+					break
+				}
+			}
+			plan.Caps = append(plan.Caps, PlannedCap{ID: id, Cap: cur - cut, Cut: cut})
+		}
+		plan.Achieved += achieved
+		remaining -= achieved
+	}
+	if remaining > 0 {
+		plan.Shortfall = remaining
+	}
+	sort.Slice(plan.Caps, func(i, j int) bool { return plan.Caps[i].ID < plan.Caps[j].ID })
+	return plan
+}
+
+func refPlanGroup(group []ServerState, cut power.Watts, bucket, slaFloor power.Watts) (map[string]power.Watts, power.Watts) {
+	cuts := make(map[string]power.Watts)
+	if cut <= 0 || len(group) == 0 {
+		return cuts, 0
+	}
+	bucketOf := func(w power.Watts) int {
+		return int(math.Floor(float64(w) / float64(bucket)))
+	}
+	byEdge := map[int][]ServerState{}
+	maxEdge := math.MinInt32
+	for _, s := range group {
+		e := bucketOf(s.Power)
+		byEdge[e] = append(byEdge[e], s)
+		if e > maxEdge {
+			maxEdge = e
+		}
+	}
+	remaining := cut
+	var achieved power.Watts
+	active := make([]ServerState, 0, len(group))
+	for edge := maxEdge; remaining > 0 && edge >= 0; edge-- {
+		active = append(active, byEdge[edge]...)
+		floor := power.Watts(edge) * bucket
+		final := false
+		if floor <= slaFloor {
+			floor = slaFloor
+			final = true
+			for e := edge - 1; e >= 0; e-- {
+				active = append(active, byEdge[e]...)
+			}
+		}
+		rooms := make([]room, 0, len(active))
+		var capacity power.Watts
+		for i, s := range active {
+			head := s.Power - floor - cuts[s.ID]
+			if head < 0 {
+				head = 0
+			}
+			rooms = append(rooms, room{idx: i, head: head})
+			capacity += head
+		}
+		take := remaining
+		if take > capacity {
+			take = capacity
+		}
+		if take > 0 {
+			refDistributeEven(active, rooms, take, cuts)
+			achieved += take
+			remaining -= take
+		}
+		if final {
+			break
+		}
+	}
+	return cuts, achieved
+}
+
+func refDistributeEven(active []ServerState, rooms []room, take power.Watts, cuts map[string]power.Watts) {
+	sort.Slice(rooms, func(i, j int) bool { return rooms[i].head < rooms[j].head })
+	n := len(rooms)
+	for i, r := range rooms {
+		if take <= 0 {
+			break
+		}
+		left := n - i
+		share := take / power.Watts(left)
+		give := share
+		if give > r.head {
+			give = r.head
+		}
+		cuts[active[r.idx].ID] += give
+		take -= give
+	}
+}
+
+func refPlanChildCuts(u *Upper, needed power.Watts) map[string]power.Watts {
+	cuts := map[string]power.Watts{}
+	remaining := needed
+	var offenders []ServerState
+	for _, st := range u.list {
+		if st.quota > 0 && st.reading > st.quota {
+			offenders = append(offenders, ServerState{ID: st.id, Service: "offender", Power: st.reading - st.quota})
+		}
+	}
+	if len(offenders) > 0 && remaining > 0 {
+		got, achieved := refPlanGroup(offenders, remaining, u.cfg.OffenderBucket, 0)
+		for id, c := range got {
+			cuts[id] += c
+		}
+		remaining -= achieved
+	}
+	if remaining > power.Watts(1) {
+		var all []ServerState
+		for _, st := range u.list {
+			all = append(all, ServerState{ID: st.id, Service: "child", Power: st.reading - cuts[st.id]})
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+		var floor power.Watts
+		for _, st := range u.list {
+			if q := st.quota; q > 0 {
+				floor += q / 2
+			}
+		}
+		if len(u.list) > 0 {
+			floor /= power.Watts(len(u.list))
+		}
+		got, _ := refPlanGroup(all, remaining, u.cfg.OffenderBucket, floor)
+		for id, c := range got {
+			cuts[id] += c
+		}
+	}
+	return cuts
+}
+
+// sameWatts compares bit for bit.
+func sameWatts(a, b power.Watts) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// randomWatts draws a power level that often ties with others: on a
+// bucket edge, on one of a few shared values, or anywhere.
+func randomWatts(rng *rand.Rand, lo, hi, edge float64) power.Watts {
+	switch rng.Intn(4) {
+	case 0:
+		return power.Watts(math.Floor(lo/edge+rng.Float64()*(hi-lo)/edge) * edge) // a bucket edge
+	case 1:
+		return power.Watts(lo + float64(rng.Intn(4))*(hi-lo)/4) // a shared value
+	default:
+		return power.Watts(lo + rng.Float64()*(hi-lo))
+	}
+}
+
+// TestComputePlanMatchesReference: on seeded random fleets — bucket ties,
+// mixed priority groups, estimated servers sharing their service's mean,
+// cuts past every SLA floor — the kept-scratch planner returns exactly the
+// reference's plan: the same caps in the same order, and the same
+// Achieved and Shortfall, bit for bit.
+func TestComputePlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	services := []string{"hadoop", "f4storage", "web", "newsfeed", "database", "cache", "network", "unknown"}
+	var pl planner // one planner across cases, as a leaf keeps one across cycles
+	for c := 0; c < 400; c++ {
+		cfg := DefaultPriorityConfig()
+		cfg.BucketSize = []power.Watts{0, 10, 20, 30}[rng.Intn(4)]
+		n := 1 + rng.Intn(120)
+		servers := make([]ServerState, n)
+		seen := map[string]power.Watts{}
+		var total power.Watts
+		for i, id := range rng.Perm(n) { // input order is not ID order
+			svc := services[rng.Intn(len(services))]
+			s := ServerState{ID: fmt.Sprintf("s%03d", id), Service: svc, Power: randomWatts(rng, 60, 420, 20)}
+			if p, ok := seen[svc]; ok && rng.Intn(5) == 0 {
+				// Estimated: the leaf prices a failed pull at one power
+				// for the whole service, so it ties exactly.
+				s.Power = p
+			}
+			seen[svc] = s.Power
+			servers[i] = s
+			total += s.Power
+		}
+		cut := power.Watts(rng.Float64() * float64(total) * 0.8) // large cuts run into the SLA floors
+
+		want := refComputePlan(servers, cut, cfg)
+		got := ComputePlan(servers, cut, cfg)
+		pl.start(n)
+		for i := range servers {
+			pl.add(i, cfg.priorityOf(servers[i].Service), servers[i].Power)
+		}
+		achieved, shortfall, capped := pl.plan(cut, cfg, func(i int) string { return servers[i].ID })
+		kept := Plan{Achieved: achieved, Shortfall: shortfall}
+		for _, m := range capped {
+			kept.Caps = append(kept.Caps, PlannedCap{ID: servers[m.i].ID, Cap: m.power - m.cut, Cut: m.cut})
+		}
+		for _, p := range []struct {
+			name string
+			plan Plan
+		}{{"ComputePlan", got}, {"kept planner", kept}} {
+			if !sameWatts(p.plan.Achieved, want.Achieved) || !sameWatts(p.plan.Shortfall, want.Shortfall) || len(p.plan.Caps) != len(want.Caps) {
+				t.Fatalf("case %d (%d servers, cut %v): %s achieved %v short %v with %d caps, reference %v, %v, %d",
+					c, n, cut, p.name, p.plan.Achieved, p.plan.Shortfall, len(p.plan.Caps), want.Achieved, want.Shortfall, len(want.Caps))
+			}
+			for i, w := range want.Caps {
+				g := p.plan.Caps[i]
+				if g.ID != w.ID || !sameWatts(g.Cap, w.Cap) || !sameWatts(g.Cut, w.Cut) {
+					t.Fatalf("case %d: %s cap %d is %+v, reference %+v", c, p.name, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestUpperPlanMatchesReference: the upper's index-based cut distribution
+// gives every child the reference's cut, bit for bit, touches the same
+// children, and sums them in the same (ID) order.
+func TestUpperPlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for c := 0; c < 300; c++ {
+		n := 1 + rng.Intn(12)
+		children := make([]ChildRef, n)
+		for i, id := range rng.Perm(n) { // configuration order is not ID order
+			children[i] = ChildRef{ID: fmt.Sprintf("row%02d", id)}
+		}
+		u := NewUpper(simclock.NewSimLoop(), UpperConfig{
+			DeviceID: "sb", Limit: power.KW(400), DryRun: true,
+			OffenderBucket: []power.Watts{100, 500, 5000}[rng.Intn(3)],
+		}, children)
+		var total power.Watts
+		for _, st := range u.list {
+			st.reading = randomWatts(rng, 20000, 90000, 5000)
+			if rng.Intn(4) > 0 {
+				st.quota = randomWatts(rng, 30000, 70000, 5000)
+			}
+			total += st.reading
+		}
+		needed := power.Watts(rng.Float64() * float64(total) * 0.6)
+
+		want := refPlanChildCuts(u, needed)
+		ids := make([]string, 0, len(want))
+		for id := range want {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		var wantAchieved power.Watts
+		for _, id := range ids {
+			wantAchieved += want[id]
+		}
+
+		var p cyclePlan
+		u.planCap(&p, needed)
+		for i, st := range u.list {
+			w, hit := want[st.id]
+			if u.hit[i] != hit || (hit && !sameWatts(u.cut[i], w)) {
+				t.Fatalf("case %d: child %s cut %v (hit %v), reference %v (hit %v)", c, st.id, u.cut[i], u.hit[i], w, hit)
+			}
+		}
+		if p.rec.ServersPlanned != len(want) || !sameWatts(p.rec.Achieved, wantAchieved) {
+			t.Fatalf("case %d: planned %d achieving %v, reference %d achieving %v",
+				c, p.rec.ServersPlanned, p.rec.Achieved, len(want), wantAchieved)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,6 +15,7 @@ import (
 	"dynamo/internal/rpc"
 	"dynamo/internal/server"
 	"dynamo/internal/simclock"
+	"dynamo/internal/statestore"
 	"dynamo/internal/wire"
 )
 
@@ -86,19 +89,25 @@ func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 }
 
 // TestLeafCycleAllocs: in steady state a whole leaf cycle allocates
-// nothing — 30 pulls through fault wrappers and the in-proc network to real
-// agents, then observe, decide and act. The completions are bound once per
-// child, each agent reuses its reply, and the network its call records.
-// With the robustness stack on, a dropped pull waits out its deadline on a
-// pooled record, its retry rides a pooled record of the leaf's Retrier, and
-// every capped agent's lease renewal reuses the leaf's request, a
-// completion bound once per agent and the leaf's ack.
+// nothing but the checkpoint it writes — 30 pulls through fault wrappers
+// and the in-proc network to real agents, then observe, decide and act.
+// The completions are bound once per child, each agent reuses its reply,
+// and the network its call records. With the robustness stack on, a
+// dropped pull waits out its deadline on a pooled record, its retry rides
+// a pooled record of the leaf's Retrier, and every capped agent's lease
+// renewal reuses the leaf's request, a completion bound once per agent and
+// the kernel's ack. In the capping case the load swings across the limit,
+// so the leaf caps every agent, holds and renews the caps, then uncaps,
+// and again: the plan runs in the leaf's kept planner, every cap and
+// uncap rides the agent's command record, the cohort scheduler reuses its
+// batch, and the one allocation a cycle makes is the payload the state
+// store keeps.
 func TestLeafCycleAllocs(t *testing.T) {
 	const agents = 30
 	for _, tc := range []struct {
-		name   string
-		robust bool
-	}{{"zero-rule", false}, {"retries-leases-drops", true}} {
+		name            string
+		robust, capping bool
+	}{{"zero-rule", false, false}, {"retries-leases-drops", true, false}, {"capping", false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			loop := simclock.NewSimLoop()
 			loop.SetStepLimit(0)
@@ -106,17 +115,32 @@ func TestLeafCycleAllocs(t *testing.T) {
 			inj := faults.New(loop, 1, nil)
 			renewals := 0
 			var refs []AgentRef
+			var hosts []*server.Server
+			// The capping case swings every server between 0.9 and 0.2 load
+			// each 12 s: four cycles over the limit, four under it.
+			load := func(now time.Duration) float64 {
+				switch {
+				case !tc.capping:
+					return 0.5
+				case (now/(12*time.Second))%2 == 1:
+					return 0.2
+				}
+				return 0.9
+			}
 			for i := 0; i < agents; i++ {
 				id := fmt.Sprintf("srv%02d", i)
 				host := server.New(server.Config{
 					ID: id, Service: "web", Model: server.MustModel("haswell2015"),
-					Source: server.LoadFunc(func(time.Duration) float64 { return 0.5 }),
+					Source: server.LoadFunc(load),
 				})
 				host.Tick(0)
+				hosts = append(hosts, host)
 				ag := agent.New(id, "web", "haswell2015", platform.NewMSR(host, platform.Options{Seed: int64(i + 1)}))
 				h := ag.Handler()
-				if tc.robust {
+				if tc.robust || tc.capping {
 					ag.EnableLease(loop, 0, nil)
+				}
+				if tc.robust {
 					if i%3 == 0 {
 						// A cap well above the draw: the leaf finds the agent
 						// capped on its first pull and renews its lease from
@@ -125,6 +149,8 @@ func TestLeafCycleAllocs(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+				}
+				if tc.robust || tc.capping {
 					next := h
 					h = func(method string, body []byte) (wire.Message, error) {
 						if method == agent.MethodRenewLease {
@@ -145,6 +171,28 @@ func TestLeafCycleAllocs(t *testing.T) {
 				cfg.CapLeaseTTL = 15 * time.Second
 				inj.Add(faults.Rule{Peer: "*", Method: agent.MethodReadPower, DropP: 0.1})
 			}
+			var store *statestore.Store
+			if tc.capping {
+				// 30 servers draw ~9.6 kW at 0.9 load and ~4.3 kW at 0.2:
+				// each high phase caps every server to 95% of 7.5 kW, and
+				// the low phase is well under the uncap band.
+				cfg.Limit = 7500
+				// One bucket wider than any server: the plan takes its cut
+				// in a single round, which leaves no float residue to raise
+				// a shortfall alert (and format it).
+				cfg.Priorities = DefaultPriorityConfig()
+				cfg.Priorities.BucketSize = 1000
+				cfg.CapLeaseTTL = 15 * time.Second
+				cfg.Scheduler = NewCohortScheduler(loop, 1, nil)
+				store = statestore.NewStore(loop, "local", nil)
+				cfg.Checkpoint = store.NewWriter("rpp", "primary")
+				tick := simclock.NewTicker(loop, time.Second, func() {
+					for _, h := range hosts {
+						h.Tick(loop.Now())
+					}
+				})
+				tick.Start()
+			}
 			leaf := NewLeaf(loop, cfg, refs)
 			leaf.Start()
 			// Each run ends just before a poll, past the 2.7 s retry budget
@@ -154,18 +202,51 @@ func TestLeafCycleAllocs(t *testing.T) {
 				until += leaf.pollInterval
 				loop.RunUntil(until)
 			}
-			const warm, runs = 10, 20
-			for i := 0; i < warm; i++ {
+			const runs = 20
+			warm := uint64(10)
+			if tc.capping {
+				// Past the first snapshot cadence (128 deltas), so the
+				// store's retained window and its encoder are at their
+				// steady size.
+				warm = 140
+			}
+			for i := uint64(0); i < warm; i++ {
 				cycle()
 			}
-			if n := testing.AllocsPerRun(runs, cycle); n != 0 {
-				t.Errorf("a steady-state leaf cycle over %d agents allocates %v, want 0", agents, n)
+			caps, uncaps := leaf.CapEvents(), leaf.UncapEvents()
+			var before uint64
+			if store != nil {
+				before = store.NextSeq("rpp")
 			}
-			if got := leaf.Cycles(); got != warm+runs+1 {
-				t.Fatalf("%d cycles ran, want %d", got, warm+runs+1)
+			wantCycles := warm + runs + 1
+			if tc.capping {
+				// Counted exactly: the allocations are the payloads of the
+				// checkpoints the cycles write, one each.
+				n := fewestAllocs(func() {
+					for i := 0; i <= runs; i++ {
+						cycle()
+					}
+				})
+				if got := store.NextSeq("rpp") - before; n != runs+1 || got != 3*(runs+1) {
+					t.Errorf("%d steady-state leaf cycles over %d agents allocate %d times (and %d cycles wrote %d checkpoints), want one per cycle",
+						runs+1, agents, n, 3*(runs+1), got)
+				}
+				wantCycles = warm + 3*(runs+1)
+			} else if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+				t.Errorf("a steady-state leaf cycle over %d agents allocates %v times, want 0", agents, n)
+			}
+			if got := leaf.Cycles(); got != wantCycles {
+				t.Fatalf("%d cycles ran, want %d", got, wantCycles)
 			}
 			if agg, valid := leaf.LastAggregate(); !valid || agg < power.Watts(agents*100) {
 				t.Fatalf("aggregate %v (valid %v): the agents' readings did not arrive", agg, valid)
+			}
+			if tc.capping {
+				if leaf.CapEvents()-caps < 2 || leaf.UncapEvents()-uncaps < 2 || renewals == 0 {
+					t.Fatalf("%d caps, %d uncaps and %d lease renewals in %d cycles: the leaf did not cap, hold and uncap",
+						leaf.CapEvents()-caps, leaf.UncapEvents()-uncaps, renewals, runs+1)
+				}
+				return
 			}
 			if !tc.robust {
 				return
@@ -178,6 +259,104 @@ func TestLeafCycleAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUpperCycleAllocs: an upper controller's steady-state cycle
+// allocates nothing but its checkpoint while it contracts an offending
+// child, holds the contract, and releases it. Two scripted child
+// controllers answer its pulls from one kept reply each: the offender
+// draws 6.5 kW over a 5 kW quota for eight cycles (and obeys a contract),
+// then both draw 3 kW for eight. The plan runs in the upper's kept
+// scratch and every contract and release rides the child's command
+// record.
+func TestUpperCycleAllocs(t *testing.T) {
+	loop := simclock.NewSimLoop()
+	loop.SetStepLimit(0)
+	net := rpc.NewNetwork(loop, 2*time.Millisecond, 1)
+	high := func() bool { return (loop.Now()/(72*time.Second))%2 == 0 }
+	var children []ChildRef
+	contracts, releases := 0, 0
+	for i, draw := range []power.Watts{6500, 4500} {
+		id := fmt.Sprintf("row%d", i)
+		var resp CtrlReadPowerResponse
+		var contract power.Watts
+		var dec wire.Decoder
+		net.Register(CtrlAddr(id), func(method string, body []byte) (wire.Message, error) {
+			switch method {
+			case MethodCtrlReadPower:
+				agg := power.Watts(3000)
+				if high() {
+					agg = draw
+				}
+				if contract > 0 && agg > contract {
+					agg = contract
+				}
+				resp = CtrlReadPowerResponse{AggWatts: float64(agg), Valid: true, QuotaWatts: 5000, LimitWatts: 8000}
+				return &resp, nil
+			case MethodCtrlSetContract:
+				var req SetContractRequest
+				dec.Reset(body)
+				if err := req.UnmarshalWire(&dec); err != nil {
+					return nil, err
+				}
+				contract = power.Watts(req.LimitWatts)
+				contracts++
+			case MethodCtrlClearContract:
+				contract = 0
+				releases++
+			}
+			return ackOK, nil
+		})
+		children = append(children, ChildRef{ID: id, Client: net.Dial(CtrlAddr(id)), Quota: 5000})
+	}
+	store := statestore.NewStore(loop, "local", nil)
+	upper := NewUpper(loop, UpperConfig{
+		DeviceID: "sb", Limit: 10000, OffenderBucket: 100, Alerts: func(Alert) {},
+		Scheduler:  NewCohortScheduler(loop, 1, nil),
+		Checkpoint: store.NewWriter("sb", "primary"),
+	}, children)
+	upper.Start()
+	until := upper.pollInterval - 100*time.Millisecond
+	cycle := func() {
+		until += upper.pollInterval
+		loop.RunUntil(until)
+	}
+	const warm, runs = 140, 32 // past the first snapshot cadence; two full swings
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	caps, uncaps, sent, released := upper.CapEvents(), upper.UncapEvents(), contracts, releases
+	before := store.NextSeq("sb")
+	n := fewestAllocs(func() {
+		for i := 0; i <= runs; i++ {
+			cycle()
+		}
+	})
+	if got := store.NextSeq("sb") - before; n != runs+1 || got != 3*(runs+1) {
+		t.Errorf("%d steady-state upper cycles allocate %d times (and %d cycles wrote %d checkpoints), want one per cycle",
+			runs+1, n, 3*(runs+1), got)
+	}
+	if upper.CapEvents()-caps < 2 || upper.UncapEvents()-uncaps < 2 || contracts-sent < 2 || releases-released < 2 {
+		t.Fatalf("%d caps, %d uncaps, %d contracts and %d releases in %d cycles: the upper did not contract and release",
+			upper.CapEvents()-caps, upper.UncapEvents()-uncaps, contracts-sent, releases-released, runs+1)
+	}
+}
+
+// fewestAllocs runs f three times and returns the fewest heap allocations
+// a run made. The runtime's own background work (after a collection, a
+// finalizer) allocates at moments no test controls, so the collector is
+// off while f runs, and only a count every run reaches is f's own.
+func fewestAllocs(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fewest := ^uint64(0)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+	}
+	return fewest
 }
 
 // TestAgentStateSize keeps agentState in the 208-byte size class: a leaf

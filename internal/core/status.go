@@ -87,7 +87,7 @@ func (k *cycleKernel) status(lastN int) ControllerStatus {
 		LimitWatts:    float64(k.limit),
 		EffLimitWatts: float64(k.EffectiveLimit()),
 		ContractWatts: float64(k.contract),
-		CappedServers: k.lvl.cappedCount(),
+		CappedServers: k.cappedCount(),
 		CapEvents:     k.capEvents,
 		UncapEvents:   k.uncapEvents,
 		Decisions:     lastDecisions(k.journal, lastN),

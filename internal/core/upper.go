@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"dynamo/internal/power"
@@ -9,7 +10,6 @@ import (
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
 	"dynamo/internal/telemetry"
-	"dynamo/internal/wire"
 )
 
 // UpperConfig configures an upper-level power controller (paper §III-D).
@@ -83,12 +83,11 @@ type childState struct {
 	pull
 	quota power.Watts
 
-	lastAgg    power.Watts
-	everSeen   bool
-	stale      bool
-	staleFor   int
-	contract   power.Watts
-	contracted bool
+	lastAgg  power.Watts
+	everSeen bool
+	stale    bool
+	staleFor int
+	contract power.Watts // what the child holds while capped
 
 	reading power.Watts // cycle-local
 }
@@ -103,39 +102,44 @@ type Upper struct {
 	list []*childState // the children in configuration order; every per-cycle loop walks this
 
 	// Reused across pulls by the observe phase (see the Leaf fields).
-	dec wire.Decoder
 	msg CtrlReadPowerResponse
 
-	// recentAgg holds the last few valid aggregates; cut sizing uses
-	// their mean so a single noisy 9 s sample cannot inflate the needed
-	// cut beyond the offenders' over-quota headroom.
-	recentAgg []power.Watts
+	// recentAgg is a ring of the last three valid aggregates, recentN of
+	// them filled and the next written at recentNext; cut sizing uses their
+	// mean so a single noisy 9 s sample cannot inflate the needed cut
+	// beyond the offenders' over-quota headroom.
+	recentAgg  [3]power.Watts
+	recentN    int
+	recentNext int
 	// holdoffUntil is the cycle count before which no further capping is
 	// issued, giving the previous action time to settle downstream.
 	holdoffUntil uint64
 
-	// cuts are the contracts this cycle's decide phase planned, in fixed
-	// child order, so the send order — and with it the RPC event sequence —
-	// is deterministic.
-	cuts []childCut
-}
-
-// childCut is one contract to issue.
-type childCut struct {
-	child    *childState
-	contract power.Watts
+	// Planning scratch, kept across cycles: per child (list order) its
+	// planned cut and whether the plan gave it a share (hit), the children
+	// in ID order, which is the order cuts are summed in, and the planner.
+	// The children hit are the ones act contracts, in list order, so the
+	// send order — and with it the RPC event sequence — is deterministic.
+	cut     []power.Watts
+	hit     []bool
+	byID    []int
+	planner planner
 }
 
 // NewUpper creates an upper-level controller over child controllers.
 func NewUpper(loop simclock.Loop, cfg UpperConfig, children []ChildRef) *Upper {
 	cfg.fillDefaults()
-	u := &Upper{cfg: cfg, list: make([]*childState, 0, len(children))}
-	pulls := make([]*pull, 0, len(children))
-	for _, c := range children {
+	n := len(children)
+	u := &Upper{cfg: cfg, list: make([]*childState, 0, n),
+		cut: make([]power.Watts, n), hit: make([]bool, n), byID: make([]int, n)}
+	pulls := make([]*pull, 0, n)
+	for i, c := range children {
 		st := &childState{pull: pull{id: c.ID, client: c.Client}, quota: c.Quota}
 		u.list = append(u.list, st)
 		pulls = append(pulls, &st.pull)
+		u.byID[i] = i
 	}
+	slices.SortFunc(u.byID, func(a, b int) int { return strings.Compare(u.list[a].id, u.list[b].id) })
 	u.init(loop, u, cycleConfig{
 		kind: "upper", pullMethod: MethodCtrlReadPower, pullOp: "child pull",
 		deviceID: cfg.DeviceID, limit: cfg.Limit, quota: cfg.Quota, bands: cfg.Bands,
@@ -149,21 +153,11 @@ func NewUpper(loop simclock.Loop, cfg UpperConfig, children []ChildRef) *Upper {
 func (u *Upper) ContractedChildren() []string {
 	var out []string
 	for _, st := range u.list {
-		if st.contracted {
+		if st.capped {
 			out = append(out, st.id)
 		}
 	}
 	return out
-}
-
-func (u *Upper) cappedCount() int {
-	n := 0
-	for _, st := range u.list {
-		if st.contracted {
-			n++
-		}
-	}
-	return n
 }
 
 // selectPulls: every child is pulled every cycle.
@@ -173,7 +167,6 @@ func (u *Upper) selectPulls() (skipped int) { return 0 }
 // (or whose own aggregation is invalid) is stale and counted at its
 // last-known value.
 func (u *Upper) aggregate(p *cyclePlan) (power.Watts, bool) {
-	u.cuts = u.cuts[:0]
 	for _, st := range u.list {
 		if !st.rawValid {
 			continue
@@ -232,15 +225,21 @@ func (u *Upper) aggregate(p *cyclePlan) (power.Watts, bool) {
 // cut, plans contracts punish-offender-first.
 func (u *Upper) decide(now time.Duration, p *cyclePlan) {
 	agg := p.rec.Agg
-	u.recentAgg = append(u.recentAgg, agg)
-	if len(u.recentAgg) > 3 {
-		u.recentAgg = u.recentAgg[1:]
+	u.recentAgg[u.recentNext] = agg
+	u.recentNext = (u.recentNext + 1) % len(u.recentAgg)
+	if u.recentN < len(u.recentAgg) {
+		u.recentN++
+	}
+	// Oldest first: the ring starts at slot 0 until it is full.
+	oldest := 0
+	if u.recentN == len(u.recentAgg) {
+		oldest = u.recentNext
 	}
 	var smoothed power.Watts
-	for _, v := range u.recentAgg {
-		smoothed += v
+	for i := 0; i < u.recentN; i++ {
+		smoothed += u.recentAgg[(oldest+i)%len(u.recentAgg)]
 	}
-	smoothed /= power.Watts(len(u.recentAgg))
+	smoothed /= power.Watts(u.recentN)
 
 	bands := u.effectiveBands()
 	p.rec.Action = bands.Decide(agg, p.capCount > 0)
@@ -276,81 +275,80 @@ func (u *Upper) planCap(p *cyclePlan, needed power.Watts) {
 	if needed <= 0 {
 		return
 	}
-	cuts := u.planChildCuts(needed)
+	u.planChildCuts(needed)
 	u.holdoffUntil = u.cycles + 2
-	// Sum in sorted child order: float addition is not associative, and
-	// the achieved total feeds shortfall alerts and the journal.
-	ids := make([]string, 0, len(cuts))
-	for id := range cuts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	// Sum in child-ID order: float addition is not associative, and the
+	// achieved total feeds shortfall alerts and the journal.
 	var achieved power.Watts
-	for _, id := range ids {
-		achieved += cuts[id]
+	planned := 0
+	for _, i := range u.byID {
+		if u.hit[i] {
+			achieved += u.cut[i]
+			planned++
+		}
 	}
 	shortfall := needed - achieved
 	if shortfall < 0 {
 		shortfall = 0
 	}
-	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = len(cuts), achieved, shortfall
+	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = planned, achieved, shortfall
 	p.planComputed = true
 	if u.dryRun {
-		p.alert(AlertInfo, "dry-run: would contract %d children", len(cuts))
+		p.alert(AlertInfo, "dry-run: would contract %d children", planned)
 		return
 	}
-	for _, st := range u.list {
-		cut, hit := cuts[st.id]
-		if !hit {
+	for i, st := range u.list {
+		if !u.hit[i] {
 			continue
 		}
-		contract := st.reading - cut
-		if st.contracted && st.contract < contract {
+		contract := st.reading - u.cut[i]
+		if st.capped && st.contract < contract {
 			contract = st.contract // never loosen mid-incident
 		}
 		st.contract = contract
-		st.contracted = true
-		u.cuts = append(u.cuts, childCut{child: st, contract: contract})
+		st.capped = true
 	}
 	p.capCount = u.cappedCount()
 	p.sendCaps = true
 }
 
-// planChildCuts distributes the needed cut: offenders first (down to their
-// quota), then, if still unmet, across all children high-bucket-first.
-func (u *Upper) planChildCuts(needed power.Watts) map[string]power.Watts {
-	cuts := map[string]power.Watts{}
+// planChildCuts distributes the needed cut into u.cut and u.hit: offenders
+// first (down to their quota), then, if still unmet, across all children
+// high-bucket-first.
+func (u *Upper) planChildCuts(needed power.Watts) {
+	clear(u.cut)
+	clear(u.hit)
 	remaining := needed
-
-	// Pass 1: offenders, high-bucket-first on overage, floored at quota.
-	var offenders []ServerState
-	for _, st := range u.list {
-		if st.quota > 0 && st.reading > st.quota {
-			offenders = append(offenders, ServerState{
-				ID:      st.id,
-				Service: "offender",
-				Power:   st.reading - st.quota, // overage
-			})
+	// add folds one pass's shares into the plan.
+	add := func(group []member) {
+		for _, m := range group {
+			if m.hit {
+				u.cut[m.i] += m.cut
+				u.hit[m.i] = true
+			}
 		}
 	}
-	if len(offenders) > 0 && remaining > 0 {
-		got, achieved := planGroup(offenders, remaining, u.cfg.OffenderBucket, 0)
-		for id, c := range got {
-			cuts[id] += c
+
+	// Pass 1: offenders, high-bucket-first on overage, floored at quota.
+	group := u.planner.members[:0]
+	for i, st := range u.list {
+		if st.quota > 0 && st.reading > st.quota {
+			group = append(group, member{power: st.reading - st.quota, i: int32(i)}) // overage
 		}
-		remaining -= achieved
+	}
+	if len(group) > 0 && remaining > 0 {
+		remaining -= u.planner.planGroup(group, remaining, u.cfg.OffenderBucket, 0)
+		add(group)
 	}
 
 	// Pass 2 (beyond the paper's example, needed when offenders alone
-	// cannot absorb the cut): all children, high-bucket-first on usage,
-	// floored at half their quota.
+	// cannot absorb the cut): all children in ID order, high-bucket-first
+	// on usage, floored at half their quota.
 	if remaining > power.Watts(1) {
-		var all []ServerState
-		for _, st := range u.list {
-			eff := st.reading - cuts[st.id]
-			all = append(all, ServerState{ID: st.id, Service: "child", Power: eff})
+		group = group[:0]
+		for _, i := range u.byID {
+			group = append(group, member{power: u.list[i].reading - u.cut[i], i: int32(i)})
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 		var floor power.Watts
 		for _, st := range u.list {
 			if q := st.quota; q > 0 {
@@ -360,12 +358,10 @@ func (u *Upper) planChildCuts(needed power.Watts) map[string]power.Watts {
 		if len(u.list) > 0 {
 			floor /= power.Watts(len(u.list))
 		}
-		got, _ := planGroup(all, remaining, u.cfg.OffenderBucket, floor)
-		for id, c := range got {
-			cuts[id] += c
-		}
+		u.planner.planGroup(group, remaining, u.cfg.OffenderBucket, floor)
+		add(group)
 	}
-	return cuts
+	u.planner.members = group
 }
 
 // act sends the planned contracts, or releases every contract on an uncap.
@@ -385,46 +381,24 @@ func (u *Upper) act(now time.Duration, p *cyclePlan, live bool) {
 	}
 }
 
-// sendContracts issues the planned contracts. Like every command
-// completion it is gated on the controller generation (see Leaf.sendCaps).
+// sendContracts issues the planned contracts.
 func (u *Upper) sendContracts(now time.Duration) {
-	gen := u.gen
-	for _, c := range u.cuts {
-		st := c.child
-		if u.tel != nil {
-			u.tel.contractIssued(u.cycles, now, st.id, c.contract)
+	for i, st := range u.list {
+		if !u.hit[i] {
+			continue
 		}
-		req := &SetContractRequest{LimitWatts: float64(c.contract)}
-		u.call(&st.pull, MethodCtrlSetContract, req, func(resp []byte, err error) {
-			if u.gen != gen {
-				return
-			}
-			var ack AckResponse
-			if derr := rpc.Decode(resp, err, &ack); derr != nil || !ack.OK {
-				u.commandFailed(&st.pull, "set contract", "contract", derr)
-			}
-		})
+		if u.tel != nil {
+			u.tel.contractIssued(u.cycles, now, st.id, st.contract)
+		}
+		u.send(&st.pull, opSetContract, st.contract)
 	}
 }
 
 // sendClearContracts releases all child contracts.
 func (u *Upper) sendClearContracts() {
-	gen := u.gen
 	for _, st := range u.list {
-		if !st.contracted {
-			continue
+		if st.capped {
+			u.send(&st.pull, opClearContract, 0)
 		}
-		u.call(&st.pull, MethodCtrlClearContract, rpc.Empty, func(resp []byte, err error) {
-			if u.gen != gen {
-				return
-			}
-			var ack AckResponse
-			if derr := rpc.Decode(resp, err, &ack); derr != nil || !ack.OK {
-				u.commandFailed(&st.pull, "clear contract", "clear contract", derr)
-				return
-			}
-			st.contracted = false
-			st.contract = 0
-		})
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"dynamo/internal/simclock"
 	"dynamo/internal/telemetry"
+	"dynamo/internal/wire"
 )
 
 // ErrFenced is returned for an append whose epoch has been superseded by
@@ -145,6 +146,10 @@ type Store struct {
 	// snapshot catch-up path instead. 0 disables the bound. NewStore
 	// installs DefaultMaxRetain.
 	MaxRetain int
+
+	// enc is the scratch every writer encodes its payloads through
+	// (Writer.Encoder); its bytes are copied into each entry.
+	enc wire.Encoder
 
 	tel *storeInstr
 }

@@ -1,5 +1,7 @@
 package statestore
 
+import "dynamo/internal/wire"
+
 // DefaultSnapshotEvery is how many delta appends a writer makes before it
 // must write a full snapshot again. With the controllers' 512-record
 // journal ring this keeps each retained window at ~128 entries while a
@@ -11,7 +13,7 @@ const DefaultSnapshotEvery = 128
 // Writer is a controller's handle on its own device stream in a local
 // store. It owns the epoch/sequence bookkeeping so the controller's act
 // phase reduces to: decide snapshot-vs-delta via SnapshotDue, encode the
-// payload, Append. Writers are loop-confined like the store.
+// payload into Encoder, Append. Writers are loop-confined like the store.
 //
 // Acquisition is lazy: the epoch is claimed on the first Append, not at
 // construction, so building a standby controller (whose writer stays
@@ -58,8 +60,22 @@ func (w *Writer) SnapshotDue() bool {
 	return w.next == 0 || w.sinceSnp >= w.every
 }
 
+// Encoder returns the store's payload encoder, emptied. A writer encodes
+// its next payload into it and passes Bytes to Append. Every writer of the
+// store shares the one encoder (they all run on the store's loop), so the
+// buffer a full snapshot grows is held once per store, not once per
+// controller.
+func (w *Writer) Encoder() *wire.Encoder {
+	e := &w.store.enc
+	e.Reset()
+	return e
+}
+
 // Append writes one checkpoint entry, acquiring the stream on first use.
-// On ErrFenced the writer latches Fenced and refuses further appends.
+// The entry keeps a copy of payload, exactly its size, so the caller may
+// reuse payload's storage (Encoder's bytes are only valid until the next
+// Encoder call). On ErrFenced the writer latches Fenced and refuses
+// further appends.
 //
 //dynamo:serial
 func (w *Writer) Append(kind Kind, cycles uint64, payload []byte) error {
@@ -75,7 +91,7 @@ func (w *Writer) Append(kind Kind, cycles uint64, payload []byte) error {
 		Seq:     w.next,
 		Kind:    kind,
 		Cycles:  cycles,
-		Payload: payload,
+		Payload: append(make([]byte, 0, len(payload)), payload...),
 	})
 	if err != nil {
 		if isFenced(err) {
