@@ -128,6 +128,7 @@ type AgentRef struct {
 type agentState struct {
 	pull
 	service    string
+	svc        int // service's index in Leaf.services
 	generation string
 
 	lastPower float64
@@ -156,6 +157,18 @@ type leaseRenewal struct {
 	done func([]byte, error) // r.acked, bound once
 }
 
+// serviceAgg is one service's figures. sum and cnt are this cycle's
+// responders, for failure estimation; last and held are what the last
+// aggregate found over every agent (ServiceBreakdown).
+type serviceAgg struct {
+	name     string
+	priority int // cfg.Priorities.priorityOf(name)
+	sum      float64
+	cnt      int
+	last     power.Watts // readings and estimates summed over the agents that had this service
+	held     int         // how many agents had it; 0 leaves it out of the breakdown
+}
+
 // Leaf is a leaf power controller: the cycle kernel over server agents,
 // with failure estimation, per-agent quarantine, priority-aware capping
 // plans and cap leases. Like the kernel it is confined to its event loop.
@@ -170,7 +183,11 @@ type Leaf struct {
 	msg      agent.ReadPowerResponse
 	renewReq agent.RenewLeaseRequest // what every renewal sends; retries re-send it, so it never changes
 
-	lastService map[string]power.Watts
+	// Services by index, interned by NewLeaf and by aggregate when a reply
+	// names one not seen before: every per-service figure of a cycle is a
+	// field of one of these, found by agentState.svc.
+	services []serviceAgg
+	svcIndex map[string]int
 
 	// planner computes the capping plan in scratch kept across cycles;
 	// caps are the members it cuts, which act sends.
@@ -191,16 +208,16 @@ type Leaf struct {
 func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 	cfg.fillDefaults()
 	l := &Leaf{
-		cfg:         cfg,
-		list:        make([]*agentState, 0, len(agents)),
-		lastService: map[string]power.Watts{},
-		renewReq:    agent.RenewLeaseRequest{LeaseNanos: uint64(cfg.CapLeaseTTL)},
+		cfg:      cfg,
+		list:     make([]*agentState, 0, len(agents)),
+		svcIndex: map[string]int{},
+		renewReq: agent.RenewLeaseRequest{LeaseNanos: uint64(cfg.CapLeaseTTL)},
 	}
 	pulls := make([]*pull, 0, len(agents))
 	for _, a := range agents {
 		st := &agentState{
 			pull:    pull{id: a.ServerID, client: a.Client},
-			service: a.Service, generation: a.Generation,
+			service: a.Service, svc: l.intern(a.Service), generation: a.Generation,
 		}
 		l.list = append(l.list, st)
 		pulls = append(pulls, &st.pull)
@@ -218,6 +235,17 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 	return l
 }
 
+// intern returns service's index in l.services, adding it if it is new.
+func (l *Leaf) intern(service string) int {
+	i, ok := l.svcIndex[service]
+	if !ok {
+		i = len(l.services)
+		l.svcIndex[service] = i
+		l.services = append(l.services, serviceAgg{name: service, priority: l.cfg.Priorities.priorityOf(service)})
+	}
+	return i
+}
+
 // QuarantinedCount returns how many agents are currently quarantined by
 // the circuit breaker.
 func (l *Leaf) QuarantinedCount() int {
@@ -233,11 +261,14 @@ func (l *Leaf) QuarantinedCount() int {
 // CappedCount returns how many servers currently hold a cap we sent.
 func (l *Leaf) CappedCount() int { return l.cappedCount() }
 
-// ServiceBreakdown returns the last cycle's per-service power.
+// ServiceBreakdown returns the last cycle's per-service power, over the
+// services some agent had.
 func (l *Leaf) ServiceBreakdown() map[string]power.Watts {
-	out := make(map[string]power.Watts, len(l.lastService))
-	for k, v := range l.lastService {
-		out[k] = v
+	out := map[string]power.Watts{}
+	for i := range l.services {
+		if s := &l.services[i]; s.held > 0 {
+			out[s.name] = s.last
+		}
 	}
 	return out
 }
@@ -328,7 +359,9 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			st.reading = r.TotalWatts
 			st.lastPower = r.TotalWatts
 			st.everSeen = true
-			st.service = r.Service
+			if r.Service != st.service {
+				st.service, st.svc = r.Service, l.intern(r.Service)
+			}
 			st.generation = r.Generation
 			st.capped = r.Capped
 		}
@@ -376,14 +409,17 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 	// invalid-aggregation fraction: the breaker already bounded the
 	// unknown, and flooding every cycle with invalid alerts for a known
 	// outage would hide real incidents (no invalid-cycle flood).
-	var serviceSum = map[string]float64{}
-	var serviceCnt = map[string]int{}
+	svcs := l.services
+	for i := range svcs {
+		s := &svcs[i]
+		s.sum, s.cnt, s.last, s.held = 0, 0, 0, 0
+	}
 	failures := 0
 	for _, st := range l.list {
 		switch {
 		case st.ok:
-			serviceSum[st.service] += st.reading
-			serviceCnt[st.service]++
+			svcs[st.svc].sum += st.reading
+			svcs[st.svc].cnt++
 		case st.quarantined:
 			l.quarantinedNow++
 		default:
@@ -391,11 +427,11 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 		}
 	}
 	total := float64(l.cfg.NonServerDraw)
-	clear(l.lastService)
 	for _, st := range l.list {
+		s := &svcs[st.svc]
 		if !st.ok {
-			if cnt := serviceCnt[st.service]; cnt > 0 && st.service != "" {
-				st.reading = serviceSum[st.service] / float64(cnt)
+			if s.cnt > 0 && st.service != "" {
+				st.reading = s.sum / float64(s.cnt)
 			} else if st.everSeen {
 				st.reading = st.lastPower
 			} else {
@@ -403,7 +439,8 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			}
 		}
 		total += st.reading
-		l.lastService[st.service] += power.Watts(st.reading)
+		s.last += power.Watts(st.reading)
+		s.held++
 	}
 
 	p.rec.Failures = failures
@@ -475,7 +512,7 @@ func (l *Leaf) planCap(p *cyclePlan) {
 	}
 	l.planner.start(len(l.list))
 	for i, st := range l.list {
-		l.planner.add(i, l.cfg.Priorities.priorityOf(st.service), power.Watts(st.reading))
+		l.planner.add(i, l.services[st.svc].priority, power.Watts(st.reading))
 	}
 	achieved, shortfall, caps := l.planner.plan(totalCut, l.cfg.Priorities, func(i int) string { return l.list[i].id })
 	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = len(caps), achieved, shortfall

@@ -98,8 +98,8 @@ func (k *cycleKernel) status(lastN int) ControllerStatus {
 // records (lastN <= 0 returns all retained records). Loop-confined.
 func (l *Leaf) Status(lastN int) ControllerStatus {
 	s := l.status(lastN)
-	s.ServiceWatts = make(map[string]float64, len(l.lastService))
-	for k, v := range l.lastService {
+	s.ServiceWatts = map[string]float64{}
+	for k, v := range l.ServiceBreakdown() {
 		s.ServiceWatts[k] = float64(v)
 	}
 	return s

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynamo/internal/noise"
@@ -63,16 +64,18 @@ func Partition(peerGlob string, from, until time.Duration) Rule {
 }
 
 // Injector applies fault rules to wrapped clients. Safe for concurrent
-// use, except that a wrapped client's Call runs on the loop goroutine, as
-// the timers it arms must.
+// use, except that a wrapped client's Call and a wrapped handler run on
+// the loop goroutine: the timers a call arms must, and the call indices
+// they advance are loop-confined.
 type Injector struct {
 	loop simclock.Loop
 	seed int64
 
-	mu    sync.Mutex
-	rules []Rule
-	calls map[callKey]*counter // per-(peer, method) call index, shared by every wrapper of the peer
-	free  *lapse               // idle records of dropped calls; loop-confined, like the timers they arm
+	mu     sync.Mutex
+	rules  []Rule
+	nrules atomic.Int64          // len(rules), read without mu by every call
+	peers  map[string]*peerIndex // per-(peer, method) call indices, shared by every wrapper of the peer
+	free   *lapse                // idle records of dropped calls; loop-confined, like the timers they arm
 
 	dropped    uint64
 	delayed    uint64
@@ -83,7 +86,7 @@ type Injector struct {
 
 // New builds an injector. sink may be nil (no metrics).
 func New(loop simclock.Loop, seed int64, sink *telemetry.Sink) *Injector {
-	in := &Injector{loop: loop, seed: seed, calls: make(map[callKey]*counter)}
+	in := &Injector{loop: loop, seed: seed, peers: make(map[string]*peerIndex)}
 	if sink != nil {
 		in.tel = newFaultInstr(sink)
 	}
@@ -95,6 +98,7 @@ func New(loop simclock.Loop, seed int64, sink *telemetry.Sink) *Injector {
 func (in *Injector) Add(rules ...Rule) {
 	in.mu.Lock()
 	in.rules = append(in.rules, rules...)
+	in.nrules.Store(int64(len(in.rules)))
 	in.mu.Unlock()
 }
 
@@ -129,7 +133,7 @@ func (in *Injector) Counts() (dropped, delayed, duplicated uint64) {
 // WrapClient routes every call on c through the fault schedule, keyed by
 // the given peer address.
 func (in *Injector) WrapClient(peer string, c rpc.Client) rpc.Client {
-	return &faultClient{in: in, idx: callIndex{peer: peer}, next: c}
+	return &faultClient{in: in, idx: in.index(peer), next: c}
 }
 
 // WrapHandler applies the schedule on the server side, keyed by the
@@ -140,7 +144,7 @@ func (in *Injector) WrapClient(peer string, c rpc.Client) rpc.Client {
 // out non-idempotent handlers. Delay rules are ignored here: a handler
 // must not block its loop.
 func (in *Injector) WrapHandler(peer string, h rpc.Handler) rpc.Handler {
-	idx := &callIndex{peer: peer}
+	idx := in.index(peer)
 	return func(method string, body []byte) (wire.Message, error) {
 		v := in.verdict(idx, method)
 		if v.drop {
@@ -165,64 +169,81 @@ type verdict struct {
 	dup   bool
 }
 
-// callKey names a call index by the wrapper's peer and the caller's method.
-type callKey struct{ peer, method string }
-
 // counter is one (peer, method)'s call index n, beside the start of every
-// draw's hash for the pair (Injector.prefix; the seed is fixed at New).
-type counter struct{ n, prefix uint64 }
+// draw's hash for the pair (methodPrefix; the seed is fixed at New).
+type counter struct {
+	method    string
+	n, prefix uint64
+}
 
-// callIndex is one wrapper's view of the injector's per-(peer, method)
-// call indices: it remembers where the shared counter of each method it
-// has seen lives, so a call finds it without hashing the (peer, method)
-// key. A peer is called with a handful of methods; a linear scan over
-// them beats hashing the key. Guarded by Injector.mu.
-type callIndex struct {
+// peerIndex is one peer's per-method call indices. Every wrapper of the
+// peer shares it, and it is made when the first one is, so a call finds
+// its counter by scanning a handful of methods, and the first call of a
+// method claims a counter without allocating: methods is backed by inline
+// until a fifth method spills it to a slice of its own (an agent is called
+// with four). Loop-confined, like the calls that advance it.
+type peerIndex struct {
 	peer    string
-	methods []string
-	counts  []*counter
+	hash    uint64    // peerHash(peer): what every method's prefix starts from
+	methods []counter // in the order they were first called
+	inline  [4]counter
+}
+
+// index returns peer's call index, making it on first use.
+func (in *Injector) index(peer string) *peerIndex {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	pi := in.peers[peer]
+	if pi == nil {
+		pi = &peerIndex{peer: peer, hash: in.peerHash(peer)}
+		pi.methods = pi.inline[:0]
+		in.peers[peer] = pi
+	}
+	return pi
 }
 
 // next returns this call's index and its pair's hash prefix, and advances
-// the shared counter.
-func (ci *callIndex) next(in *Injector, method string) (n, prefix uint64) {
+// the pair's counter.
+func (pi *peerIndex) next(method string) (n, prefix uint64) {
 	var c *counter
-	for i, m := range ci.methods {
-		if m == method {
-			c = ci.counts[i]
+	for i := range pi.methods {
+		if pi.methods[i].method == method {
+			c = &pi.methods[i]
 			break
 		}
 	}
 	if c == nil {
-		key := callKey{ci.peer, method}
-		if c = in.calls[key]; c == nil {
-			c = &counter{prefix: in.prefix(ci.peer, method)}
-			in.calls[key] = c
-		}
-		ci.methods, ci.counts = append(ci.methods, method), append(ci.counts, c)
+		pi.methods = append(pi.methods, counter{method: method, prefix: methodPrefix(pi.hash, method)})
+		c = &pi.methods[len(pi.methods)-1]
 	}
 	c.n++
 	return c.n - 1, c.prefix
 }
 
-// prefix hashes what every draw for the pair starts from.
-func (in *Injector) prefix(peer, method string) uint64 {
-	return noise.Mix64(noise.Mix64(uint64(in.seed)^noise.FNV64a(peer)) ^ noise.FNV64a(method))
+// peerHash and methodPrefix hash what every draw for a (peer, method) pair
+// starts from: Mix64(Mix64(seed ^ FNV(peer)) ^ FNV(method)).
+func (in *Injector) peerHash(peer string) uint64 {
+	return noise.Mix64(uint64(in.seed) ^ noise.FNV64a(peer))
+}
+
+func methodPrefix(peerHash uint64, method string) uint64 {
+	return noise.Mix64(peerHash ^ noise.FNV64a(method))
 }
 
 // verdict draws this call's fate from the schedule. The per-(peer,
 // method) call index advances on every call — matched or not — so adding
 // a rule for one peer never shifts another peer's draws, and a rule added
 // mid-run finds every index where the calls so far left it. With no rules
-// that increment, under the lock, is all a call costs.
-func (in *Injector) verdict(ci *callIndex, method string) verdict {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n, prefix := ci.next(in, method)
-	if len(in.rules) == 0 {
+// that increment and one atomic load are all a call costs; the lock is
+// taken only to read the rules.
+func (in *Injector) verdict(pi *peerIndex, method string) verdict {
+	n, prefix := pi.next(method)
+	if in.nrules.Load() == 0 {
 		return verdict{}
 	}
-	return in.draw(ci.peer, method, n, prefix)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.draw(pi.peer, method, n, prefix)
 }
 
 // draw evaluates the schedule for the n-th call of method to peer (hash
@@ -279,13 +300,13 @@ func matchGlob(pattern, s string) bool {
 // faultClient is the client-side wrapper.
 type faultClient struct {
 	in   *Injector
-	idx  callIndex
+	idx  *peerIndex
 	next rpc.Client
 }
 
 // Call implements rpc.Client, applying the schedule before delegating.
 func (c *faultClient) Call(method string, req wire.Message, timeout time.Duration, done func([]byte, error)) {
-	v := c.in.verdict(&c.idx, method)
+	v := c.in.verdict(c.idx, method)
 	if v == (verdict{}) {
 		c.next.Call(method, req, timeout, done)
 		return

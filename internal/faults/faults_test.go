@@ -2,8 +2,10 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,24 +323,32 @@ func (k keyedIndex) verdict(in *Injector, peer, method string) verdict {
 	if len(in.rules) == 0 {
 		return verdict{}
 	}
-	return in.draw(peer, method, n, in.prefix(peer, method))
+	return in.draw(peer, method, n, methodPrefix(in.peerHash(peer), method))
 }
 
 // TestCallIndexMatchesKeyedMap: calls made while the schedule is empty
 // still advance the shared per-(peer, method) index, so a rule added
 // mid-run draws exactly what it drew when every call looked the index up
-// by key — also when two wrappers (and a wrapped handler) share a peer.
+// by key — also when two wrappers (and a wrapped handler) share a peer,
+// and for methods past the four a peer's index holds inline.
 func TestCallIndexMatchesKeyedMap(t *testing.T) {
 	loop := simclock.NewSimLoop()
 	in := New(loop, 42, nil)
 	ref := keyedIndex{}
-	wrappers := []*callIndex{
-		&in.WrapClient("agent/a1", nil).(*faultClient).idx,
-		&in.WrapClient("agent/a1", nil).(*faultClient).idx, // second wrapper, same peer
-		&in.WrapClient("agent/a2", nil).(*faultClient).idx,
-		{peer: "agent/a1"}, // what WrapHandler holds
+	a1 := in.WrapClient("agent/a1", nil).(*faultClient).idx
+	wrappers := []*peerIndex{
+		a1,
+		in.WrapClient("agent/a1", nil).(*faultClient).idx, // second wrapper, same peer
+		in.WrapClient("agent/a2", nil).(*faultClient).idx,
+		in.index("agent/a1"), // what WrapHandler holds
 	}
-	methods := []string{"Agent.ReadPower", "Agent.SetCap", "Agent.RenewLease"}
+	if wrappers[1] != a1 || wrappers[3] != a1 {
+		t.Fatal("wrappers of one peer hold different call indices")
+	}
+	if a1.methods == nil || &a1.methods[:1][0] != &a1.inline[0] {
+		t.Fatal("a fresh index does not count into its inline slots")
+	}
+	methods := []string{agent.MethodReadPower, agent.MethodSetCap, agent.MethodRenewLease}
 	rng := rand.New(rand.NewSource(3))
 	drive := func(n int) (drops int) {
 		for i := 0; i < n; i++ {
@@ -357,17 +367,66 @@ func TestCallIndexMatchesKeyedMap(t *testing.T) {
 	if drops := drive(500); drops != 0 {
 		t.Fatalf("%d drops with no rules", drops)
 	}
-	in.Add(Rule{Peer: "agent/*", Method: "Agent.ReadPower", DropP: 0.5},
-		Rule{Peer: "agent/a1", DelayJitter: 5 * time.Millisecond, DupP: 0.1})
-	if drops := drive(2000); drops < 200 {
-		t.Fatalf("only %d of ~670 ReadPower calls dropped under a 50%% rule", drops)
+	// Two more methods: a1 fills its four inline slots and spills.
+	methods = append(methods, agent.MethodClearCap, "Probe.Fifth", "Probe.Sixth")
+	if drops := drive(500); drops != 0 {
+		t.Fatalf("%d drops with no rules", drops)
+	}
+	if len(a1.methods) != 6 || &a1.methods[0] == &a1.inline[0] {
+		t.Fatalf("agent/a1 counts %d methods, inline=%v; want 6, spilled", len(a1.methods), &a1.methods[0] == &a1.inline[0])
+	}
+	in.Add(Rule{Peer: "agent/*", Method: agent.MethodReadPower, DropP: 0.5},
+		Rule{Peer: "agent/a1", DelayJitter: 5 * time.Millisecond, DupP: 0.1},
+		Rule{Peer: "agent/a2", Method: "Probe.*", DropP: 0.3})
+	if drops := drive(3000); drops < 200 {
+		t.Fatalf("only %d of ~500 ReadPower calls dropped under a 50%% rule", drops)
+	}
+}
+
+// TestRulesFromAnotherGoroutine: Add and Counts may be called off the
+// loop while the loop calls through wrapped clients, whose zero-rule path
+// takes no lock. Run under -race. (Heal reads the loop's clock, which a
+// SimLoop keeps for its own goroutine.)
+func TestRulesFromAnotherGoroutine(t *testing.T) {
+	h := newHarness(t, 9)
+	var progress atomic.Int64 // calls completed; rules arrive in the second half
+	stop := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		added := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if added < 10 && progress.Load() >= 1000+int64(100*added) {
+				h.inj.Add(Rule{Peer: "agent/a1", Method: "Echo", DropP: 0.01})
+				added++
+			}
+			h.inj.Counts()
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if _, err := h.call(t, 5*time.Millisecond); err != nil && !errors.Is(err, rpc.ErrTimeout) {
+			t.Errorf("call %d: %v", i, err)
+		}
+		progress.Store(int64(i + 1))
+	}
+	close(stop)
+	<-finished
+	if dropped, _, _ := h.inj.Counts(); int(dropped)+h.served != 2000 {
+		t.Fatalf("%d dropped + %d served, want 2000 calls", dropped, h.served)
 	}
 }
 
 // TestZeroRulePullAllocs: a steady-state ReadPower round trip over the
 // in-proc transport, through a fault wrapper with no rules, allocates
 // nothing: the agent reuses its reply, the transport its call record, and
-// this caller its completion (as a controller does).
+// this caller its completion (as a controller does). Nor does the first
+// call of each of the agent's four methods through a fresh wrapper: its
+// peer's call index was made at wrap time.
 func TestZeroRulePullAllocs(t *testing.T) {
 	loop := simclock.NewSimLoop()
 	net := rpc.NewNetwork(loop, 2*time.Millisecond, 7)
@@ -378,7 +437,8 @@ func TestZeroRulePullAllocs(t *testing.T) {
 	host.Tick(0)
 	ag := agent.New("s1", "web", "haswell2015", platform.NewMSR(host, platform.Options{Seed: 1}))
 	net.Register("agent/s1", ag.Handler())
-	client := New(loop, 1, nil).WrapClient("agent/s1", net.Dial("agent/s1"))
+	inj := New(loop, 1, nil)
+	client := inj.WrapClient("agent/s1", net.Dial("agent/s1"))
 	var decoder wire.Decoder
 	var reading agent.ReadPowerResponse
 	ok := 0
@@ -399,6 +459,37 @@ func TestZeroRulePullAllocs(t *testing.T) {
 	}
 	if ok != 202 {
 		t.Fatalf("%d of 202 pulls returned a reading", ok)
+	}
+
+	// Fresh wrappers, each the first of its peer, made up front (set-up);
+	// every run calls all four methods through the next one.
+	const runs = 50
+	fresh := make([]rpc.Client, runs+1)
+	for i := range fresh {
+		fresh[i] = inj.WrapClient(fmt.Sprintf("agent/fresh%d", i), net.Dial("agent/s1"))
+	}
+	setCap, renew := &agent.SetCapRequest{LimitWatts: 150}, &agent.RenewLeaseRequest{}
+	errs := 0
+	ack := func(_ []byte, err error) {
+		if err != nil {
+			errs++
+		}
+	}
+	next := 0
+	first := func() {
+		c := fresh[next]
+		next++
+		c.Call(agent.MethodReadPower, rpc.Empty, time.Second, ack)
+		c.Call(agent.MethodSetCap, setCap, time.Second, ack)
+		c.Call(agent.MethodRenewLease, renew, time.Second, ack)
+		c.Call(agent.MethodClearCap, rpc.Empty, time.Second, ack)
+		loop.RunFor(10 * time.Millisecond)
+	}
+	if n := testing.AllocsPerRun(runs, first); n != 0 {
+		t.Errorf("the first call of each agent method through a fresh wrapper allocates %v, want 0", n)
+	}
+	if errs != 0 || next != runs+1 {
+		t.Fatalf("%d of %d first calls failed", errs, 4*next)
 	}
 }
 
@@ -428,7 +519,7 @@ func TestPrefixedDrawsMatchOracle(t *testing.T) {
 		in := New(simclock.NewSimLoop(), seed, nil)
 		peer, method := str(), str()
 		n, salt := rng.Uint64()>>uint(rng.Intn(64)), uint64(rng.Intn(64))<<8|uint64(1+rng.Intn(3))
-		got := unit(noise.Mix64(in.prefix(peer, method)^n), salt)
+		got := unit(noise.Mix64(methodPrefix(in.peerHash(peer), method)^n), salt)
 		if want := unitOracle(seed, peer, method, n, salt); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("seed %d peer %q method %q n %d salt %#x: draw %v, oracle %v", seed, peer, method, n, salt, got, want)
 		}

@@ -27,10 +27,14 @@ type Network struct {
 	endpoints map[string]Handler
 	gen       atomic.Uint64 // bumped under mu by every Register and Unregister
 
-	// Loop-confined: the free list of call records, and the scratch
-	// encoder every request and response is marshalled through.
-	free *call
-	enc  wire.Encoder
+	// Loop-confined: the free lists of call and burst records, the open
+	// bursts (the last armed for deliveries and for replies, possibly run
+	// since), and the scratch encoder every request and response is
+	// marshalled through.
+	free                *call
+	spare               *burst
+	deliveries, replies *burst
+	enc                 wire.Encoder
 }
 
 // NewNetwork creates an in-process network with the given one-way latency
@@ -93,27 +97,43 @@ func (c *inprocClient) handler() Handler {
 const respBufSize = 96
 
 // call is one in-flight in-proc call. Records are pooled on Network.free,
-// so a steady-state call allocates nothing of its own: the step timer is
-// embedded and armed in place, its callback is bound once when the record
-// is made, and request and response are marshalled into buffers the record
-// keeps. A record goes back to the free list only when done has run and
-// none of its events is still queued (DESIGN.md, "Pull path").
+// so a steady-state call allocates nothing of its own: its delivery and
+// reply steps run from bursts, its deadline callback is bound once when
+// the record is made, and request and response are marshalled into
+// buffers the record keeps. A record goes back to the free list only when
+// done has run and no step of it is still queued (DESIGN.md, "Pull path").
 type call struct {
 	c      *inprocClient
 	method string
 	done   func([]byte, error)
 
-	step               simclock.Timer  // the delivery event, then re-armed as the reply event
-	deadline           *simclock.Timer // nil unless the deadline can fire first (Call)
-	onDeadline, onStep func()
+	deadline   *simclock.Timer // nil unless the deadline can fire first (Call)
+	onDeadline func()
 
 	req, resp []byte // resp is marshalled at delivery and handed to done at reply
 	err       error  // the handler's error, as the caller will see it
-	next      *call  // free-list link
+	next      *call  // free-list link, and burst link while a step is queued
 
 	finished bool // done has been invoked
-	queued   bool // the step event is on the loop
+	queued   bool // a step is in a burst
 	replying bool // ... and it is the reply
+}
+
+// burst is one loop event that runs the steps — deliveries or replies —
+// of calls due at one instant, in the order they were queued. A step
+// joins a burst only while its timer is the last one queued for that
+// instant (Timer.Last), so the steps of a burst are exactly a run of
+// events that would have been adjacent in the loop's lane, and one event
+// running them in list order runs them exactly where an event per step
+// would. Records are pooled on Network.spare, timer embedded and callback
+// bound once.
+type burst struct {
+	n          *Network
+	t          simclock.Timer
+	at         time.Duration // the instant t is armed for
+	head, tail *call         // the queued steps, linked through call.next
+	fire       func()        // b.fired
+	next       *burst        // spare-list link
 }
 
 // Call implements Client.
@@ -126,7 +146,7 @@ func (c *inprocClient) Call(method string, req wire.Message, timeout time.Durati
 	r := n.free
 	if r == nil {
 		r = &call{}
-		r.onDeadline, r.onStep = r.deadlineFired, r.stepFired
+		r.onDeadline = r.deadlineFired
 	} else {
 		n.free = r.next
 	}
@@ -138,7 +158,46 @@ func (c *inprocClient) Call(method string, req wire.Message, timeout time.Durati
 		r.deadline = n.loop.After(timeout, r.onDeadline)
 	}
 	r.req = n.enc.AppendMarshal(r.req[:0], req)
-	n.loop.Arm(&r.step, n.latency, r.onStep)
+	n.enqueue(&n.deliveries, r)
+}
+
+// enqueue queues r's next step latency from now: in the open burst *open
+// if that is due at the same instant and still the last event queued for
+// it, else in a new burst, which becomes *open.
+func (n *Network) enqueue(open **burst, r *call) {
+	at := n.loop.Now() + n.latency
+	b := *open
+	if b == nil || b.at != at || !b.t.Last() {
+		if b = n.spare; b != nil {
+			n.spare = b.next
+		} else {
+			b = &burst{n: n}
+			b.fire = b.fired
+		}
+		b.at = at
+		n.loop.Arm(&b.t, n.latency, b.fire)
+		*open = b
+	}
+	r.next = nil
+	if b.tail != nil {
+		b.tail.next = r
+	} else {
+		b.head = r
+	}
+	b.tail = r
+}
+
+// fired runs the burst's steps. The record is freed first, so a step that
+// queues the next one (a delivery queueing its reply) may reuse it.
+func (b *burst) fired() {
+	n, r := b.n, b.head
+	b.head, b.tail = nil, nil
+	b.next, n.spare = n.spare, b
+	for r != nil {
+		next := r.next // the step may link r into another burst
+		r.step()
+		r = next
+	}
 }
 
 // finish completes the call exactly once: whichever of the deadline and
@@ -155,8 +214,8 @@ func (r *call) finish(resp []byte, err error) {
 	r.done(resp, err)
 }
 
-// recycle frees the record unless its step event is still queued (a call
-// that timed out before delivery or reply).
+// recycle frees the record unless a step is still queued (a call that
+// timed out before delivery or reply).
 func (r *call) recycle() {
 	if r.queued {
 		return
@@ -172,7 +231,9 @@ func (r *call) deadlineFired() {
 	r.recycle()
 }
 
-func (r *call) stepFired() {
+// step runs the call's queued step: the delivery, which queues the reply,
+// or the reply.
+func (r *call) step() {
 	n := r.c.net
 	if r.replying {
 		r.queued = false
@@ -204,7 +265,7 @@ func (r *call) stepFired() {
 		r.resp = n.enc.AppendMarshal(r.resp[:0], resp)
 	}
 	r.replying = true
-	n.loop.Arm(&r.step, n.latency, r.onStep)
+	n.enqueue(&n.replies, r)
 }
 
 // Close implements Client.

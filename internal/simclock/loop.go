@@ -23,7 +23,7 @@ type Loop interface {
 	// possible, in scheduling order. The returned Timer can be stopped.
 	After(d time.Duration, f func()) *Timer
 	// Arm is After on a Timer the caller owns — typically a field of a
-	// longer-lived struct such as an RPC call record — so scheduling
+	// longer-lived struct such as an RPC burst record — so scheduling
 	// allocates nothing. It orders against After exactly as another After
 	// would. Arming a timer that is still queued reschedules it; a timer
 	// may be re-armed from its own callback. The Timer must not be copied
@@ -46,7 +46,7 @@ type Loop interface {
 //
 // Timer is 48 bytes and must stay in that allocation size class. The links
 // make SimLoop's queue one FIFO lane per instant. Recurring events embed
-// their timer (pull path, Ticker, agent lease, cohort flush), so After —
+// their timer (pull bursts, Ticker, agent lease, cohort flush), so After —
 // and a Timer allocated per event — is left to rare paths: faults,
 // retries, failover, rollout, Sim.At. Eager removal is a method on the
 // loop (Loop.Cancel) rather than a loop pointer in the timer.
@@ -72,6 +72,14 @@ func (t *Timer) Stop() bool {
 
 // Stopped reports whether Stop was called before the callback ran.
 func (t *Timer) Stopped() bool { return t != nil && t.stopped }
+
+// Last reports whether t is queued as the last timer of its instant, so
+// that a timer armed for that instant now would run right after it. On a
+// SimLoop that holds while t is the tail of its instant's lane: not once
+// it has run or been cancelled, nor after another timer, stopped or not,
+// was armed behind it. A WallLoop keeps no lanes; there Last is always
+// false. Must be called from the loop goroutine.
+func (t *Timer) Last() bool { return t.lane != nil && t.lane.tail == t }
 
 // Ticker repeatedly invokes a callback at a fixed period on a Loop. It is
 // the building block for control cycles (the 3 s leaf pull cycle, the 9 s

@@ -16,9 +16,12 @@ import (
 // The queue is one FIFO lane per pending instant, and a heap of lanes
 // ordered by instant. Every arming is later than every timer already
 // queued, so appending to the tail of its instant's lane keeps each lane in
-// scheduling order without a sequence number. A leaf's pull burst — every
-// agent's delivery, then every reply, due at one instant — is one lane, so
-// an event costs a few pointer writes however many share its instant.
+// scheduling order without a sequence number, and makes "the last timer
+// of its instant" a question one pointer answers (Timer.Last). That is
+// how rpc.Network turns a leaf's pull burst — every agent's delivery, then
+// every reply, due at one instant — into one event per burst: a step joins
+// the burst's event only while nothing else is queued behind it, so the
+// steps run exactly where events of their own would have.
 //
 // SimLoop is not itself goroutine-safe except for Post, which may be called
 // from other goroutines (e.g. a TCP reader feeding a simulated controller in

@@ -158,6 +158,59 @@ func TestWallLoopArmRearmAndCancel(t *testing.T) {
 	}
 }
 
+// TestTimerLast: Last holds while a timer is the tail of its instant's
+// lane — not before it is armed, not once another timer (stopped or not)
+// queues behind it, again once that one is cancelled or the timer is
+// re-armed behind it, and never after it has run. A WallLoop has no lanes.
+func TestTimerLast(t *testing.T) {
+	l := NewSimLoop()
+	var a, b, c Timer
+	nop := func() {}
+	check := func(where string, want ...bool) {
+		t.Helper()
+		for i, tm := range []*Timer{&a, &b, &c} {
+			if got := tm.Last(); got != want[i] {
+				t.Fatalf("%s: timer %d Last = %v, want %v", where, i, got, want[i])
+			}
+		}
+	}
+	check("unarmed", false, false, false)
+	l.Arm(&a, time.Second, nop)
+	l.Arm(&c, 2*time.Second, nop) // another instant: its own lane
+	check("armed", true, false, true)
+	l.Arm(&b, time.Second, nop)
+	check("b queued behind a", false, true, true)
+	b.Stop()
+	check("b stopped, still queued", false, true, true)
+	l.Cancel(&b)
+	check("b cancelled", true, false, true)
+	l.Arm(&b, time.Second, nop)
+	l.Arm(&a, time.Second, nop) // re-armed: moves behind b
+	check("a re-armed", true, false, true)
+	l.Cancel(&a)
+	check("a cancelled", false, true, true)
+	var during bool
+	l.Arm(&a, time.Second, func() { during = a.Last() })
+	l.RunUntil(time.Second)
+	if during {
+		t.Fatal("a timer is Last while its own callback runs")
+	}
+	check("after the instant ran", false, false, true)
+	l.Drain()
+	check("drained", false, false, false)
+
+	w := NewWallLoop()
+	defer w.Close()
+	var wt Timer
+	w.Call(func() {
+		w.Arm(&wt, time.Hour, nop)
+		during = wt.Last()
+	})
+	if during {
+		t.Fatal("Last on a WallLoop, want always false")
+	}
+}
+
 // refLoop is the event loop as it was before the indexed heap: a
 // container/heap of timers, stopped ones skipped when they surface. It is
 // the reference the property test holds SimLoop to.
