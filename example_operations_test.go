@@ -110,7 +110,7 @@ func Example_operations() {
 			_ = s.Hierarchy.Leaf(dynamo.NodeID(tg)).SetBands(dynamo.DefaultBandConfig())
 		},
 		Healthy: func() bool { return healthy },
-		Alerts:  func(a dynamo.Alert) { fmt.Println(a) },
+		Alerts:  func(a RolloutAlert) { fmt.Println(a) },
 	})
 	ro.Start()
 	s.Run(30 * time.Second)
@@ -179,7 +179,20 @@ type RolloutConfig struct {
 	// soak. Returning false halts and rolls back.
 	Healthy func() bool
 	// Alerts receives rollout lifecycle events.
-	Alerts dynamo.AlertFunc
+	Alerts func(RolloutAlert)
+}
+
+// RolloutAlert is one rollout lifecycle event, read like a controller's
+// alert.
+type RolloutAlert struct {
+	Time  time.Duration
+	Level dynamo.AlertLevel
+	Msg   string
+}
+
+// String implements fmt.Stringer.
+func (a RolloutAlert) String() string {
+	return fmt.Sprintf("[%v] %s rollout: %s", a.Time, a.Level, a.Msg)
 }
 
 // RolloutState describes rollout progress.
@@ -251,7 +264,7 @@ func (r *Rollout) Start() {
 
 func (r *Rollout) alert(level dynamo.AlertLevel, format string, args ...any) {
 	if r.cfg.Alerts != nil {
-		r.cfg.Alerts(dynamo.Alert{Time: r.loop.Now(), Level: level, Controller: "rollout", Msg: fmt.Sprintf(format, args...)})
+		r.cfg.Alerts(RolloutAlert{Time: r.loop.Now(), Level: level, Msg: fmt.Sprintf(format, args...)})
 	}
 }
 

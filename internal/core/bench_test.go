@@ -71,12 +71,15 @@ func buildControlCycleBench(nServers int, cohort bool) (*simclock.SimLoop, []ben
 	return loop, leaves
 }
 
-// runControlCycle primes every agent's raw response and completes every
-// leaf's collection at one virtual instant — exactly the state the pull
-// cycle leaves behind — then drains the loop so the cohort flush (or each
-// leaf's own phases) run to completion.
-func runControlCycle(loop *simclock.SimLoop, leaves []benchLeaf, until time.Duration) {
-	loop.Post(func() {
+// controlCycleRunner returns a function that runs one control cycle: at
+// one virtual instant it primes every agent's raw response and completes
+// every leaf's collection — exactly the state the pull cycle leaves
+// behind — then drains the loop up to until so the cohort flush (or each
+// leaf's own phases) run to completion. The priming event's timer and
+// callback are made once, so a cycle allocates only what the kernel does.
+func controlCycleRunner(loop *simclock.SimLoop, leaves []benchLeaf) func(until time.Duration) {
+	var prime simclock.Timer
+	complete := func() {
 		for _, bl := range leaves {
 			for i, st := range bl.states {
 				st.rawValid = true
@@ -84,8 +87,11 @@ func runControlCycle(loop *simclock.SimLoop, leaves []benchLeaf, until time.Dura
 			}
 			bl.leaf.complete()
 		}
-	})
-	loop.RunUntil(until)
+	}
+	return func(until time.Duration) {
+		loop.Arm(&prime, 0, complete)
+		loop.RunUntil(until)
+	}
 }
 
 // buildLeafRPCBench assembles one leaf pulling 100 agents over the in-proc
@@ -166,13 +172,13 @@ func BenchmarkControlCycle(b *testing.B) {
 	for _, size := range []int{2000, 10000} {
 		for _, mode := range []string{"inline", "cohort"} {
 			b.Run(fmt.Sprintf("servers=%d/%s", size, mode), func(b *testing.B) {
-				loop, leaves := buildControlCycleBench(size, mode == "cohort")
+				run := controlCycleRunner(buildControlCycleBench(size, mode == "cohort"))
 				// Warm one cycle so lazily sized scratch state is allocated.
-				runControlCycle(loop, leaves, time.Millisecond)
+				run(time.Millisecond)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runControlCycle(loop, leaves, time.Duration(i+2)*time.Millisecond)
+					run(time.Duration(i+2) * time.Millisecond)
 				}
 			})
 		}

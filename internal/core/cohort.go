@@ -22,8 +22,8 @@ import (
 //     so the phases of different controllers can run concurrently.
 //   - act (cycleKernel.runAct): journal, alerts, telemetry, checkpoint and
 //     the cap/uncap or contract RPCs. Acts touch shared state (the RPC
-//     network, the alert sink, the trace ring) and therefore run serially
-//     on the loop goroutine, in fixed device order.
+//     network, the alert sink, the metric registry) and therefore run
+//     serially on the loop goroutine, in fixed device order.
 //
 // The CohortScheduler groups all controllers whose collection completes at
 // the same virtual instant — all leaves share a 3 s period and all uppers

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -321,7 +320,7 @@ func TestFailoverJournalHandoff(t *testing.T) {
 	}
 	sawHandoff := false
 	for _, a := range f.alerts {
-		if strings.Contains(a.Msg, "journal records adopted from state store") {
+		if a.Kind == KindPromoted {
 			sawHandoff = true
 		}
 	}

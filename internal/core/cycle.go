@@ -50,7 +50,8 @@ func (h *pull) onOdd(resp []byte, err error)  { h.k.onPull(h, 1, resp, err) }
 // level is what differs between a leaf and an upper controller.
 // aggregate and decide make up the observe+decide phase: they may run on a
 // cohort worker, touch only the controller's own state, and neither send
-// RPCs nor emit alerts or telemetry (alerts go through cyclePlan.alert).
+// RPCs nor raise alerts or record telemetry (alerts go through
+// cyclePlan.alert).
 // selectPulls and act run on the loop goroutine.
 type level interface {
 	// selectPulls marks the children to leave out of this cycle (skip) or
@@ -90,13 +91,6 @@ type cycleConfig struct {
 	ckpt         *statestore.Writer
 }
 
-// pendingAlert is an alert composed during observe+decide (which may run
-// off-loop) and emitted during the serial act phase.
-type pendingAlert struct {
-	level AlertLevel
-	msg   string
-}
-
 // cyclePlan is the outcome of one observe+decide phase: the journal record
 // (aggregate, decision, plan outcome) and what the act phase has to do
 // about it. The act phase applies it verbatim, so the two phases share no
@@ -109,12 +103,12 @@ type cyclePlan struct {
 	planComputed bool
 	sendCaps     bool
 	sendUncaps   bool
-	alerts       []pendingAlert
+	// alerts are composed during observe+decide (which may run off-loop)
+	// and raised during the serial act phase; the slice is reused.
+	alerts []Alert
 }
 
-func (p *cyclePlan) alert(level AlertLevel, format string, args ...interface{}) {
-	p.alerts = append(p.alerts, pendingAlert{level: level, msg: fmt.Sprintf(format, args...)})
-}
+func (p *cyclePlan) alert(a Alert) { p.alerts = append(p.alerts, a) }
 
 // cycleKernel is one controller's pull → aggregate → decide → act loop and
 // everything around it that does not depend on the level. It is confined
@@ -207,7 +201,7 @@ func (k *cycleKernel) call(h *pull, method string, req wire.Message, done func([
 func (k *cycleKernel) onRetry(id, method string, attempt int, err error) {
 	k.retries++
 	if k.tel != nil {
-		k.tel.rpcRetry(k.cycles, k.loop.Now(), id, method, attempt, err)
+		k.tel.rpcRetry(k.loop.Now(), k.cycles, id, method, attempt, err)
 	}
 }
 
@@ -222,7 +216,7 @@ const (
 )
 
 // commandOps gives each command its method and how a failure is named in
-// telemetry (op) and in the warning alert (what).
+// the event ring (op) and in the warning alert (what).
 var commandOps = [...]struct{ method, op, what string }{
 	opSetCap:        {agent.MethodSetCap, "cap command", "cap command"},
 	opClearCap:      {agent.MethodClearCap, "uncap command", "uncap command"},
@@ -287,7 +281,7 @@ func (c *command) acked(resp []byte, err error) {
 	}
 	ok, err := k.decodeAck(resp, err, c.op <= opClearCap)
 	if err != nil || !ok {
-		k.commandFailed(h, commandOps[c.op].op, commandOps[c.op].what, err)
+		k.commandFailed(h, c.op, err)
 		return
 	}
 	switch c.op {
@@ -315,11 +309,19 @@ func (k *cycleKernel) decodeAck(resp []byte, err error, fromAgent bool) (ok bool
 }
 
 // commandFailed reports an act-phase command the child did not accept.
-func (k *cycleKernel) commandFailed(h *pull, op, what string, err error) {
+func (k *cycleKernel) commandFailed(h *pull, op commandOp, err error) {
+	now := k.loop.Now()
 	if k.tel != nil {
-		k.tel.rpcFailure(k.cycles, k.loop.Now(), h.id, op, err)
+		k.tel.rpcFailure(now, k.cycles, h.id, commandOps[op].op, err)
 	}
-	k.alerts.emit(k.loop.Now(), AlertWarning, k.deviceID, "%s to %s failed", what, h.id)
+	k.raise(now, Alert{Kind: KindCommandFailed, Peer: h.id, Op: commandOps[op].what})
+}
+
+// raise stamps an alert with the time, the cycle count and this
+// controller's device and hands it to the alert sink.
+func (k *cycleKernel) raise(now time.Duration, a Alert) {
+	a.Time, a.Cycle, a.Controller = now, k.cycles, k.deviceID
+	k.alerts.emit(a)
 }
 
 // cappedCount is the number of children currently held down: capped
@@ -457,7 +459,6 @@ func (k *cycleKernel) pollCycle() {
 	k.cycleGen = k.gen
 	if k.tel != nil {
 		k.cycleStartAt = k.loop.Now()
-		k.tel.cycleStart(k.cycles+1, k.cycleStartAt)
 	}
 	for _, h := range k.pulls {
 		h.rawValid, h.ok, h.skip, h.probe = false, false, false, false
@@ -493,7 +494,7 @@ func (k *cycleKernel) onPull(h *pull, parity uint64, resp []byte, err error) {
 	}
 	h.awaiting = false
 	if err != nil && k.tel != nil {
-		k.tel.rpcFailure(k.cycles+1, k.loop.Now(), h.id, k.pullOp, err)
+		k.tel.rpcFailure(k.loop.Now(), k.cycles+1, h.id, k.pullOp, err)
 	}
 	if err == nil {
 		h.rawValid = true
@@ -523,8 +524,7 @@ func (k *cycleKernel) complete() {
 // outcome lands in k.plan. It reads and writes only this controller's own
 // state, so the cohort scheduler may run it on a worker goroutine
 // concurrently with other controllers' observe phases. No journal writes,
-// alert emission, telemetry, or RPC happens here — those are act-phase
-// effects.
+// alerts, telemetry, or RPC happen here — those are act-phase effects.
 func (k *cycleKernel) runObserveDecide(now time.Duration) {
 	if k.tel != nil {
 		//lint:allow wallclock — wall-clock phase-latency for operator histograms; guarded by a tel nil-check and never feeds control decisions
@@ -550,7 +550,7 @@ func (k *cycleKernel) runObserveDecide(now time.Duration) {
 }
 
 // runAct is the act phase: apply the plan computed by runObserveDecide.
-// It always runs on the loop goroutine — journal writes, alert emission,
+// It always runs on the loop goroutine — journal writes, alerts,
 // telemetry, and RPC sends all happen here, serially and in fixed device
 // order across the cohort.
 //
@@ -569,19 +569,16 @@ func (k *cycleKernel) runAct(now time.Duration) {
 	live := k.cycleGen == k.gen
 	rec := &p.rec
 
-	if !rec.Valid {
-		if k.tel != nil {
-			k.tel.invalidCycle(k.cycles, k.cycleStartAt, now, rec.Failures, len(k.pulls))
-		}
-	} else if k.tel != nil {
-		if rec.Action != p.prevAction {
-			k.tel.transition(k.cycles, now, p.prevAction, rec.Action)
-		}
-		if p.planComputed {
-			k.tel.capPlan(k.cycles, now, rec.ServersPlanned, rec.Achieved, rec.Shortfall, k.dryRun)
+	if k.tel != nil {
+		if rec.Valid {
+			k.tel.decided(p)
+		} else {
+			k.tel.invalidCycle(k.cycleStartAt, now)
 		}
 	}
-	k.emitAlerts(now, p)
+	for _, a := range p.alerts {
+		k.raise(now, a)
+	}
 	if live && p.sendCaps {
 		k.capEvents++
 	}
@@ -592,7 +589,7 @@ func (k *cycleKernel) runAct(now time.Duration) {
 	k.journal.Add(*rec)
 	k.checkpoint(now, rec)
 	if k.tel != nil && rec.Valid {
-		k.tel.cycleEnd(k.cycles, k.cycleStartAt, now, rec.Agg, rec.EffLimit, p.capCount, rec.Action)
+		k.tel.cycleEnd(k.cycleStartAt, now, rec.Agg, rec.EffLimit, p.capCount)
 	}
 }
 
@@ -606,19 +603,11 @@ func (k *cycleKernel) checkpoint(now time.Duration, rec *DecisionRecord) {
 		return
 	}
 	if fenced {
-		k.alerts.emit(now, AlertCritical, k.deviceID,
-			"checkpoint fenced (stream epoch %d superseded by adoption); stopping zombie controller",
-			k.ckpt.Epoch())
+		k.raise(now, Alert{Kind: KindCheckpointFenced, Epoch: k.ckpt.Epoch()})
 		k.Stop()
 		return
 	}
-	k.alerts.emit(now, AlertWarning, k.deviceID, "checkpoint append failed: %v", err)
-}
-
-func (k *cycleKernel) emitAlerts(now time.Duration, p *cyclePlan) {
-	for _, a := range p.alerts {
-		k.alerts.emit(now, a.level, k.deviceID, "%s", a.msg)
-	}
+	k.raise(now, Alert{Kind: KindCheckpointFailed, Err: err})
 }
 
 // ackOK is every successful contract reply; it is immutable.
@@ -662,6 +651,6 @@ func (k *cycleKernel) Handler() rpc.Handler {
 func (k *cycleKernel) setContract(limit power.Watts) {
 	k.contract = limit
 	if k.tel != nil {
-		k.tel.contractReceived(k.loop.Now(), limit)
+		k.tel.contractReceived(k.loop.Now(), k.cycles, limit)
 	}
 }

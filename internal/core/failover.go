@@ -269,8 +269,7 @@ func (f *Failover) adopt(i int) {
 	f.cfg.Store.AdoptState(id, id, f.cfg.AdoptTimeout, func(res statestore.AdoptResult, err error) {
 		if err != nil {
 			s.adoptFails.Inc()
-			f.cfg.Alerts.emit(f.loop.Now(), AlertWarning, id,
-				"state-store adoption failed (%v); backup starts fresh", err)
+			f.cfg.Alerts.emit(Alert{Time: f.loop.Now(), Kind: KindAdoptionFailed, Controller: id, Err: err})
 		} else if res.Found {
 			recs, last, ok := ReplayCheckpoints(res.Entries)
 			if ok {
@@ -297,21 +296,12 @@ func (f *Failover) finish() {
 	}
 	now := f.loop.Now()
 	for _, s := range f.set {
-		id := s.ctrl.DeviceID()
 		s.promotions.Inc()
-		if f.cfg.Telemetry.Enabled() {
-			f.cfg.Telemetry.Emit(telemetry.EventPromotion, id, s.ctrl.Cycles(), now,
-				"backup promoted for %s (adopted %d records, epoch %d)", id, s.records, s.epoch)
-		}
+		a := Alert{Time: now, Cycle: s.ctrl.Cycles(), Kind: KindPromotedFresh, Controller: s.ctrl.DeviceID(), Count: f.misses}
 		if s.fromStore {
-			f.cfg.Alerts.emit(now, AlertCritical, id,
-				"primary controller unresponsive for %d probes; backup promoted (%d journal records adopted from state store, epoch %d)",
-				f.misses, s.records, s.epoch)
-		} else {
-			f.cfg.Alerts.emit(now, AlertCritical, id,
-				"primary controller unresponsive for %d probes; backup promoted with fresh state (no store)",
-				f.misses)
+			a.Kind, a.Of, a.Epoch = KindPromoted, s.records, s.epoch
 		}
+		f.cfg.Alerts.emit(a)
 	}
 	if f.cfg.OnPromoted != nil {
 		f.cfg.OnPromoted()

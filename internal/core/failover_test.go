@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -43,7 +42,7 @@ func TestFailoverPromotesBackup(t *testing.T) {
 	}
 	sawPromo := false
 	for _, a := range f.alerts {
-		if a.Level == AlertCritical && strings.Contains(a.Msg, "backup promoted") {
+		if a.Level == AlertCritical && (a.Kind == KindPromoted || a.Kind == KindPromotedFresh) {
 			sawPromo = true
 		}
 	}

@@ -46,71 +46,30 @@ func (r DecisionRecord) String() string {
 }
 
 // Journal is a bounded ring of decision records.
-type Journal struct {
-	cap  int
-	recs []DecisionRecord
-	next int
-	full bool
-}
+type Journal struct{ ring[DecisionRecord] }
 
 // NewJournal creates a journal retaining the last n records.
 func NewJournal(n int) *Journal {
 	if n <= 0 {
 		n = 256
 	}
-	return &Journal{cap: n, recs: make([]DecisionRecord, 0, n)}
+	return &Journal{newRing[DecisionRecord](n)}
 }
 
 // Add appends a record, evicting the oldest when full.
-//
-//dynamo:serial
-func (j *Journal) Add(r DecisionRecord) {
-	if len(j.recs) < j.cap {
-		j.recs = append(j.recs, r)
-		return
-	}
-	j.recs[j.next] = r
-	j.next = (j.next + 1) % j.cap
-	j.full = true
-}
+func (j *Journal) Add(r DecisionRecord) { j.add(r) }
 
 // Absorb bulk-loads records (oldest-first) through the ring's normal
 // eviction, used to hand a failed primary's journal to its promoted
 // backup so the decision log survives the failover.
 func (j *Journal) Absorb(recs []DecisionRecord) {
 	for _, r := range recs {
-		j.Add(r)
+		j.add(r)
 	}
 }
 
 // Len returns the number of retained records.
-func (j *Journal) Len() int { return len(j.recs) }
+func (j *Journal) Len() int { return len(j.buf) }
 
 // Records returns retained records oldest-first.
-func (j *Journal) Records() []DecisionRecord {
-	older, newer := j.ordered()
-	out := make([]DecisionRecord, 0, len(j.recs))
-	out = append(out, older...)
-	return append(out, newer...)
-}
-
-// ordered returns the retained records oldest-first as the ring's two
-// runs, without copying them: older then newer (nil until the ring wraps).
-func (j *Journal) ordered() (older, newer []DecisionRecord) {
-	if j.full {
-		return j.recs[j.next:], j.recs[:j.next]
-	}
-	return j.recs, nil
-}
-
-// LastAction returns the most recent record whose action is not
-// ActionNone; ok is false if none exists.
-func (j *Journal) LastAction() (DecisionRecord, bool) {
-	recs := j.Records()
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Action != ActionNone {
-			return recs[i], true
-		}
-	}
-	return DecisionRecord{}, false
-}
+func (j *Journal) Records() []DecisionRecord { return j.newest(0) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,28 @@ func TestJournalRing(t *testing.T) {
 	}
 }
 
+// TestRingEvictionAndOrder: the ring under the journal and the event ring
+// keeps the newest values, hands them out oldest-first, and trims a read
+// to the newest n.
+func TestRingEvictionAndOrder(t *testing.T) {
+	r := newRing[int](4)
+	if got := r.newest(0); len(got) != 0 {
+		t.Fatalf("empty ring reads %v", got)
+	}
+	for i := 1; i <= 6; i++ {
+		r.add(i)
+	}
+	if got := r.newest(0); !slices.Equal(got, []int{3, 4, 5, 6}) {
+		t.Errorf("newest(0) = %v, want [3 4 5 6]", got)
+	}
+	if got := r.newest(2); !slices.Equal(got, []int{5, 6}) {
+		t.Errorf("newest(2) = %v, want [5 6]", got)
+	}
+	if got := r.newest(9); len(got) != 4 {
+		t.Errorf("newest(9) = %v, want all 4", got)
+	}
+}
+
 func TestJournalDefaultCap(t *testing.T) {
 	j := NewJournal(0)
 	for i := 0; i < 300; i++ {
@@ -35,15 +58,27 @@ func TestJournalDefaultCap(t *testing.T) {
 	}
 }
 
+// lastAction returns the journal's most recent record whose action is not
+// ActionNone; ok is false if there is none.
+func lastAction(j *Journal) (DecisionRecord, bool) {
+	recs := j.Records()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Action != ActionNone {
+			return recs[i], true
+		}
+	}
+	return DecisionRecord{}, false
+}
+
 func TestJournalLastAction(t *testing.T) {
 	j := NewJournal(10)
-	if _, ok := j.LastAction(); ok {
+	if _, ok := lastAction(j); ok {
 		t.Fatal("empty journal has no action")
 	}
 	j.Add(DecisionRecord{Cycle: 1, Action: ActionNone})
 	j.Add(DecisionRecord{Cycle: 2, Action: ActionCap, Target: 100})
 	j.Add(DecisionRecord{Cycle: 3, Action: ActionNone})
-	rec, ok := j.LastAction()
+	rec, ok := lastAction(j)
 	if !ok || rec.Cycle != 2 {
 		t.Errorf("last action = %+v, %v", rec, ok)
 	}
@@ -84,7 +119,7 @@ func TestLeafJournalRecordsCappingEvent(t *testing.T) {
 	leaf.Start()
 	f.loop.RunUntil(time.Minute)
 
-	rec, ok := leaf.Journal().LastAction()
+	rec, ok := lastAction(leaf.Journal())
 	if !ok || rec.Action != ActionCap {
 		t.Fatalf("expected a cap record, got %+v (%v)", rec, ok)
 	}
@@ -100,7 +135,7 @@ func TestLeafJournalRecordsCappingEvent(t *testing.T) {
 
 	load = 0.2
 	f.loop.RunUntil(3 * time.Minute)
-	rec, _ = leaf.Journal().LastAction()
+	rec, _ = lastAction(leaf.Journal())
 	if rec.Action != ActionUncap {
 		t.Errorf("expected final uncap record, got %+v", rec)
 	}

@@ -49,10 +49,11 @@ type LeafConfig struct {
 	UsePID bool
 	// Alerts receives operator alerts.
 	Alerts AlertFunc
-	// Telemetry, when set, receives operational metrics and decision trace
-	// events. nil (the default) disables telemetry entirely: the control
-	// cycle performs no telemetry work, keeping the simulation path
-	// byte-identical and allocation-free.
+	// Telemetry, when set, receives operational metrics, and the
+	// controller keeps an event ring for Status. nil (the default)
+	// disables telemetry entirely: the control cycle performs no
+	// telemetry work, keeping the simulation path byte-identical and
+	// allocation-free.
 	Telemetry *telemetry.Sink
 	// Scheduler, when set, runs this controller's observe+decide phase on
 	// the shared cohort worker pool and its act phase serially in device
@@ -380,7 +381,7 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 					st.quarantined = false
 					st.quarCycles = 0
 					l.readmitted++
-					p.alert(AlertInfo, "agent %s re-admitted after successful probe", st.id)
+					p.alert(Alert{Kind: KindReadmitted, Peer: st.id})
 				}
 				continue
 			}
@@ -391,9 +392,7 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 					st.quarCycles = 0
 					st.consecFails = 0
 					l.quarantinedNew++
-					p.alert(AlertWarning,
-						"agent %s quarantined after %d consecutive failed pulls; estimating until a probe succeeds",
-						st.id, l.cfg.QuarantineThreshold)
+					p.alert(Alert{Kind: KindQuarantined, Peer: st.id, Count: l.cfg.QuarantineThreshold})
 				}
 			}
 			if st.quarantined && l.restart != nil && st.quarCycles%restartEvery == 0 {
@@ -449,9 +448,7 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 		failFrac = float64(failures) / float64(len(l.list))
 	}
 	if failFrac > maxFailureFrac {
-		p.alert(AlertCritical,
-			"power aggregation invalid: %d/%d pulls failed (%.0f%% > %.0f%%)",
-			failures, len(l.list), failFrac*100, maxFailureFrac*100)
+		p.alert(Alert{Kind: KindPullsFailed, Count: failures, Of: len(l.list)})
 		return 0, false
 	}
 	return power.Watts(total), true
@@ -474,7 +471,7 @@ func (l *Leaf) decide(now time.Duration, p *cyclePlan) {
 		l.planCap(p)
 	case ActionUncap:
 		if l.dryRun {
-			p.alert(AlertInfo, "dry-run: would uncap %d servers", p.capCount)
+			p.alert(Alert{Kind: KindDryRunUncap, Count: p.capCount})
 		} else {
 			p.sendUncaps = true
 		}
@@ -497,9 +494,7 @@ func (l *Leaf) validate(p *cyclePlan) {
 		diff = -diff
 	}
 	if diff > validationTolerance {
-		p.alert(AlertWarning,
-			"aggregation %v disagrees with breaker reading %v by %.1f%%",
-			p.rec.Agg, reading, diff*100)
+		p.alert(Alert{Kind: KindBreakerMismatch, Watts: p.rec.Agg, Ref: reading})
 	}
 }
 
@@ -518,10 +513,10 @@ func (l *Leaf) planCap(p *cyclePlan) {
 	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = len(caps), achieved, shortfall
 	p.planComputed = true
 	if shortfall > 0 {
-		p.alert(AlertCritical, "capping plan short by %v (SLA floors reached)", shortfall)
+		p.alert(Alert{Kind: KindShortfall, Watts: shortfall})
 	}
 	if l.dryRun {
-		p.alert(AlertInfo, "dry-run: would cap %d servers for %v total cut", len(caps), achieved)
+		p.alert(Alert{Kind: KindDryRunCap, Count: len(caps), Watts: achieved})
 		return
 	}
 	l.caps = caps
@@ -546,7 +541,7 @@ func (l *Leaf) act(now time.Duration, p *cyclePlan, live bool) {
 		if i == maxRestartsPerCycle {
 			break
 		}
-		l.alerts.emit(now, AlertWarning, l.deviceID, "agent %s quarantined; restarting it", st.id)
+		l.raise(now, Alert{Kind: KindRestarting, Peer: st.id})
 		l.restart(st.id)
 	}
 	if p.sendCaps {
@@ -598,7 +593,7 @@ func (r *leaseRenewal) acked(resp []byte, err error) {
 	if l.tel != nil && renewed {
 		l.tel.leaseRenewed()
 	} else if l.tel != nil {
-		l.tel.leaseRenewFailed(l.cycles, l.loop.Now(), st.id, err)
+		l.tel.leaseRenewFailed(l.loop.Now(), l.cycles, st.id, err)
 	}
 }
 

@@ -51,7 +51,7 @@ func mapAggregate(l *Leaf, p *cyclePlan, lastService map[string]power.Watts) (po
 					st.quarantined = false
 					st.quarCycles = 0
 					l.readmitted++
-					p.alert(AlertInfo, "agent %s re-admitted after successful probe", st.id)
+					p.alert(Alert{Kind: KindReadmitted, Peer: st.id})
 				}
 				continue
 			}
@@ -62,9 +62,7 @@ func mapAggregate(l *Leaf, p *cyclePlan, lastService map[string]power.Watts) (po
 					st.quarCycles = 0
 					st.consecFails = 0
 					l.quarantinedNew++
-					p.alert(AlertWarning,
-						"agent %s quarantined after %d consecutive failed pulls; estimating until a probe succeeds",
-						st.id, l.cfg.QuarantineThreshold)
+					p.alert(Alert{Kind: KindQuarantined, Peer: st.id, Count: l.cfg.QuarantineThreshold})
 				}
 			}
 			if st.quarantined && l.restart != nil && st.quarCycles%restartEvery == 0 {
@@ -109,9 +107,7 @@ func mapAggregate(l *Leaf, p *cyclePlan, lastService map[string]power.Watts) (po
 		failFrac = float64(failures) / float64(len(l.list))
 	}
 	if failFrac > maxFailureFrac {
-		p.alert(AlertCritical,
-			"power aggregation invalid: %d/%d pulls failed (%.0f%% > %.0f%%)",
-			failures, len(l.list), failFrac*100, maxFailureFrac*100)
+		p.alert(Alert{Kind: KindPullsFailed, Count: failures, Of: len(l.list)})
 		return 0, false
 	}
 	return power.Watts(total), true

@@ -101,13 +101,20 @@ func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 // and again: the plan runs in the leaf's kept planner, every cap and
 // uncap rides the agent's command record, the cohort scheduler reuses its
 // batch, and the one allocation a cycle makes is the payload the state
-// store keeps.
+// store keeps. In the dry-run case the leaf plans a cut every cycle and
+// reports it to its alert sink: an alert is a value, so reporting
+// allocates nothing.
 func TestLeafCycleAllocs(t *testing.T) {
 	const agents = 30
 	for _, tc := range []struct {
-		name            string
-		robust, capping bool
-	}{{"zero-rule", false, false}, {"retries-leases-drops", true, false}, {"capping", false, true}} {
+		name                    string
+		robust, capping, dryRun bool
+	}{
+		{name: "zero-rule"},
+		{name: "retries-leases-drops", robust: true},
+		{name: "capping", capping: true},
+		{name: "dry-run", dryRun: true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			loop := simclock.NewSimLoop()
 			loop.SetStepLimit(0)
@@ -117,9 +124,12 @@ func TestLeafCycleAllocs(t *testing.T) {
 			var refs []AgentRef
 			var hosts []*server.Server
 			// The capping case swings every server between 0.9 and 0.2 load
-			// each 12 s: four cycles over the limit, four under it.
+			// each 12 s: four cycles over the limit, four under it. The
+			// dry-run case stays over it.
 			load := func(now time.Duration) float64 {
 				switch {
+				case tc.dryRun:
+					return 0.9
 				case !tc.capping:
 					return 0.5
 				case (now/(12*time.Second))%2 == 1:
@@ -163,7 +173,12 @@ func TestLeafCycleAllocs(t *testing.T) {
 				refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015",
 					Client: inj.WrapClient(AgentAddr(id), net.Dial(AgentAddr(id)))})
 			}
-			cfg := LeafConfig{DeviceID: "rpp", Limit: power.KW(100), Alerts: func(Alert) {}}
+			dryRuns := 0
+			cfg := LeafConfig{DeviceID: "rpp", Limit: power.KW(100), Alerts: func(a Alert) {
+				if a.Kind == KindDryRunCap {
+					dryRuns++
+				}
+			}}
 			if tc.robust {
 				// An uncap threshold far below the draw holds the caps.
 				cfg.Bands = BandConfig{CapThresholdFrac: 0.99, CapTargetFrac: 0.95, UncapThresholdFrac: 0.01}
@@ -177,11 +192,6 @@ func TestLeafCycleAllocs(t *testing.T) {
 				// each high phase caps every server to 95% of 7.5 kW, and
 				// the low phase is well under the uncap band.
 				cfg.Limit = 7500
-				// One bucket wider than any server: the plan takes its cut
-				// in a single round, which leaves no float residue to raise
-				// a shortfall alert (and format it).
-				cfg.Priorities = DefaultPriorityConfig()
-				cfg.Priorities.BucketSize = 1000
 				cfg.CapLeaseTTL = 15 * time.Second
 				cfg.Scheduler = NewCohortScheduler(loop, 1, nil)
 				store = statestore.NewStore(loop, "local", nil)
@@ -192,6 +202,9 @@ func TestLeafCycleAllocs(t *testing.T) {
 					}
 				})
 				tick.Start()
+			}
+			if tc.dryRun {
+				cfg.Limit, cfg.DryRun = 7500, true
 			}
 			leaf := NewLeaf(loop, cfg, refs)
 			leaf.Start()
@@ -241,6 +254,13 @@ func TestLeafCycleAllocs(t *testing.T) {
 			if agg, valid := leaf.LastAggregate(); !valid || agg < power.Watts(agents*100) {
 				t.Fatalf("aggregate %v (valid %v): the agents' readings did not arrive", agg, valid)
 			}
+			if tc.dryRun {
+				if dryRuns < int(wantCycles)-1 || leaf.CapEvents() != 0 {
+					t.Fatalf("%d dry-run alerts and %d cap events in %d cycles: the leaf did not plan every cycle without capping",
+						dryRuns, leaf.CapEvents(), wantCycles)
+				}
+				return
+			}
 			if tc.capping {
 				if leaf.CapEvents()-caps < 2 || leaf.UncapEvents()-uncaps < 2 || renewals == 0 {
 					t.Fatalf("%d caps, %d uncaps and %d lease renewals in %d cycles: the leaf did not cap, hold and uncap",
@@ -268,8 +288,19 @@ func TestLeafCycleAllocs(t *testing.T) {
 // draws 6.5 kW over a 5 kW quota for eight cycles (and obeys a contract),
 // then both draw 3 kW for eight. The plan runs in the upper's kept
 // scratch and every contract and release rides the child's command
-// record.
+// record. In the dry-run case, with no checkpoint, the upper reports the
+// contracts it would send to its alert sink and allocates nothing.
 func TestUpperCycleAllocs(t *testing.T) {
+	for _, dryRun := range []bool{false, true} {
+		name := "contracting"
+		if dryRun {
+			name = "dry-run"
+		}
+		t.Run(name, func(t *testing.T) { testUpperCycleAllocs(t, dryRun) })
+	}
+}
+
+func testUpperCycleAllocs(t *testing.T, dryRun bool) {
 	loop := simclock.NewSimLoop()
 	loop.SetStepLimit(0)
 	net := rpc.NewNetwork(loop, 2*time.Millisecond, 1)
@@ -309,12 +340,22 @@ func TestUpperCycleAllocs(t *testing.T) {
 		})
 		children = append(children, ChildRef{ID: id, Client: net.Dial(CtrlAddr(id)), Quota: 5000})
 	}
-	store := statestore.NewStore(loop, "local", nil)
-	upper := NewUpper(loop, UpperConfig{
-		DeviceID: "sb", Limit: 10000, OffenderBucket: 100, Alerts: func(Alert) {},
-		Scheduler:  NewCohortScheduler(loop, 1, nil),
-		Checkpoint: store.NewWriter("sb", "primary"),
-	}, children)
+	dryRuns := 0
+	cfg := UpperConfig{
+		DeviceID: "sb", Limit: 10000, OffenderBucket: 100, DryRun: dryRun,
+		Alerts: func(a Alert) {
+			if a.Kind == KindDryRunContract {
+				dryRuns++
+			}
+		},
+		Scheduler: NewCohortScheduler(loop, 1, nil),
+	}
+	var store *statestore.Store
+	if !dryRun {
+		store = statestore.NewStore(loop, "local", nil)
+		cfg.Checkpoint = store.NewWriter("sb", "primary")
+	}
+	upper := NewUpper(loop, cfg, children)
 	upper.Start()
 	until := upper.pollInterval - 100*time.Millisecond
 	cycle := func() {
@@ -325,13 +366,28 @@ func TestUpperCycleAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		cycle()
 	}
-	caps, uncaps, sent, released := upper.CapEvents(), upper.UncapEvents(), contracts, releases
-	before := store.NextSeq("sb")
+	caps, uncaps, sent, released, reported := upper.CapEvents(), upper.UncapEvents(), contracts, releases, dryRuns
+	var before uint64
+	if store != nil {
+		before = store.NextSeq("sb")
+	}
 	n := fewestAllocs(func() {
 		for i := 0; i <= runs; i++ {
 			cycle()
 		}
 	})
+	if dryRun {
+		if n != 0 {
+			t.Errorf("%d steady-state dry-run upper cycles allocate %d times, want 0", runs+1, n)
+		}
+		// Three runs of 33 cycles, each over the limit for half of them,
+		// a plan every third cycle of those (the hold-off).
+		if dryRuns-reported < 6 || contracts != 0 || upper.CapEvents() != 0 {
+			t.Fatalf("%d dry-run alerts, %d contracts and %d cap events: the upper did not plan without contracting",
+				dryRuns-reported, contracts, upper.CapEvents())
+		}
+		return
+	}
 	if got := store.NextSeq("sb") - before; n != runs+1 || got != 3*(runs+1) {
 		t.Errorf("%d steady-state upper cycles allocate %d times (and %d cycles wrote %d checkpoints), want one per cycle",
 			runs+1, n, 3*(runs+1), got)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -53,7 +52,7 @@ func TestWatchdogRestartsAgent(t *testing.T) {
 	}
 	sawAlert := false
 	for _, a := range f.alerts {
-		if a.Level == AlertWarning && strings.Contains(a.Msg, "agent web-002 quarantined; restarting it") {
+		if a.Level == AlertWarning && a.Kind == KindRestarting && a.Peer == "web-002" {
 			sawAlert = true
 		}
 	}
@@ -223,7 +222,7 @@ func TestWatchdogWithQuarantinedAgent(t *testing.T) {
 	}
 	sawReadmit := false
 	for _, a := range f.alerts {
-		if a.Level == AlertInfo && strings.Contains(a.Msg, "web-002 re-admitted") {
+		if a.Level == AlertInfo && a.Kind == KindReadmitted && a.Peer == "web-002" {
 			sawReadmit = true
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -65,7 +64,7 @@ func TestLeafQuarantineAndReadmit(t *testing.T) {
 	}
 	sawTrip := false
 	for _, a := range f.alerts {
-		if a.Level == AlertWarning && strings.Contains(a.Msg, "quarantined") {
+		if a.Level == AlertWarning && a.Kind == KindQuarantined {
 			sawTrip = true
 		}
 	}
@@ -81,7 +80,7 @@ func TestLeafQuarantineAndReadmit(t *testing.T) {
 	}
 	sawReadmit := false
 	for _, a := range f.alerts {
-		if a.Level == AlertInfo && strings.Contains(a.Msg, "re-admitted") {
+		if a.Level == AlertInfo && a.Kind == KindReadmitted {
 			sawReadmit = true
 		}
 	}

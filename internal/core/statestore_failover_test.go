@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -229,7 +228,7 @@ func TestZombieStopsOnSharedStoreFence(t *testing.T) {
 	}
 	sawFence := false
 	for _, a := range f.alerts {
-		if a.Level == AlertCritical && strings.Contains(a.Msg, "stopping zombie controller") {
+		if a.Level == AlertCritical && a.Kind == KindCheckpointFenced {
 			sawFence = true
 		}
 	}

@@ -37,10 +37,7 @@ func summarize(rec DecisionRecord) DecisionSummary {
 // lastDecisions returns the journal's newest records (up to lastN,
 // oldest-first) as summaries. lastN <= 0 means all retained records.
 func lastDecisions(j *Journal, lastN int) []DecisionSummary {
-	recs := j.Records()
-	if lastN > 0 && len(recs) > lastN {
-		recs = recs[len(recs)-lastN:]
-	}
+	recs := j.newest(lastN)
 	out := make([]DecisionSummary, len(recs))
 	for i, r := range recs {
 		out[i] = summarize(r)
@@ -72,12 +69,17 @@ type ControllerStatus struct {
 	ServiceWatts map[string]float64 `json:"service_watts,omitempty"`
 	// Decisions holds the most recent decision records, oldest-first.
 	Decisions []DecisionSummary `json:"decisions,omitempty"`
+	// Events holds the most recent entries of the controller's event ring
+	// (its alerts, failed and retried calls, lease renewal failures and
+	// contracts), rendered, oldest-first. Only a controller with a
+	// telemetry sink keeps them.
+	Events []string `json:"events,omitempty"`
 }
 
 // status snapshots what every controller reports, with its last lastN
-// decision records (lastN <= 0 returns all retained records).
+// decision records and events (lastN <= 0 returns all retained ones).
 func (k *cycleKernel) status(lastN int) ControllerStatus {
-	return ControllerStatus{
+	s := ControllerStatus{
 		Device:        k.deviceID,
 		Level:         k.kind,
 		Running:       k.Running(),
@@ -92,10 +94,15 @@ func (k *cycleKernel) status(lastN int) ControllerStatus {
 		UncapEvents:   k.uncapEvents,
 		Decisions:     lastDecisions(k.journal, lastN),
 	}
+	if k.tel != nil {
+		s.Events = k.tel.recentEvents(lastN)
+	}
+	return s
 }
 
 // Status snapshots the leaf controller with its last lastN decision
-// records (lastN <= 0 returns all retained records). Loop-confined.
+// records and events (lastN <= 0 returns all retained ones).
+// Loop-confined.
 func (l *Leaf) Status(lastN int) ControllerStatus {
 	s := l.status(lastN)
 	s.ServiceWatts = map[string]float64{}
@@ -106,7 +113,8 @@ func (l *Leaf) Status(lastN int) ControllerStatus {
 }
 
 // Status snapshots the upper controller with its last lastN decision
-// records (lastN <= 0 returns all retained records). Loop-confined.
+// records and events (lastN <= 0 returns all retained ones).
+// Loop-confined.
 func (u *Upper) Status(lastN int) ControllerStatus {
 	s := u.status(lastN)
 	s.Contracted = u.ContractedChildren()

@@ -13,8 +13,8 @@ import (
 // call site guards with `if tel != nil`, so the deterministic simulation
 // path (nil sink) performs no telemetry work at all.
 type ctrlInstr struct {
-	sink   *telemetry.Sink
 	device string
+	events ring[Alert] // alerts and the other events, newest last
 
 	cycles          *telemetry.Counter
 	invalid         *telemetry.Counter
@@ -48,8 +48,8 @@ func newCtrlInstr(sink *telemetry.Sink, device, level string) *ctrlInstr {
 	}
 	lb := []string{"device", device, "level", level}
 	in := &ctrlInstr{
-		sink:            sink,
 		device:          device,
+		events:          newRing[Alert](eventRingSize),
 		cycles:          sink.Counter("dynamo_controller_cycles_total", lb...),
 		invalid:         sink.Counter("dynamo_controller_invalid_aggregate_cycles_total", lb...),
 		capEpisodes:     sink.Counter("dynamo_controller_cap_episodes_total", lb...),
@@ -76,7 +76,11 @@ func newCtrlInstr(sink *telemetry.Sink, device, level string) *ctrlInstr {
 	return in
 }
 
-// wrapAlerts chains alert accounting (counter + trace event) ahead of the
+// eventRingSize is how many events a controller with telemetry keeps: a
+// few cycles of a whole rack failing its pulls and retries.
+const eventRingSize = 256
+
+// wrapAlerts chains alert accounting (counter + event ring) ahead of the
 // user-provided alert sink. Safe on a nil receiver.
 func (in *ctrlInstr) wrapAlerts(user AlertFunc) AlertFunc {
 	if in == nil {
@@ -88,38 +92,44 @@ func (in *ctrlInstr) wrapAlerts(user AlertFunc) AlertFunc {
 			lvl = AlertCritical
 		}
 		in.alertCounts[lvl].Inc()
-		in.sink.Emit(telemetry.EventAlert, in.device, 0, a.Time, "%s: %s", a.Level, a.Msg)
+		in.events.add(a)
 		if user != nil {
 			user(a)
 		}
 	}
 }
 
-// cycleStart marks the beginning of a pull cycle.
-func (in *ctrlInstr) cycleStart(cycle uint64, now time.Duration) {
-	in.sink.Emit(telemetry.EventCycleStart, in.device, cycle, now, "pull cycle start")
+// event records one event that is not an alert in the event ring.
+func (in *ctrlInstr) event(now time.Duration, cycle uint64, a Alert) {
+	a.Time, a.Cycle, a.Level, a.Controller = now, cycle, a.Kind.Level(), in.device
+	in.events.add(a)
 }
 
-// cycleEnd records one completed, valid cycle: duration histogram, gauges,
-// and a cycle_end trace event summarizing the decision (linking the trace
-// ring to the journal via the cycle number).
-func (in *ctrlInstr) cycleEnd(cycle uint64, start, now time.Duration, agg, effLimit power.Watts, capped int, action Action) {
+// recentEvents renders the newest n events (n <= 0: all), oldest-first.
+func (in *ctrlInstr) recentEvents(n int) []string {
+	evs := in.events.newest(n)
+	out := make([]string, len(evs))
+	for i, e := range evs {
+		out[i] = e.String()
+	}
+	return out
+}
+
+// cycleEnd records one completed, valid cycle: duration histogram and
+// gauges.
+func (in *ctrlInstr) cycleEnd(start, now time.Duration, agg, effLimit power.Watts, capped int) {
 	in.cycles.Inc()
 	in.cycleDur.Observe((now - start).Seconds())
 	in.agg.Set(float64(agg))
 	in.effLimit.Set(float64(effLimit))
 	in.capped.Set(float64(capped))
-	in.sink.Emit(telemetry.EventCycleEnd, in.device, cycle, now,
-		"agg=%v effLimit=%v capped=%d action=%s", agg, effLimit, capped, action)
 }
 
 // invalidCycle records a cycle whose aggregation was declared invalid.
-func (in *ctrlInstr) invalidCycle(cycle uint64, start, now time.Duration, failures, total int) {
+func (in *ctrlInstr) invalidCycle(start, now time.Duration) {
 	in.cycles.Inc()
 	in.invalid.Inc()
 	in.cycleDur.Observe((now - start).Seconds())
-	in.sink.Emit(telemetry.EventAggregateInvalid, in.device, cycle, now,
-		"%d/%d pulls failed", failures, total)
 }
 
 // observeDone records the wall-clock duration of one observe+decide phase
@@ -131,54 +141,44 @@ func (in *ctrlInstr) observeDone(start time.Time) {
 	in.observeDur.Observe(time.Since(start).Seconds())
 }
 
-// transition records a band-decision change (none → cap, cap → uncap, ...).
-func (in *ctrlInstr) transition(cycle uint64, now time.Duration, from, to Action) {
-	switch to {
-	case ActionCap:
-		in.capEpisodes.Inc()
-	case ActionUncap:
-		in.uncapEpisodes.Inc()
+// decided counts a valid cycle's decision: a band change into cap or
+// uncap starts an episode, and a plan short of its cut is a shortfall.
+func (in *ctrlInstr) decided(p *cyclePlan) {
+	if p.rec.Action != p.prevAction {
+		switch p.rec.Action {
+		case ActionCap:
+			in.capEpisodes.Inc()
+		case ActionUncap:
+			in.uncapEpisodes.Inc()
+		}
 	}
-	in.sink.Emit(telemetry.EventBandTransition, in.device, cycle, now, "%s -> %s", from, to)
-}
-
-// capPlan summarizes a computed capping plan.
-func (in *ctrlInstr) capPlan(cycle uint64, now time.Duration, planned int, achieved, shortfall power.Watts, dryRun bool) {
-	if shortfall > 0 {
+	if p.planComputed && p.rec.Shortfall > 0 {
 		in.planShortfalls.Inc()
 	}
-	in.sink.Emit(telemetry.EventCapPlan, in.device, cycle, now,
-		"cap %d servers (achieved %v, short %v, dryrun=%v)", planned, achieved, shortfall, dryRun)
 }
 
 // contractReceived records a contractual-limit change imposed by a parent.
-func (in *ctrlInstr) contractReceived(now time.Duration, limit power.Watts) {
+func (in *ctrlInstr) contractReceived(now time.Duration, cycle uint64, limit power.Watts) {
 	in.contractChanges.Inc()
-	if limit > 0 {
-		in.sink.Emit(telemetry.EventContract, in.device, 0, now, "contract received: %v", limit)
-	} else {
-		in.sink.Emit(telemetry.EventContract, in.device, 0, now, "contract cleared")
-	}
+	in.event(now, cycle, Alert{Kind: KindContractReceived, Watts: limit})
 }
 
 // contractIssued records a contractual limit sent to a child controller.
-func (in *ctrlInstr) contractIssued(cycle uint64, now time.Duration, child string, limit power.Watts) {
+func (in *ctrlInstr) contractIssued(now time.Duration, cycle uint64, child string, limit power.Watts) {
 	in.contractChanges.Inc()
-	in.sink.Emit(telemetry.EventContract, in.device, cycle, now,
-		"contract issued to %s: %v", child, limit)
+	in.event(now, cycle, Alert{Kind: KindContractIssued, Peer: child, Watts: limit})
 }
 
 // rpcFailure records a failed downstream call.
-func (in *ctrlInstr) rpcFailure(cycle uint64, now time.Duration, peer, op string, err error) {
+func (in *ctrlInstr) rpcFailure(now time.Duration, cycle uint64, peer, op string, err error) {
 	in.rpcFailures.Inc()
-	in.sink.Emit(telemetry.EventRPCFailure, in.device, cycle, now, "%s to %s: %v", op, peer, err)
+	in.event(now, cycle, Alert{Kind: KindRPCFailed, Peer: peer, Op: op, Err: err})
 }
 
 // rpcRetry records one re-attempt of a downstream call.
-func (in *ctrlInstr) rpcRetry(cycle uint64, now time.Duration, peer, op string, attempt int, err error) {
+func (in *ctrlInstr) rpcRetry(now time.Duration, cycle uint64, peer, op string, attempt int, err error) {
 	in.rpcRetries.Inc()
-	in.sink.Emit(telemetry.EventRPCFailure, in.device, cycle, now,
-		"retry %d of %s to %s after %v", attempt, op, peer, err)
+	in.event(now, cycle, Alert{Kind: KindRetry, Peer: peer, Op: op, Count: attempt, Err: err})
 }
 
 // quarantine updates the circuit-breaker instruments after a cycle:
@@ -198,13 +198,10 @@ func (in *ctrlInstr) leaseRenewed() {
 	in.leaseRenewals.Inc()
 }
 
-// leaseRenewFailed records a renewal the agent rejected or that failed in
-// transit (the agent-side lease may now expire and release its cap).
-func (in *ctrlInstr) leaseRenewFailed(cycle uint64, now time.Duration, peer string, err error) {
+// leaseRenewFailed records a renewal the agent rejected (err nil) or that
+// failed in transit (the agent-side lease may now expire and release its
+// cap).
+func (in *ctrlInstr) leaseRenewFailed(now time.Duration, cycle uint64, peer string, err error) {
 	in.leaseRenewFails.Inc()
-	if err != nil {
-		in.sink.Emit(telemetry.EventRPCFailure, in.device, cycle, now, "lease renewal to %s: %v", peer, err)
-	} else {
-		in.sink.Emit(telemetry.EventRPCFailure, in.device, cycle, now, "lease renewal to %s rejected (cap already released)", peer)
-	}
+	in.event(now, cycle, Alert{Kind: KindLeaseRenewFailed, Peer: peer, Err: err})
 }

@@ -10,14 +10,23 @@ import (
 	"dynamo/internal/telemetry"
 )
 
-// leafCounter reads one of the leaf controller's labeled counters.
+// ctrlCounter reads one of a controller's labeled counters.
 func ctrlCounter(s *telemetry.Sink, name, device, level string) uint64 {
 	return s.Counter(name, "device", device, "level", level).Value()
 }
 
+// eventKinds counts a controller's retained events by kind.
+func eventKinds(k *cycleKernel) map[AlertKind]int {
+	out := map[AlertKind]int{}
+	for _, e := range k.tel.events.newest(0) {
+		out[e.Kind]++
+	}
+	return out
+}
+
 // TestLeafTelemetryCapUncapEpisodes drives a leaf through a full capping
 // episode (over limit → cap, load drop → uncap) and checks the episode
-// counters, cycle-duration histogram, gauges, and decision trace events.
+// counters, cycle-duration histogram, gauges, and the decision journal.
 func TestLeafTelemetryCapUncapEpisodes(t *testing.T) {
 	f := newFixture(t)
 	sink := telemetry.NewSink()
@@ -63,14 +72,15 @@ func TestLeafTelemetryCapUncapEpisodes(t *testing.T) {
 		t.Errorf("UncapEvents = %d, want >= 1", got)
 	}
 
-	// The trace ring must carry the decision sequence.
-	for _, typ := range []telemetry.EventType{
-		telemetry.EventCycleStart, telemetry.EventCycleEnd,
-		telemetry.EventBandTransition, telemetry.EventCapPlan,
-	} {
-		if len(sink.Trace().OfType(typ, 0)) == 0 {
-			t.Errorf("no %s events in trace ring", typ)
-		}
+	// The journal carries the decision sequence: a planned cap, then an
+	// uncap.
+	sawPlan, sawUncap := false, false
+	for _, r := range leaf.Journal().Records() {
+		sawPlan = sawPlan || r.Action == ActionCap && r.ServersPlanned > 0
+		sawUncap = sawUncap || sawPlan && r.Action == ActionUncap
+	}
+	if !sawPlan || !sawUncap {
+		t.Errorf("journal: planned cap %v, uncap after it %v; want both", sawPlan, sawUncap)
 	}
 
 	// Status snapshot reflects the same story.
@@ -99,7 +109,7 @@ func TestLeafTelemetryCapUncapEpisodes(t *testing.T) {
 
 // TestLeafTelemetryInvalidAggregate partitions enough agents that the
 // leaf's aggregation goes invalid, and checks the invalid-cycle counter,
-// RPC failure counter, and trace events.
+// RPC failure counter, the journal and the event ring.
 func TestLeafTelemetryInvalidAggregate(t *testing.T) {
 	f := newFixture(t)
 	sink := telemetry.NewSink()
@@ -125,11 +135,17 @@ func TestLeafTelemetryInvalidAggregate(t *testing.T) {
 	if got := ctrlCounter(sink, "dynamo_controller_rpc_failures_total", "rpp1", "leaf"); got == 0 {
 		t.Error("rpc failures never counted")
 	}
-	if len(sink.Trace().OfType(telemetry.EventAggregateInvalid, 0)) == 0 {
-		t.Error("no aggregate_invalid events in trace ring")
+	invalid := 0
+	for _, r := range leaf.Journal().Records() {
+		if !r.Valid && r.Failures == 4 {
+			invalid++
+		}
 	}
-	if len(sink.Trace().OfType(telemetry.EventAlert, 0)) == 0 {
-		t.Error("invalid aggregation should raise an alert event")
+	if invalid == 0 {
+		t.Error("no invalid cycle with 4 failures in the journal")
+	}
+	if kinds := eventKinds(&leaf.cycleKernel); kinds[KindPullsFailed] == 0 || kinds[KindRPCFailed] == 0 {
+		t.Errorf("event ring holds %v; want the invalid-aggregation alert and the failed pulls", kinds)
 	}
 	if got := ctrlCounter(sink, "dynamo_controller_alerts_total", "rpp1", "leaf"); got == 0 {
 		// alerts_total carries an extra severity label; read it directly.
@@ -180,8 +196,11 @@ func TestUpperTelemetryContractFlow(t *testing.T) {
 	if got := ctrlCounter(sink, "dynamo_controller_contract_changes_total", "c1", "leaf"); got < 1 {
 		t.Errorf("leaf contract changes = %d, want >= 1 (contract received)", got)
 	}
-	if len(sink.Trace().OfType(telemetry.EventContract, 0)) == 0 {
-		t.Error("no contract events in trace ring")
+	if n := eventKinds(&upper.cycleKernel)[KindContractIssued]; n == 0 {
+		t.Error("no contract issued in the upper's event ring")
+	}
+	if n := eventKinds(&leaf.cycleKernel)[KindContractReceived]; n == 0 {
+		t.Error("no contract received in the leaf's event ring")
 	}
 	h := sink.Histogram("dynamo_controller_cycle_duration_seconds", nil,
 		"device", "sb1", "level", "upper")
@@ -220,5 +239,78 @@ func TestControllersWithNilSinkStayQuiet(t *testing.T) {
 	st := leaf.Status(4)
 	if st.CapEvents == 0 || len(st.Decisions) == 0 {
 		t.Error("status must work with telemetry disabled")
+	}
+}
+
+// TestEventStormStaysInItsController partitions every agent of one leaf
+// for more cycles than its event ring holds, with a sibling leaf on the
+// same telemetry sink. The storm — each cycle ten failed pulls and an
+// invalid-aggregation alert — wraps the stormed leaf's own ring, and
+// nothing else: its journal still holds every cycle, and the sibling's
+// events are exactly what they were before the storm.
+func TestEventStormStaysInItsController(t *testing.T) {
+	f := newFixture(t)
+	sink := telemetry.NewSink()
+	stormed := NewLeaf(f.loop, LeafConfig{
+		DeviceID: "rpp-storm", Limit: power.KW(50), Alerts: f.alertSink(), Telemetry: sink,
+	}, f.addFleet(10, "web", 0.5))
+	sibling := NewLeaf(f.loop, LeafConfig{
+		DeviceID: "rpp-sibling", Limit: power.KW(50), Alerts: f.alertSink(), Telemetry: sink,
+	}, f.addFleet(10, "cache", 0.5))
+	stormed.Start()
+	sibling.Start()
+
+	// The sibling records a few failed pulls of its own, then heals.
+	f.partition(AgentAddr("cache-000"))
+	f.loop.RunUntil(15 * time.Second)
+	f.heal(AgentAddr("cache-000"))
+	f.loop.RunUntil(30 * time.Second)
+	before := sibling.tel.events.newest(0)
+	if len(before) == 0 {
+		t.Fatal("the sibling recorded no events before the storm")
+	}
+
+	for i := 0; i < 10; i++ {
+		f.partition(AgentAddr(fmt.Sprintf("web-%03d", i)))
+	}
+	start := stormed.Cycles()
+	f.loop.RunUntil(30*time.Second + (eventRingSize+10)*stormed.pollInterval)
+	stormCycles := stormed.Cycles() - start
+	if stormCycles <= eventRingSize {
+		t.Fatalf("%d storm cycles, want more than the ring's %d", stormCycles, eventRingSize)
+	}
+
+	evs := stormed.tel.events.newest(0)
+	if len(evs) != eventRingSize {
+		t.Fatalf("stormed leaf's ring holds %d events, want it full at %d", len(evs), eventRingSize)
+	}
+	if last := evs[len(evs)-1]; last.Controller != "rpp-storm" || last.Cycle != stormed.Cycles() {
+		t.Errorf("newest event %v is from cycle %d, want the last cycle %d", last, last.Cycle, stormed.Cycles())
+	}
+	recs := stormed.Journal().Records()
+	if uint64(len(recs)) != stormed.Cycles() {
+		t.Fatalf("journal holds %d records over %d cycles", len(recs), stormed.Cycles())
+	}
+	for i, r := range recs {
+		if r.Cycle != uint64(i+1) {
+			t.Fatalf("journal record %d is cycle %d: the journal has a gap", i, r.Cycle)
+		}
+		// The cycle open at the partition pulled before it.
+		if r.Cycle > start+1 && (r.Valid || r.Failures != 10) {
+			t.Fatalf("storm cycle %d recorded valid=%v failures=%d, want invalid with 10", r.Cycle, r.Valid, r.Failures)
+		}
+	}
+
+	after := sibling.tel.events.newest(0)
+	if len(after) != len(before) {
+		t.Fatalf("sibling's ring went from %d to %d events during the storm", len(before), len(after))
+	}
+	for i := range after {
+		if after[i] != before[i] {
+			t.Fatalf("sibling's event %d changed during the storm: %v, was %v", i, after[i], before[i])
+		}
+	}
+	if st := sibling.Status(0); len(st.Events) != len(before) || st.Events[0] != before[0].String() {
+		t.Errorf("sibling's status events %q do not render its ring", st.Events)
 	}
 }

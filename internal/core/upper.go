@@ -38,9 +38,9 @@ type UpperConfig struct {
 	DryRun bool
 	// Alerts receives operator alerts.
 	Alerts AlertFunc
-	// Telemetry, when set, receives operational metrics and decision trace
-	// events. nil (the default) disables telemetry entirely, as in
-	// LeafConfig.
+	// Telemetry, when set, receives operational metrics, and the
+	// controller keeps an event ring for Status. nil (the default)
+	// disables telemetry entirely, as in LeafConfig.
 	Telemetry *telemetry.Sink
 	// Scheduler, when set, runs the observe+decide phase on the shared
 	// cohort worker pool (see LeafConfig.Scheduler).
@@ -213,8 +213,7 @@ func (u *Upper) aggregate(p *cyclePlan) (power.Watts, bool) {
 		// is expected and not alert-worthy.
 		p.rec.Failures = stale
 		if u.cycles > 2 || staleSeen {
-			p.alert(AlertCritical,
-				"aggregation invalid: %d/%d children unreachable", stale, len(u.list))
+			p.alert(Alert{Kind: KindChildrenStale, Count: stale, Of: len(u.list)})
 		}
 		return 0, false
 	}
@@ -294,7 +293,7 @@ func (u *Upper) planCap(p *cyclePlan, needed power.Watts) {
 	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = planned, achieved, shortfall
 	p.planComputed = true
 	if u.dryRun {
-		p.alert(AlertInfo, "dry-run: would contract %d children", planned)
+		p.alert(Alert{Kind: KindDryRunContract, Count: planned})
 		return
 	}
 	for i, st := range u.list {
@@ -388,7 +387,7 @@ func (u *Upper) sendContracts(now time.Duration) {
 			continue
 		}
 		if u.tel != nil {
-			u.tel.contractIssued(u.cycles, now, st.id, st.contract)
+			u.tel.contractIssued(now, u.cycles, st.id, st.contract)
 		}
 		u.send(&st.pull, opSetContract, st.contract)
 	}

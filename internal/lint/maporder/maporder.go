@@ -4,12 +4,12 @@
 // Go randomizes map iteration order per run. That is harmless when the
 // body is commutative (counting, building another map, deleting), but the
 // moment the body appends to a slice, accumulates floating point (where
-// rounding makes addition order-visible), or emits journal/telemetry/RPC
-// traffic, the iteration order leaks into output the determinism contract
-// says must be byte-identical across runs. The fix is the sorted-key
-// idiom: collect keys, sort, range over the slice. Appending keys and
-// sorting the result immediately after the loop is recognized as exactly
-// that idiom and not flagged.
+// rounding makes addition order-visible), or writes a journal, an event
+// ring, a gauge or RPC traffic, the iteration order leaks into output the
+// determinism contract says must be byte-identical across runs. The fix is
+// the sorted-key idiom: collect keys, sort, range over the slice. Appending
+// keys and sorting the result immediately after the loop is recognized as
+// exactly that idiom and not flagged.
 package maporder
 
 import (
@@ -23,18 +23,17 @@ import (
 
 var Analyzer = &lint.Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration that feeds ordered outputs (slice appends, float accumulation, journal/telemetry/RPC emission) in determinism-critical packages",
+	Doc:  "flag map iteration that feeds ordered outputs (slice appends, float accumulation, journal/event-ring/gauge/RPC writes) in determinism-critical packages",
 	Run:  run,
 }
 
 // orderedTelemetryMethods are the telemetry-package methods whose effect is
-// order-sensitive: trace emission/append (ring order is output) and gauge
-// Set (last write wins). Counter Inc/Add and Histogram Observe are
-// commutative and deliberately not listed.
+// order-sensitive: gauge Set (last write wins) and Add (float
+// accumulation). The rule matches by method name, so a Counter.Add is
+// flagged too; Counter Inc and Histogram Observe commute and are not.
 var orderedTelemetryMethods = map[string]bool{
-	"Emit": true,
-	"Add":  true,
-	"Set":  true,
+	"Add": true,
+	"Set": true,
 }
 
 // orderedRPCMethods are rpc client entry points: issuing calls in map
@@ -106,8 +105,9 @@ func checkAssign(pass *lint.Pass, rs *ast.RangeStmt, stack []ast.Node, st *ast.A
 }
 
 // checkEmitter flags calls whose receiver belongs to an order-sensitive
-// output channel: telemetry trace/gauge methods, any core Journal method,
-// and rpc client calls.
+// output channel: telemetry gauge writes, any method of a Journal or of a
+// ring (the type a controller's journal and event ring share: ring order
+// is output), and rpc client calls.
 func checkEmitter(pass *lint.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -132,6 +132,8 @@ func checkEmitter(pass *lint.Pass, call *ast.CallExpr) {
 		what = "telemetry " + named.Obj().Name() + "." + method
 	case named.Obj().Name() == "Journal":
 		what = "journal " + method
+	case named.Obj().Name() == "ring":
+		what = "ring " + method
 	case pkgBase == "rpc" && orderedRPCMethods[method]:
 		what = "rpc " + method
 	default:

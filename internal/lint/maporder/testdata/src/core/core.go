@@ -7,9 +7,16 @@ import (
 	"telemetry"
 )
 
-type Journal struct{}
+// ring is the bounded FIFO a controller's journal and event ring share.
+type ring[T any] struct{ buf []T }
 
-func (j *Journal) Add(rec int) {}
+func (r *ring[T]) add(v T) { r.buf = append(r.buf, v) }
+
+type Journal struct{ ring[int] }
+
+func (j *Journal) Add(rec int) { j.add(rec) }
+
+type event struct{ kind int }
 
 func appendUnsorted(m map[string]int) []string {
 	var keys []string
@@ -78,11 +85,12 @@ func perIteration(m map[string][]float64) map[string]float64 {
 	return out
 }
 
-func emitters(m map[string]int, sink *telemetry.Sink, g *telemetry.Gauge, c *telemetry.Counter, h *telemetry.Histogram, j *Journal, cl *rpc.Client) {
+func emitters(m map[string]int, events *ring[event], g *telemetry.Gauge, c *telemetry.Counter, h *telemetry.Histogram, j *Journal, cl *rpc.Client) {
 	for k, v := range m {
-		sink.Emit("k=%s", k)  // want `maporder: telemetry Sink.Emit call inside map iteration`
+		events.add(event{v})  // want `maporder: ring add call inside map iteration`
 		g.Set(float64(v))     // want `maporder: telemetry Gauge.Set call inside map iteration`
 		j.Add(v)              // want `maporder: journal Add call inside map iteration`
+		j.add(v)              // want `maporder: journal add call inside map iteration`
 		_ = cl.Call(k, nil)   // want `maporder: rpc Call call inside map iteration`
 		c.Inc()               // counters commute — fine
 		h.Observe(float64(v)) // histograms commute — fine

@@ -3,10 +3,6 @@ package telemetry
 // Minimal stand-ins for the real instrument types; maporder matches by
 // package-path base and method name.
 
-type Sink struct{}
-
-func (s *Sink) Emit(format string, args ...interface{}) {}
-
 type Gauge struct{ v float64 }
 
 func (g *Gauge) Set(v float64) { g.v = v }

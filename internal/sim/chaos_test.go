@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -96,8 +95,7 @@ func TestChaosPartitionDuringCapping(t *testing.T) {
 	// emit invalid-aggregation criticals for the target leaf.
 	invalid := 0
 	for _, a := range s.Alerts {
-		if a.Level == core.AlertCritical && a.Controller == string(rpp.ID) &&
-			strings.Contains(a.Msg, "aggregation invalid") {
+		if a.Controller == string(rpp.ID) && a.Kind == core.KindPullsFailed {
 			invalid++
 		}
 	}
@@ -106,12 +104,12 @@ func TestChaosPartitionDuringCapping(t *testing.T) {
 	}
 	sawQuarantine, sawReadmit, sawLease := false, false, false
 	for _, a := range s.Alerts {
-		switch {
-		case strings.Contains(a.Msg, "quarantined"):
+		switch a.Kind {
+		case core.KindQuarantined:
 			sawQuarantine = true
-		case strings.Contains(a.Msg, "re-admitted"):
+		case core.KindReadmitted:
 			sawReadmit = true
-		case strings.Contains(a.Msg, "cap lease expired"):
+		case core.KindLeaseExpired:
 			sawLease = true
 		}
 	}

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"time"
@@ -72,10 +71,9 @@ type Config struct {
 	// network hardware that supports capping). When false (the deployed
 	// configuration), switches are monitored as a constant draw only.
 	CappableSwitches bool
-	// Telemetry, when set, instruments the controller hierarchy and marks
-	// scenario events (load shifts, outages, breaker trips) in the trace
-	// ring. nil (the default) keeps the simulation telemetry-free and
-	// byte-identical to previous releases.
+	// Telemetry, when set, instruments the controller hierarchy and counts
+	// breaker trips. nil (the default) keeps the simulation telemetry-free
+	// and byte-identical to previous releases.
 	Telemetry *telemetry.Sink
 	// TickWorkers bounds the worker pool that shards the per-server
 	// physics step. 0 uses GOMAXPROCS; 1 forces the serial path. Results
@@ -375,9 +373,10 @@ func New(cfg Config) (*Sim, error) {
 			ag.EnableLease(loop, cfg.CapLeaseTTL, func(id string, limit power.Watts) {
 				s.Alerts = append(s.Alerts, core.Alert{
 					Time:       s.Loop.Now(),
-					Level:      core.AlertWarning,
+					Kind:       core.KindLeaseExpired,
+					Level:      core.KindLeaseExpired.Level(),
 					Controller: "agent/" + id,
-					Msg:        fmt.Sprintf("cap lease expired; released %.0fW limit", float64(limit)),
+					Watts:      limit,
 				})
 			})
 		}
@@ -539,15 +538,6 @@ func (s *Sim) At(t time.Duration, fn func()) {
 	s.Loop.After(d, fn)
 }
 
-// Mark drops a scenario marker into the telemetry trace ring, so operator
-// tooling can correlate controller decisions with the scenario events that
-// provoked them. No-op when telemetry is disabled.
-func (s *Sim) Mark(format string, args ...interface{}) {
-	if s.tel != nil {
-		s.tel.Emit(telemetry.EventScenario, "sim", 0, s.Loop.Now(), format, args...)
-	}
-}
-
 // tick advances physics in four strictly ordered stages:
 //
 //  1. per-service shared workload state advances once (so the sharded
@@ -579,7 +569,6 @@ func (s *Sim) tick() {
 		})
 		if s.tel != nil {
 			s.tripCount.Inc()
-			s.Mark("breaker %s tripped at %v draw", devID, draw)
 		}
 		if !s.Cfg.DisableTripOutage && !was {
 			s.outage(devID)
@@ -664,9 +653,6 @@ func (s *Sim) RestoreDevice(devID topology.NodeID) {
 	node := s.Topo.Lookup(devID)
 	if node == nil {
 		return
-	}
-	if s.tel != nil {
-		s.Mark("restore device %s", devID)
 	}
 	now := s.Loop.Now()
 	node.Walk(func(n *topology.Node) {
@@ -763,18 +749,12 @@ func (s *Sim) ServerSeries(id string) *metrics.Series { return s.recordedServers
 func (s *Sim) SetServiceLoadFactor(service string, f float64) {
 	if sh, ok := s.Shared[service]; ok {
 		sh.SetLoadFactor(f)
-		if s.tel != nil {
-			s.Mark("service %s load factor -> %.2f", service, f)
-		}
 	}
 }
 
 // SetExtraLoadUnder adds additive load to every server under a device
 // (per-row load tests, Fig 11/15).
 func (s *Sim) SetExtraLoadUnder(devID topology.NodeID, extra float64) {
-	if s.tel != nil {
-		s.Mark("extra load %.2f under %s", extra, devID)
-	}
 	for _, srv := range s.Topo.ServersUnder(devID) {
 		s.Gens[string(srv.ID)].SetExtraLoad(extra)
 	}
@@ -782,9 +762,6 @@ func (s *Sim) SetExtraLoadUnder(devID topology.NodeID, extra float64) {
 
 // SetTurboForService toggles Turbo Boost for every server of a service.
 func (s *Sim) SetTurboForService(service string, on bool) {
-	if s.tel != nil {
-		s.Mark("turbo %v for service %s", on, service)
-	}
 	for _, sv := range s.tickList {
 		if sv.Service() == service {
 			sv.SetTurbo(on)

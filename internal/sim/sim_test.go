@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamo/internal/core"
 	"dynamo/internal/power"
 	"dynamo/internal/topology"
 )
@@ -224,7 +225,7 @@ func TestSimValidatorMeter(t *testing.T) {
 	s.Run(3 * time.Minute)
 	// Validators should not fire warnings when aggregation is honest.
 	for _, a := range s.Alerts {
-		if a.Level >= 1 { // warning or critical
+		if a.Level >= core.AlertWarning {
 			t.Errorf("unexpected alert: %v", a)
 		}
 	}

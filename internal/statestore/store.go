@@ -156,7 +156,6 @@ type Store struct {
 
 // storeInstr holds the store's telemetry instruments (nil when disabled).
 type storeInstr struct {
-	sink      *telemetry.Sink
 	name      string
 	appends   [2]*telemetry.Counter // indexed by Kind
 	fenced    *telemetry.Counter
@@ -178,7 +177,6 @@ func NewStore(loop simclock.Loop, name string, tel *telemetry.Sink) *Store {
 	if tel.Enabled() {
 		lb := []string{"store", name}
 		s.tel = &storeInstr{
-			sink:      tel,
 			name:      name,
 			fenced:    tel.Counter("dynamo_statestore_fenced_appends_total", lb...),
 			adoptions: tel.Counter("dynamo_statestore_adoptions_total", lb...),
@@ -409,8 +407,6 @@ func (s *Store) Adopt(device, writer string) AdoptResult {
 	}
 	if s.tel != nil {
 		s.tel.adoptions.Inc()
-		s.tel.sink.Emit(telemetry.EventPromotion, device, res.Cycles, s.loop.Now(),
-			"store %s: stream adopted by %s (epoch %d, %d entries)", s.name, writer, res.Epoch, len(res.Entries))
 	}
 	return res
 }

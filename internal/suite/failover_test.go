@@ -1,7 +1,6 @@
 package suite
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -112,8 +111,8 @@ func TestSuiteFailoverPromotesEveryController(t *testing.T) {
 		}
 		var promo, fenced bool
 		for _, a := range alerts {
-			promo = promo || a.Controller == d && strings.Contains(a.Msg, "journal records adopted from state store")
-			fenced = fenced || a.Controller == d && strings.Contains(a.Msg, "stopping zombie controller")
+			promo = promo || a.Controller == d && a.Kind == core.KindPromoted
+			fenced = fenced || a.Controller == d && a.Kind == core.KindCheckpointFenced
 		}
 		if !promo || !fenced {
 			t.Errorf("%s: promotion alert %v, fencing alert %v; want both", d, promo, fenced)

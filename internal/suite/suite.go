@@ -54,7 +54,7 @@ func AlertLogger(logger *telemetry.Logger) core.AlertFunc {
 		case core.AlertCritical:
 			lvl = telemetry.LevelError
 		}
-		logger.Log(lvl, a.Msg, "alert", a.Level, "controller", a.Controller, "uptime", a.Time)
+		logger.Log(lvl, a.Message(), "alert", a.Level, "controller", a.Controller, "uptime", a.Time)
 	}
 }
 

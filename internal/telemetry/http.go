@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 )
 
 // StateFunc produces the /debug/state payload: a JSON-marshalable snapshot
 // of controller state (per-device aggregate, effective limit, capped
-// count, recent decision records). Implementations are called from HTTP
+// count, recent decision records and events). Implementations are called from HTTP
 // handler goroutines; loop-confined state must be collected via the
 // loop (e.g. WallLoop.Call) inside the function.
 type StateFunc func() interface{}
@@ -18,11 +17,10 @@ type StateFunc func() interface{}
 // Handler builds the exposition mux:
 //
 //	GET /metrics      Prometheus text format (version 0.0.4)
-//	GET /debug/state  JSON: {"now": ..., "state": <state()>, "trace": [last N events]}
+//	GET /debug/state  JSON: {"now": ..., "state": <state()>}
 //	GET /healthz      200 "ok"
 //
-// state may be nil, in which case /debug/state carries only the trace.
-// The trace depth defaults to 128 events and honours ?n=<count>.
+// state may be nil, in which case /debug/state carries only the time.
 func Handler(s *Sink, state StateFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -32,22 +30,12 @@ func Handler(s *Sink, state StateFunc) http.Handler {
 		}
 	})
 	mux.HandleFunc("/debug/state", func(w http.ResponseWriter, req *http.Request) {
-		n := 128
-		if q := req.URL.Query().Get("n"); q != "" {
-			if v, err := strconv.Atoi(q); err == nil && v > 0 {
-				n = v
-			}
-		}
 		payload := struct {
 			Now   time.Time   `json:"now"`
 			State interface{} `json:"state,omitempty"`
-			Trace []Event     `json:"trace"`
 		}{Now: time.Now()}
 		if state != nil {
 			payload.State = state()
-		}
-		if s.Enabled() {
-			payload.Trace = s.Trace().Events(n)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -1,17 +1,17 @@
 // Package telemetry is Dynamo's operational observability subsystem — the
 // paper's §VI lesson that "power monitoring is as important as power
-// capping", applied to the reproduction itself. It provides three pieces:
+// capping", applied to the reproduction itself. It provides:
 //
 //   - a low-overhead Registry of named counters, gauges, and fixed-bucket
 //     histograms (atomic hot path, safe for concurrent use, zero-allocation
 //     on increment);
-//   - structured trace Events for every control decision (cycle start/end,
-//     aggregate validity, band transitions, capping-plan summaries,
-//     contracts, alerts, RPC failures) retained in a bounded in-memory
-//     ring that subsumes and links to the per-controller core.Journal via
-//     the cycle number;
 //   - an HTTP exposition server (Serve) with Prometheus text format at
-//     /metrics, a JSON state snapshot at /debug/state, and /healthz.
+//     /metrics, a JSON state snapshot at /debug/state, and /healthz;
+//   - a logfmt Logger for the daemons.
+//
+// What a controller did is not recorded here: its decision journal and
+// its event ring (typed values, rendered when read) live with the
+// controller, and reach /debug/state through the daemon's state function.
 //
 // Everything hangs off a *Sink, and a nil *Sink disables the whole
 // subsystem: every method is nil-safe and the instrument handles it hands
@@ -19,27 +19,20 @@
 // nothing (no allocations, no time reads) when telemetry is off.
 package telemetry
 
-import (
-	"fmt"
-	"time"
-)
-
-// Sink bundles a metric registry and a trace ring. A nil *Sink is a valid,
-// fully disabled sink: all methods no-op and return nil-safe handles.
+// Sink bundles a metric registry. A nil *Sink is a valid, fully disabled
+// sink: all methods no-op and return nil-safe handles.
 type Sink struct {
 	registry *Registry
-	trace    *Ring
 }
 
-// NewSink creates an enabled sink with a fresh registry and a trace ring
-// retaining the last n events (n <= 0 picks a default of 2048).
+// NewSink creates an enabled sink with a fresh registry.
 func NewSink() *Sink {
-	return &Sink{registry: NewRegistry(), trace: NewRing(2048)}
+	return &Sink{registry: NewRegistry()}
 }
 
 // Enabled reports whether the sink is non-nil. Instrumented components use
-// it to guard work (formatting, time reads) that only matters when
-// telemetry is on.
+// it to guard work (instrument registration, time reads) that only
+// matters when telemetry is on.
 func (s *Sink) Enabled() bool { return s != nil }
 
 // Registry returns the sink's metric registry (nil for a nil sink).
@@ -48,14 +41,6 @@ func (s *Sink) Registry() *Registry {
 		return nil
 	}
 	return s.registry
-}
-
-// Trace returns the sink's trace ring (nil for a nil sink).
-func (s *Sink) Trace() *Ring {
-	if s == nil {
-		return nil
-	}
-	return s.trace
 }
 
 // Counter fetches (or registers) a counter. Returns a nil-safe handle on a
@@ -82,25 +67,4 @@ func (s *Sink) Histogram(name string, buckets []float64, labels ...string) *Hist
 		return nil
 	}
 	return s.registry.Histogram(name, buckets, labels...)
-}
-
-// Emit appends a trace event. Callers on a hot path should guard with
-// Enabled() so the fmt.Sprintf (and its argument boxing) is skipped
-// entirely when telemetry is off; Emit itself is also nil-safe.
-func (s *Sink) Emit(typ EventType, component string, cycle uint64, at time.Duration, format string, args ...interface{}) {
-	if s == nil {
-		return
-	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	s.trace.Add(Event{
-		Time:      at,
-		Wall:      time.Now(),
-		Type:      typ,
-		Component: component,
-		Cycle:     cycle,
-		Detail:    detail,
-	})
 }

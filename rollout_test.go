@@ -23,11 +23,11 @@ func rolloutTargets(n int) []string {
 func TestRolloutHappyPath(t *testing.T) {
 	loop := dynamo.NewSimLoop()
 	applied := map[string]bool{}
-	var alerts []dynamo.Alert
+	var alerts []RolloutAlert
 	r := NewRollout(loop, rolloutTargets(200), RolloutConfig{
 		Apply:   func(tg string) error { applied[tg] = true; return nil },
 		Healthy: func() bool { return true },
-		Alerts:  func(a dynamo.Alert) { alerts = append(alerts, a) },
+		Alerts:  func(a RolloutAlert) { alerts = append(alerts, a) },
 	})
 	r.Start()
 	if r.State() != RolloutRunning {
