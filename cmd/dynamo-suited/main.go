@@ -59,7 +59,7 @@ func main() {
 	rpcRetries := flag.Int("rpc-retries", 2, "bounded retries per failed agent/child RPC (0: single attempt)")
 	rpcRetryBackoff := flag.Duration("rpc-retry-backoff", 100*time.Millisecond, "base backoff between RPC retries (doubles per attempt, jittered)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "consecutive failed pulls before a leaf quarantines an agent (0: disabled)")
-	capLeaseTTL := flag.Duration("cap-lease-ttl", 12*time.Second, "cap lease attached to SetCap and renewed each cycle (must be > 0)")
+	capLeaseTTL := flag.Duration("cap-lease-ttl", 12*time.Second, "cap lease attached to SetCap and renewed by every pull of a capped agent (must be > 0)")
 	primary := flag.String("primary", "", "run as backup: probe this primary controller address and take over on sustained failure (empty: run as primary)")
 	flag.Parse()
 

@@ -36,7 +36,7 @@ type extras struct {
 	// rpc.LoopHandler), so timer arm/stop never races.
 	loop          simclock.Loop
 	leaseTTL      time.Duration
-	lease         simclock.Timer // re-armed by every SetCap and RenewLease
+	lease         simclock.Timer // re-armed by every SetCap and every renewal
 	leaseLimit    power.Watts    // the limit the lease guards
 	expire        func()         // a.expireLease, bound once
 	onLeaseExpire func(id string, limit power.Watts)
@@ -104,12 +104,12 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 }
 
 // EnableLease arms the cap-lease fail-safe: every accepted SetCap starts
-// (and every RenewLease refreshes) a TTL timer on loop; if it fires
-// before the next renewal, the agent releases its power limit on the
-// assumption that the controller died mid-capping, and reports through
-// onExpire (which runs on the loop goroutine; may be nil). defaultTTL
-// applies to SetCaps that carry no lease of their own; zero means such
-// caps are not guarded. Call before the agent starts serving.
+// (and every renewing ReadPower or RenewLease refreshes) a TTL timer on
+// loop; if it fires before the next renewal, the agent releases its power
+// limit on the assumption that the controller died mid-capping, and
+// reports through onExpire (which runs on the loop goroutine; may be nil).
+// defaultTTL applies to SetCaps that carry no lease of their own; zero
+// means such caps are not guarded. Call before the agent starts serving.
 func (a *Agent) EnableLease(loop simclock.Loop, defaultTTL time.Duration, onExpire func(id string, limit power.Watts)) {
 	x := a.extras()
 	x.loop, x.leaseTTL, x.onLeaseExpire, x.expire = loop, defaultTTL, onExpire, a.expireLease
@@ -145,7 +145,26 @@ func (a *Agent) count(o op) {
 func (a *Agent) Handler() rpc.Handler {
 	return func(method string, body []byte) (wire.Message, error) {
 		switch method {
-		case MethodReadPower:
+		case MethodReadPower, MethodRenewLease:
+			var d wire.Decoder
+			var req ReadPowerRequest
+			d.Reset(body)
+			if err := req.UnmarshalWire(&d); err != nil {
+				a.count(opErr)
+				return nil, err
+			}
+			ttl := time.Duration(req.LeaseNanos)
+			if method == MethodRenewLease {
+				// Rejected without a cap, so the controller learns its view
+				// is stale.
+				if !a.renew(ttl) {
+					return &CapResponse{OK: false, Msg: "no active cap"}, nil
+				}
+				return capOK, nil
+			}
+			if ttl > 0 {
+				a.renew(ttl)
+			}
 			return a.readPower()
 		case MethodSetCap:
 			var d wire.Decoder
@@ -158,15 +177,6 @@ func (a *Agent) Handler() rpc.Handler {
 			return a.setCap(req.LimitWatts, time.Duration(req.LeaseNanos))
 		case MethodClearCap:
 			return a.clearCap()
-		case MethodRenewLease:
-			var d wire.Decoder
-			var req RenewLeaseRequest
-			d.Reset(body)
-			if err := req.UnmarshalWire(&d); err != nil {
-				a.count(opErr)
-				return nil, err
-			}
-			return a.renewLease(time.Duration(req.LeaseNanos))
 		default:
 			a.count(opErr)
 			return nil, fmt.Errorf("agent %s: unknown method %q", a.id, method)
@@ -226,19 +236,19 @@ func (a *Agent) clearCap() (wire.Message, error) {
 	return capOK, nil
 }
 
-// renewLease refreshes the cap lease without changing the limit. A
-// renewal for a cap the agent no longer holds is rejected so the
-// controller learns its view is stale.
-func (a *Agent) renewLease(ttl time.Duration) (wire.Message, error) {
+// renew refreshes the cap lease without changing the limit, for a
+// renewing pull and for RenewLease alike. It reports whether the agent
+// held a cap to renew.
+func (a *Agent) renew(ttl time.Duration) bool {
 	limit, capped := a.plat.PowerLimit()
 	if !capped {
-		return &CapResponse{OK: false, Msg: "no active cap"}, nil
+		return false
 	}
 	a.armLease(ttl, limit)
 	if t := a.tel(); t != nil {
 		t.leaseRenew.Inc()
 	}
-	return capOK, nil
+	return true
 }
 
 // armLease (re)starts the lease timer. ttl <= 0 falls back to the

@@ -95,7 +95,7 @@ func TestAgentLeaseRenewalKeepsCap(t *testing.T) {
 	// Renew every 6 s: the cap must survive far beyond any single TTL.
 	for at := 6 * time.Second; at <= 60*time.Second; at += 6 * time.Second {
 		lf.loop.RunUntil(at)
-		lf.apply(t, MethodRenewLease, &RenewLeaseRequest{LeaseNanos: uint64(10 * time.Second)}, true)
+		lf.apply(t, MethodRenewLease, &ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)}, true)
 	}
 	if !lf.capped(t) {
 		t.Fatal("renewed cap was released")
@@ -112,7 +112,7 @@ func TestAgentLeaseRenewalKeepsCap(t *testing.T) {
 
 func TestAgentRenewWithoutCapRejected(t *testing.T) {
 	lf := newLeaseFixture(t, 0)
-	lf.apply(t, MethodRenewLease, &RenewLeaseRequest{LeaseNanos: uint64(10 * time.Second)}, false)
+	lf.apply(t, MethodRenewLease, &ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)}, false)
 }
 
 func TestAgentClearCapStopsLease(t *testing.T) {
@@ -168,18 +168,19 @@ func TestAgentLeaseReplacedBySecondSetCap(t *testing.T) {
 }
 
 // TestRenewLeaseAllocs: a steady-state renewal re-arms the agent's own
-// lease timer with its bound expiry, so it allocates nothing. It calls the
-// method behind the handler; TestCapRequestDecodeAllocs covers the decode.
+// lease timer with its bound expiry, so it allocates nothing. It calls
+// renew, which serves both renewing pulls and RenewLease;
+// TestCapRequestDecodeAllocs covers the decode.
 func TestRenewLeaseAllocs(t *testing.T) {
 	lf := newLeaseFixture(t, 0)
 	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
 	if n := testing.AllocsPerRun(1000, func() {
-		if m, err := lf.a.renewLease(10 * time.Second); err != nil || m != capOK {
-			t.Fatalf("renewal: %v, %v", m, err)
+		if !lf.a.renew(10 * time.Second) {
+			t.Fatal("renewal of a held cap refused")
 		}
 		lf.loop.RunFor(time.Second)
 	}); n != 0 {
-		t.Errorf("RenewLease allocates %v per run, want 0", n)
+		t.Errorf("a renewal allocates %v per run, want 0", n)
 	}
 	if lf.loop.Pending() != 1 || !lf.capped(t) || lf.a.LeaseExpiries() != 0 {
 		t.Errorf("after renewals: Pending %d, capped %v, expiries %d; want 1, true, 0",
@@ -192,7 +193,7 @@ func TestRenewLeaseAllocs(t *testing.T) {
 // lease fail-safe armed, and on an agent that carries no extras at all.
 func TestCapRequestDecodeAllocs(t *testing.T) {
 	setCap := wire.Marshal(&SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)})
-	renew := wire.Marshal(&RenewLeaseRequest{LeaseNanos: uint64(10 * time.Second)})
+	renew := wire.Marshal(&ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)})
 	serve := func(h func(string, []byte) (wire.Message, error), method string, body []byte) {
 		if m, err := h(method, body); err != nil || m != capOK {
 			t.Fatalf("%s: %v, %v", method, m, err)
@@ -221,5 +222,93 @@ func TestCapRequestDecodeAllocs(t *testing.T) {
 	}
 	if bare.x != nil {
 		t.Error("serving caps gave the agent extras")
+	}
+}
+
+// read serves a pull with the given body on the loop goroutine and returns
+// the reading, or the handler's error.
+func (lf *leaseFixture) read(t *testing.T, body []byte) (r ReadPowerResponse, err error) {
+	t.Helper()
+	lf.loop.Post(func() {
+		var m wire.Message
+		if m, err = lf.a.Handler()(MethodReadPower, body); err == nil {
+			r = *m.(*ReadPowerResponse)
+		}
+	})
+	lf.loop.RunFor(0)
+	return r, err
+}
+
+// TestAgentRenewingRead: a pull that carries a TTL renews the lease of the
+// cap the agent holds; an empty body, what a controller that renews through
+// RenewLease sends, is a plain read that leaves the lease alone; and a
+// renewing pull of an uncapped agent arms nothing.
+func TestAgentRenewingRead(t *testing.T) {
+	const ttl = 10 * time.Second
+	renewing := wire.Marshal(&ReadPowerRequest{LeaseNanos: uint64(ttl)})
+	if plain := wire.Marshal(&ReadPowerRequest{}); len(plain) != 0 {
+		t.Fatalf("a read without a lease encodes as %x, want no bytes", plain)
+	}
+	lf := newLeaseFixture(t, 0)
+	if r, err := lf.read(t, renewing); err != nil || r.Capped || lf.loop.Pending() != 0 {
+		t.Fatalf("renewing read of an uncapped agent: capped %v, err %v, %d timers pending; want false, nil, 0",
+			r.Capped, err, lf.loop.Pending())
+	}
+
+	// Plain reads do not renew: the cap lapses one TTL after SetCap.
+	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(ttl)}, true)
+	for at := 3 * time.Second; at <= 9*time.Second; at += 3 * time.Second {
+		lf.loop.RunUntil(at)
+		if r, err := lf.read(t, nil); err != nil || !r.Capped {
+			t.Fatalf("plain read at %v: capped %v, err %v", at, r.Capped, err)
+		}
+	}
+	lf.loop.RunUntil(ttl + time.Second)
+	if lf.capped(t) || lf.a.LeaseExpiries() != 1 {
+		t.Fatalf("after plain reads: capped %v, %d expiries; want false, 1", lf.capped(t), lf.a.LeaseExpiries())
+	}
+
+	// Renewing reads every 3 s keep the next cap far past its TTL, and
+	// once they stop it lapses one TTL after the last.
+	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(ttl)}, true)
+	last := 59 * time.Second
+	for at := 14 * time.Second; at <= last; at += 3 * time.Second {
+		lf.loop.RunUntil(at)
+		if r, err := lf.read(t, renewing); err != nil || !r.Capped {
+			t.Fatalf("renewing read at %v: capped %v, err %v", at, r.Capped, err)
+		}
+	}
+	lf.loop.RunUntil(last + ttl - time.Second)
+	if !lf.capped(t) || lf.a.LeaseExpiries() != 1 {
+		t.Fatalf("under renewing reads: capped %v, %d expiries; want true, 1", lf.capped(t), lf.a.LeaseExpiries())
+	}
+	lf.loop.RunUntil(last + ttl + time.Second)
+	if lf.capped(t) || lf.a.LeaseExpiries() != 2 {
+		t.Fatalf("after renewing reads stopped: capped %v, %d expiries; want false, 2", lf.capped(t), lf.a.LeaseExpiries())
+	}
+
+	// A renewing read decodes on the handler's stack and re-arms the
+	// agent's own timer: it allocates nothing.
+	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(ttl)}, true)
+	h := lf.a.Handler()
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := h(MethodReadPower, renewing); err != nil {
+			t.Fatal(err)
+		}
+		lf.loop.RunFor(time.Second)
+	}); n != 0 {
+		t.Errorf("a renewing read allocates %v times, want 0", n)
+	}
+}
+
+// TestAgentMalformedReadBody: a pull whose lease is a truncated varint is
+// refused with an error, counted as one, and reads nothing.
+func TestAgentMalformedReadBody(t *testing.T) {
+	lf := newLeaseFixture(t, 0)
+	if _, err := lf.read(t, []byte{0x80}); err == nil {
+		t.Fatal("a truncated lease decoded")
+	}
+	if reads, _, _, errs := lf.a.Stats(); reads != 0 || errs != 1 {
+		t.Errorf("after a malformed read: %d reads, %d errors; want 0, 1", reads, errs)
 	}
 }

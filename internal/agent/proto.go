@@ -16,6 +16,34 @@ const (
 	MethodRenewLease = "Agent.RenewLease"
 )
 
+// ReadPowerRequest is the body of a pull. LeaseNanos, when nonzero,
+// renews the lease of the cap the agent holds for that TTL, so a leaf
+// keeps its caps alive with the pull it sends every cycle anyway (paper
+// §III-E: a cap must not outlive its controller). It is a trailing field,
+// so an empty body is a plain read. It is also the body of RenewLease,
+// which the agent still serves, answering with a CapResponse (OK=false: no
+// cap held), so that a controller that renews that way keeps its caps
+// through a rolling upgrade.
+type ReadPowerRequest struct {
+	LeaseNanos uint64
+}
+
+// MarshalWire implements wire.Message.
+func (m *ReadPowerRequest) MarshalWire(e *wire.Encoder) {
+	if m.LeaseNanos > 0 {
+		e.Uvarint(m.LeaseNanos)
+	}
+}
+
+// UnmarshalWire implements wire.Message.
+func (m *ReadPowerRequest) UnmarshalWire(d *wire.Decoder) error {
+	m.LeaseNanos = 0
+	if d.Remaining() > 0 {
+		m.LeaseNanos = d.Uvarint()
+	}
+	return d.Err()
+}
+
 // ReadPowerResponse reports the server's power and identity. Identity
 // fields ride along so the leaf controller can maintain server metadata
 // for priority grouping and failure estimation without a separate
@@ -96,24 +124,6 @@ func (m *SetCapRequest) UnmarshalWire(d *wire.Decoder) error {
 	if d.Remaining() > 0 {
 		m.LeaseNanos = d.Uvarint()
 	}
-	return d.Err()
-}
-
-// RenewLeaseRequest refreshes the TTL of an active cap lease without
-// changing the limit. The agent answers with a CapResponse: OK=false
-// means it no longer holds a cap (the lease already expired or the cap
-// was cleared), so the controller should drop its capped view of the
-// server and re-plan.
-type RenewLeaseRequest struct {
-	LeaseNanos uint64
-}
-
-// MarshalWire implements wire.Message.
-func (m *RenewLeaseRequest) MarshalWire(e *wire.Encoder) { e.Uvarint(m.LeaseNanos) }
-
-// UnmarshalWire implements wire.Message.
-func (m *RenewLeaseRequest) UnmarshalWire(d *wire.Decoder) error {
-	m.LeaseNanos = d.Uvarint()
 	return d.Err()
 }
 

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -83,6 +84,36 @@ func FuzzReadPowerResponseDecode(f *testing.F) {
 			if err := wire.Unmarshal(wire.Marshal(&fresh), &again); err != nil {
 				t.Fatalf("re-decode of a decoded reading failed: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzReadPowerRequestDecode feeds arbitrary bytes to a pull's body
+// decode, fresh and into a request that holds an earlier lease. The two
+// must agree, must not panic, and what decodes must survive a round trip.
+func FuzzReadPowerRequestDecode(f *testing.F) {
+	f.Add([]byte{})                                                  // a plain read
+	f.Add(wire.Marshal(&ReadPowerRequest{LeaseNanos: 12e9}))         // a renewing read
+	f.Add([]byte{0x80})                                              // a truncated varint
+	f.Add(bytes.Repeat([]byte{0xff}, 11))                            // a varint past 64 bits
+	f.Add(append(wire.Marshal(&ReadPowerRequest{LeaseNanos: 1}), 9)) // trailing bytes are allowed
+
+	var dec wire.Decoder
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fresh ReadPowerRequest
+		freshErr := wire.Unmarshal(data, &fresh)
+		reused := ReadPowerRequest{LeaseNanos: 42}
+		dec.Reset(data)
+		reusedErr := reused.UnmarshalWire(&dec)
+		if (freshErr == nil) != (reusedErr == nil) || (freshErr == nil && fresh != reused) {
+			t.Fatalf("fresh decode %+v (%v), reuse decode %+v (%v)", fresh, freshErr, reused, reusedErr)
+		}
+		if freshErr != nil {
+			return
+		}
+		var again ReadPowerRequest
+		if err := wire.Unmarshal(wire.Marshal(&fresh), &again); err != nil || again != fresh {
+			t.Fatalf("round trip of %+v gave %+v, %v", fresh, again, err)
 		}
 	})
 }

@@ -93,9 +93,6 @@ const (
 	KindRPCFailed
 	// KindRetry: attempt Count of call Op to Peer, after Err.
 	KindRetry
-	// KindLeaseRenewFailed: the lease renewal to agent Peer failed with
-	// Err or, when Err is nil, was rejected.
-	KindLeaseRenewFailed
 	// KindContractIssued: a contract of Watts sent to child Peer.
 	KindContractIssued
 	// KindContractReceived: a contract of Watts from the parent; 0 clears
@@ -124,7 +121,6 @@ var kindLevels = [...]AlertLevel{
 	KindLeaseExpired:     AlertWarning,
 	KindRPCFailed:        AlertWarning,
 	KindRetry:            AlertInfo,
-	KindLeaseRenewFailed: AlertWarning,
 	KindContractIssued:   AlertInfo,
 	KindContractReceived: AlertInfo,
 }
@@ -213,11 +209,6 @@ func (a Alert) Message() string {
 		return fmt.Sprintf("%s to %s: %v", a.Op, a.Peer, a.Err)
 	case KindRetry:
 		return fmt.Sprintf("retry %d of %s to %s after %v", a.Count, a.Op, a.Peer, a.Err)
-	case KindLeaseRenewFailed:
-		if a.Err != nil {
-			return fmt.Sprintf("lease renewal to %s: %v", a.Peer, a.Err)
-		}
-		return fmt.Sprintf("lease renewal to %s rejected (cap already released)", a.Peer)
 	case KindContractIssued:
 		return fmt.Sprintf("contract issued to %s: %v", a.Peer, a.Watts)
 	case KindContractReceived:

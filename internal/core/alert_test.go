@@ -71,10 +71,6 @@ func TestAlertRendering(t *testing.T) {
 			fmt.Sprintf("%s to %s: %v", "power pull", peer, errDown)},
 		{Alert{Kind: KindRetry, Op: "Agent.ReadPower", Peer: peer, Count: 2, Err: errDown},
 			fmt.Sprintf("retry %d of %s to %s after %v", 2, "Agent.ReadPower", peer, errDown)},
-		{Alert{Kind: KindLeaseRenewFailed, Peer: peer, Err: errDown},
-			fmt.Sprintf("lease renewal to %s: %v", peer, errDown)},
-		{Alert{Kind: KindLeaseRenewFailed, Peer: peer},
-			fmt.Sprintf("lease renewal to %s rejected (cap already released)", peer)},
 		{Alert{Kind: KindContractIssued, Peer: child, Watts: 61234.5},
 			fmt.Sprintf("contract issued to %s: %v", child, power.Watts(61234.5))},
 		{Alert{Kind: KindContractReceived, Watts: 61234.5},

@@ -67,6 +67,15 @@ type CohortScheduler struct {
 	flushAt   simclock.Timer // the flush event, re-armed by each cohort
 	onFlush   func()         // s.flush, bound once
 
+	// The observe fan-out of the flush in progress: worker i observes chunk
+	// i of batch at now. Each worker's function is bound once, so a flush
+	// allocates nothing.
+	fanOut []func()
+	wg     sync.WaitGroup
+	batch  []phasedCycle
+	chunk  int
+	now    time.Duration
+
 	// telemetry (nil when disabled)
 	tel *cohortInstr
 }
@@ -97,6 +106,10 @@ func NewCohortScheduler(loop simclock.Loop, workers int, tel *telemetry.Sink) *C
 	}
 	s := &CohortScheduler{loop: loop, workers: workers}
 	s.onFlush = s.flush
+	s.fanOut = make([]func(), workers)
+	for i := range s.fanOut {
+		s.fanOut[i] = func() { s.observeChunk(i) }
+	}
 	if tel.Enabled() {
 		s.tel = &cohortInstr{
 			flushes:    tel.Counter("dynamo_control_cohort_flushes_total"),
@@ -179,20 +192,18 @@ func (s *CohortScheduler) runObserves(batch []phasedCycle, now time.Duration) {
 		}
 		return
 	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(list []phasedCycle) {
-			defer wg.Done()
-			for _, pc := range list {
-				pc.ctrl.runObserveDecide(now)
-			}
-		}(batch[start:end])
+	s.batch, s.chunk, s.now = batch, (n+w-1)/w, now
+	for i := 0; i*s.chunk < n; i++ {
+		s.wg.Add(1)
+		go s.fanOut[i]()
 	}
-	wg.Wait()
+	s.wg.Wait()
+}
+
+// observeChunk runs the observe+decide phases of chunk i of the batch.
+func (s *CohortScheduler) observeChunk(i int) {
+	defer s.wg.Done()
+	for _, pc := range s.batch[i*s.chunk : min((i+1)*s.chunk, len(s.batch))] {
+		pc.ctrl.runObserveDecide(s.now)
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"dynamo/internal/power"
 	"dynamo/internal/server"
+	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
 	"dynamo/internal/telemetry"
 )
@@ -326,5 +327,36 @@ func TestFailoverJournalHandoff(t *testing.T) {
 	}
 	if !sawHandoff {
 		t.Error("promotion alert does not mention the state-store adoption")
+	}
+}
+
+// countingPhases is a phased controller that only counts its phases.
+type countingPhases struct{ observes, acts int }
+
+func (c *countingPhases) runObserveDecide(time.Duration) { c.observes++ }
+func (c *countingPhases) runAct(time.Duration)           { c.acts++ }
+
+// TestCohortFlushAllocs: a flush fanning a cohort over two workers
+// allocates nothing — each worker's function is bound once, and the wait
+// group is the scheduler's own.
+func TestCohortFlushAllocs(t *testing.T) {
+	s := NewCohortScheduler(simclock.NewSimLoop(), 2, nil)
+	ctrls := make([]countingPhases, 5)
+	for range ctrls {
+		s.register()
+	}
+	flush := func() {
+		for i := range ctrls {
+			s.submit(&ctrls[i], i)
+		}
+		s.flush()
+	}
+	if n := testing.AllocsPerRun(100, flush); n != 0 {
+		t.Errorf("a cohort flush over 2 workers allocates %v times, want 0", n)
+	}
+	for i, c := range ctrls {
+		if c.observes != 101 || c.acts != 101 {
+			t.Fatalf("controller %d observed %d and acted %d times, want 101 each", i, c.observes, c.acts)
+		}
 	}
 }

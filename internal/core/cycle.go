@@ -85,7 +85,7 @@ type cycleConfig struct {
 	pollInterval time.Duration
 	pullTimeout  time.Duration
 	dryRun       bool
-	capLease     time.Duration // stamped on every SetCap (leaf; 0 = no lease)
+	capLease     time.Duration // stamped on every SetCap and every pull of a capped child (leaf; 0 = no lease)
 	alerts       AlertFunc
 	sched        *CohortScheduler
 	ckpt         *statestore.Writer
@@ -161,12 +161,17 @@ type cycleKernel struct {
 	resp         CtrlReadPowerResponse // the Handler's pull reply, reused
 
 	// dec decodes what the children answer: pull responses in the observe
-	// phase and, on the loop, which no observe phase overlaps, command and
-	// lease acks into agentAck (from agents) or ctrlAck (from controllers),
-	// and the parent's contracts (Handler).
+	// phase and, on the loop, which no observe phase overlaps, command acks
+	// into agentAck (from agents) or ctrlAck (from controllers), and the
+	// parent's contracts (Handler).
 	dec      wire.Decoder
 	agentAck agent.CapResponse
 	ctrlAck  AckResponse
+
+	// leasedPull is the body of every pull of a capped child while capLease
+	// is set: the pull renews the cap's lease. Retries re-send it, so it
+	// never changes.
+	leasedPull agent.ReadPowerRequest
 }
 
 func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink *telemetry.Sink, retry RetryConfig, pulls []*pull) {
@@ -175,6 +180,7 @@ func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink 
 		k.bands = DefaultBandConfig()
 	}
 	k.loop, k.lvl, k.pulls = loop, lvl, pulls
+	k.leasedPull.LeaseNanos = uint64(cfg.capLease)
 	for _, h := range pulls {
 		h.k = k
 	}
@@ -292,7 +298,7 @@ func (c *command) acked(resp []byte, err error) {
 	}
 }
 
-// decodeAck reads a command or lease ack: an agent answers with an
+// decodeAck reads a command ack: an agent answers with an
 // agent.CapResponse, a child controller with an AckResponse. err is the
 // call's own error, returned as it is.
 func (k *cycleKernel) decodeAck(resp []byte, err error, fromAgent bool) (ok bool, _ error) {
@@ -447,7 +453,9 @@ func contractBands(contract power.Watts, cfg BandConfig) Bands {
 }
 
 // pollCycle broadcasts power pulls to the children (paper: "periodically
-// broadcasts power pull requests over Thrift to all servers").
+// broadcasts power pull requests over Thrift to all servers"). With a cap
+// lease, every pull of a capped child, half-open probes included, renews
+// its lease: a cap lives as long as its controller keeps pulling.
 func (k *cycleKernel) pollCycle() {
 	if k.inflight > 0 || k.cycleOpen {
 		// Previous cycle still collecting or deciding (should not happen:
@@ -477,10 +485,14 @@ func (k *cycleKernel) pollCycle() {
 		}
 		h.awaiting = true
 		done := h.done[k.cycleSeq&1]
+		req := rpc.Empty
+		if h.capped && k.capLease > 0 {
+			req = &k.leasedPull
+		}
 		if h.probe {
-			h.client.Call(k.pullMethod, rpc.Empty, k.pullTimeout, done)
+			h.client.Call(k.pullMethod, req, k.pullTimeout, done)
 		} else {
-			k.call(h, k.pullMethod, rpc.Empty, done)
+			k.call(h, k.pullMethod, req, done)
 		}
 	}
 }
@@ -533,7 +545,9 @@ func (k *cycleKernel) runObserveDecide(now time.Duration) {
 	k.cycles++
 	p := &k.plan
 	*p = cyclePlan{prevAction: k.lastAction, alerts: p.alerts[:0]}
-	p.rec.Cycle, p.rec.Time = k.cycles, now
+	// The limit the cycle ran against is recorded on every cycle, invalid
+	// ones too: it does not depend on the readings.
+	p.rec.Cycle, p.rec.Time, p.rec.EffLimit = k.cycles, now, k.EffectiveLimit()
 
 	agg, valid := k.lvl.aggregate(p)
 	k.lastValid = valid
@@ -543,7 +557,7 @@ func (k *cycleKernel) runObserveDecide(now time.Duration) {
 		return
 	}
 	k.lastAgg = agg
-	p.rec.Valid, p.rec.Agg, p.rec.EffLimit, p.rec.DryRun = true, agg, k.EffectiveLimit(), k.dryRun
+	p.rec.Valid, p.rec.Agg, p.rec.DryRun = true, agg, k.dryRun
 	p.capCount = k.cappedCount()
 	k.lvl.decide(now, p)
 	k.lastAction = p.rec.Action

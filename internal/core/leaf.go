@@ -64,8 +64,8 @@ type LeafConfig struct {
 	// every act phase, so a backup can adopt it from the replicated state
 	// store after a failure. nil disables checkpointing.
 	Checkpoint *statestore.Writer
-	// Retry bounds per-call RPC retries toward agents (pulls, caps,
-	// uncaps, lease renewals). Zero disables retries.
+	// Retry bounds per-call RPC retries toward agents (pulls, caps and
+	// uncaps). Zero disables retries.
 	Retry RetryConfig
 	// QuarantineThreshold is the per-agent circuit breaker: after this
 	// many consecutive failed pulls the agent is quarantined — excluded
@@ -73,9 +73,11 @@ type LeafConfig struct {
 	// half-open probe succeeds. 0 disables quarantining.
 	QuarantineThreshold int
 	// CapLeaseTTL, when positive, stamps every SetCap with a lease of
-	// this TTL and renews the lease of every capped agent each act phase,
-	// so caps self-release on agents this controller can no longer reach
-	// (and on all agents if this controller dies).
+	// this TTL, and every pull of a capped agent renews it (the pull's
+	// agent.ReadPowerRequest), so caps self-release on agents this
+	// controller can no longer reach (and on all agents if this controller
+	// dies). An agent that predates renewing pulls lets the caps lapse at
+	// the TTL: the fail-safe direction.
 	CapLeaseTTL time.Duration
 }
 
@@ -133,9 +135,7 @@ type agentState struct {
 	generation string
 
 	lastPower float64
-	recapped  uint64        // the cycle that last sent this agent a SetCap
-	renew     *leaseRenewal // nil until the agent's first lease renewal
-	reading   float64       // this cycle's reading, estimated when the pull failed
+	reading   float64 // this cycle's reading, estimated when the pull failed
 	everSeen  bool
 
 	// Circuit-breaker state (quarantine). consecFails counts consecutive
@@ -146,16 +146,6 @@ type agentState struct {
 	quarantined bool
 	consecFails int32
 	quarCycles  int32
-}
-
-// leaseRenewal is an agent's renewal completion, bound once, and the
-// generation its renewals are sent under. A Stop moves the generation on,
-// fencing acks in flight, and the next renewal gets a new record.
-type leaseRenewal struct {
-	l    *Leaf
-	st   *agentState
-	gen  uint64
-	done func([]byte, error) // r.acked, bound once
 }
 
 // serviceAgg is one service's figures. sum and cnt are this cycle's
@@ -181,8 +171,7 @@ type Leaf struct {
 
 	// Reused across pulls by the observe phase: one response message per
 	// controller, not per reading, decoded through the kernel's dec.
-	msg      agent.ReadPowerResponse
-	renewReq agent.RenewLeaseRequest // what every renewal sends; retries re-send it, so it never changes
+	msg agent.ReadPowerResponse
 
 	// Services by index, interned by NewLeaf and by aggregate when a reply
 	// names one not seen before: every per-service figure of a cycle is a
@@ -212,7 +201,6 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 		cfg:      cfg,
 		list:     make([]*agentState, 0, len(agents)),
 		svcIndex: map[string]int{},
-		renewReq: agent.RenewLeaseRequest{LeaseNanos: uint64(cfg.CapLeaseTTL)},
 	}
 	pulls := make([]*pull, 0, len(agents))
 	for _, a := range agents {
@@ -524,10 +512,8 @@ func (l *Leaf) planCap(p *cyclePlan) {
 }
 
 // act records the cycle's circuit-breaker outcome and, on a live
-// controller, requests the due agent restarts, sends caps or uncaps and
-// renews cap leases. Leases are renewed in invalid cycles too: an
-// aggregation the controller cannot trust is no reason to let still-valid
-// caps lapse.
+// controller, requests the due agent restarts and sends caps or uncaps.
+// Cap leases need nothing here: the pulls renew them.
 //
 //dynamo:serial
 func (l *Leaf) act(now time.Duration, p *cyclePlan, live bool) {
@@ -549,51 +535,6 @@ func (l *Leaf) act(now time.Duration, p *cyclePlan, live bool) {
 	}
 	if p.sendUncaps {
 		l.sendUncaps()
-	} else {
-		l.renewLeases()
-	}
-}
-
-// renewLeases refreshes the cap lease of every capped, reachable agent
-// that was not just (re-)capped this cycle — a SetCap carries its own
-// lease.
-func (l *Leaf) renewLeases() {
-	if l.cfg.CapLeaseTTL <= 0 {
-		return
-	}
-	for _, st := range l.list {
-		if !st.capped || st.quarantined || st.recapped == l.cycles {
-			continue
-		}
-		r := st.renew
-		if r == nil || r.gen != l.gen {
-			r = &leaseRenewal{l: l, st: st, gen: l.gen}
-			r.done = r.acked
-			st.renew = r
-		}
-		l.call(&st.pull, agent.MethodRenewLease, &l.renewReq, r.done)
-	}
-}
-
-// acked takes a renewal's outcome, unless the controller was stopped since
-// it was sent.
-func (r *leaseRenewal) acked(resp []byte, err error) {
-	l, st := r.l, r.st
-	if l.gen != r.gen {
-		return
-	}
-	ok, err := l.decodeAck(resp, err, true)
-	renewed := err == nil && ok
-	if err == nil && !renewed {
-		// The agent no longer holds the cap (its lease expired while we
-		// couldn't reach it): adopt its view so the next cycle re-plans
-		// from truth.
-		st.capped = false
-	}
-	if l.tel != nil && renewed {
-		l.tel.leaseRenewed()
-	} else if l.tel != nil {
-		l.tel.leaseRenewFailed(l.loop.Now(), l.cycles, st.id, err)
 	}
 }
 
@@ -606,7 +547,6 @@ func (l *Leaf) sendCaps() {
 		if st.quarantined {
 			continue
 		}
-		st.recapped = l.cycles
 		l.send(&st.pull, opSetCap, m.power-m.cut)
 	}
 }

@@ -321,6 +321,37 @@ func TestLeafTooManyFailuresInvalidates(t *testing.T) {
 	}
 }
 
+// TestInvalidCycleRecordsLimit: a cycle whose aggregation is invalid
+// still ran against the controller's effective limit, and its journal
+// record and the status's decision say so.
+func TestInvalidCycleRecordsLimit(t *testing.T) {
+	f := newFixture(t)
+	refs := f.addFleet(10, "web", 0.7)
+	for i := 0; i < 3; i++ { // 30% > 20% threshold
+		f.partition(AgentAddr(fmt.Sprintf("web-%03d", i)))
+	}
+	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50)}, refs)
+	leaf.Start()
+	// The partitioned pulls wait out their 2 s deadline: the cycles polling
+	// at 3 s and 6 s complete at 5 s and 8 s.
+	f.loop.RunUntil(5*time.Second + 500*time.Millisecond)
+	leaf.setContract(power.KW(40)) // the effective limit is the contract from here on
+	f.loop.RunUntil(9 * time.Second)
+	recs := leaf.Journal().Records()
+	dec := leaf.Status(0).Decisions
+	if len(recs) != 2 || len(dec) != 2 {
+		t.Fatalf("%d records and %d status decisions, want 2", len(recs), len(dec))
+	}
+	for i, want := range []power.Watts{power.KW(50), power.KW(40)} {
+		if recs[i].Valid || recs[i].EffLimit != want {
+			t.Errorf("cycle %d record: valid %v, limit %v; want false, %v", i+1, recs[i].Valid, recs[i].EffLimit, want)
+		}
+		if dec[i].Valid || dec[i].EffLimitWatts != float64(want) {
+			t.Errorf("cycle %d status: valid %v, effective_limit_watts %v; want false, %v", i+1, dec[i].Valid, dec[i].EffLimitWatts, float64(want))
+		}
+	}
+}
+
 func TestLeafDryRun(t *testing.T) {
 	f := newFixture(t)
 	refs := f.addFleet(10, "web", 0.9)

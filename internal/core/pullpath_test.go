@@ -94,11 +94,10 @@ func TestOverlappingPullsKeepTheirOwnReading(t *testing.T) {
 // The completions are bound once per child, each agent reuses its reply,
 // and the network its call records. With the robustness stack on, a
 // dropped pull waits out its deadline on a pooled record, its retry rides
-// a pooled record of the leaf's Retrier, and every capped agent's lease
-// renewal reuses the leaf's request, a completion bound once per agent and
-// the kernel's ack. In the capping case the load swings across the limit,
-// so the leaf caps every agent, holds and renews the caps, then uncaps,
-// and again: the plan runs in the leaf's kept planner, every cap and
+// a pooled record of the leaf's Retrier, and every pull of a capped agent
+// renews its lease with the one request the kernel keeps. In the capping
+// case the load swings across the limit, so the leaf caps every agent,
+// holds the caps while its pulls renew them, then uncaps, and again: the plan runs in the leaf's kept planner, every cap and
 // uncap rides the agent's command record, the cohort scheduler reuses its
 // batch, and the one allocation a cycle makes is the payload the state
 // store keeps. In the dry-run case the leaf plans a cut every cycle and
@@ -163,7 +162,7 @@ func TestLeafCycleAllocs(t *testing.T) {
 				if tc.robust || tc.capping {
 					next := h
 					h = func(method string, body []byte) (wire.Message, error) {
-						if method == agent.MethodRenewLease {
+						if leasedPull(method, body) > 0 {
 							renewals++
 						}
 						return next(method, body)
@@ -263,7 +262,7 @@ func TestLeafCycleAllocs(t *testing.T) {
 			}
 			if tc.capping {
 				if leaf.CapEvents()-caps < 2 || leaf.UncapEvents()-uncaps < 2 || renewals == 0 {
-					t.Fatalf("%d caps, %d uncaps and %d lease renewals in %d cycles: the leaf did not cap, hold and uncap",
+					t.Fatalf("%d caps, %d uncaps and %d renewing pulls in %d cycles: the leaf did not cap, hold and uncap",
 						leaf.CapEvents()-caps, leaf.UncapEvents()-uncaps, renewals, runs+1)
 				}
 				return
@@ -272,7 +271,7 @@ func TestLeafCycleAllocs(t *testing.T) {
 				return
 			}
 			if leaf.Retries() == 0 || renewals == 0 {
-				t.Fatalf("%d retries and %d lease renewals: the robustness paths did not run", leaf.Retries(), renewals)
+				t.Fatalf("%d retries and %d renewing pulls: the robustness paths did not run", leaf.Retries(), renewals)
 			}
 			if got := leaf.CappedCount(); got != agents/3 {
 				t.Fatalf("%d agents capped, want %d", got, agents/3)
@@ -415,11 +414,11 @@ func fewestAllocs(f func()) uint64 {
 	return fewest
 }
 
-// TestAgentStateSize keeps agentState in the 208-byte size class: a leaf
-// holds one per server, and what only renewing agents need (their
-// completion and its generation) lives behind agentState.renew.
+// TestAgentStateSize keeps agentState in the 176-byte size class: a leaf
+// holds one per server, and a cap lease needs no per-agent state, since the
+// pull renews it.
 func TestAgentStateSize(t *testing.T) {
-	if s := unsafe.Sizeof(agentState{}); s > 208 {
-		t.Fatalf("agentState is %d bytes, want <= 208", s)
+	if s := unsafe.Sizeof(agentState{}); s > 176 {
+		t.Fatalf("agentState is %d bytes, want <= 176", s)
 	}
 }

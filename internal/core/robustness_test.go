@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -161,70 +162,176 @@ func TestLeafCapLeaseRenewalAndExpiry(t *testing.T) {
 	}
 }
 
-// TestLeaseAckAfterStopStartIsFenced: renewals are in flight when the leaf
-// is stopped and at once started again — three about to be acked, one
-// dropped and waiting out its deadline and backoff before its retry. Every
-// ack says the agent no longer holds its cap, which would clear the
-// leaf's capped view; landing after Stop, none of them may touch it. The
-// unstopped control shows the acks would.
+// leasedPull reports the lease a request renews: only a pull of a capped
+// agent carries one, and a plain read has an empty body.
+func leasedPull(method string, body []byte) time.Duration {
+	if method != agent.MethodReadPower {
+		return 0
+	}
+	var d wire.Decoder
+	var req agent.ReadPowerRequest
+	d.Reset(body)
+	if req.UnmarshalWire(&d) != nil {
+		return 0
+	}
+	return time.Duration(req.LeaseNanos)
+}
+
+// TestPullCarriesLease: with a cap lease, every pull of an agent the leaf
+// sees capped renews the lease, a half-open probe of a quarantined one
+// too; pulls of uncapped agents are plain reads; and an upper's pulls of a
+// contracted child never carry one.
+func TestPullCarriesLease(t *testing.T) {
+	const ttl = 15 * time.Second
+	f := newFixture(t)
+	refs := f.addFleet(4, "web", 0.6)
+	leases := map[string][]time.Duration{}
+	for i, id := range f.order {
+		ag := f.agents[id]
+		ag.EnableLease(f.loop, 0, nil)
+		h := ag.Handler()
+		if i < 2 { // a cap above the draw, which the leaf holds
+			if _, err := h(agent.MethodSetCap, wire.Marshal(&agent.SetCapRequest{LimitWatts: 1000, LeaseNanos: uint64(ttl)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.net.Register(AgentAddr(id), func(method string, body []byte) (wire.Message, error) {
+			leases[id] = append(leases[id], leasedPull(method, body))
+			if id == "web-001" && f.loop.Now() > 4*time.Second {
+				return nil, fmt.Errorf("%s: sensor failed", id)
+			}
+			return h(method, body)
+		})
+	}
+	leaf := NewLeaf(f.loop, LeafConfig{
+		DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
+		Bands:               BandConfig{CapThresholdFrac: 0.99, CapTargetFrac: 0.95, UncapThresholdFrac: 0.01},
+		QuarantineThreshold: 2,
+		CapLeaseTTL:         ttl,
+	}, refs)
+	leaf.Start()
+	// Cycles poll at 3, 6, 9, 12 and 15 s. The first finds web-000 and
+	// web-001 capped; web-001 fails from then on, is quarantined by the
+	// third cycle, left out of the fourth and probed in the fifth.
+	f.loop.RunUntil(16 * time.Second)
+	if got := leaf.QuarantinedCount(); got != 1 {
+		t.Fatalf("%d agents quarantined, want 1", got)
+	}
+	want := map[string][]time.Duration{
+		"web-000": {0, ttl, ttl, ttl, ttl},
+		"web-001": {0, ttl, ttl, ttl},
+		"web-002": {0, 0, 0, 0, 0},
+		"web-003": {0, 0, 0, 0, 0},
+	}
+	if !reflect.DeepEqual(leases, want) {
+		t.Errorf("the leases the pulls carried:\n got %v\nwant %v", leases, want)
+	}
+
+	uf := buildUpper(t, 10, [2]float64{0.9, 0.45}, [2]power.Watts{2500, 2500}, 5000)
+	pulls, leased := 0, 0
+	for _, id := range []string{"child1", "child2"} {
+		h := uf.leaves[id].Handler()
+		uf.net.Register(CtrlAddr(id), func(method string, body []byte) (wire.Message, error) {
+			if method == MethodCtrlReadPower {
+				pulls++
+				if len(body) > 0 {
+					leased++
+				}
+			}
+			return h(method, body)
+		})
+	}
+	uf.loop.RunUntil(40 * time.Second)
+	if len(uf.upper.ContractedChildren()) == 0 || pulls == 0 || leased != 0 {
+		t.Errorf("the upper contracted %v; %d of its %d pulls carried a body, want a contract and none",
+			uf.upper.ContractedChildren(), leased, pulls)
+	}
+}
+
+// TestLeaseAckAfterStopStartIsFenced: the replies of a cycle's renewing
+// pulls — the only ack a lease gets — land after the leaf is stopped and
+// at once started again: three just after, and one whose first attempt was
+// dropped, after its deadline, backoff and retry. Every agent's cap was
+// released meanwhile, so the replies find the servers over the limit and
+// the cycle they complete decides to cap; it was opened before Stop, so
+// it journals the decision and sends nothing. The unstopped control shows
+// the replies would cap.
 func TestLeaseAckAfterStopStartIsFenced(t *testing.T) {
+	const ttl = 15 * time.Second
 	for _, restart := range []bool{false, true} {
 		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
 			f := newFixture(t)
-			refs := f.addFleet(4, "web", 0.6)
-			served := 0
+			// Four servers draw ~1280 W uncapped, ~630 W under a 150 W cap
+			// each: against 1 kW the caps hold and their release cuts.
+			refs := f.addFleet(4, "web", 0.9)
+			renewing := 0
 			for _, id := range f.order {
 				ag := f.agents[id]
 				ag.EnableLease(f.loop, 0, nil)
 				h := ag.Handler()
-				if _, err := h(agent.MethodSetCap, wire.Marshal(&agent.SetCapRequest{LimitWatts: 1000, LeaseNanos: uint64(15 * time.Second)})); err != nil {
+				if _, err := h(agent.MethodSetCap, wire.Marshal(&agent.SetCapRequest{LimitWatts: 150, LeaseNanos: uint64(ttl)})); err != nil {
 					t.Fatal(err)
 				}
 				f.net.Register(AgentAddr(id), func(method string, body []byte) (wire.Message, error) {
-					if method == agent.MethodRenewLease {
-						served++
+					if leasedPull(method, body) == ttl {
+						renewing++
 					}
 					return h(method, body)
 				})
 			}
-			// The first renewal to web-000 is dropped; its retry gets through.
-			f.faults.Add(faults.Rule{Peer: AgentAddr("web-000"), Method: agent.MethodRenewLease,
-				Until: 3*time.Second + 100*time.Millisecond, DropP: 1})
+			// The first renewing pull to web-000 is dropped; its retry gets
+			// through.
+			f.faults.Add(faults.Rule{Peer: AgentAddr("web-000"), Method: agent.MethodReadPower,
+				From: 3*time.Second + 100*time.Millisecond, Until: 6*time.Second + 100*time.Millisecond, DropP: 1})
 			leaf := NewLeaf(f.loop, LeafConfig{
-				DeviceID: "rpp1", Limit: power.KW(50), Alerts: f.alertSink(),
+				DeviceID: "rpp1", Limit: 1000, Alerts: f.alertSink(),
 				Bands:       BandConfig{CapThresholdFrac: 0.99, CapTargetFrac: 0.95, UncapThresholdFrac: 0.01},
 				PullTimeout: 200 * time.Millisecond,
 				Retry:       retryCfg(),
-				CapLeaseTTL: 15 * time.Second,
+				CapLeaseTTL: ttl,
 			}, refs)
 			leaf.Start()
-			// The cycle polling at 3 s completes, and renews every lease, at
-			// 3.004 s; the renewals reach the agents at 3.006 s, once their
-			// caps are gone, and are acked at 3.008 s.
-			f.loop.RunUntil(3*time.Second + 5*time.Millisecond)
-			if got := leaf.CappedCount(); got != 4 {
-				t.Fatalf("%d agents capped after the first cycle, want 4", got)
+			// The first cycle finds the caps and holds them. The servers
+			// tick every second, so caps cleared at 5.5 s show in the
+			// readings of the cycle polling at 6 s, whose renewing pulls
+			// reach the agents at 6.002 s and are answered at 6.004 s.
+			f.loop.RunUntil(5*time.Second + 500*time.Millisecond)
+			if got, events := leaf.CappedCount(), leaf.CapEvents(); got != 4 || events != 0 {
+				t.Fatalf("after the first cycle the leaf sees %d agents capped after %d cap events, want 4 after 0", got, events)
 			}
 			for _, id := range f.order {
 				if _, err := f.agents[id].Handler()(agent.MethodClearCap, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			f.loop.RunUntil(3*time.Second + 7*time.Millisecond)
+			f.loop.RunUntil(6*time.Second + 3*time.Millisecond)
 			if restart {
 				leaf.Stop()
 				leaf.Start()
 			}
-			f.loop.RunUntil(3*time.Second + 500*time.Millisecond)
-			if served != 4 || leaf.Retries() != 1 {
-				t.Fatalf("agents served %d renewals after %d retries, want 4 after 1", served, leaf.Retries())
+			f.loop.RunUntil(6*time.Second + 500*time.Millisecond)
+			if renewing != 4 || leaf.Retries() != 1 {
+				t.Fatalf("agents served %d renewing pulls after %d retries, want 4 after 1", renewing, leaf.Retries())
 			}
-			want := 0
+			recs := leaf.Journal().Records()
+			if len(recs) != 2 || recs[1].Action != ActionCap {
+				t.Fatalf("journal %v: the late replies' cycle should record a cap decision", recs)
+			}
+			want := uint64(1)
 			if restart {
-				want = 4
+				want = 0
 			}
-			if got := leaf.CappedCount(); got != want {
-				t.Errorf("%d agents capped in the leaf's view after the acks, want %d", got, want)
+			if got := leaf.CapEvents(); got != want {
+				t.Errorf("%d cap events after the late replies, want %d", got, want)
+			}
+			capped := 0
+			for _, id := range f.order {
+				if _, ok := f.servers[id].Limit(); ok {
+					capped++
+				}
+			}
+			if capped != 4*int(want) {
+				t.Errorf("%d servers capped after the late replies, want %d", capped, 4*want)
 			}
 		})
 	}

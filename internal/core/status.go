@@ -70,8 +70,8 @@ type ControllerStatus struct {
 	// Decisions holds the most recent decision records, oldest-first.
 	Decisions []DecisionSummary `json:"decisions,omitempty"`
 	// Events holds the most recent entries of the controller's event ring
-	// (its alerts, failed and retried calls, lease renewal failures and
-	// contracts), rendered, oldest-first. Only a controller with a
+	// (its alerts, failed and retried calls and contracts), rendered,
+	// oldest-first. Only a controller with a
 	// telemetry sink keeps them.
 	Events []string `json:"events,omitempty"`
 }

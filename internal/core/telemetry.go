@@ -24,8 +24,6 @@ type ctrlInstr struct {
 	rpcRetries      *telemetry.Counter
 	quarEvents      *telemetry.Counter
 	quarReadmits    *telemetry.Counter
-	leaseRenewals   *telemetry.Counter
-	leaseRenewFails *telemetry.Counter
 	planShortfalls  *telemetry.Counter
 	contractChanges *telemetry.Counter
 	alertCounts     [3]*telemetry.Counter // indexed by AlertLevel
@@ -58,8 +56,6 @@ func newCtrlInstr(sink *telemetry.Sink, device, level string) *ctrlInstr {
 		rpcRetries:      sink.Counter("dynamo_controller_rpc_retries_total", lb...),
 		quarEvents:      sink.Counter("dynamo_controller_quarantine_events_total", lb...),
 		quarReadmits:    sink.Counter("dynamo_controller_quarantine_readmissions_total", lb...),
-		leaseRenewals:   sink.Counter("dynamo_controller_lease_renewals_total", lb...),
-		leaseRenewFails: sink.Counter("dynamo_controller_lease_renewal_failures_total", lb...),
 		planShortfalls:  sink.Counter("dynamo_controller_plan_shortfalls_total", lb...),
 		contractChanges: sink.Counter("dynamo_controller_contract_changes_total", lb...),
 		agg:             sink.Gauge("dynamo_controller_aggregate_watts", lb...),
@@ -191,17 +187,4 @@ func (in *ctrlInstr) quarantine(entered, readmitted, active int) {
 		in.quarReadmits.Add(uint64(readmitted))
 	}
 	in.quarantined.Set(float64(active))
-}
-
-// leaseRenewed records a successful cap-lease renewal.
-func (in *ctrlInstr) leaseRenewed() {
-	in.leaseRenewals.Inc()
-}
-
-// leaseRenewFailed records a renewal the agent rejected (err nil) or that
-// failed in transit (the agent-side lease may now expire and release its
-// cap).
-func (in *ctrlInstr) leaseRenewFailed(now time.Duration, cycle uint64, peer string, err error) {
-	in.leaseRenewFails.Inc()
-	in.event(now, cycle, Alert{Kind: KindLeaseRenewFailed, Peer: peer, Err: err})
 }

@@ -468,7 +468,7 @@ func TestZeroRulePullAllocs(t *testing.T) {
 	for i := range fresh {
 		fresh[i] = inj.WrapClient(fmt.Sprintf("agent/fresh%d", i), net.Dial("agent/s1"))
 	}
-	setCap, renew := &agent.SetCapRequest{LimitWatts: 150}, &agent.RenewLeaseRequest{}
+	setCap, renew := &agent.SetCapRequest{LimitWatts: 150}, &agent.ReadPowerRequest{LeaseNanos: 1}
 	errs := 0
 	ack := func(_ []byte, err error) {
 		if err != nil {

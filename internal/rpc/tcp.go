@@ -25,6 +25,9 @@ const (
 	// keepFrame is the largest buffer a connection keeps between frames: a
 	// statestore batch may be megabytes once, and must not stay pinned.
 	keepFrame = 64 << 10
+	// keepMethods bounds the method names a reader keeps: a connection
+	// carries a handful (an agent's pull and its commands).
+	keepMethods = 8
 )
 
 const (
@@ -40,6 +43,10 @@ type envelope struct {
 	ErrMsg string // responses; empty means success
 	IsErr  bool
 	Body   []byte
+
+	// methods are the names decoded so far, at most keepMethods, so a name
+	// that recurs is not made again however the names alternate.
+	methods []string
 }
 
 // MarshalWire implements wire.Message.
@@ -52,17 +59,37 @@ func (v *envelope) MarshalWire(e *wire.Encoder) {
 	e.Bytes2(v.Body)
 }
 
-// UnmarshalWire implements wire.Message. Decoding into the envelope of the
-// previous frame keeps its strings when they repeat, and Body aliases the
-// decoder's buffer.
+// UnmarshalWire implements wire.Message. Decoding into a reader's envelope
+// reuses the strings of earlier frames when they repeat, and Body aliases
+// the decoder's buffer.
 func (v *envelope) UnmarshalWire(d *wire.Decoder) error {
 	v.Kind = byte(d.Uvarint())
 	v.ID = d.Uvarint()
-	v.Method = d.StringKeep(v.Method)
+	v.Method = v.method(d)
 	v.IsErr = d.Bool()
 	v.ErrMsg = d.StringKeep(v.ErrMsg)
 	v.Body = d.BytesRef()
 	return d.Err()
+}
+
+// method decodes a method name, returning the string of the same name
+// decoded before when there is one: the last frame's, as StringKeep would,
+// or one of the kept names.
+func (v *envelope) method(d *wire.Decoder) string {
+	b := d.BytesRef()
+	if string(b) == v.Method {
+		return v.Method
+	}
+	for _, m := range v.methods {
+		if string(b) == m {
+			return m
+		}
+	}
+	m := string(b)
+	if len(v.methods) < keepMethods && d.Err() == nil {
+		v.methods = append(v.methods, m)
+	}
+	return m
 }
 
 // reuse empties b for the next frame, or drops it if a large frame grew it.

@@ -79,6 +79,63 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
+// loopReader reads b over and over: a connection that never runs dry.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// requestStream frames one request per method, in order.
+func requestStream(methods ...string) []byte {
+	var out []byte
+	for i, m := range methods {
+		fw := frameWriter{env: envelope{Kind: kindRequest, ID: uint64(i + 1), Method: m, Body: []byte{1, 2, 3}}}
+		fw.frame()
+		out = append(out, fw.buf...)
+	}
+	return out
+}
+
+// TestFrameReaderMethodAllocs: a connection whose requests alternate
+// between methods, as a leaf's pulls and cap commands do, decodes each
+// name once; after that a frame allocates nothing. Past keepMethods names
+// every frame still decodes its own.
+func TestFrameReaderMethodAllocs(t *testing.T) {
+	methods := []string{"Agent.ReadPower", "Agent.SetCap", "Agent.ReadPower", "Agent.ClearCap"}
+	fr := newFrameReader(&loopReader{b: requestStream(methods...)})
+	read := func() {
+		for _, want := range methods {
+			env, err := fr.next()
+			if err != nil || env.Method != want || len(env.Body) != 3 {
+				t.Fatalf("decoded %q (%d-byte body), %v; want %q", env.Method, len(env.Body), err, want)
+			}
+		}
+	}
+	read()
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Errorf("%d alternating frames allocate %v times, want 0", len(methods), n)
+	}
+
+	many := make([]string, 2*keepMethods)
+	for i := range many {
+		many[i] = fmt.Sprintf("Method%d", i)
+	}
+	fr = newFrameReader(&loopReader{b: requestStream(many...)})
+	for range 2 {
+		for _, want := range many {
+			if env, err := fr.next(); err != nil || env.Method != want {
+				t.Fatalf("decoded %q, %v; want %q", env.Method, err, want)
+			}
+		}
+	}
+}
+
 // TestFrameBuffersBounded: a length prefix buys the sender no memory ahead
 // of its bytes, and a large frame's buffer is released once it is read.
 func TestFrameBuffersBounded(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"dynamo/internal/power"
@@ -92,6 +91,10 @@ func (s *Sim) buildAggIndex() {
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
+	s.tickShards = make([]func(), s.workers)
+	for i := range s.tickShards {
+		s.tickShards[i] = func() { s.tickShard(i) }
+	}
 
 	s.breakerList = make([]*power.Breaker, len(s.deviceOrder))
 	s.devSnapIdx = make([]int, len(s.deviceOrder))
@@ -165,20 +168,19 @@ func (s *Sim) tickServers(now time.Duration) {
 		s.tickRange(now, 0, n)
 		return
 	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s.tickRange(now, lo, hi)
-		}(start, end)
+	s.tickChunk, s.tickNow = (n+w-1)/w, now
+	for i := 0; i*s.tickChunk < n; i++ {
+		s.tickWG.Add(1)
+		go s.tickShards[i]()
 	}
-	wg.Wait()
+	s.tickWG.Wait()
+}
+
+// tickShard ticks chunk i of the tick list, on a worker goroutine.
+func (s *Sim) tickShard(i int) {
+	defer s.tickWG.Done()
+	lo := i * s.tickChunk
+	s.tickRange(s.tickNow, lo, min(lo+s.tickChunk, len(s.tickList)))
 }
 
 // tickRange ticks servers [lo, hi) of the tick list and records each draw

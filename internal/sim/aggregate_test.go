@@ -188,3 +188,28 @@ func TestDevicePowerSubtreeRefresh(t *testing.T) {
 		t.Error("a DevicePower read between ticks changed the recorded series")
 	}
 }
+
+// TestShardedTickAllocs: a physics tick sharded over two workers
+// allocates nothing — each shard's function is bound once, and the wait
+// group is the sim's own.
+func TestShardedTickAllocs(t *testing.T) {
+	s, err := New(Config{Spec: topology.DefaultSpec().Scale(2 * parallelTickMin), Seed: 1, TickWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.tickList) < parallelTickMin {
+		t.Fatalf("%d servers do not reach the sharded path (parallelTickMin %d)", len(s.tickList), parallelTickMin)
+	}
+	now := s.Loop.Now()
+	tick := func() {
+		now += s.Cfg.TickInterval
+		for _, svc := range s.sharedOrder { // the pre-shard pass the shards read
+			s.Shared[svc].Advance(now)
+		}
+		s.tickServers(now)
+	}
+	tick()
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("a tick sharded over 2 workers allocates %v times, want 0", n)
+	}
+}

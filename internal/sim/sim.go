@@ -10,6 +10,7 @@ package sim
 import (
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"dynamo/internal/agent"
@@ -102,10 +103,11 @@ type Config struct {
 	// this many consecutive failed pulls. 0 disables.
 	QuarantineThreshold int
 	// CapLeaseTTL bounds how long a cap may outlive its controller:
-	// leaves attach this lease to every SetCap and renew it each cycle;
-	// agents release unrenewed caps and raise a warning alert. 0 sends
-	// caps without a lease: off in the in-process simulation unless a
-	// scenario turns it on (dynamo-suited and dynamo-agentd default it on).
+	// leaves attach this lease to every SetCap and renew it with every
+	// pull of a capped agent; agents release unrenewed caps and raise a
+	// warning alert. 0 sends caps without a lease: off in the in-process
+	// simulation unless a scenario turns it on (dynamo-suited and
+	// dynamo-agentd default it on).
 	CapLeaseTTL time.Duration
 }
 
@@ -174,6 +176,13 @@ type Sim struct {
 	tickList      []*server.Server
 	constSwitches int
 	workers       int
+	// The sharded tick's fan-out: shard i ticks chunk i of tickList at
+	// tickNow. Each shard's function is bound once, so a tick allocates
+	// nothing.
+	tickShards []func()
+	tickWG     sync.WaitGroup
+	tickChunk  int
+	tickNow    time.Duration
 	// breakerList holds the breakers in deviceOrder and devSnapIdx each
 	// device's snapshot index, so the tick reads neither map.
 	breakerList []*power.Breaker

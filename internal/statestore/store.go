@@ -156,7 +156,6 @@ type Store struct {
 
 // storeInstr holds the store's telemetry instruments (nil when disabled).
 type storeInstr struct {
-	name      string
 	appends   [2]*telemetry.Counter // indexed by Kind
 	fenced    *telemetry.Counter
 	adoptions *telemetry.Counter
@@ -177,7 +176,6 @@ func NewStore(loop simclock.Loop, name string, tel *telemetry.Sink) *Store {
 	if tel.Enabled() {
 		lb := []string{"store", name}
 		s.tel = &storeInstr{
-			name:      name,
 			fenced:    tel.Counter("dynamo_statestore_fenced_appends_total", lb...),
 			adoptions: tel.Counter("dynamo_statestore_adoptions_total", lb...),
 			applied:   tel.Counter("dynamo_statestore_replicated_entries_total", lb...),

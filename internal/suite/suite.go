@@ -157,7 +157,8 @@ type Options struct {
 	// this many consecutive failed pulls. 0 disables.
 	QuarantineThreshold int
 	// CapLeaseTTL, when nonzero, attaches a lease to every cap a leaf
-	// sends; agents release caps whose lease goes unrenewed.
+	// sends, which the leaf's pulls of capped agents renew; agents release
+	// caps whose lease goes unrenewed.
 	CapLeaseTTL time.Duration
 	// Priorities applies to every leaf; the zero value means paper
 	// defaults.
