@@ -134,8 +134,8 @@ func Example_operations() {
 	// [30m9.004s] info dc1/msb1/sb1/rpp1: agent dc1/msb1/sb1/rpp1/rack01/srv00004 re-admitted after successful probe
 	//
 	// == primary/backup failover ==
-	// [31m35.720553936s] critical dc1/msb1/sb1/rpp1: primary controller unresponsive for 3 probes; backup promoted with fresh state (no store)
-	// backup promoted: true, 8 cycles since
+	// [31m36.105337329s] critical dc1/msb1/sb1/rpp1: primary controller unresponsive for 3 probes; backup promoted with fresh state (no store)
+	// backup promoted: true, 7 cycles since
 	//
 	// == staged rollout ==
 	// [32m0s] info rollout: phase "canary" applied to 1/2 targets; soaking 1m0s

@@ -186,6 +186,28 @@ func TestRenewLeaseAllocs(t *testing.T) {
 		t.Errorf("after renewals: Pending %d, capped %v, expiries %d; want 1, true, 0",
 			lf.loop.Pending(), lf.capped(t), lf.a.LeaseExpiries())
 	}
+
+	// The same renewals on a WallLoop's goroutine, as dynamo-agentd serves
+	// them: the lease is re-armed in the same queue there.
+	w := simclock.NewWallLoop()
+	defer w.Close()
+	wa, _ := newTestAgent(t, 0.8, platform.Options{Seed: 3})
+	wa.EnableLease(w, 0, nil)
+	setCap := wire.Marshal(&SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)})
+	var wallAllocs float64
+	w.Call(func() {
+		if m, err := wa.Handler()(MethodSetCap, setCap); err != nil || m != capOK {
+			t.Errorf("SetCap on a WallLoop: %v, %v", m, err)
+		}
+		wallAllocs = testing.AllocsPerRun(1000, func() {
+			if !wa.renew(10 * time.Second) {
+				t.Error("renewal of a held cap refused on a WallLoop")
+			}
+		})
+	})
+	if wallAllocs != 0 {
+		t.Errorf("a renewal on a WallLoop allocates %v per run, want 0", wallAllocs)
+	}
 }
 
 // TestCapRequestDecodeAllocs: the handler decodes SetCap and RenewLease

@@ -273,8 +273,7 @@ func TestFailoverJournalHandoff(t *testing.T) {
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
 	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{
-		PingInterval: 3 * time.Second, FailThreshold: 3,
-		Store: store, Alerts: f.alertSink(),
+		PingInterval: 3 * time.Second, Store: store, Alerts: f.alertSink(),
 	})
 	fo.Start()
 

@@ -46,22 +46,10 @@ var (
 // different location and can take control as soon as the primary
 // controller fails").
 type FailoverConfig struct {
-	// PingInterval is the mean interval between health probes.
+	// PingInterval is the mean interval between health probes (default
+	// 3 s). Each probe, and the state-store adoption on promotion, is
+	// bounded by half of it.
 	PingInterval time.Duration
-	// PingJitterFrac spreads each probe interval uniformly within
-	// ±frac of PingInterval, so a fleet of backups does not probe in
-	// lockstep and a single transient network hiccup cannot eat the same
-	// probe of every pair. Default 0.1; values above 0.5 are clamped.
-	PingJitterFrac float64
-	// JitterSeed seeds the jitter sequence (deterministic in simulation).
-	// Default 1.
-	JitterSeed int64
-	// FailThreshold is the number of consecutive failed probes before the
-	// backup takes over. A single dropped call never promotes: the
-	// default requires 3 consecutive misses.
-	FailThreshold int
-	// PingTimeout bounds each health probe.
-	PingTimeout time.Duration
 	// Store, when set, is where the promoted backup adopts the failed
 	// primary's checkpointed state from: the decision journal, cycle
 	// counter, and band/PID internals replayed from the replicated
@@ -69,9 +57,6 @@ type FailoverConfig struct {
 	// primary is fenced on its next checkpoint write. When nil the backup
 	// starts fresh (journal empty, cycles at zero).
 	Store statestore.Source
-	// AdoptTimeout bounds the state-store adoption call on promotion.
-	// Default PingTimeout.
-	AdoptTimeout time.Duration
 	// Alerts receives failover events.
 	Alerts AlertFunc
 	// Telemetry instruments promotions (nil disables).
@@ -81,32 +66,17 @@ type FailoverConfig struct {
 	OnPromoted func()
 }
 
-func (c *FailoverConfig) fillDefaults() {
-	if c.PingInterval <= 0 {
-		c.PingInterval = 3 * time.Second
-	}
-	if c.PingJitterFrac == 0 {
-		c.PingJitterFrac = 0.1
-	}
-	if c.PingJitterFrac < 0 {
-		c.PingJitterFrac = 0
-	}
-	if c.PingJitterFrac > 0.5 {
-		c.PingJitterFrac = 0.5
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = 1
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = c.PingInterval / 2
-	}
-	if c.AdoptTimeout <= 0 {
-		c.AdoptTimeout = c.PingTimeout
-	}
-}
+const (
+	// probeJitterFrac spreads each probe interval uniformly within ±10%
+	// of PingInterval, so a fleet of backups does not probe in lockstep
+	// and one transient network hiccup cannot eat the same probe of every
+	// pair. Each Failover draws from a stream seeded by the supervised
+	// device's ID.
+	probeJitterFrac = 0.1
+	// failThreshold is the number of consecutive failed probes before the
+	// backup takes over: a single dropped call never promotes.
+	failThreshold = 3
+)
 
 // Failover supervises a primary and promotes a set of standby controllers
 // when the primary stops responding to health probes: one backup, or every
@@ -121,9 +91,11 @@ type Failover struct {
 	net  *rpc.Network // nil when probing over TCP
 	set  []standby
 
-	probe rpc.Client
-	rng   *rand.Rand
-	timer *simclock.Timer
+	probe  rpc.Client
+	rng    *rand.Rand
+	timer  simclock.Timer
+	tick   func()                       // f.check, bound once
+	onPong func(resp []byte, err error) // f.pong, bound once
 
 	active   bool
 	inflight bool
@@ -157,14 +129,17 @@ func NewFailover(loop simclock.Loop, net *rpc.Network, ctrls []Controller, cfg F
 // deployments). ctrls are promoted together, in order. The caller is
 // responsible for routing after promotion (cfg.OnPromoted).
 func NewFailoverProbe(loop simclock.Loop, probe rpc.Client, ctrls []Controller, cfg FailoverConfig) *Failover {
-	cfg.fillDefaults()
+	if cfg.PingInterval <= 0 {
+		cfg.PingInterval = 3 * time.Second
+	}
 	f := &Failover{
 		cfg:   cfg,
 		loop:  loop,
 		set:   make([]standby, len(ctrls)),
 		probe: probe,
-		rng:   noise.New(cfg.JitterSeed),
+		rng:   noise.New(int64(noise.FNV64a(ctrls[0].DeviceID()))),
 	}
+	f.tick, f.onPong = f.check, f.pong
 	for i, c := range ctrls {
 		f.set[i] = standby{ctrl: c,
 			promotions: cfg.Telemetry.Counter("dynamo_failover_promotions_total", "device", c.DeviceID()),
@@ -186,10 +161,7 @@ func (f *Failover) Start() {
 // Stop halts probing.
 func (f *Failover) Stop() {
 	f.active = false
-	if f.timer != nil {
-		f.timer.Stop()
-		f.timer = nil
-	}
+	f.loop.Cancel(&f.timer)
 }
 
 // Promoted reports whether the backup has taken over.
@@ -202,11 +174,8 @@ func (f *Failover) scheduleProbe() {
 	if !f.active || f.promoted {
 		return
 	}
-	d := f.cfg.PingInterval
-	if frac := f.cfg.PingJitterFrac; frac > 0 {
-		d = time.Duration(float64(d) * (1 + frac*(2*f.rng.Float64()-1)))
-	}
-	f.timer = f.loop.After(d, f.check)
+	d := time.Duration(float64(f.cfg.PingInterval) * (1 + probeJitterFrac*(2*f.rng.Float64()-1)))
+	f.loop.Arm(&f.timer, d, f.tick)
 }
 
 func (f *Failover) check() {
@@ -221,30 +190,34 @@ func (f *Failover) check() {
 		return
 	}
 	f.inflight = true
-	f.probe.Call(MethodCtrlPing, rpc.Empty, f.cfg.PingTimeout, func(resp []byte, err error) {
-		f.inflight = false
-		if !f.active || f.promoted {
-			return
+	f.probe.Call(MethodCtrlPing, rpc.Empty, f.cfg.PingInterval/2, f.onPong)
+}
+
+// pong counts a probe's outcome: a healthy reply clears the misses, and
+// failThreshold misses in a row promote.
+func (f *Failover) pong(resp []byte, err error) {
+	f.inflight = false
+	if !f.active || f.promoted {
+		return
+	}
+	healthy := false
+	if err == nil {
+		var pong CtrlPingResponse
+		if wire.Unmarshal(resp, &pong) == nil {
+			healthy = pong.Healthy
 		}
-		healthy := false
-		if err == nil {
-			var pong CtrlPingResponse
-			if wire.Unmarshal(resp, &pong) == nil {
-				healthy = pong.Healthy
-			}
-		}
-		if healthy {
-			f.misses = 0
-			f.scheduleProbe()
-			return
-		}
-		f.misses++
-		if f.misses >= f.cfg.FailThreshold {
-			f.promote()
-			return
-		}
+	}
+	if healthy {
+		f.misses = 0
 		f.scheduleProbe()
-	})
+		return
+	}
+	f.misses++
+	if f.misses >= failThreshold {
+		f.promote()
+		return
+	}
+	f.scheduleProbe()
 }
 
 // promote adopts each standby's state from the store, then starts them.
@@ -266,7 +239,7 @@ func (f *Failover) adopt(i int) {
 	}
 	s := &f.set[i]
 	id := s.ctrl.DeviceID()
-	f.cfg.Store.AdoptState(id, id, f.cfg.AdoptTimeout, func(res statestore.AdoptResult, err error) {
+	f.cfg.Store.AdoptState(id, id, f.cfg.PingInterval/2, func(res statestore.AdoptResult, err error) {
 		if err != nil {
 			s.adoptFails.Inc()
 			f.cfg.Alerts.emit(Alert{Time: f.loop.Now(), Kind: KindAdoptionFailed, Controller: id, Err: err})

@@ -15,7 +15,7 @@ func TestFailoverPromotesBackup(t *testing.T) {
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
 	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{
-		PingInterval: 3 * time.Second, FailThreshold: 3, Alerts: f.alertSink(),
+		PingInterval: 3 * time.Second, Alerts: f.alertSink(),
 	})
 	fo.Start()
 	f.loop.RunUntil(30 * time.Second)

@@ -6,7 +6,10 @@ import (
 
 	"dynamo/internal/faults"
 	"dynamo/internal/power"
+	"dynamo/internal/rpc"
+	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
+	"dynamo/internal/wire"
 )
 
 // TestFailoverAdoptsFromReplicaOverLossyLink drives a capping episode on
@@ -46,8 +49,7 @@ func TestFailoverAdoptsFromReplicaOverLossyLink(t *testing.T) {
 
 	var adopted []DecisionRecord
 	fo := NewFailover(f.loop, f.net, []Controller{backup}, FailoverConfig{
-		PingInterval: 2 * time.Second, FailThreshold: 3,
-		Store: replica, Alerts: f.alertSink(),
+		PingInterval: 2 * time.Second, Store: replica, Alerts: f.alertSink(),
 		OnPromoted: func() { adopted = backup.Journal().Records() },
 	})
 	fo.Start()
@@ -136,8 +138,7 @@ func TestZombiePrimaryFencedAtReplica(t *testing.T) {
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
 	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), []Controller{backup}, FailoverConfig{
-		PingInterval: 2 * time.Second, FailThreshold: 3,
-		Store: replica, Alerts: f.alertSink(),
+		PingInterval: 2 * time.Second, Store: replica, Alerts: f.alertSink(),
 	})
 	fo.Start()
 
@@ -238,8 +239,8 @@ func TestZombieStopsOnSharedStoreFence(t *testing.T) {
 }
 
 // TestFailoverJitteredProbesTolerateSingleDrop checks the threshold
-// behaviour directly: with FailThreshold 3, two isolated dropped probes
-// must not promote, and probe timestamps must spread (jitter applied).
+// behaviour directly: three consecutive misses promote, so two isolated
+// dropped probes must not, and probe times must spread (jitter applied).
 func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 	f := newFixture(t)
 	refs := f.addFleet(4, "web", 0.5)
@@ -247,9 +248,9 @@ func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 	backup := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(50)}, f.refs())
 	f.net.Register(CtrlAddr("rpp1"), primary.Handler())
 	primary.Start()
-	fo := NewFailoverProbe(f.loop, f.dial(CtrlAddr("rpp1")), []Controller{backup}, FailoverConfig{
-		PingInterval: 2 * time.Second, FailThreshold: 3,
-		PingJitterFrac: 0.2, JitterSeed: 42, Alerts: f.alertSink(),
+	probe := &probeTimes{Client: f.dial(CtrlAddr("rpp1")), loop: f.loop}
+	fo := NewFailoverProbe(f.loop, probe, []Controller{backup}, FailoverConfig{
+		PingInterval: 2 * time.Second, Alerts: f.alertSink(),
 	})
 	fo.Start()
 
@@ -277,4 +278,31 @@ func TestFailoverJitteredProbesTolerateSingleDrop(t *testing.T) {
 	if !fo.Promoted() {
 		t.Fatal("sustained outage did not promote the backup")
 	}
+
+	// Before the first drop, each probe follows the last one's reply (a
+	// 4 ms round trip on the fixture's network) by PingInterval ± 10%, and
+	// the gaps differ.
+	gaps := map[time.Duration]bool{}
+	for i := 1; i < len(probe.at) && probe.at[i] < 10*time.Second; i++ {
+		gap := probe.at[i] - probe.at[i-1]
+		if gap < 1800*time.Millisecond || gap > 2204*time.Millisecond {
+			t.Errorf("probe %d follows the last by %v, want 2s ± 10%%", i, gap)
+		}
+		gaps[gap] = true
+	}
+	if len(gaps) < 3 {
+		t.Errorf("probe gaps %v before the first drop: want at least 3 distinct", gaps)
+	}
+}
+
+// probeTimes records when each probe is sent.
+type probeTimes struct {
+	rpc.Client
+	loop *simclock.SimLoop
+	at   []time.Duration
+}
+
+func (p *probeTimes) Call(method string, req wire.Message, timeout time.Duration, done func([]byte, error)) {
+	p.at = append(p.at, p.loop.Now())
+	p.Client.Call(method, req, timeout, done)
 }

@@ -132,11 +132,10 @@ func TestRecordReleasePaths(t *testing.T) {
 }
 
 // TestInProcOnWallLoop runs the pooled path in real time (the suite daemon
-// does: its intra-process network sits on a WallLoop). A WallLoop cannot
-// recall the runtime timer behind a cancelled deadline, so the first
-// call's deadline still posts at 100 ms — while the second call, which
-// reuses the record and its timers, is in flight. It must find nothing to
-// do rather than time the second call out.
+// does: its intra-process network sits on a WallLoop): the second call
+// reuses the first call's record and burst timers, is still in flight
+// when the first call's 100 ms timeout would have passed, and completes
+// with its own reply.
 func TestInProcOnWallLoop(t *testing.T) {
 	loop := simclock.NewWallLoop()
 	defer loop.Close()

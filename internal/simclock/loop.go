@@ -1,10 +1,10 @@
 // Package simclock provides the event-loop abstraction that all Dynamo
-// components are written against. Two implementations exist: SimLoop, a
-// deterministic discrete-event scheduler driven by virtual time (used by the
-// simulator and by every experiment so that a simulated day runs in
-// milliseconds and is reproducible from a seed), and WallLoop, a real-time
-// loop used by the dynamo-agentd and dynamo-suited daemons that speak
-// RPC over real TCP.
+// components are written against: one event queue and two clocks. SimLoop
+// runs the queue in virtual time, a deterministic discrete-event scheduler
+// (used by the simulator and every experiment, so that a simulated day
+// runs in milliseconds and is reproducible from a seed); WallLoop wakes
+// the same queue by the wall clock in the dynamo-agentd and dynamo-suited
+// daemons that speak RPC over real TCP.
 //
 // Components never sleep and never read the wall clock; they schedule
 // callbacks on a Loop. This mirrors the production system's design where the
@@ -14,8 +14,8 @@ package simclock
 import "time"
 
 // Loop is a single-threaded executor with a notion of current time.
-// Callbacks scheduled on a Loop run sequentially; components that share a
-// Loop therefore need no additional locking among themselves.
+// Callbacks run sequentially, so components that share a Loop need no
+// locking among themselves. Only Post may be called off the loop goroutine.
 type Loop interface {
 	// Now returns the loop's current time as an offset from its epoch.
 	Now() time.Duration
@@ -27,17 +27,16 @@ type Loop interface {
 	// allocates nothing. It orders against After exactly as another After
 	// would. Arming a timer that is still queued reschedules it; a timer
 	// may be re-armed from its own callback. The Timer must not be copied
-	// or freed while queued, and Arm (like Stop and Cancel) must be called
-	// from the loop goroutine.
+	// or freed while queued.
 	Arm(t *Timer, d time.Duration, f func())
 	// Cancel stops t like t.Stop and also takes it out of the loop's queue
 	// at once, so a cancelled deadline does not sit in the queue until the
 	// time it would have fired. Cancelling a timer that already ran, or
 	// was never armed, does nothing.
 	Cancel(t *Timer)
-	// Post enqueues f to run at the current time. Unlike After, Post is
-	// safe to call from any goroutine; it is how external event sources
-	// (e.g. TCP readers) hand work to the loop.
+	// Post enqueues f to run at the current time, in posting order, at the
+	// loop's next look for work. It alone is safe from any goroutine: it is
+	// how external event sources (e.g. TCP readers) hand work to the loop.
 	Post(f func())
 }
 
@@ -45,23 +44,23 @@ type Loop interface {
 // timer ready for Loop.Arm.
 //
 // Timer is 48 bytes and must stay in that allocation size class. The links
-// make SimLoop's queue one FIFO lane per instant. Recurring events embed
-// their timer (pull bursts, Ticker, agent lease, cohort flush), so After —
-// and a Timer allocated per event — is left to rare paths: faults,
-// retries, failover, rollout, Sim.At. Eager removal is a method on the
-// loop (Loop.Cancel) rather than a loop pointer in the timer.
+// make the queue one FIFO lane per instant. Recurring events embed their
+// timer (pull bursts, Ticker, agent lease, retries, failover probes,
+// cohort flush), so After — and a Timer allocated per event — is left to
+// rare paths: fault delays and duplicates, in-process call deadlines,
+// Sim.At. Eager removal is a method on the loop (Loop.Cancel) rather than
+// a loop pointer in the timer.
 type Timer struct {
 	when       time.Duration
 	f          func()
-	prev, next *Timer // SimLoop: neighbours in the lane
-	lane       *lane  // SimLoop: the lane it is queued in; nil when not queued
+	prev, next *Timer // neighbours in the lane
+	lane       *lane  // the lane it is queued in; nil when not queued
 	stopped    bool
-	armed      bool // WallLoop: armed and not yet run
 }
 
 // Stop cancels the timer. It reports whether the callback had not yet run.
-// Stop must be called from the loop goroutine. The loop discards a stopped
-// timer when its time comes; Loop.Cancel discards it immediately.
+// The loop discards a stopped timer when its time comes; Loop.Cancel
+// discards it immediately.
 func (t *Timer) Stop() bool {
 	if t == nil || t.stopped {
 		return false
@@ -74,11 +73,10 @@ func (t *Timer) Stop() bool {
 func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
 // Last reports whether t is queued as the last timer of its instant, so
-// that a timer armed for that instant now would run right after it. On a
-// SimLoop that holds while t is the tail of its instant's lane: not once
-// it has run or been cancelled, nor after another timer, stopped or not,
-// was armed behind it. A WallLoop keeps no lanes; there Last is always
-// false. Must be called from the loop goroutine.
+// that a timer armed for that instant now would run right after it. That
+// holds while t is the tail of its instant's lane: not once it has run or
+// been cancelled, nor after another timer, stopped or not, was armed
+// behind it.
 func (t *Timer) Last() bool { return t.lane != nil && t.lane.tail == t }
 
 // Ticker repeatedly invokes a callback at a fixed period on a Loop. It is

@@ -239,14 +239,20 @@ func TestWallLoopBasics(t *testing.T) {
 	l := NewWallLoop()
 	defer l.Close()
 	done := make(chan struct{})
-	l.After(time.Millisecond, func() { close(done) })
+	var armed time.Duration
+	l.Call(func() {
+		armed = l.Now()
+		l.After(time.Millisecond, func() { close(done) })
+	})
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("wall loop timer did not fire")
 	}
-	if l.Now() <= 0 {
-		t.Fatal("wall loop Now should advance")
+	var now time.Duration
+	l.Call(func() { now = l.Now() })
+	if now <= armed {
+		t.Fatalf("wall loop Now = %v after a timer armed at %v ran, should advance", now, armed)
 	}
 }
 
@@ -276,7 +282,7 @@ func TestWallLoopSerializesCallbacks(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
-		l.Post(func() {
+		go l.Post(func() {
 			defer wg.Done()
 			mu.Lock()
 			if running {

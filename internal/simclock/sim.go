@@ -25,8 +25,9 @@ import (
 //
 // SimLoop is not itself goroutine-safe except for Post, which may be called
 // from other goroutines (e.g. a TCP reader feeding a simulated controller in
-// integration tests); posted events are folded into the queue at the loop's
-// current time the next time the loop looks for work.
+// integration tests); posted work runs in posting order, at the loop's
+// current time, the next time the loop looks for work, ahead of the timers
+// that look finds due. A WallLoop is this queue woken by the wall clock.
 type SimLoop struct {
 	now    time.Duration
 	pq     eventHeap
@@ -37,6 +38,7 @@ type SimLoop struct {
 
 	mu        sync.Mutex
 	posted    []func()
+	ran       []func()    // the posted work last run; its buffer takes the next posts
 	hasPosted atomic.Bool // lets the loop skip mu when nothing was posted
 
 	// Steps counts executed events, useful for run-away detection in tests.
@@ -149,24 +151,28 @@ func (l *SimLoop) Post(f func()) {
 	l.mu.Unlock()
 }
 
-func (l *SimLoop) drainPosted() {
+// runPosted runs the work posted since the last look. The two buffers
+// trade places, so a post allocates nothing once both have grown; work
+// posted meanwhile waits for the next look.
+func (l *SimLoop) runPosted() {
 	if !l.hasPosted.Load() {
 		return
 	}
 	l.mu.Lock()
-	posted := l.posted
-	l.posted = nil
+	l.posted, l.ran = l.ran[:0], l.posted
 	l.hasPosted.Store(false)
 	l.mu.Unlock()
-	for _, f := range posted {
-		l.After(0, f)
+	for _, f := range l.ran {
+		f()
 	}
+	clear(l.ran)
 }
 
-// next takes the first live event due by deadline off the queue, or
-// returns nil. Stopped timers and empty lanes met on the way are discarded.
+// next runs the posted work, then takes the first live event due by
+// deadline off the queue, or returns nil. Stopped timers and empty lanes
+// met on the way are discarded.
 func (l *SimLoop) next(deadline time.Duration) *Timer {
-	l.drainPosted()
+	l.runPosted()
 	for len(l.pq) > 0 {
 		ln := l.pq[0]
 		t := ln.head

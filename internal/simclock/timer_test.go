@@ -97,6 +97,13 @@ func TestCallerOwnedTimerAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("arm -> cancel allocates %v per run, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Post(f)
+		l.Post(f)
+		l.Step()
+	}); n != 0 {
+		t.Errorf("post -> run allocates %v per run, want 0", n)
+	}
 }
 
 // TestPostWhileRunning posts from other goroutines while the loop is
@@ -161,54 +168,183 @@ func TestWallLoopArmRearmAndCancel(t *testing.T) {
 // TestTimerLast: Last holds while a timer is the tail of its instant's
 // lane — not before it is armed, not once another timer (stopped or not)
 // queues behind it, again once that one is cancelled or the timer is
-// re-armed behind it, and never after it has run. A WallLoop has no lanes.
+// re-armed behind it, and never after it has run. The sequence runs on
+// both loops: a WallLoop's callbacks share one Now, so the timers a
+// callback arms for one delay share a lane there too.
 func TestTimerLast(t *testing.T) {
-	l := NewSimLoop()
+	sim := NewSimLoop()
+	ran := false
+	lastSequence(t, sim, time.Second, func() { ran = true })
+	sim.Drain()
+	if !ran {
+		t.Fatal("SimLoop: the sequence did not finish")
+	}
+
+	w := NewWallLoop()
+	defer w.Close()
+	done := make(chan struct{})
+	w.Call(func() { lastSequence(t, w, 10*time.Millisecond, func() { close(done) }) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WallLoop: the sequence did not finish")
+	}
+}
+
+// lastSequence runs TestTimerLast's steps on l, which it must be called on,
+// with instants u apart, and calls done from the loop after the last check.
+func lastSequence(t *testing.T, l Loop, u time.Duration, done func()) {
 	var a, b, c Timer
 	nop := func() {}
 	check := func(where string, want ...bool) {
 		t.Helper()
 		for i, tm := range []*Timer{&a, &b, &c} {
 			if got := tm.Last(); got != want[i] {
-				t.Fatalf("%s: timer %d Last = %v, want %v", where, i, got, want[i])
+				t.Errorf("%T %s: timer %d Last = %v, want %v", l, where, i, got, want[i])
 			}
 		}
 	}
 	check("unarmed", false, false, false)
-	l.Arm(&a, time.Second, nop)
-	l.Arm(&c, 2*time.Second, nop) // another instant: its own lane
+	l.Arm(&a, u, nop)
+	l.Arm(&c, 2*u, nop) // another instant: its own lane
 	check("armed", true, false, true)
-	l.Arm(&b, time.Second, nop)
+	l.Arm(&b, u, nop)
 	check("b queued behind a", false, true, true)
 	b.Stop()
 	check("b stopped, still queued", false, true, true)
 	l.Cancel(&b)
 	check("b cancelled", true, false, true)
-	l.Arm(&b, time.Second, nop)
-	l.Arm(&a, time.Second, nop) // re-armed: moves behind b
+	l.Arm(&b, u, nop)
+	l.Arm(&a, u, nop) // re-armed: moves behind b
 	check("a re-armed", true, false, true)
 	l.Cancel(&a)
 	check("a cancelled", false, true, true)
-	var during bool
-	l.Arm(&a, time.Second, func() { during = a.Last() })
-	l.RunUntil(time.Second)
-	if during {
-		t.Fatal("a timer is Last while its own callback runs")
-	}
-	check("after the instant ran", false, false, true)
-	l.Drain()
-	check("drained", false, false, false)
-
-	w := NewWallLoop()
-	defer w.Close()
-	var wt Timer
-	w.Call(func() {
-		w.Arm(&wt, time.Hour, nop)
-		during = wt.Last()
+	l.Arm(&a, u, func() {
+		if a.Last() {
+			t.Errorf("%T: a timer is Last while its own callback runs", l)
+		}
 	})
-	if during {
-		t.Fatal("Last on a WallLoop, want always false")
+	l.After(3*u/2, func() { check("after the instant ran", false, false, true) })
+	l.After(3*u, func() {
+		check("drained", false, false, false)
+		done()
+	})
+}
+
+// TestWallLoopArmAllocs: on the WallLoop goroutine, arming, re-arming and
+// cancelling a caller-owned timer allocate nothing, and re-arming one timer
+// 10k times leaves it queued once.
+func TestWallLoopArmAllocs(t *testing.T) {
+	l := NewWallLoop()
+	defer l.Close()
+	var owned Timer
+	f := func() {}
+	var allocs float64
+	pending := -1
+	l.Call(func() {
+		allocs = testing.AllocsPerRun(1000, func() {
+			l.Arm(&owned, time.Hour, f)
+			l.Arm(&owned, 2*time.Hour, f)
+			l.Cancel(&owned)
+		})
+		for i := 0; i < 10000; i++ {
+			l.Arm(&owned, time.Hour+time.Duration(i)*time.Millisecond, f)
+		}
+		pending = l.q.Pending()
+		l.Cancel(&owned)
+	})
+	if allocs != 0 {
+		t.Errorf("arm -> re-arm -> cancel allocates %v per run, want 0", allocs)
 	}
+	if pending != 1 {
+		t.Errorf("Pending = %d after re-arming one timer 10k times, want 1", pending)
+	}
+}
+
+// TestWallLoopPostChainDoesNotStarveTimers: work that keeps re-posting
+// itself runs once per look, so a due timer still runs.
+func TestWallLoopPostChainDoesNotStarveTimers(t *testing.T) {
+	l := NewWallLoop()
+	defer l.Close()
+	fired := make(chan struct{})
+	l.Call(func() {
+		stop := false
+		var chain func()
+		chain = func() {
+			if !stop {
+				l.Post(chain)
+			}
+		}
+		l.After(5*time.Millisecond, func() {
+			stop = true
+			close(fired)
+		})
+		l.Post(chain)
+	})
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a self-posting chain held back a due timer")
+	}
+}
+
+// TestWallLoopNowPerWake: Now is read once per wake. Every callback of a
+// wake, posted work included, sees the same Now while wall time passes
+// under them; Now never goes back; and a timer never runs before the Now
+// it was armed at plus its delay.
+func TestWallLoopNowPerWake(t *testing.T) {
+	l := NewWallLoop()
+	defer l.Close()
+	var wake, chain []time.Duration
+	record := func() {
+		wake = append(wake, l.Now())
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan struct{})
+	var armedAt time.Duration
+	var step func()
+	step = func() {
+		now := l.Now()
+		if now < armedAt+time.Millisecond {
+			t.Errorf("ran at %v, armed at %v for 1ms: early", now, armedAt)
+		}
+		if n := len(chain); n > 0 && now < chain[n-1] {
+			t.Errorf("Now went back: %v after %v", now, chain[n-1])
+		}
+		chain = append(chain, now)
+		if len(chain) == 20 {
+			close(done)
+			return
+		}
+		armedAt = now
+		l.After(time.Millisecond, step)
+	}
+	l.Call(func() {
+		for i := 0; i < 3; i++ {
+			l.After(2*time.Millisecond, func() {
+				record()
+				l.Post(record)
+			})
+		}
+		armedAt = l.Now()
+		l.After(time.Millisecond, step)
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timer chain did not finish")
+	}
+	l.Call(func() {
+		if len(wake) != 6 {
+			t.Errorf("%d callbacks of the wake ran, want 6", len(wake))
+		}
+		for _, now := range wake {
+			if now != wake[0] {
+				t.Errorf("Now within one wake = %v, want every callback to see %v", wake, wake[0])
+				break
+			}
+		}
+	})
 }
 
 // refLoop is the event loop as it was before the indexed heap: a

@@ -1,115 +1,111 @@
 package simclock
 
 import (
+	"math"
 	"sync"
 	"time"
 )
 
-// WallLoop is a Loop driven by the real clock. It runs callbacks on a single
-// dedicated goroutine, so components written for SimLoop work unchanged in
-// the real-time daemons (dynamo-agentd, dynamo-suited).
+// WallLoop is a Loop driven by the real clock: a SimLoop whose goroutine
+// sleeps on one runtime timer, set to the earliest queued instant, or
+// until a Post wakes it, and then runs everything due. Components written
+// for SimLoop run on the same queue in the real-time daemons
+// (dynamo-agentd, dynamo-suited): arming allocates nothing, Cancel takes
+// a timer out at once, and Timer.Last holds as it does in simulation.
+//
+// Now is the wall time of the current wake, read once and the same for
+// every callback of that wake, as libuv's uv_now is; a callback's Arm(d)
+// is therefore due d after it, never early. Every Loop method but Post
+// must be called from the loop goroutine, that is from a callback or
+// through Call.
 type WallLoop struct {
+	q     *SimLoop
 	epoch time.Time
-	work  chan func()
+	wake  chan struct{} // holds one wake-up once work is posted
 	stop  chan struct{}
 	done  chan struct{}
-
-	mu     sync.Mutex
-	closed bool
+	once  sync.Once
 }
 
 // NewWallLoop creates and starts a wall-clock loop.
 func NewWallLoop() *WallLoop {
-	l := &WallLoop{
-		epoch: time.Now(),
-		work:  make(chan func(), 1024),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+	l := &WallLoop{q: NewSimLoop(), epoch: time.Now(), wake: make(chan struct{}, 1),
+		stop: make(chan struct{}), done: make(chan struct{})}
 	go l.run()
 	return l
 }
 
+// run is the loop goroutine. The wake timer is reset only when the
+// earliest instant moves; a fire it no longer stands for is an empty pass.
 func (l *WallLoop) run() {
 	defer close(l.done)
+	sleep := time.NewTimer(math.MaxInt64)
+	defer sleep.Stop()
+	at := time.Duration(-1) // the instant sleep is set for; -1 once it fired
 	for {
+		l.pass()
+		if pq := l.q.pq; len(pq) > 0 && pq[0].when != at {
+			at = pq[0].when
+			sleep.Reset(at - time.Since(l.epoch))
+		}
 		select {
-		case f := <-l.work:
-			f()
+		case <-sleep.C:
+			at = -1
+		case <-l.wake:
 		case <-l.stop:
-			// Drain anything already queued, then exit.
-			for {
-				select {
-				case f := <-l.work:
-					f()
-				default:
-					return
-				}
-			}
+			l.pass()
+			return
 		}
 	}
 }
 
-// Now implements Loop: elapsed real time since the loop was created.
-func (l *WallLoop) Now() time.Duration { return time.Since(l.epoch) }
-
-// After implements Loop. The callback is marshalled onto the loop goroutine.
-func (l *WallLoop) After(d time.Duration, f func()) *Timer {
-	t := &Timer{}
-	l.Arm(t, d, f)
-	return t
+// pass reads the wall clock once, then runs the posted work and every
+// timer due by that reading. Past the last one, the front of the queue is
+// the earliest live instant.
+func (l *WallLoop) pass() {
+	l.q.now = time.Since(l.epoch) // monotonic: never goes back
+	for t := l.q.next(l.q.now); t != nil; t = l.q.next(l.q.now) {
+		t.f()
+	}
 }
 
-// Arm implements Loop. The runtime timer of an earlier arming cannot be
-// recalled; when it posts it finds the Timer already run or cancelled, or
-// re-armed for a later time, and does nothing. Should it find the Timer
-// re-armed and due, it runs it, and the later post finds it already run.
-func (l *WallLoop) Arm(t *Timer, d time.Duration, f func()) {
-	t.when, t.f, t.stopped, t.armed = l.Now()+d, f, false, true
-	time.AfterFunc(d, func() {
-		l.Post(func() {
-			if t.armed && !t.stopped && l.Now() >= t.when {
-				t.armed = false
-				t.f()
-			}
-		})
-	})
-}
+// Now implements Loop: the elapsed real time since the loop was created,
+// as read at the start of the current wake.
+func (l *WallLoop) Now() time.Duration { return l.q.now }
 
-// Cancel implements Loop. There is no queue to take the timer out of: the
-// pending runtime timer still posts, and the post does nothing.
-func (l *WallLoop) Cancel(t *Timer) { t.Stop() }
+// After implements Loop.
+func (l *WallLoop) After(d time.Duration, f func()) *Timer { return l.q.After(d, f) }
+
+// Arm implements Loop.
+func (l *WallLoop) Arm(t *Timer, d time.Duration, f func()) { l.q.Arm(t, d, f) }
+
+// Cancel implements Loop.
+func (l *WallLoop) Cancel(t *Timer) { l.q.Cancel(t) }
 
 // Post implements Loop and is safe for concurrent use. Posting to a closed
 // loop is a no-op.
 func (l *WallLoop) Post(f func()) {
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
-		return
-	}
 	select {
-	case l.work <- f:
 	case <-l.stop:
+		return
+	default:
+	}
+	l.q.Post(f)
+	select {
+	case l.wake <- struct{}{}:
+	default:
 	}
 }
 
-// Close stops the loop goroutine after draining queued work.
+// Close stops the loop goroutine after one last pass over the work due.
 func (l *WallLoop) Close() {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	l.closed = true
-	l.mu.Unlock()
-	close(l.stop)
+	l.once.Do(func() { close(l.stop) })
 	<-l.done
 }
 
-// Call runs f on the loop goroutine and waits for it to finish. It is a
-// convenience for tests and daemon shutdown paths.
+// Call runs f on the loop goroutine and waits for it to finish, or for the
+// loop to stop without running it. It is a convenience for tests and
+// daemon shutdown paths.
 func (l *WallLoop) Call(f func()) {
 	done := make(chan struct{})
 	l.Post(func() {
@@ -118,6 +114,6 @@ func (l *WallLoop) Call(f func()) {
 	})
 	select {
 	case <-done:
-	case <-l.stop:
+	case <-l.done:
 	}
 }

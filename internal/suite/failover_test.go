@@ -53,7 +53,7 @@ func TestSuiteFailoverPromotesEveryController(t *testing.T) {
 	devices := []string{"rpp1", "sb1"}
 	adopted := map[string][]core.DecisionRecord{}
 	fo := core.NewFailover(w.loop, net, backup.Controllers(), core.FailoverConfig{
-		PingInterval: 3 * time.Second, FailThreshold: 3, Store: store, Alerts: alert,
+		PingInterval: 3 * time.Second, Store: store, Alerts: alert,
 		OnPromoted: func() {
 			for _, d := range devices {
 				adopted[d] = backup.Controller(d).Journal().Records()
