@@ -246,8 +246,8 @@ func NewRPCNetwork(loop Loop, latency time.Duration, seed int64) *RPCNetwork {
 }
 
 // NewAgent creates a Dynamo agent for a server.
-func NewAgent(id, service, generation string, plat Platform) *Agent {
-	return agent.New(id, service, generation, plat)
+func NewAgent(id, service string, plat Platform) *Agent {
+	return agent.New(id, service, "", plat)
 }
 
 // NewLeafController creates a leaf power controller over the given agents.

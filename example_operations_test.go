@@ -72,7 +72,7 @@ func Example_operations() {
 	for _, srv := range s.Topo.ServersUnder(row) {
 		id := string(srv.ID)
 		refs = append(refs, dynamo.AgentRef{ServerID: id, Service: srv.Service,
-			Generation: srv.Generation, Client: s.Net.Dial(dynamo.AgentAddr(id))})
+			Client: s.Net.Dial(dynamo.AgentAddr(id))})
 	}
 	backup := dynamo.NewLeafController(s.Loop, dynamo.LeafConfig{
 		DeviceID: string(row), Limit: s.Breakers[row].Rating(),

@@ -28,7 +28,7 @@ type Agent struct {
 }
 
 // extras is what only some agents carry, behind one pointer so that an
-// agent with neither lease nor telemetry stays in the 160-byte size class.
+// agent with neither lease nor telemetry stays in the 96-byte size class.
 type extras struct {
 	// Cap-lease fail-safe (paper §III-E: capping must not survive
 	// controller death). All lease fields except leaseExpiries are
@@ -124,9 +124,11 @@ func (a *Agent) LeaseExpiries() uint64 {
 	return a.x.leaseExpiries.Load()
 }
 
-// New creates an agent for a server.
-func New(id, service, generation string, plat platform.Platform) *Agent {
-	return &Agent{id: id, plat: plat, resp: ReadPowerResponse{Service: service, Generation: generation}}
+// New creates an agent for a server. The third parameter, the hardware
+// generation, is ignored: no reading carries it since no controller reads
+// it (it stays until bench/probes.go may change; see ROADMAP).
+func New(id, service, _ string, plat platform.Platform) *Agent {
+	return &Agent{id: id, plat: plat, resp: ReadPowerResponse{Service: service}}
 }
 
 // Stats returns the operation counters (reads, caps, uncaps, errors).
@@ -197,10 +199,7 @@ func (a *Agent) readPower() (wire.Message, error) {
 	a.count(opRead)
 	cap, capped := a.plat.PowerLimit()
 	r := &a.resp
-	r.TotalWatts, r.CPUWatts, r.MemoryWatts = float64(b.Total), float64(b.CPU), float64(b.Memory)
-	r.OtherWatts, r.ACDCLossWatts = float64(b.Other), float64(b.ACDCLoss)
-	r.HasSensor, r.CPUUtil = a.plat.HasSensor(), a.plat.CPUUtil()
-	r.CapWatts, r.Capped = float64(cap), capped
+	r.TotalWatts, r.CapWatts, r.Capped = float64(b.Total), float64(cap), capped
 	return r, nil
 }
 

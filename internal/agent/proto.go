@@ -6,7 +6,11 @@
 // (paper §VI, "keep the design simple to achieve reliability at scale").
 package agent
 
-import "dynamo/internal/wire"
+import (
+	"errors"
+
+	"dynamo/internal/wire"
+)
 
 // Method names served by the agent.
 const (
@@ -44,55 +48,53 @@ func (m *ReadPowerRequest) UnmarshalWire(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// ReadPowerResponse reports the server's power and identity. Identity
-// fields ride along so the leaf controller can maintain server metadata
-// for priority grouping and failure estimation without a separate
-// inventory service.
+// ReadPowerResponse is one reading: what a leaf controller decides from
+// (paper §III-C). TotalWatts is summed into the aggregate, Service places
+// the server in its priority group and prices its draw when a pull fails,
+// and CapWatts/Capped report the active RAPL limit. The service rides along
+// so the leaf keeps its server metadata without an inventory service.
 type ReadPowerResponse struct {
 	// TotalWatts is the current total power draw.
 	TotalWatts float64
-	// Breakdown components (zero when the platform cannot decompose).
-	CPUWatts, MemoryWatts, OtherWatts, ACDCLossWatts float64
-	// HasSensor is false when TotalWatts is an estimate.
-	HasSensor bool
-	// CPUUtil is the current CPU utilization in [0,1].
-	CPUUtil float64
-	// Service and Generation identify the workload and hardware.
-	Service    string
-	Generation string
+	// Service names the workload the server runs.
+	Service string
 	// CapWatts / Capped report the active RAPL limit.
 	CapWatts float64
 	Capped   bool
 }
 
+// readingLayout is the first byte of an encoded reading. A reading in the
+// earlier 74-byte layout began with its total watts, a non-negative
+// float64 whose first big-endian byte is below 0x80, so a tag at or above
+// 0x80 tells the two apart: a controller rejects an earlier agent's reply
+// as a failed pull instead of misreading it (DESIGN.md, "Rolling
+// upgrades"). 0x80 itself is left out, being the first byte of -0.0.
+const readingLayout = 0x81
+
+// ErrReadingLayout is the decode error for a reading that does not start
+// with readingLayout.
+var ErrReadingLayout = errors.New("agent: reading is not in the tagged layout")
+
 // MarshalWire implements wire.Message.
 func (m *ReadPowerResponse) MarshalWire(e *wire.Encoder) {
+	e.Byte(readingLayout)
 	e.Float64(m.TotalWatts)
-	e.Float64(m.CPUWatts)
-	e.Float64(m.MemoryWatts)
-	e.Float64(m.OtherWatts)
-	e.Float64(m.ACDCLossWatts)
-	e.Bool(m.HasSensor)
-	e.Float64(m.CPUUtil)
 	e.String(m.Service)
-	e.String(m.Generation)
 	e.Float64(m.CapWatts)
 	e.Bool(m.Capped)
 }
 
-// UnmarshalWire implements wire.Message.
+// UnmarshalWire implements wire.Message. A reply in another layout leaves
+// m zeroed and is an error, never a reading.
 func (m *ReadPowerResponse) UnmarshalWire(d *wire.Decoder) error {
+	if tag := d.Byte(); tag != readingLayout && d.Err() == nil {
+		*m = ReadPowerResponse{}
+		return ErrReadingLayout
+	}
 	m.TotalWatts = d.Float64()
-	m.CPUWatts = d.Float64()
-	m.MemoryWatts = d.Float64()
-	m.OtherWatts = d.Float64()
-	m.ACDCLossWatts = d.Float64()
-	m.HasSensor = d.Bool()
-	m.CPUUtil = d.Float64()
-	// Keep the strings m already holds when the wire agrees with them: a
+	// Keep the string m already holds when the wire agrees with it: a
 	// controller decodes every pull of a server into the same message.
 	m.Service = d.StringKeep(m.Service)
-	m.Generation = d.StringKeep(m.Generation)
 	m.CapWatts = d.Float64()
 	m.Capped = d.Bool()
 	return d.Err()

@@ -7,18 +7,20 @@ import (
 	"unsafe"
 
 	"dynamo/internal/platform"
+	"dynamo/internal/power"
 	"dynamo/internal/rpc"
 	"dynamo/internal/server"
 	"dynamo/internal/simclock"
 	"dynamo/internal/wire"
 )
 
-// TestAgentSize keeps Agent in the 160-byte size class: a simulated fleet
+// TestAgentSize keeps Agent in the 96-byte size class: a simulated fleet
 // holds one per server, most of which lease nothing and report nothing, so
-// what only some agents need lives behind Agent.x.
+// what only some agents need lives behind Agent.x, and the reply it keeps
+// is the four fields a reading carries.
 func TestAgentSize(t *testing.T) {
-	if s := unsafe.Sizeof(Agent{}); s > 160 {
-		t.Fatalf("Agent is %d bytes, want <= 160", s)
+	if s := unsafe.Sizeof(Agent{}); s > 96 {
+		t.Fatalf("Agent is %d bytes, want <= 96", s)
 	}
 }
 
@@ -33,10 +35,15 @@ func TestConcurrentTCPReadsDecodeToProducedReadings(t *testing.T) {
 		ID: "srv1", Service: "web", Model: server.MustModel("haswell2015"),
 		Source: server.LoadFunc(func(now time.Duration) float64 { return 0.3 + 0.5*math.Abs(math.Sin(now.Seconds()/7)) }),
 	})
-	a := New("srv1", "web", "haswell2015", platform.NewMSR(host, platform.Options{Seed: 8}))
+	// A fine sensor quantum, so that consecutive totals differ.
+	plat := platform.NewMSR(host, platform.Options{Seed: 8, Quantum: 1e-9})
+	a := New("srv1", "web", "", plat)
 	h := a.Handler()
 
-	// Loop-confined: every read moves the host on, so no two readings agree.
+	// Loop-confined. Every read moves the host on and first sets a limit
+	// of its own, far above the draw, so no two readings agree in either
+	// their total or their cap: a reply mixing two readings decodes to a
+	// reading the agent never produced.
 	var now time.Duration
 	produced := map[ReadPowerResponse]bool{}
 	agentLoop := simclock.NewWallLoop()
@@ -44,6 +51,9 @@ func TestConcurrentTCPReadsDecodeToProducedReadings(t *testing.T) {
 	srv := rpc.NewTCPServer(rpc.LoopHandler(agentLoop, func(method string, body []byte) (wire.Message, error) {
 		now += time.Second
 		host.Tick(now)
+		if err := plat.SetPowerLimit(power.Watts(1000 + now.Seconds())); err != nil {
+			return nil, err
+		}
 		m, err := h(method, body)
 		if err == nil {
 			produced[*m.(*ReadPowerResponse)] = true

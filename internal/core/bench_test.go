@@ -46,14 +46,12 @@ func buildControlCycleBench(nServers int, cohort bool) (*simclock.SimLoop, []ben
 		raws := make([][]byte, 0, perLeaf)
 		for i := 0; i < perLeaf; i++ {
 			id := fmt.Sprintf("bench-%03d-%03d", li, i)
-			refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015"})
+			refs = append(refs, AgentRef{ServerID: id, Service: "web"})
 			// ~280 W per server with a little spread; the fleet sits above
 			// the limit below, so every cycle computes a full capping plan.
 			resp := &agent.ReadPowerResponse{
 				TotalWatts: 270 + float64(i%20),
-				CPUWatts:   150, MemoryWatts: 60, OtherWatts: 50, ACDCLossWatts: 15,
-				HasSensor: true, CPUUtil: 0.8,
-				Service: "web", Generation: "haswell2015",
+				Service:    "web",
 			}
 			raws = append(raws, wire.Marshal(resp))
 		}
@@ -121,7 +119,7 @@ func buildLeafRPCBench(b *testing.B, dropP float64) (*simclock.SimLoop, *Leaf) {
 		srv.Tick(0)
 		ag := agent.New(id, "web", "haswell2015", platform.NewMSR(srv, platform.Options{Seed: int64(i + 1)}))
 		net.Register(AgentAddr(id), ag.Handler())
-		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: "web", Client: dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(loop, LeafConfig{
 		DeviceID:    "rpp-bench",

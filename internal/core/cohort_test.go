@@ -57,7 +57,7 @@ func buildPhased(t *testing.T, sc phasedScenario, workers int, tel *telemetry.Si
 			id := fmt.Sprintf("%s-web-%03d", child, i)
 			f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 			refs = append(refs, AgentRef{ServerID: id, Service: "web",
-				Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+				Client: f.dial(AgentAddr(id))})
 		}
 		quota := power.Watts(250 * sc.perChild)
 		leaf := NewLeaf(f.loop, LeafConfig{

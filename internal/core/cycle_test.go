@@ -28,7 +28,7 @@ var bothLevels = []levelCase{
 		name: "leaf",
 		addr: AgentAddr,
 		answer: func(w float64) wire.Message {
-			return &agent.ReadPowerResponse{TotalWatts: w, HasSensor: true}
+			return &agent.ReadPowerResponse{TotalWatts: w}
 		},
 		build: func(loop simclock.Loop, device string, ids []string, dial func(string) rpc.Client) *cycleKernel {
 			var refs []AgentRef

@@ -113,7 +113,7 @@ func TestLeafJournalRecordsCappingEvent(t *testing.T) {
 		id := "j" + string(rune('0'+i))
 		f.addServer(id, "web", serverLoadFn(loadPtr))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+			Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rppj", Limit: 1800}, refs)
 	leaf.Start()

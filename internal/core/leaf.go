@@ -116,23 +116,21 @@ func (c *LeafConfig) fillDefaults() {
 }
 
 // AgentRef identifies one downstream agent for the leaf controller.
-// Service and Generation seed the controller's server metadata (paper
+// Service seeds the controller's server metadata (paper
 // §III-C3: "the leaf power controller uses meta-data about all the servers
 // it controls") so failure estimation works even for servers that have
 // never responded; live responses keep the metadata fresh.
 type AgentRef struct {
-	ServerID   string
-	Service    string
-	Generation string
-	Client     rpc.Client
+	ServerID string
+	Service  string
+	Client   rpc.Client
 }
 
 // agentState is the controller's cached view of one agent.
 type agentState struct {
 	pull
-	service    string
-	svc        int // service's index in Leaf.services
-	generation string
+	service string
+	svc     int // service's index in Leaf.services
 
 	lastPower float64
 	reading   float64 // this cycle's reading, estimated when the pull failed
@@ -206,7 +204,7 @@ func NewLeaf(loop simclock.Loop, cfg LeafConfig, agents []AgentRef) *Leaf {
 	for _, a := range agents {
 		st := &agentState{
 			pull:    pull{id: a.ServerID, client: a.Client},
-			service: a.Service, svc: l.intern(a.Service), generation: a.Generation,
+			service: a.Service, svc: l.intern(a.Service),
 		}
 		l.list = append(l.list, st)
 		pulls = append(pulls, &st.pull)
@@ -339,9 +337,9 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			continue
 		}
 		// Decode into the controller's one message, preloaded with what
-		// this agent said last time so unchanged strings are kept.
+		// this agent said last time so an unchanged service is kept.
 		r := &l.msg
-		r.Service, r.Generation = st.service, st.generation
+		r.Service = st.service
 		l.dec.Reset(st.raw)
 		if derr := r.UnmarshalWire(&l.dec); derr == nil {
 			st.ok = true
@@ -351,7 +349,6 @@ func (l *Leaf) aggregate(p *cyclePlan) (power.Watts, bool) {
 			if r.Service != st.service {
 				st.service, st.svc = r.Service, l.intern(r.Service)
 			}
-			st.generation = r.Generation
 			st.capped = r.Capped
 		}
 	}

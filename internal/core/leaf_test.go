@@ -96,7 +96,7 @@ func (f *fixture) addFleet(n int, service string, load float64) []AgentRef {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s-%03d", service, i)
 		f.addServer(id, service, server.LoadFunc(func(time.Duration) float64 { return load }))
-		refs = append(refs, AgentRef{ServerID: id, Service: service, Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: service, Client: f.dial(AgentAddr(id))})
 	}
 	return refs
 }
@@ -104,7 +104,7 @@ func (f *fixture) addFleet(n int, service string, load float64) []AgentRef {
 func (f *fixture) refs() []AgentRef {
 	var refs []AgentRef
 	for _, id := range f.order {
-		refs = append(refs, AgentRef{ServerID: id, Service: f.servers[id].Service(), Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: f.servers[id].Service(), Client: f.dial(AgentAddr(id))})
 	}
 	return refs
 }
@@ -182,7 +182,7 @@ func TestLeafCapSettlesWithinPaperBudget(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return *loadPtr }))
-		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: "web", Client: f.dial(AgentAddr(id))})
 	}
 	limit := power.Watts(2800)
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: limit}, refs)
@@ -204,7 +204,7 @@ func TestLeafUncapsAfterLoadDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return *loadPtr }))
-		refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+		refs = append(refs, AgentRef{ServerID: id, Service: "web", Client: f.dial(AgentAddr(id))})
 	}
 	limit := power.Watts(2800)
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: limit}, refs)

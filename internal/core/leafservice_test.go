@@ -30,7 +30,7 @@ func mapAggregate(l *Leaf, p *cyclePlan, lastService map[string]power.Watts) (po
 			continue
 		}
 		r := &l.msg
-		r.Service, r.Generation = st.service, st.generation
+		r.Service = st.service
 		l.dec.Reset(st.raw)
 		if derr := r.UnmarshalWire(&l.dec); derr == nil {
 			st.ok = true
@@ -38,7 +38,6 @@ func mapAggregate(l *Leaf, p *cyclePlan, lastService map[string]power.Watts) (po
 			st.lastPower = r.TotalWatts
 			st.everSeen = true
 			st.service = r.Service
-			st.generation = r.Generation
 			st.capped = r.Capped
 		}
 	}
@@ -132,7 +131,7 @@ func observe(l *Leaf, replies [][]byte, aggregate func(*cyclePlan) (power.Watts,
 }
 
 func reply(service string, watts float64) []byte {
-	return wire.Marshal(&agent.ReadPowerResponse{TotalWatts: watts, HasSensor: true, Service: service, Generation: "haswell2015"})
+	return wire.Marshal(&agent.ReadPowerResponse{TotalWatts: watts, Service: service})
 }
 
 // TestLeafAggregateMatchesMapReference drives randomized fleets — failed
@@ -155,7 +154,7 @@ func TestLeafAggregateMatchesMapReference(t *testing.T) {
 		refs := make([]AgentRef, n)
 		for i := range refs {
 			truth[i] = pool[rng.Intn(len(pool))]
-			refs[i] = AgentRef{ServerID: fmt.Sprintf("s%02d", i), Service: truth[i], Generation: "haswell2015"}
+			refs[i] = AgentRef{ServerID: fmt.Sprintf("s%02d", i), Service: truth[i]}
 		}
 		got := NewLeaf(simclock.NewSimLoop(), cfg, refs)
 		want := NewLeaf(simclock.NewSimLoop(), cfg, refs)

@@ -111,7 +111,7 @@ func TestLeafPIDUncapsOnDrain(t *testing.T) {
 		id := "w" + string(rune('0'+i))
 		f.addServer(id, "web", serverLoadFn(loadPtr))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+			Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp-pid", Limit: 2300, UsePID: true}, refs)
 	leaf.Start()

@@ -169,7 +169,7 @@ func TestLeafCycleAllocs(t *testing.T) {
 					}
 				}
 				net.Register(AgentAddr(id), h)
-				refs = append(refs, AgentRef{ServerID: id, Service: "web", Generation: "haswell2015",
+				refs = append(refs, AgentRef{ServerID: id, Service: "web",
 					Client: inj.WrapClient(AgentAddr(id), net.Dial(AgentAddr(id)))})
 			}
 			dryRuns := 0
@@ -414,11 +414,11 @@ func fewestAllocs(f func()) uint64 {
 	return fewest
 }
 
-// TestAgentStateSize keeps agentState in the 176-byte size class: a leaf
-// holds one per server, and a cap lease needs no per-agent state, since the
-// pull renews it.
+// TestAgentStateSize keeps agentState in the 160-byte size class: a leaf
+// holds one per server, a cap lease needs no per-agent state, since the
+// pull renews it, and a reading carries no hardware generation to keep.
 func TestAgentStateSize(t *testing.T) {
-	if s := unsafe.Sizeof(agentState{}); s > 176 {
-		t.Fatalf("agentState is %d bytes, want <= 176", s)
+	if s := unsafe.Sizeof(agentState{}); s > 160 {
+		t.Fatalf("agentState is %d bytes, want <= 160", s)
 	}
 }

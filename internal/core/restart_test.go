@@ -10,7 +10,6 @@ import (
 	"dynamo/internal/agent"
 	"dynamo/internal/platform"
 	"dynamo/internal/power"
-	"dynamo/internal/server"
 )
 
 // The paper's watchdog (§III-E) restarts crashed agents. Here it is the
@@ -150,9 +149,9 @@ type sickPlatform struct {
 	sick bool
 }
 
-func (p *sickPlatform) ReadPower() (server.Breakdown, error) {
+func (p *sickPlatform) ReadPower() (platform.Reading, error) {
 	if p.sick {
-		return server.Breakdown{}, platform.ErrReadFailed
+		return platform.Reading{}, platform.ErrReadFailed
 	}
 	return p.Platform.ReadPower()
 }

@@ -36,7 +36,7 @@ func TestLeafTelemetryCapUncapEpisodes(t *testing.T) {
 		id := fmt.Sprintf("web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+			Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "rpp1", Limit: 2800, Alerts: f.alertSink(), Telemetry: sink,
@@ -168,7 +168,7 @@ func TestUpperTelemetryContractFlow(t *testing.T) {
 		id := fmt.Sprintf("c1-web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+			Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{
 		DeviceID: "c1", Limit: power.KW(200), Quota: 2500, Telemetry: sink,

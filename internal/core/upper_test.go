@@ -33,7 +33,7 @@ func buildUpper(t *testing.T, nPer int, loads [2]float64, quotas [2]power.Watts,
 			id := fmt.Sprintf("%s-web-%03d", child, i)
 			f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 			refs = append(refs, AgentRef{ServerID: id, Service: "web",
-				Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+				Client: f.dial(AgentAddr(id))})
 		}
 		leaf := NewLeaf(f.loop, LeafConfig{
 			DeviceID: child,
@@ -130,7 +130,7 @@ func TestUpperUncapsWhenLoadDrops(t *testing.T) {
 		id := fmt.Sprintf("c1-web-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return load }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+			Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "c1", Limit: power.KW(200), Quota: 2500}, refs)
 	f.net.Register(CtrlAddr("c1"), leaf.Handler())
@@ -233,7 +233,7 @@ func TestThreeLevelPropagation(t *testing.T) {
 		id := fmt.Sprintf("w-%03d", i)
 		f.addServer(id, "web", server.LoadFunc(func(time.Duration) float64 { return 0.9 }))
 		refs = append(refs, AgentRef{ServerID: id, Service: "web",
-			Generation: "haswell2015", Client: f.dial(AgentAddr(id))})
+			Client: f.dial(AgentAddr(id))})
 	}
 	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(200), Quota: 2500}, refs)
 	f.net.Register(CtrlAddr("rpp1"), leaf.Handler())

@@ -69,7 +69,7 @@ func overloadedLeaf(seed int64, cfg core.LeafConfig) *core.Leaf {
 			Source: server.LoadFunc(func(time.Duration) float64 { return 0.8 })})
 		plat := platform.NewMSR(hosts[i], platform.Options{Seed: seed*100 + int64(i)})
 		net.Register(core.AgentAddr(id), agent.New(id, "web", "haswell2015", plat).Handler())
-		refs[i] = core.AgentRef{ServerID: id, Service: "web", Generation: "haswell2015", Client: net.Dial(core.AgentAddr(id))}
+		refs[i] = core.AgentRef{ServerID: id, Service: "web", Client: net.Dial(core.AgentAddr(id))}
 	}
 	simclock.NewTicker(loop, time.Second, func() {
 		for _, h := range hosts {

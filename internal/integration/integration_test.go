@@ -64,7 +64,7 @@ func TestTCPEndToEndCapping(t *testing.T) {
 		}
 		defer cl.Close()
 		refs = append(refs, core.AgentRef{
-			ServerID: a.host.ID(), Service: "web", Generation: "haswell2015", Client: cl,
+			ServerID: a.host.ID(), Service: "web", Client: cl,
 		})
 		hosts = append(hosts, a.host)
 	}

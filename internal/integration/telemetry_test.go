@@ -42,7 +42,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		cl.SetTelemetry(sink)
 		defer cl.Close()
 		refs = append(refs, core.AgentRef{
-			ServerID: a.host.ID(), Service: "web", Generation: "haswell2015", Client: cl,
+			ServerID: a.host.ID(), Service: "web", Client: cl,
 		})
 	}
 

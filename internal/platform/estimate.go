@@ -91,20 +91,15 @@ func NewEstimated(host *server.Server, em *EstimationModel, opts Options) (*Esti
 // Name implements Platform.
 func (e *Estimated) Name() string { return "estimated" }
 
-// HasSensor implements Platform.
-func (e *Estimated) HasSensor() bool { return false }
-
-// ReadPower implements Platform: an estimate from CPU utilization, with no
-// breakdown beyond the total (estimation models cannot decompose).
-func (e *Estimated) ReadPower() (server.Breakdown, error) {
+// ReadPower implements Platform: an estimate from CPU utilization.
+func (e *Estimated) ReadPower() (Reading, error) {
 	if e.host.Crashed() {
-		return server.Breakdown{}, ErrReadFailed
+		return Reading{}, ErrReadFailed
 	}
 	if e.opts.FailureRate > 0 && e.rng.Float64() < e.opts.FailureRate {
-		return server.Breakdown{}, ErrReadFailed
+		return Reading{}, ErrReadFailed
 	}
-	est := e.em.Estimate(e.host.CPUUtil())
-	return server.Breakdown{Total: est}, nil
+	return Reading{Total: e.em.Estimate(e.host.CPUUtil())}, nil
 }
 
 // SetPowerLimit implements Platform.
@@ -127,6 +122,3 @@ func (e *Estimated) ClearPowerLimit() error {
 
 // PowerLimit implements Platform.
 func (e *Estimated) PowerLimit() (power.Watts, bool) { return e.host.Limit() }
-
-// CPUUtil implements Platform.
-func (e *Estimated) CPUUtil() float64 { return e.host.CPUUtil() }

@@ -37,20 +37,21 @@ var ErrBadLimit = errors.New("platform: power limit out of range")
 type Platform interface {
 	// Name identifies the backend ("msr", "ipmi", "estimated").
 	Name() string
-	// HasSensor reports whether power readings come from a real sensor
-	// (as opposed to a model estimate).
-	HasSensor() bool
-	// ReadPower returns the current power draw with breakdown.
-	ReadPower() (server.Breakdown, error)
-	// CPUUtil returns the host's current CPU utilization in [0,1] from
-	// the OS statistics every platform exposes.
-	CPUUtil() float64
+	// ReadPower returns the current power draw.
+	ReadPower() (Reading, error)
 	// SetPowerLimit enforces a total-system power budget via RAPL.
 	SetPowerLimit(limit power.Watts) error
 	// ClearPowerLimit removes the budget.
 	ClearPowerLimit() error
 	// PowerLimit returns the active limit, if any.
 	PowerLimit() (power.Watts, bool)
+}
+
+// Reading is one power reading: the server's total draw, from a sensor or
+// an estimation model. The §III-B breakdown (CPU, memory, AC-DC loss) is
+// not read: no controller decision uses it (DESIGN.md, "Deviations").
+type Reading struct {
+	Total power.Watts
 }
 
 // Options configure the simulated imperfections of a backend.
@@ -87,11 +88,8 @@ func NewMSR(host *server.Server, opts Options) *MSR {
 // Name implements Platform.
 func (m *MSR) Name() string { return "msr" }
 
-// HasSensor implements Platform.
-func (m *MSR) HasSensor() bool { return true }
-
 // ReadPower implements Platform.
-func (m *MSR) ReadPower() (server.Breakdown, error) {
+func (m *MSR) ReadPower() (Reading, error) {
 	return readSensor(m.host, m.opts, m.rng)
 }
 
@@ -117,9 +115,6 @@ func (m *MSR) ClearPowerLimit() error {
 // PowerLimit implements Platform.
 func (m *MSR) PowerLimit() (power.Watts, bool) { return m.host.Limit() }
 
-// CPUUtil implements Platform.
-func (m *MSR) CPUUtil() float64 { return m.host.CPUUtil() }
-
 // IPMI is the node-manager backend (paper refs [19], [21]): coarser sensor
 // resolution and strict command validation.
 type IPMI struct {
@@ -142,11 +137,8 @@ func NewIPMI(host *server.Server, opts Options) *IPMI {
 // Name implements Platform.
 func (i *IPMI) Name() string { return "ipmi" }
 
-// HasSensor implements Platform.
-func (i *IPMI) HasSensor() bool { return true }
-
 // ReadPower implements Platform.
-func (i *IPMI) ReadPower() (server.Breakdown, error) {
+func (i *IPMI) ReadPower() (Reading, error) {
 	return readSensor(i.host, i.opts, i.rng)
 }
 
@@ -177,33 +169,19 @@ func (i *IPMI) ClearPowerLimit() error {
 // PowerLimit implements Platform.
 func (i *IPMI) PowerLimit() (power.Watts, bool) { return i.host.Limit() }
 
-// CPUUtil implements Platform.
-func (i *IPMI) CPUUtil() float64 { return i.host.CPUUtil() }
-
-func readSensor(host *server.Server, opts Options, rng *rand.Rand) (server.Breakdown, error) {
+func readSensor(host *server.Server, opts Options, rng *rand.Rand) (Reading, error) {
 	if host.Crashed() {
-		return server.Breakdown{}, ErrReadFailed
+		return Reading{}, ErrReadFailed
 	}
 	if opts.FailureRate > 0 && rng.Float64() < opts.FailureRate {
-		return server.Breakdown{}, ErrReadFailed
+		return Reading{}, ErrReadFailed
 	}
-	b := host.Breakdown()
-	noisy := float64(b.Total) + opts.NoiseSigma*rng.NormFloat64()
+	noisy := float64(host.Power()) + opts.NoiseSigma*rng.NormFloat64()
 	if opts.Quantum > 0 {
 		noisy = math.Round(noisy/opts.Quantum) * opts.Quantum
 	}
 	if noisy < 0 {
 		noisy = 0
 	}
-	scale := 0.0
-	if b.Total > 0 {
-		scale = noisy / float64(b.Total)
-	}
-	return server.Breakdown{
-		Total:    power.Watts(noisy),
-		CPU:      power.Watts(float64(b.CPU) * scale),
-		Memory:   power.Watts(float64(b.Memory) * scale),
-		Other:    power.Watts(float64(b.Other) * scale),
-		ACDCLoss: power.Watts(float64(b.ACDCLoss) * scale),
-	}, nil
+	return Reading{Total: power.Watts(noisy)}, nil
 }

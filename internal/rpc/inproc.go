@@ -91,10 +91,10 @@ func (c *inprocClient) handler() Handler {
 	return c.h
 }
 
-// respBufSize is what a record's response buffer starts with: the 96-byte
-// size class holds an encoded agent reading (about 80 bytes) where growing
-// by append would stop at 128.
-const respBufSize = 96
+// respBufSize is what a record's response buffer starts with: the 32-byte
+// size class holds an encoded agent reading (22 bytes for a web server, 28
+// for the longest service name in the fleet).
+const respBufSize = 32
 
 // call is one in-flight in-proc call. Records are pooled on Network.free,
 // so a steady-state call allocates nothing of its own: its delivery and

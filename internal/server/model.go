@@ -41,12 +41,6 @@ type Model struct {
 	MinFreq float64
 	// TurboFreq is the frequency factor with Turbo Boost engaged.
 	TurboFreq float64
-	// Breakdown fractions of dynamic power attributed to CPU vs memory
-	// vs other components, used for the agent's power breakdown report.
-	CPUFrac, MemFrac float64
-	// ACDCLossFrac is the AC-DC conversion loss reported in breakdowns,
-	// as a fraction of total DC power.
-	ACDCLossFrac float64
 }
 
 // Generations returns the calibrated hardware generations from Fig 1:
@@ -60,7 +54,6 @@ func Generations() map[string]Model {
 			Peak:     215,
 			PowerExp: 2.0,
 			MinFreq:  0.5, TurboFreq: 1.0, // no Turbo on the 2011 platform
-			CPUFrac: 0.60, MemFrac: 0.20, ACDCLossFrac: 0.08,
 		},
 		"haswell2015": {
 			Name:     "haswell2015",
@@ -68,7 +61,6 @@ func Generations() map[string]Model {
 			Peak:     345,
 			PowerExp: 2.0,
 			MinFreq:  0.4, TurboFreq: 1.13,
-			CPUFrac: 0.65, MemFrac: 0.18, ACDCLossFrac: 0.06,
 		},
 		// torswitch models a top-of-rack switch that supports power
 		// capping — the paper's named future extension (§III-E: "in case
@@ -82,7 +74,6 @@ func Generations() map[string]Model {
 			Peak:     170,
 			PowerExp: 1.5,
 			MinFreq:  0.8, TurboFreq: 1.0,
-			CPUFrac: 0.5, MemFrac: 0.3, ACDCLossFrac: 0.08,
 		},
 	}
 }
@@ -106,7 +97,7 @@ func MustModel(name string) Model {
 }
 
 // Span returns the dynamic power range peak − idle. Span, PowerAt and
-// FreqForPower run every server-tick, so they take the 80-byte Model by
+// FreqForPower run every server-tick, so they take the 56-byte Model by
 // pointer; the rest keep value receivers and work on map elements.
 func (m *Model) Span() power.Watts { return m.Peak - m.Idle }
 
@@ -194,31 +185,4 @@ func clampF(f, lo, hi float64) float64 {
 		return hi
 	}
 	return f
-}
-
-// Breakdown is the decomposed power report an agent returns when the
-// platform supports it (paper §III-B: "CPU power, socket power, AC-DC
-// power loss, etc.").
-type Breakdown struct {
-	Total    power.Watts
-	CPU      power.Watts
-	Memory   power.Watts
-	Other    power.Watts
-	ACDCLoss power.Watts
-}
-
-// BreakdownAt decomposes a total power figure per the model's fractions.
-func (m Model) BreakdownAt(total power.Watts) Breakdown {
-	dyn := total - m.Idle
-	if dyn < 0 {
-		dyn = 0
-	}
-	cpu := power.Watts(float64(dyn)*m.CPUFrac) + power.Watts(float64(m.Idle)*0.4)
-	mem := power.Watts(float64(dyn)*m.MemFrac) + power.Watts(float64(m.Idle)*0.2)
-	loss := power.Watts(float64(total) * m.ACDCLossFrac)
-	other := total - cpu - mem - loss
-	if other < 0 {
-		other = 0
-	}
-	return Breakdown{Total: total, CPU: cpu, Memory: mem, Other: other, ACDCLoss: loss}
 }

@@ -286,8 +286,3 @@ func (s *Server) ResetWork() {
 	s.offeredWork = 0
 	s.deliveredWork = 0
 }
-
-// Breakdown reports the decomposed current power draw.
-func (s *Server) Breakdown() Breakdown {
-	return s.model.BreakdownAt(s.draw)
-}

@@ -129,15 +129,6 @@ func TestFreqForPowerProperty(t *testing.T) {
 	}
 }
 
-func TestBreakdownSumsToTotal(t *testing.T) {
-	m := MustModel("haswell2015")
-	b := m.BreakdownAt(300)
-	sum := b.CPU + b.Memory + b.Other + b.ACDCLoss
-	if math.Abs(float64(sum-b.Total)) > 0.5 {
-		t.Errorf("breakdown parts %v != total %v", sum, b.Total)
-	}
-}
-
 func constLoad(l float64) LoadSource {
 	return LoadFunc(func(time.Duration) float64 { return l })
 }

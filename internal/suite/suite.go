@@ -252,7 +252,7 @@ func Build(loop simclock.Loop, cfg *config.Suite, dial Dialer, alerts core.Alert
 		refs := make([]core.AgentRef, 0, len(c.Agents))
 		for _, ag := range c.Agents {
 			refs = append(refs, core.AgentRef{
-				ServerID: ag.ID, Service: ag.Service, Generation: ag.Generation, Client: take(),
+				ServerID: ag.ID, Service: ag.Service, Client: take(),
 			})
 		}
 		lc := core.LeafConfig{

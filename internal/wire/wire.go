@@ -78,6 +78,9 @@ func (e *Encoder) Float64(v float64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
+// Byte appends one byte as it is.
+func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
+
 // Bool appends a boolean byte.
 func (e *Encoder) Bool(v bool) {
 	if v {
@@ -185,19 +188,22 @@ func (d *Decoder) Float64() float64 {
 	return v
 }
 
-// Bool reads a boolean byte.
-func (d *Decoder) Bool() bool {
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
 	if d.err != nil {
-		return false
+		return 0
 	}
 	if d.Remaining() < 1 {
 		d.fail(ErrTruncated)
-		return false
+		return 0
 	}
-	v := d.buf[d.off] != 0
+	b := d.buf[d.off]
 	d.off++
-	return v
+	return b
 }
+
+// Bool reads a boolean byte.
+func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return d.StringKeep("") }
@@ -205,7 +211,7 @@ func (d *Decoder) String() string { return d.StringKeep("") }
 // StringKeep reads a length-prefixed string and returns prev itself when
 // the bytes on the wire equal it, so decoding into a message that already
 // holds last time's value allocates no new string for a field that rarely
-// changes (a server's service, its hardware generation).
+// changes (a server's service).
 func (d *Decoder) StringKeep(prev string) string {
 	b := d.lenPrefixed("string")
 	if string(b) == prev {
