@@ -90,6 +90,11 @@ const (
 	// on the order of a minute (paper §III-C1), so the cross-check must
 	// tolerate normal power movement over that staleness window.
 	validationTolerance = 0.20
+	// shortfallEpsilon is the smallest plan shortfall that raises a
+	// critical alert. A plan that meets its cut can still fall short by
+	// a fraction of a watt, float residue from summing the cuts; only an
+	// SLA floor leaves a real gap.
+	shortfallEpsilon power.Watts = 0.5
 	// quarantineProbeEvery is the cadence, in cycles, of half-open probe
 	// pulls to quarantined agents.
 	quarantineProbeEvery = 2
@@ -497,7 +502,7 @@ func (l *Leaf) planCap(p *cyclePlan) {
 	achieved, shortfall, caps := l.planner.plan(totalCut, l.cfg.Priorities, func(i int) string { return l.list[i].id })
 	p.rec.ServersPlanned, p.rec.Achieved, p.rec.Shortfall = len(caps), achieved, shortfall
 	p.planComputed = true
-	if shortfall > 0 {
+	if shortfall > shortfallEpsilon {
 		p.alert(Alert{Kind: KindShortfall, Watts: shortfall})
 	}
 	if l.dryRun {

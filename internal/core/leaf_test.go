@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -470,5 +471,46 @@ func TestLeafSetBands(t *testing.T) {
 	}
 	if err := leaf.SetBands(BandConfig{}); err == nil {
 		t.Fatal("invalid bands should be rejected")
+	}
+}
+
+// TestShortfallAlertNeedsARealGap: a plan that meets its cut but for float
+// residue (here 5.7e-14 W, from summing the bucket cuts) raises no alert;
+// a plan held back by the web group's 150 W SLA floor still raises a
+// critical one for what it could not cut.
+func TestShortfallAlertNeedsARealGap(t *testing.T) {
+	readings := []float64{238.7, 234.7, 205.9, 308.1} // 987.4 W, 387.4 W above the floors
+	for _, tc := range []struct {
+		cut       power.Watts
+		wantAlert bool
+	}{
+		{cut: 304.8},
+		{cut: 450, wantAlert: true},
+	} {
+		refs := make([]AgentRef, len(readings))
+		for i := range refs {
+			refs[i] = AgentRef{ServerID: fmt.Sprintf("s%02d", i), Service: "web"}
+		}
+		leaf := NewLeaf(simclock.NewSimLoop(), LeafConfig{DeviceID: "rpp", Limit: power.KW(1)}, refs)
+		for i, st := range leaf.list {
+			st.reading = readings[i]
+		}
+		var p cyclePlan
+		p.rec.Agg = tc.cut // Target 0: the plan's cut is exactly tc.cut
+		leaf.planCap(&p)
+		var alerts []Alert
+		for _, a := range p.alerts {
+			if a.Kind == KindShortfall {
+				alerts = append(alerts, a)
+			}
+		}
+		switch {
+		case !tc.wantAlert && (p.rec.Shortfall <= 0 || p.rec.Shortfall > shortfallEpsilon):
+			t.Fatalf("cut %v: shortfall %v W, want float residue to test against", tc.cut, float64(p.rec.Shortfall))
+		case !tc.wantAlert && len(alerts) != 0:
+			t.Errorf("cut %v: residue of %v W raised %v", tc.cut, float64(p.rec.Shortfall), alerts[0])
+		case tc.wantAlert && (len(alerts) != 1 || alerts[0].Kind.Level() != AlertCritical || math.Abs(float64(alerts[0].Watts-(tc.cut-387.4))) > 1e-9):
+			t.Errorf("cut %v: shortfall %v W raised %v, want one critical alert for %v W", tc.cut, float64(p.rec.Shortfall), alerts, float64(tc.cut-387.4))
+		}
 	}
 }

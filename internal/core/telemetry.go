@@ -148,7 +148,7 @@ func (in *ctrlInstr) decided(p *cyclePlan) {
 			in.uncapEpisodes.Inc()
 		}
 	}
-	if p.planComputed && p.rec.Shortfall > 0 {
+	if p.planComputed && p.rec.Shortfall > shortfallEpsilon {
 		in.planShortfalls.Inc()
 	}
 }
