@@ -135,7 +135,7 @@ func Example_operations() {
 	//
 	// == primary/backup failover ==
 	// [31m36.105337329s] critical dc1/msb1/sb1/rpp1: primary controller unresponsive for 3 probes; backup promoted with fresh state (no store)
-	// backup promoted: true, 7 cycles since
+	// backup promoted: true, 8 cycles since
 	//
 	// == staged rollout ==
 	// [32m0s] info rollout: phase "canary" applied to 1/2 targets; soaking 1m0s

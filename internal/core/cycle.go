@@ -170,8 +170,10 @@ type cycleKernel struct {
 
 	// leasedPull is the body of every pull of a capped child while capLease
 	// is set: the pull renews the cap's lease. Retries re-send it, so it
-	// never changes.
+	// never changes. renewAll sends it to every child for one cycle, the
+	// first of a promoted standby (StartPromoted).
 	leasedPull agent.ReadPowerRequest
+	renewAll   bool
 }
 
 func (k *cycleKernel) init(loop simclock.Loop, lvl level, cfg cycleConfig, sink *telemetry.Sink, retry RetryConfig, pulls []*pull) {
@@ -363,6 +365,16 @@ func (k *cycleKernel) DeviceID() string { return k.deviceID }
 // Start begins the pull cycle.
 func (k *cycleKernel) Start() { k.ticker.Start() }
 
+// StartPromoted starts a standby that takes over from a failed primary.
+// Its first cycle runs at once, not one poll later, and every pull of it
+// renews the lease of any cap the child holds: those caps are the
+// predecessor's, now this controller's to hold or release, and detecting
+// the failure (three missed probes) takes most of a lease TTL.
+func (k *cycleKernel) StartPromoted() {
+	k.renewAll = true
+	k.ticker.StartNow()
+}
+
 // Stop halts the pull cycle (a crashed or fenced controller). Bumping the
 // generation fences the cycle in flight: its act phase still journals and
 // checkpoints, but sends nothing, and a command ack or retry landing after
@@ -486,7 +498,7 @@ func (k *cycleKernel) pollCycle() {
 		h.awaiting = true
 		done := h.done[k.cycleSeq&1]
 		req := rpc.Empty
-		if h.capped && k.capLease > 0 {
+		if (h.capped || k.renewAll) && k.capLease > 0 {
 			req = &k.leasedPull
 		}
 		if h.probe {
@@ -495,6 +507,7 @@ func (k *cycleKernel) pollCycle() {
 			k.call(h, k.pullMethod, req, done)
 		}
 	}
+	k.renewAll = false
 }
 
 // onPull records one pull completion. It runs on the loop goroutine and

@@ -17,6 +17,9 @@ import (
 type Controller interface {
 	DeviceID() string
 	Start()
+	// StartPromoted starts a standby taking over from a failed primary:
+	// its first cycle runs at once and renews every cap lease.
+	StartPromoted()
 	Stop()
 	Running() bool
 	Handler() rpc.Handler
@@ -259,13 +262,14 @@ func (f *Failover) adopt(i int) {
 }
 
 // finish completes the promotion: route and start every standby in order,
-// announce each, then run OnPromoted once.
+// each with its first cycle due at once, announce each, then run
+// OnPromoted once.
 func (f *Failover) finish() {
 	for _, s := range f.set {
 		if f.net != nil {
 			f.net.Register(CtrlAddr(s.ctrl.DeviceID()), s.ctrl.Handler())
 		}
-		s.ctrl.Start()
+		s.ctrl.StartPromoted()
 	}
 	now := f.loop.Now()
 	for _, s := range f.set {

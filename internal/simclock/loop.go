@@ -104,12 +104,18 @@ func NewTicker(loop Loop, period time.Duration, f func()) *Ticker {
 
 // Start schedules the first tick one period from now. Starting a started
 // ticker is a no-op.
-func (t *Ticker) Start() {
+func (t *Ticker) Start() { t.start(t.period) }
+
+// StartNow is Start with the first tick at the current instant, after
+// what is already queued for it.
+func (t *Ticker) StartNow() { t.start(0) }
+
+func (t *Ticker) start(first time.Duration) {
 	if t.active {
 		return
 	}
 	t.active = true
-	t.loop.Arm(&t.timer, t.period, t.tick)
+	t.loop.Arm(&t.timer, first, t.tick)
 }
 
 // Stop cancels future ticks.
