@@ -62,9 +62,6 @@ type Controller struct {
 type AgentEntry struct {
 	ID      string `json:"id"`
 	Service string `json:"service"`
-	// Generation names the server's hardware for the operator reading the
-	// file; no controller reads it.
-	Generation string `json:"generation,omitempty"`
 	// Addr is the agent's TCP address ("host:port").
 	Addr string `json:"addr"`
 }

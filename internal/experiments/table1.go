@@ -53,7 +53,7 @@ func TableI(o Options) TableIResult {
 		"Performance boost for Search", res.SearchQPSGain*100)
 	o.printf("%-42s +%.1f%% more servers under same limit\n",
 		"Data center over-subscription", res.ExtraServersPct)
-	o.printf("%-42s %v power readings with breakdown\n",
+	o.printf("%-42s %v power readings per server\n",
 		"Fine-grained real-time monitoring", res.MonitoringInterval)
 	return res
 }

@@ -100,7 +100,7 @@ func TestCompileSuite(t *testing.T) {
 					}
 				}
 				if tc.switches {
-					if a := c.Agents[len(servers)]; a.Service != "network" || a.Generation != "torswitch" {
+					if a := c.Agents[len(servers)]; a.Service != "network" {
 						t.Fatalf("leaf %s: first agent after the servers is %+v, want a switch", rpp.ID, a)
 					}
 				}

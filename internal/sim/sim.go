@@ -473,8 +473,8 @@ func CompileSuite(topo *topology.Topology, bands core.BandConfig, cappableSwitch
 			LimitWatts: float64(n.Rating), QuotaWatts: float64(n.Quota), Bands: b,
 		}
 	}
-	agentEntry := func(id topology.NodeID, service, generation string) config.AgentEntry {
-		return config.AgentEntry{ID: string(id), Service: service, Generation: generation, Addr: core.AgentAddr(string(id))}
+	agentEntry := func(id topology.NodeID, service string) config.AgentEntry {
+		return config.AgentEntry{ID: string(id), Service: service, Addr: core.AgentAddr(string(id))}
 	}
 	out := &config.Suite{Name: "sim"}
 	for _, rpp := range topo.OfKind(topology.KindRPP) {
@@ -482,7 +482,7 @@ func CompileSuite(topo *topology.Topology, bands core.BandConfig, cappableSwitch
 		servers := rpp.Servers()
 		c.Agents = make([]config.AgentEntry, 0, len(servers))
 		for _, srv := range servers {
-			c.Agents = append(c.Agents, agentEntry(srv.ID, srv.Service, srv.Generation))
+			c.Agents = append(c.Agents, agentEntry(srv.ID, srv.Service))
 		}
 		racks := 0
 		rpp.Walk(func(n *topology.Node) {
@@ -490,7 +490,7 @@ func CompileSuite(topo *topology.Topology, bands core.BandConfig, cappableSwitch
 			case n.Kind == topology.KindRack:
 				racks++
 			case n.Kind == topology.KindSwitch && cappableSwitches:
-				c.Agents = append(c.Agents, agentEntry(n.ID, "network", "torswitch"))
+				c.Agents = append(c.Agents, agentEntry(n.ID, "network"))
 			}
 		})
 		if !cappableSwitches {

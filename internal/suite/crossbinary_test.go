@@ -40,7 +40,7 @@ func TestCrossBinaryHierarchy(t *testing.T) {
 		world.servers = append(world.servers, h)
 		world.ext.Register("tcp/"+h.id, h.handler())
 		agents = append(agents, config.AgentEntry{
-			ID: h.id, Service: "web", Generation: "haswell2015", Addr: "tcp/" + h.id,
+			ID: h.id, Service: "web", Addr: "tcp/" + h.id,
 		})
 	}
 	tick := simclock.NewTicker(suiteLoop, 100*time.Millisecond, func() {

@@ -23,7 +23,7 @@ func TestSuiteFailoverPromotesEveryController(t *testing.T) {
 	doc := func(name string) *config.Suite {
 		var agents []config.AgentEntry
 		for _, id := range []string{"srv0", "srv1", "srv2", "srv3", "srv4"} {
-			agents = append(agents, config.AgentEntry{ID: id, Service: "web", Generation: "haswell2015", Addr: "tcp/" + id})
+			agents = append(agents, config.AgentEntry{ID: id, Service: "web", Addr: "tcp/" + id})
 		}
 		// Five servers at ~295 W exceed the SB's 1.4 kW: the upper
 		// contracts the leaf, which caps, so both journals carry an episode.

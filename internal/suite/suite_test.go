@@ -67,7 +67,7 @@ func suiteDoc(nPerLeaf int) *config.Suite {
 		for i := 0; i < nPerLeaf; i++ {
 			id := fmt.Sprintf("%s-srv%d", leaf, start+i)
 			out = append(out, config.AgentEntry{
-				ID: id, Service: "web", Generation: "haswell2015", Addr: "tcp/" + id,
+				ID: id, Service: "web", Addr: "tcp/" + id,
 			})
 		}
 		return out
