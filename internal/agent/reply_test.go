@@ -41,9 +41,9 @@ func TestConcurrentTCPReadsDecodeToProducedReadings(t *testing.T) {
 	h := a.Handler()
 
 	// Loop-confined. Every read moves the host on and first sets a limit
-	// of its own, far above the draw, so no two readings agree in either
-	// their total or their cap: a reply mixing two readings decodes to a
-	// reading the agent never produced.
+	// of its own, far above the draw, so no two readings share a cap and
+	// consecutive ones differ in their total too: a reply mixing two
+	// readings decodes to a reading the agent never produced.
 	var now time.Duration
 	produced := map[ReadPowerResponse]bool{}
 	agentLoop := simclock.NewWallLoop()

@@ -91,10 +91,11 @@ func (c *inprocClient) handler() Handler {
 	return c.h
 }
 
-// respBufSize is what a record's response buffer starts with: the 32-byte
-// size class holds an encoded agent reading (22 bytes for a web server, 28
-// for the longest service name in the fleet).
-const respBufSize = 32
+// respBufSize is what a record's response buffer starts with: the 48-byte
+// size class holds every reply a pull gets, an agent's reading (22 bytes
+// for a web server, 28 for the longest service name in the fleet) and a
+// controller's (35), so no steady-state reply grows it.
+const respBufSize = 48
 
 // call is one in-flight in-proc call. Records are pooled on Network.free,
 // so a steady-state call allocates nothing of its own: its delivery and
