@@ -109,10 +109,20 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 // limit on the assumption that the controller died mid-capping, and
 // reports through onExpire (which runs on the loop goroutine; may be nil).
 // defaultTTL applies to SetCaps that carry no lease of their own; zero
-// means such caps are not guarded. Call before the agent starts serving.
+// means such caps are not guarded. A cap the platform already holds, one
+// an earlier agent process set for a controller that may be gone, gets
+// the default TTL too, armed through loop.Post. Call before the agent
+// starts serving.
 func (a *Agent) EnableLease(loop simclock.Loop, defaultTTL time.Duration, onExpire func(id string, limit power.Watts)) {
 	x := a.extras()
 	x.loop, x.leaseTTL, x.onLeaseExpire, x.expire = loop, defaultTTL, onExpire, a.expireLease
+	if _, capped := a.plat.PowerLimit(); capped && defaultTTL > 0 {
+		loop.Post(func() {
+			if limit, capped := a.plat.PowerLimit(); capped {
+				a.armLease(0, limit)
+			}
+		})
+	}
 }
 
 // LeaseExpiries returns how many caps this agent has released because

@@ -142,6 +142,32 @@ func TestAgentDefaultTTLGuardsUnleasedCaps(t *testing.T) {
 	}
 }
 
+// TestAgentLeaseGuardsInheritedCap starts an agent over a platform that
+// is already capped, as a restarted agent process finds it: the default
+// TTL must release that cap when no controller renews it.
+func TestAgentLeaseGuardsInheritedCap(t *testing.T) {
+	a, _ := newTestAgent(t, 0.8, platform.Options{Seed: 3})
+	if err := a.plat.SetPowerLimit(180); err != nil {
+		t.Fatal(err)
+	}
+	lf := &leaseFixture{loop: simclock.NewSimLoop()}
+	lf.a = New("srv1", "web", "haswell2015", a.plat)
+	lf.a.EnableLease(lf.loop, 8*time.Second, func(id string, limit power.Watts) {
+		lf.expired = append(lf.expired, limit)
+	})
+	lf.loop.RunUntil(7 * time.Second)
+	if !lf.capped(t) {
+		t.Fatal("the inherited cap was released before its lease ran out")
+	}
+	lf.loop.RunUntil(10 * time.Second)
+	if lf.capped(t) {
+		t.Fatal("the inherited cap outlived the default TTL")
+	}
+	if len(lf.expired) != 1 || lf.expired[0] != 180 {
+		t.Errorf("onExpire saw %v, want [180]", lf.expired)
+	}
+}
+
 func TestAgentNoLeaseNoTTLCapHoldsForever(t *testing.T) {
 	lf := newLeaseFixture(t, 0)
 	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180}, true)
