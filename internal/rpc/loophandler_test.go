@@ -92,3 +92,46 @@ func TestLoopHandlerWithSimLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopHandlerEncodesOnLoop checks that a reply is encoded on the
+// handler's loop, where the handler's state lives. The handler posts a
+// marker and returns a message whose MarshalWire waits a while for it:
+// encoded on the loop, the marker cannot run before the encode returns;
+// encoded anywhere else, the idle loop runs it during the wait.
+func TestLoopHandlerEncodesOnLoop(t *testing.T) {
+	loop := simclock.NewWallLoop()
+	defer loop.Close()
+	reply := &markerReply{marker: make(chan struct{}, 1)}
+	h := LoopHandler(loop, func(string, []byte) (wire.Message, error) {
+		loop.Post(func() { reply.marker <- struct{}{} })
+		return reply, nil
+	})
+	m, err := h("x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What TCPServer does with the reply before it frames it.
+	if got := decodeEcho(m); got != "ok" {
+		t.Fatalf("reply decodes to %q", got)
+	}
+	if reply.offLoop {
+		t.Fatal("the reply was encoded off the loop: the loop ran a callback during the encode")
+	}
+}
+
+// markerReply encodes "ok" after waiting up to 50 ms for its marker.
+type markerReply struct {
+	marker  chan struct{}
+	offLoop bool
+}
+
+func (m *markerReply) MarshalWire(e *wire.Encoder) {
+	select {
+	case <-m.marker:
+		m.offLoop = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.String("ok")
+}
+
+func (*markerReply) UnmarshalWire(*wire.Decoder) error { return errors.New("only sent") }
