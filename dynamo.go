@@ -272,7 +272,7 @@ func CompileSuite(topo *Topology, bands BandConfig, cappableSwitches bool) *Suit
 // loop — the builder the daemons and the simulator share. dial connects
 // each agent address; alerts and tel may be nil.
 func BuildSuite(loop Loop, cfg *SuiteConfig, dial func(addr string) (RPCClient, error), alerts AlertFunc, tel *TelemetrySink) (*Hierarchy, error) {
-	return suite.Build(loop, cfg, dial, alerts, tel)
+	return suite.Build(loop, cfg, dial, alerts, tel, suite.Options{})
 }
 
 // NewCohortScheduler creates a scheduler that batches same-instant

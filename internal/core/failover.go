@@ -22,6 +22,7 @@ type Controller interface {
 	StartPromoted()
 	Stop()
 	Running() bool
+	Status(lastN int) ControllerStatus
 	Handler() rpc.Handler
 	// Cycles and Journal expose the decision history for inspection.
 	Cycles() uint64
@@ -102,6 +103,7 @@ type Failover struct {
 
 	active   bool
 	inflight bool
+	heard    bool // some probe has had a reply
 	misses   int
 	promoted bool
 }
@@ -197,7 +199,8 @@ func (f *Failover) check() {
 }
 
 // pong counts a probe's outcome: a healthy reply clears the misses, and
-// failThreshold misses in a row promote.
+// failThreshold misses in a row promote. A miss counts only after some
+// probe has had a reply, so a backup started before its primary waits.
 func (f *Failover) pong(resp []byte, err error) {
 	f.inflight = false
 	if !f.active || f.promoted {
@@ -205,6 +208,7 @@ func (f *Failover) pong(resp []byte, err error) {
 	}
 	healthy := false
 	if err == nil {
+		f.heard = true
 		var pong CtrlPingResponse
 		if wire.Unmarshal(resp, &pong) == nil {
 			healthy = pong.Healthy
@@ -215,7 +219,9 @@ func (f *Failover) pong(resp []byte, err error) {
 		f.scheduleProbe()
 		return
 	}
-	f.misses++
+	if f.heard {
+		f.misses++
+	}
 	if f.misses >= failThreshold {
 		f.promote()
 		return

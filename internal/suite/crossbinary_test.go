@@ -62,7 +62,7 @@ func TestCrossBinaryHierarchy(t *testing.T) {
 	}
 	asm, err := Build(suiteLoop, cfg, func(addr string) (rpc.Client, error) {
 		return world.ext.Dial(addr), nil
-	}, nil, nil)
+	}, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@
 // upper controller of one description runs on a single event loop,
 // controller-to-controller traffic stays on an in-process network, and
 // agents (plus optional out-of-suite parents) are reached over the
-// injected dialer — the paper's production packaging (§IV). It is the one
-// builder of controller trees: dynamo-suited builds through it from its
-// configuration, and the simulator from the config.Suite it compiles out
-// of its topology.
+// injected dialer — the paper's production packaging (§IV). Build is the
+// one builder of controller trees, for the simulator from the config.Suite
+// it compiles out of its topology. Deploy is what dynamo-suited runs: the
+// built suite with its state store, replication, listeners and, on a
+// backup, the failover probe, on the wall clock over TCP in the daemon and
+// in virtual time over an in-process network in tests.
 package suite
 
 import (
@@ -24,39 +26,11 @@ import (
 )
 
 // Dialer connects to a remote endpoint (an agent or an out-of-suite
-// controller). Production uses TCPDialer; tests and the simulator dial an
-// in-process network. Build dials children concurrently, so a Dialer must
-// be safe for concurrent use (rpc.RedialTCP and rpc.Network.Dial both are).
+// controller). The daemons use TCPTransport's; tests and the simulator
+// dial an in-process network. Build dials children concurrently, so a
+// Dialer must be safe for concurrent use (rpc.RedialTCP and
+// rpc.Network.Dial both are).
 type Dialer func(addr string) (rpc.Client, error)
-
-// TCPDialer is the daemons' dialer: self-reconnecting clients, so an agent
-// or out-of-suite child that is down at launch (or restarts later)
-// degrades to retryable failures — and quarantine probes can re-admit it —
-// instead of a dead socket. Each client gets a default deadline, so no
-// production path can issue an unbounded call.
-func TCPDialer(loop simclock.Loop, tel *telemetry.Sink, timeout time.Duration) Dialer {
-	return func(addr string) (rpc.Client, error) {
-		cl := rpc.RedialTCP(addr, loop)
-		cl.SetTelemetry(tel)
-		return rpc.WithDefaultTimeout(cl, timeout), nil
-	}
-}
-
-// AlertLogger is the daemons' alert sink: it routes controller alerts to
-// the structured log with their severity and loop timestamp (wall time is
-// stamped by the logger).
-func AlertLogger(logger *telemetry.Logger) core.AlertFunc {
-	return func(a core.Alert) {
-		lvl := telemetry.LevelInfo
-		switch a.Level {
-		case core.AlertWarning:
-			lvl = telemetry.LevelWarning
-		case core.AlertCritical:
-			lvl = telemetry.LevelError
-		}
-		logger.Log(lvl, a.Message(), "alert", a.Level, "controller", a.Controller, "uptime", a.Time)
-	}
-}
 
 // dialWorkers bounds Build's concurrent child dialing. Large suites have
 // thousands of agents; dialing them serially dominated cold-start.
@@ -76,32 +50,17 @@ type dialJob struct {
 func dialAll(dial Dialer, jobs []dialJob) ([]rpc.Client, error) {
 	clients := make([]rpc.Client, len(jobs))
 	errs := make([]error, len(jobs))
-	w := dialWorkers
-	if w > len(jobs) {
-		w = len(jobs)
-	}
-	if w > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range idx {
-					clients[j], errs[j] = dial(jobs[j].addr)
-				}
-			}()
-		}
-		for j := range jobs {
-			idx <- j
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for j := range jobs {
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, dialWorkers)
+	for j := range jobs {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer func() { <-slots; wg.Done() }()
 			clients[j], errs[j] = dial(jobs[j].addr)
-		}
+		}()
 	}
+	wg.Wait()
 	for j, err := range errs {
 		if err != nil {
 			for _, cl := range clients {
@@ -173,18 +132,10 @@ type Options struct {
 }
 
 // Build constructs every controller in the suite configuration. alerts
-// and tel may be nil; at most one Options may follow. On error, every
-// connection dialed so far is closed before returning — a failed suite
-// assembly must not leak sockets. Build keeps no reference to cfg.
-func Build(loop simclock.Loop, cfg *config.Suite, dial Dialer, alerts core.AlertFunc, tel *telemetry.Sink, opts ...Options) (*Assembly, error) {
-	var o Options
-	switch len(opts) {
-	case 0:
-	case 1:
-		o = opts[0]
-	default:
-		return nil, fmt.Errorf("suite: Build takes at most one Options, got %d", len(opts))
-	}
+// and tel may be nil. On error, every connection dialed so far is closed
+// before returning — a failed suite assembly must not leak sockets. Build
+// keeps no reference to cfg.
+func Build(loop simclock.Loop, cfg *config.Suite, dial Dialer, alerts core.AlertFunc, tel *telemetry.Sink, o Options) (*Assembly, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -389,11 +340,7 @@ func (a *Assembly) NumControllers() int { return len(a.order) }
 func (a *Assembly) Status(lastN int) []core.ControllerStatus {
 	out := make([]core.ControllerStatus, 0, len(a.order))
 	for _, d := range a.order {
-		if l, ok := a.Leaves[d]; ok {
-			out = append(out, l.Status(lastN))
-		} else if u, ok := a.Uppers[d]; ok {
-			out = append(out, u.Status(lastN))
-		}
+		out = append(out, a.Controller(string(d)).Status(lastN))
 	}
 	return out
 }

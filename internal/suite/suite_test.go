@@ -44,7 +44,7 @@ func newWorld(t *testing.T) *testWorld {
 	return w
 }
 
-func (w *testWorld) addAgent(id string, load float64) {
+func (w *testWorld) addAgent(id string, load float64) *agent.Agent {
 	srv := server.New(server.Config{
 		ID: id, Service: "web",
 		Model:  server.MustModel("haswell2015"),
@@ -55,6 +55,7 @@ func (w *testWorld) addAgent(id string, load float64) {
 	w.order = append(w.order, id)
 	ag := agent.New(id, "web", "haswell2015", platform.NewMSR(srv, platform.Options{Seed: 1}))
 	w.ext.Register("tcp/"+id, ag.Handler())
+	return ag
 }
 
 func (w *testWorld) dialer() Dialer {
@@ -95,7 +96,7 @@ func TestBuildAndRunSuite(t *testing.T) {
 		}
 	}
 	var alerts []core.Alert
-	asm, err := Build(w.loop, cfg, w.dialer(), func(a core.Alert) { alerts = append(alerts, a) }, nil)
+	asm, err := Build(w.loop, cfg, w.dialer(), func(a core.Alert) { alerts = append(alerts, a) }, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestBuildAndRunSuite(t *testing.T) {
 func TestBuildRejectsInvalidConfig(t *testing.T) {
 	w := newWorld(t)
 	bad := &config.Suite{Name: "x"}
-	if _, err := Build(w.loop, bad, w.dialer(), nil, nil); err == nil {
+	if _, err := Build(w.loop, bad, w.dialer(), nil, nil, Options{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -146,7 +147,7 @@ func TestBuildDialerErrorPropagates(t *testing.T) {
 	failing := func(addr string) (rpc.Client, error) {
 		return nil, fmt.Errorf("no route to %s", addr)
 	}
-	if _, err := Build(w.loop, cfg, failing, nil, nil); err == nil {
+	if _, err := Build(w.loop, cfg, failing, nil, nil, Options{}); err == nil {
 		t.Fatal("dialer error swallowed")
 	}
 }
@@ -159,7 +160,7 @@ func TestControllerLookup(t *testing.T) {
 			w.addAgent(a.ID, 0.5)
 		}
 	}
-	asm, err := Build(w.loop, cfg, w.dialer(), nil, nil)
+	asm, err := Build(w.loop, cfg, w.dialer(), nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestBuildRackLeaves(t *testing.T) {
 		}
 	}
 	w := newWorld(t)
-	asm, err := Build(w.loop, cfg, w.dialer(), nil, nil)
+	asm, err := Build(w.loop, cfg, w.dialer(), nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestBuildParallelDialSlowAndFailingChild(t *testing.T) {
 
 	// Failure path: the error propagates with the config context and every
 	// successful dial is closed.
-	if _, err := Build(w.loop, cfg, slow(true), nil, nil); err == nil {
+	if _, err := Build(w.loop, cfg, slow(true), nil, nil, Options{}); err == nil {
 		t.Fatal("expected dial failure to propagate")
 	} else if !strings.Contains(err.Error(), failAddr) {
 		t.Fatalf("error %q does not name failing address %s", err, failAddr)
@@ -274,7 +275,7 @@ func TestBuildParallelDialSlowAndFailingChild(t *testing.T) {
 	// Success path: 16 slow dials through the pool must take far less than
 	// the 480 ms serial sum.
 	start := time.Now()
-	a, err := Build(w.loop, cfg, slow(false), nil, nil)
+	a, err := Build(w.loop, cfg, slow(false), nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
