@@ -15,6 +15,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command with its arguments and streams passed in; it returns
-// the exit status (2 for bad flags or an unknown experiment).
+// the exit status (0 for -h, 2 for bad flags or an unknown experiment).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dynamo-figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -38,7 +39,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "fleet/duration scale in (0,1]")
 	seed := fs.Int64("seed", 1, "random seed (results are reproducible per seed)")
 	outDir := fs.String("out", "", "also write each experiment's report to <out>/<name>.txt")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	var fc config.FlagCheck

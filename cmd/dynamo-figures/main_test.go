@@ -41,3 +41,14 @@ func TestRunsOneExperiment(t *testing.T) {
 		t.Errorf("unknown experiment: exit %d, want 2", code)
 	}
 }
+
+// TestHelpExitsZero: -h prints the flags and is not a usage error.
+func TestHelpExitsZero(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+	if out.Len() != 0 || !strings.Contains(errOut.String(), "-experiment") {
+		t.Errorf("-h: stdout %q, stderr %q; want the flags on stderr", out.String(), errOut.String())
+	}
+}
