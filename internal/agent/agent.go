@@ -59,7 +59,7 @@ func (a *Agent) tel() *agentInstr {
 	return a.x.tel
 }
 
-// capOK is every successful cap, uncap or renewal reply; it is immutable.
+// capOK is every successful cap or uncap reply; it is immutable.
 var capOK = &CapResponse{OK: true}
 
 // op names one of the agent's operation counters.
@@ -104,7 +104,7 @@ func (a *Agent) SetTelemetry(s *telemetry.Sink) {
 }
 
 // EnableLease arms the cap-lease fail-safe: every accepted SetCap starts
-// (and every renewing ReadPower or RenewLease refreshes) a TTL timer on
+// (and every renewing ReadPower refreshes) a TTL timer on
 // loop; if it fires before the next renewal, the agent releases its power
 // limit on the assumption that the controller died mid-capping, and
 // reports through onExpire (which runs on the loop goroutine; may be nil).
@@ -157,7 +157,7 @@ func (a *Agent) count(o op) {
 func (a *Agent) Handler() rpc.Handler {
 	return func(method string, body []byte) (wire.Message, error) {
 		switch method {
-		case MethodReadPower, MethodRenewLease:
+		case MethodReadPower:
 			var d wire.Decoder
 			var req ReadPowerRequest
 			d.Reset(body)
@@ -165,17 +165,8 @@ func (a *Agent) Handler() rpc.Handler {
 				a.count(opErr)
 				return nil, err
 			}
-			ttl := time.Duration(req.LeaseNanos)
-			if method == MethodRenewLease {
-				// Rejected without a cap, so the controller learns its view
-				// is stale.
-				if !a.renew(ttl) {
-					return &CapResponse{OK: false, Msg: "no active cap"}, nil
-				}
-				return capOK, nil
-			}
-			if ttl > 0 {
-				a.renew(ttl)
+			if req.LeaseNanos > 0 {
+				a.renew(time.Duration(req.LeaseNanos))
 			}
 			return a.readPower()
 		case MethodSetCap:
@@ -245,19 +236,17 @@ func (a *Agent) clearCap() (wire.Message, error) {
 	return capOK, nil
 }
 
-// renew refreshes the cap lease without changing the limit, for a
-// renewing pull and for RenewLease alike. It reports whether the agent
-// held a cap to renew.
-func (a *Agent) renew(ttl time.Duration) bool {
+// renew refreshes the lease of the cap the agent holds, if any, without
+// changing the limit: a renewing pull.
+func (a *Agent) renew(ttl time.Duration) {
 	limit, capped := a.plat.PowerLimit()
 	if !capped {
-		return false
+		return
 	}
 	a.armLease(ttl, limit)
 	if t := a.tel(); t != nil {
 		t.leaseRenew.Inc()
 	}
-	return true
 }
 
 // armLease (re)starts the lease timer. ttl <= 0 falls back to the

@@ -92,10 +92,14 @@ func TestAgentLeaseExpiresUnrenewedCap(t *testing.T) {
 func TestAgentLeaseRenewalKeepsCap(t *testing.T) {
 	lf := newLeaseFixture(t, 0)
 	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
-	// Renew every 6 s: the cap must survive far beyond any single TTL.
+	// A renewing pull every 6 s: the cap must survive far beyond any
+	// single TTL.
+	renewing := wire.Marshal(&ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)})
 	for at := 6 * time.Second; at <= 60*time.Second; at += 6 * time.Second {
 		lf.loop.RunUntil(at)
-		lf.apply(t, MethodRenewLease, &ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)}, true)
+		if r, err := lf.read(t, renewing); err != nil || !r.Capped {
+			t.Fatalf("renewing read at %v: capped %v, err %v", at, r.Capped, err)
+		}
 	}
 	if !lf.capped(t) {
 		t.Fatal("renewed cap was released")
@@ -108,11 +112,6 @@ func TestAgentLeaseRenewalKeepsCap(t *testing.T) {
 	if lf.capped(t) {
 		t.Fatal("cap survived after renewals stopped")
 	}
-}
-
-func TestAgentRenewWithoutCapRejected(t *testing.T) {
-	lf := newLeaseFixture(t, 0)
-	lf.apply(t, MethodRenewLease, &ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)}, false)
 }
 
 func TestAgentClearCapStopsLease(t *testing.T) {
@@ -195,15 +194,13 @@ func TestAgentLeaseReplacedBySecondSetCap(t *testing.T) {
 
 // TestRenewLeaseAllocs: a steady-state renewal re-arms the agent's own
 // lease timer with its bound expiry, so it allocates nothing. It calls
-// renew, which serves both renewing pulls and RenewLease;
-// TestCapRequestDecodeAllocs covers the decode.
+// renew, which serves renewing pulls; TestCapRequestDecodeAllocs covers
+// the decode.
 func TestRenewLeaseAllocs(t *testing.T) {
 	lf := newLeaseFixture(t, 0)
 	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
 	if n := testing.AllocsPerRun(1000, func() {
-		if !lf.a.renew(10 * time.Second) {
-			t.Fatal("renewal of a held cap refused")
-		}
+		lf.a.renew(10 * time.Second)
 		lf.loop.RunFor(time.Second)
 	}); n != 0 {
 		t.Errorf("a renewal allocates %v per run, want 0", n)
@@ -226,9 +223,7 @@ func TestRenewLeaseAllocs(t *testing.T) {
 			t.Errorf("SetCap on a WallLoop: %v, %v", m, err)
 		}
 		wallAllocs = testing.AllocsPerRun(1000, func() {
-			if !wa.renew(10 * time.Second) {
-				t.Error("renewal of a held cap refused on a WallLoop")
-			}
+			wa.renew(10 * time.Second)
 		})
 	})
 	if wallAllocs != 0 {
@@ -236,37 +231,40 @@ func TestRenewLeaseAllocs(t *testing.T) {
 	}
 }
 
-// TestCapRequestDecodeAllocs: the handler decodes SetCap and RenewLease
-// requests on its stack, so serving either allocates nothing — with the
-// lease fail-safe armed, and on an agent that carries no extras at all.
+// TestCapRequestDecodeAllocs: the handler decodes SetCap and renewing
+// ReadPower requests on its stack, so serving the agent's three methods
+// allocates nothing — with the lease fail-safe armed, and on an agent
+// that carries no extras at all.
 func TestCapRequestDecodeAllocs(t *testing.T) {
 	setCap := wire.Marshal(&SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)})
 	renew := wire.Marshal(&ReadPowerRequest{LeaseNanos: uint64(10 * time.Second)})
 	serve := func(h func(string, []byte) (wire.Message, error), method string, body []byte) {
-		if m, err := h(method, body); err != nil || m != capOK {
+		if m, err := h(method, body); err != nil || (method != MethodReadPower && m != capOK) {
 			t.Fatalf("%s: %v, %v", method, m, err)
 		}
 	}
 	lf := newLeaseFixture(t, 0)
 	h := lf.a.Handler()
 	if n := testing.AllocsPerRun(1000, func() {
+		serve(h, MethodClearCap, nil)
 		serve(h, MethodSetCap, setCap)
-		serve(h, MethodRenewLease, renew)
+		serve(h, MethodReadPower, renew)
 		lf.loop.RunFor(time.Second)
 	}); n != 0 {
-		t.Errorf("serving SetCap and RenewLease allocates %v per pair, want 0", n)
+		t.Errorf("serving ClearCap, SetCap and a renewing ReadPower allocates %v per run, want 0", n)
 	}
-	if lf.a.LeaseExpiries() != 0 || !lf.capped(t) {
-		t.Errorf("after renewals: expiries %d, capped %v; want 0, true", lf.a.LeaseExpiries(), lf.capped(t))
+	if len(lf.expired) != 0 || !lf.capped(t) {
+		t.Errorf("after renewals: expired %v, capped %v; want none, true", lf.expired, lf.capped(t))
 	}
 
 	bare, _ := newTestAgent(t, 0.8, platform.Options{Seed: 3})
 	h = bare.Handler()
 	if n := testing.AllocsPerRun(1000, func() {
+		serve(h, MethodClearCap, nil)
 		serve(h, MethodSetCap, setCap)
-		serve(h, MethodRenewLease, renew)
+		serve(h, MethodReadPower, renew)
 	}); n != 0 {
-		t.Errorf("an agent without extras allocates %v per SetCap and RenewLease, want 0", n)
+		t.Errorf("an agent without extras allocates %v per ClearCap, SetCap and renewing ReadPower, want 0", n)
 	}
 	if bare.x != nil {
 		t.Error("serving caps gave the agent extras")
@@ -288,9 +286,8 @@ func (lf *leaseFixture) read(t *testing.T, body []byte) (r ReadPowerResponse, er
 }
 
 // TestAgentRenewingRead: a pull that carries a TTL renews the lease of the
-// cap the agent holds; an empty body, what a controller that renews through
-// RenewLease sends, is a plain read that leaves the lease alone; and a
-// renewing pull of an uncapped agent arms nothing.
+// cap the agent holds; an empty body is a plain read that leaves the lease
+// alone; and a renewing pull of an uncapped agent arms nothing.
 func TestAgentRenewingRead(t *testing.T) {
 	const ttl = 10 * time.Second
 	renewing := wire.Marshal(&ReadPowerRequest{LeaseNanos: uint64(ttl)})

@@ -14,20 +14,22 @@ import (
 
 // Method names served by the agent.
 const (
-	MethodReadPower  = "Agent.ReadPower"
-	MethodSetCap     = "Agent.SetCap"
-	MethodClearCap   = "Agent.ClearCap"
-	MethodRenewLease = "Agent.RenewLease"
+	MethodReadPower = "Agent.ReadPower"
+	MethodSetCap    = "Agent.SetCap"
+	MethodClearCap  = "Agent.ClearCap"
 )
+
+// MethodRenewLease is not served: a pull carries the renewal
+// (ReadPowerRequest), and a controller that still renewed this way cannot
+// decode today's reading anyway (DESIGN.md, "Rolling upgrades"). The name
+// stays for the benchmark's per-method counters.
+const MethodRenewLease = "Agent.RenewLease"
 
 // ReadPowerRequest is the body of a pull. LeaseNanos, when nonzero,
 // renews the lease of the cap the agent holds for that TTL, so a leaf
 // keeps its caps alive with the pull it sends every cycle anyway (paper
 // §III-E: a cap must not outlive its controller). It is a trailing field,
-// so an empty body is a plain read. It is also the body of RenewLease,
-// which the agent still serves, answering with a CapResponse (OK=false: no
-// cap held), so that a controller that renews that way keeps its caps
-// through a rolling upgrade.
+// so an empty body is a plain read.
 type ReadPowerRequest struct {
 	LeaseNanos uint64
 }

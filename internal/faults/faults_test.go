@@ -425,7 +425,7 @@ func TestRulesFromAnotherGoroutine(t *testing.T) {
 // in-proc transport, through a fault wrapper with no rules, allocates
 // nothing: the agent reuses its reply, the transport its call record, and
 // this caller its completion (as a controller does). Nor does the first
-// call of each of the agent's four methods through a fresh wrapper: its
+// call of each of the agent's three methods through a fresh wrapper: its
 // peer's call index was made at wrap time.
 func TestZeroRulePullAllocs(t *testing.T) {
 	loop := simclock.NewSimLoop()
@@ -462,13 +462,13 @@ func TestZeroRulePullAllocs(t *testing.T) {
 	}
 
 	// Fresh wrappers, each the first of its peer, made up front (set-up);
-	// every run calls all four methods through the next one.
+	// every run calls all three methods through the next one.
 	const runs = 50
 	fresh := make([]rpc.Client, runs+1)
 	for i := range fresh {
 		fresh[i] = inj.WrapClient(fmt.Sprintf("agent/fresh%d", i), net.Dial("agent/s1"))
 	}
-	setCap, renew := &agent.SetCapRequest{LimitWatts: 150}, &agent.ReadPowerRequest{LeaseNanos: 1}
+	setCap := &agent.SetCapRequest{LimitWatts: 150}
 	errs := 0
 	ack := func(_ []byte, err error) {
 		if err != nil {
@@ -481,7 +481,6 @@ func TestZeroRulePullAllocs(t *testing.T) {
 		next++
 		c.Call(agent.MethodReadPower, rpc.Empty, time.Second, ack)
 		c.Call(agent.MethodSetCap, setCap, time.Second, ack)
-		c.Call(agent.MethodRenewLease, renew, time.Second, ack)
 		c.Call(agent.MethodClearCap, rpc.Empty, time.Second, ack)
 		loop.RunFor(10 * time.Millisecond)
 	}
@@ -489,7 +488,7 @@ func TestZeroRulePullAllocs(t *testing.T) {
 		t.Errorf("the first call of each agent method through a fresh wrapper allocates %v, want 0", n)
 	}
 	if errs != 0 || next != runs+1 {
-		t.Fatalf("%d of %d first calls failed", errs, 4*next)
+		t.Fatalf("%d of %d first calls failed", errs, 3*next)
 	}
 }
 
