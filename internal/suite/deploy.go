@@ -3,6 +3,7 @@ package suite
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"dynamo/internal/config"
@@ -82,11 +83,17 @@ type Deployment struct {
 // probes d.Primary at the suite's shortest poll, at most 3 s. logger and
 // tel may be nil; Deploy may be called off the loop goroutine.
 func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logger *telemetry.Logger, tel *telemetry.Sink) (*Deployment, error) {
+	// Every client dialed here or in Build, for Stop to close.
+	var mu sync.Mutex
+	var dialed []rpc.Client
 	dial := func(addr string) (rpc.Client, error) {
 		cl, err := tr.Dial(addr)
 		if err != nil {
 			return nil, err
 		}
+		mu.Lock()
+		dialed = append(dialed, cl)
+		mu.Unlock()
 		return rpc.WithDefaultTimeout(cl, d.RPCTimeout), nil
 	}
 	// Alerts go to the log at their severity, with their loop time.
@@ -151,6 +158,13 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 		logger.Log(telemetry.LevelInfo, "standing by as backup", "primary", d.Primary, "probe", interval)
 	}
 
+	// The clients close once nothing that calls through them runs.
+	dep.stops = append(dep.stops, func() {
+		for _, cl := range dialed {
+			cl.Close()
+		}
+	})
+
 	// Serve last: a served handler may run on the loop at once.
 	serve := func(addr string, h rpc.Handler, msg string, kv ...interface{}) error {
 		bound, stop, err := tr.Serve(addr, h)
@@ -184,8 +198,9 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 
 // Stop takes the deployment down as a crash looks to its peers: every
 // listener is unserved at once, and the rest stops at the loop's next look
-// for work. With a TCP transport it must be called off the loop goroutine,
-// since unserving waits for the handlers in flight.
+// for work, the dialed clients last. With a TCP transport it must be
+// called off the loop goroutine, since unserving waits for the handlers in
+// flight.
 func (dep *Deployment) Stop() {
 	dep.loop.Post(func() { run(dep.stops) })
 	run(dep.unserve)

@@ -3,6 +3,7 @@ package suite
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -207,4 +208,31 @@ func TestDeployRestartedPrimaryKeepsBackupStandingBy(t *testing.T) {
 	if !w.waitFor(3*time.Second, promoted) {
 		t.Fatal("the backup did not promote once the primary stayed down")
 	}
+}
+
+// TestRedeployReturnsGoroutines deploys and stops a leaf over four TCP
+// agents 20 times. Each deployment dials and uses every agent; its Stop
+// must close those connections, so the goroutines that serve and read them
+// end and the count returns to where it started.
+func TestRedeployReturnsGoroutines(t *testing.T) {
+	w := newTCPWorld(t, 4)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		dep, err := Deploy(w.loop, leafSuite("primary", "", 100000, 0.1, w.agents), DefaultDaemon(), w.tr, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !w.waitFor(5*time.Second, func() bool { return dep.Leaf("rpp1").Cycles() > 0 }) {
+			t.Fatalf("deployment %d ran no cycle", i)
+		}
+		dep.Stop()
+	}
+	const slack = 4
+	var n int
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		if n = runtime.NumGoroutine(); n <= base+slack {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines after 20 deployments stopped, %d before", n, base)
 }
