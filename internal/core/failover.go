@@ -82,6 +82,18 @@ const (
 	failThreshold = 3
 )
 
+// FailoverDetectionBound is the longest a leaf's caps can go unrenewed
+// across a failover, so the shortest cap lease that outlives one. The
+// primary can die just before a pull, one poll after its last renewal;
+// its last healthy probe came at most then, and failThreshold jittered
+// probes later the backup promotes. One more probe interval covers the
+// last probe's timeout and the adoption, each bounded by half a probe,
+// before the promoted leaf's first pull renews every lease. At a 3 s
+// probe and poll it is 16.2 s.
+func FailoverDetectionBound(probe, poll time.Duration) time.Duration {
+	return time.Duration(float64((failThreshold+1)*probe)*(1+probeJitterFrac)) + poll
+}
+
 // Failover supervises a primary and promotes a set of standby controllers
 // when the primary stops responding to health probes: one backup, or every
 // controller of a backup suite. On promotion each standby adopts its

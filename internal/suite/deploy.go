@@ -29,14 +29,18 @@ type Daemon struct {
 }
 
 // DefaultDaemon returns dynamo-suited's defaults: a primary that neither
-// serves nor ships its state store.
+// serves nor ships its state store, whose cap lease outlives a failover
+// at the default 3 s poll.
 func DefaultDaemon() Daemon {
 	return Daemon{StoreInterval: time.Second, RPCTimeout: 2 * time.Second, Options: Options{
 		Retry:               core.RetryConfig{MaxRetries: 2, Backoff: 100 * time.Millisecond, JitterFrac: 0.2, Seed: 1},
 		QuarantineThreshold: 3,
-		CapLeaseTTL:         12 * time.Second,
+		CapLeaseTTL:         core.FailoverDetectionBound(maxProbe, maxProbe),
 	}}
 }
+
+// maxProbe is the longest interval at which a backup probes its primary.
+const maxProbe = 3 * time.Second
 
 // Transport is how a deployment reaches other processes and is reached
 // by them. Peers start and restart in any order, so Dial's clients must
@@ -80,9 +84,27 @@ type Deployment struct {
 // dialed client gets d.RPCTimeout as its default deadline. One shipper
 // replicates the store to d.StorePeers; a peer that never answers holds
 // back at most statestore.DefaultMaxRetain entries per device. A backup
-// probes d.Primary at the suite's shortest poll, at most 3 s. logger and
-// tel may be nil; Deploy may be called off the loop goroutine.
+// probes d.Primary at the suite's shortest poll, at most 3 s. A cap lease
+// shorter than core.FailoverDetectionBound at that probe and the longest
+// leaf poll is refused, on either side of a pair: the caps a primary sets
+// must outlive its backup's detection. logger and tel may be nil; Deploy
+// may be called off the loop goroutine.
 func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logger *telemetry.Logger, tel *telemetry.Sink) (*Deployment, error) {
+	probeEvery, leafPoll := maxProbe, time.Duration(0)
+	for _, c := range cfg.Controllers {
+		p := c.Poll()
+		if p <= 0 {
+			p = maxProbe // the leaf's default poll
+		}
+		probeEvery = min(probeEvery, p)
+		if c.Level == "leaf" {
+			leafPoll = max(leafPoll, p)
+		}
+	}
+	if bound := core.FailoverDetectionBound(probeEvery, leafPoll); d.CapLeaseTTL > 0 && d.CapLeaseTTL < bound {
+		return nil, fmt.Errorf("suite: cap lease %v is shorter than the failover detection bound %v (probe %v, leaf poll %v)",
+			d.CapLeaseTTL, bound, probeEvery, leafPoll)
+	}
 	// Every client dialed here or in Build, for Stop to close.
 	var mu sync.Mutex
 	var dialed []rpc.Client
@@ -145,17 +167,11 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 		if err != nil {
 			return nil, err
 		}
-		interval := 3 * time.Second
-		for _, c := range cfg.Controllers {
-			if p := c.Poll(); p > 0 && p < interval {
-				interval = p
-			}
-		}
 		dep.Failover = core.NewFailoverProbe(loop, probe, asm.Controllers(), core.FailoverConfig{
-			PingInterval: interval, Store: d.Store, Alerts: alerts, Telemetry: tel})
+			PingInterval: probeEvery, Store: d.Store, Alerts: alerts, Telemetry: tel})
 		role = "backup"
 		dep.starts, dep.stops = append(dep.starts, dep.Failover.Start), append(dep.stops, dep.Failover.Stop)
-		logger.Log(telemetry.LevelInfo, "standing by as backup", "primary", d.Primary, "probe", interval)
+		logger.Log(telemetry.LevelInfo, "standing by as backup", "primary", d.Primary, "probe", probeEvery)
 	}
 
 	// The clients close once nothing that calls through them runs.

@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"dynamo/internal/config"
+	"dynamo/internal/core"
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/statestore"
+	"dynamo/internal/topology"
 )
 
 // inprocTransport serves and dials on an in-process network: a
@@ -87,6 +90,88 @@ func TestDeployedBackupKeepsLeasedCaps(t *testing.T) {
 	}
 	if got := backup.Leaf("rpp1").CappedCount(); got != capped {
 		t.Fatalf("the backup holds %d caps, the primary held %d", got, capped)
+	}
+}
+
+// TestFailoverLeaseCoversDetection sweeps the failover of
+// TestDeployedBackupKeepsLeasedCaps over 40 leaf device names, which seed
+// the probe's jitter, and 60 kill instants 50 ms apart across two polls.
+// Under DefaultDaemon no cap lease may expire in any run. With a 12 s
+// lease, five runs expired all four (rpp0 and rpp38, killed in the last
+// 150 ms of the sweep): the last renewal came up to one poll before the
+// kill, and three jittered probes took up to 9.9 s more.
+func TestFailoverLeaseCoversDetection(t *testing.T) {
+	for dev := 0; dev < 40; dev++ {
+		device := fmt.Sprintf("rpp%d", dev)
+		for k := 0; k < 60; k++ {
+			kill := 36*time.Second + time.Duration(k)*50*time.Millisecond
+			if n := failoverExpiries(t, device, kill); n != 0 {
+				t.Errorf("leaf %s, primary killed at %v: %d cap leases expired", device, kill, n)
+			}
+		}
+	}
+}
+
+// failoverExpiries runs a failover pair of one leaf, device, over four
+// leased agents under DefaultDaemon, stops the primary at kill, and
+// returns how many cap leases expired by 44 s later.
+func failoverExpiries(t *testing.T, device string, kill time.Duration) int {
+	w := newWorld(t)
+	var agents []config.AgentEntry
+	expiries := 0
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("srv%d", i)
+		w.addAgent(id, 0.8).EnableLease(w.loop, 0, func(string, power.Watts) { expiries++ })
+		agents = append(agents, config.AgentEntry{ID: id, Service: "web", Addr: "tcp/" + id})
+	}
+	tr := inprocTransport(w.ext)
+	leaf := func(name, listen string) *config.Suite {
+		cfg := leafSuite(name, listen, 1100, 0, agents)
+		cfg.Controllers[0].Device = device
+		return cfg
+	}
+	pd := DefaultDaemon()
+	pd.StorePeers = []string{"store/backup"}
+	primary, err := Deploy(w.loop, leaf("primary", "ctrl/primary"), pd, tr, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd := DefaultDaemon()
+	bd.StoreListen, bd.Primary = "store/backup", "ctrl/primary"
+	backup, err := Deploy(w.loop, leaf("backup", ""), bd, tr, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.loop.RunUntil(kill)
+	if primary.Leaf(topology.NodeID(device)).CappedCount() == 0 {
+		t.Fatalf("leaf %s holds no caps at %v: no episode to fail over in", device, kill)
+	}
+	primary.Stop()
+	w.loop.RunUntil(kill + 44*time.Second)
+	if !backup.Failover.Promoted() {
+		t.Fatalf("leaf %s, primary killed at %v: backup not promoted", device, kill)
+	}
+	return expiries
+}
+
+// TestDeployRefusesLeaseShorterThanDetection: a lease that a failover
+// could outlast is a configuration error that names the bound.
+func TestDeployRefusesLeaseShorterThanDetection(t *testing.T) {
+	w := newWorld(t)
+	w.addAgent("srv0", 0.8)
+	agents := []config.AgentEntry{{ID: "srv0", Service: "web", Addr: "tcp/srv0"}}
+	d := DefaultDaemon()
+	if bound := core.FailoverDetectionBound(3*time.Second, 3*time.Second); d.CapLeaseTTL < bound {
+		t.Fatalf("DefaultDaemon's lease %v is shorter than the detection bound %v", d.CapLeaseTTL, bound)
+	}
+	d.CapLeaseTTL = 12 * time.Second
+	_, err := Deploy(w.loop, leafSuite("primary", "", 1100, 0, agents), d, inprocTransport(w.ext), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "16.2s") {
+		t.Fatalf("a 12 s lease at a 3 s poll deployed with error %v, want one naming the 16.2s bound", err)
+	}
+	// A 1 s poll is probed every second: 12 s covers it.
+	if _, err := Deploy(w.loop, leafSuite("primary", "", 1100, 1, agents), d, inprocTransport(w.ext), nil, nil); err != nil {
+		t.Fatalf("a 12 s lease at a 1 s poll: %v", err)
 	}
 }
 
