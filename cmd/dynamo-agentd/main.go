@@ -108,12 +108,10 @@ func main() {
 
 	ag := agent.New(*id, *service, *generation, plat)
 	ag.SetTelemetry(sink)
-	if *capLeaseTTL > 0 {
-		ag.EnableLease(loop, *capLeaseTTL, func(id string, limit power.Watts) {
-			logger.Log(telemetry.LevelWarning, "cap lease expired; limit released",
-				"id", id, "limit", limit)
-		})
-	}
+	ag.EnableLease(loop, *capLeaseTTL, func(id string, limit power.Watts) {
+		logger.Log(telemetry.LevelWarning, "cap lease expired; limit released",
+			"id", id, "limit", limit)
+	})
 	srv := rpc.NewTCPServer(rpc.LoopHandler(loop, ag.Handler()))
 	srv.SetTelemetry(sink)
 	addr, err := srv.Listen(*listen)

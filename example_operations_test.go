@@ -50,15 +50,15 @@ func Example_operations() {
 	}
 
 	// --- Agent restart: the paper's watchdog is each leaf's quarantine.
-	// Crash an agent (its endpoint goes away, so pulls are refused): its
-	// leaf quarantines it and restarts it, and the next half-open probe
-	// re-admits it.
+	// Crash an agent (its process dies, so pulls are refused): its leaf
+	// quarantines it and restarts it, and the next half-open probe
+	// re-admits the fresh agent.
 	fmt.Println("\n== agent restart ==")
 	for _, id := range leaves {
 		s.Hierarchy.Leaf(id).SetRestart(s.RestartAgent)
 	}
 	seen := len(s.Alerts)
-	s.Net.Unregister(dynamo.AgentAddr(string(s.Topo.Servers()[3].ID)))
+	s.CrashAgent(string(s.Topo.Servers()[3].ID))
 	s.Run(time.Minute)
 	for _, a := range s.Alerts[seen:] {
 		fmt.Println(a)

@@ -31,16 +31,15 @@ type Agent struct {
 // agent with neither lease nor telemetry stays in the 96-byte size class.
 type extras struct {
 	// Cap-lease fail-safe (paper §III-E: capping must not survive
-	// controller death). All lease fields except leaseExpiries are
-	// loop-confined: handlers run on the loop (in-proc transport or
-	// rpc.LoopHandler), so timer arm/stop never races.
+	// controller death). The lease fields are loop-confined: handlers run
+	// on the loop (in-proc transport or rpc.LoopHandler), so timer
+	// arm/stop never races.
 	loop          simclock.Loop
 	leaseTTL      time.Duration
 	lease         simclock.Timer // re-armed by every SetCap and every renewal
 	leaseLimit    power.Watts    // the limit the lease guards
 	expire        func()         // a.expireLease, bound once
 	onLeaseExpire func(id string, limit power.Watts)
-	leaseExpiries atomic.Uint64
 	tel           *agentInstr // nil when telemetry is disabled
 }
 
@@ -125,21 +124,22 @@ func (a *Agent) EnableLease(loop simclock.Loop, defaultTTL time.Duration, onExpi
 	}
 }
 
-// LeaseExpiries returns how many caps this agent has released because
-// their lease went unrenewed.
-func (a *Agent) LeaseExpiries() uint64 {
-	if a.x == nil {
-		return 0
-	}
-	return a.x.leaseExpiries.Load()
-}
-
 // New creates an agent for a server. The third parameter, the hardware
 // generation, is ignored: no reading carries it since no controller reads
 // it (it stays until bench/probes.go may change; see ROADMAP).
 func New(id, service, _ string, plat platform.Platform) *Agent {
 	return &Agent{id: id, plat: plat, resp: ReadPowerResponse{Service: service}}
 }
+
+// Platform returns the platform the agent fronts, for a restart to build
+// a fresh agent over.
+func (a *Agent) Platform() platform.Platform { return a.plat }
+
+// Stop models the agent's process dying: the lease timer goes with it,
+// and the platform keeps whatever limit it holds, as a RAPL limit stays
+// in the MSR. Unregistering the handler is the caller's job. Runs on the
+// loop goroutine.
+func (a *Agent) Stop() { a.stopLease() }
 
 // Stats returns the operation counters (reads, caps, uncaps, errors).
 func (a *Agent) Stats() (reads, caps, uncaps, errs uint64) {
@@ -286,7 +286,6 @@ func (a *Agent) expireLease() {
 		a.count(opErr)
 		return
 	}
-	x.leaseExpiries.Add(1)
 	if x.tel != nil {
 		x.tel.leaseExp.Inc()
 	}

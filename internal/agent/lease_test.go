@@ -81,9 +81,6 @@ func TestAgentLeaseExpiresUnrenewedCap(t *testing.T) {
 	if lf.capped(t) {
 		t.Fatal("cap survived its lease")
 	}
-	if lf.a.LeaseExpiries() != 1 {
-		t.Errorf("expiries = %d, want 1", lf.a.LeaseExpiries())
-	}
 	if len(lf.expired) != 1 || lf.expired[0] != 180 {
 		t.Errorf("onExpire = %v, want [180]", lf.expired)
 	}
@@ -104,8 +101,8 @@ func TestAgentLeaseRenewalKeepsCap(t *testing.T) {
 	if !lf.capped(t) {
 		t.Fatal("renewed cap was released")
 	}
-	if lf.a.LeaseExpiries() != 0 {
-		t.Errorf("expiries = %d, want 0", lf.a.LeaseExpiries())
+	if len(lf.expired) != 0 {
+		t.Errorf("expiries = %d, want 0", len(lf.expired))
 	}
 	// Stop renewing: released one TTL later.
 	lf.loop.RunUntil(75 * time.Second)
@@ -119,9 +116,6 @@ func TestAgentClearCapStopsLease(t *testing.T) {
 	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
 	lf.apply(t, MethodClearCap, nil, true)
 	lf.loop.RunUntil(time.Minute)
-	if lf.a.LeaseExpiries() != 0 {
-		t.Error("cleared cap must not count as a lease expiry")
-	}
 	if len(lf.expired) != 0 {
 		t.Errorf("onExpire fired after a clean clear: %v", lf.expired)
 	}
@@ -136,8 +130,8 @@ func TestAgentDefaultTTLGuardsUnleasedCaps(t *testing.T) {
 	if lf.capped(t) {
 		t.Fatal("default TTL did not release the unleased cap")
 	}
-	if lf.a.LeaseExpiries() != 1 {
-		t.Errorf("expiries = %d, want 1", lf.a.LeaseExpiries())
+	if len(lf.expired) != 1 {
+		t.Errorf("expiries = %d, want 1", len(lf.expired))
 	}
 }
 
@@ -164,6 +158,28 @@ func TestAgentLeaseGuardsInheritedCap(t *testing.T) {
 	}
 	if len(lf.expired) != 1 || lf.expired[0] != 180 {
 		t.Errorf("onExpire saw %v, want [180]", lf.expired)
+	}
+}
+
+// TestAgentStopKeepsLimit: a stopped agent, a dead process, leaves its
+// limit on the platform and no lease timer behind; a fresh agent over the
+// same platform guards the cap it inherits with its default TTL.
+func TestAgentStopKeepsLimit(t *testing.T) {
+	lf := newLeaseFixture(t, 0)
+	lf.apply(t, MethodSetCap, &SetCapRequest{LimitWatts: 180, LeaseNanos: uint64(10 * time.Second)}, true)
+	lf.loop.Post(lf.a.Stop)
+	lf.loop.RunUntil(time.Minute)
+	if lim, capped := lf.a.Platform().PowerLimit(); !capped || lim != 180 || lf.loop.Pending() != 0 || len(lf.expired) != 0 {
+		t.Fatalf("a minute after Stop: limit %v (capped %v), %d timers pending, expired %v; want 180, true, 0, none",
+			lim, capped, lf.loop.Pending(), lf.expired)
+	}
+	fresh := New("srv1", "web", "", lf.a.Platform())
+	fresh.EnableLease(lf.loop, 8*time.Second, func(id string, limit power.Watts) {
+		lf.expired = append(lf.expired, limit)
+	})
+	lf.loop.RunUntil(time.Minute + 9*time.Second)
+	if _, capped := lf.a.Platform().PowerLimit(); capped || len(lf.expired) != 1 || lf.expired[0] != 180 {
+		t.Fatalf("after a restart: capped %v, expired %v; want false, [180]", capped, lf.expired)
 	}
 }
 
@@ -205,9 +221,9 @@ func TestRenewLeaseAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a renewal allocates %v per run, want 0", n)
 	}
-	if lf.loop.Pending() != 1 || !lf.capped(t) || lf.a.LeaseExpiries() != 0 {
+	if lf.loop.Pending() != 1 || !lf.capped(t) || len(lf.expired) != 0 {
 		t.Errorf("after renewals: Pending %d, capped %v, expiries %d; want 1, true, 0",
-			lf.loop.Pending(), lf.capped(t), lf.a.LeaseExpiries())
+			lf.loop.Pending(), lf.capped(t), len(lf.expired))
 	}
 
 	// The same renewals on a WallLoop's goroutine, as dynamo-agentd serves
@@ -309,8 +325,8 @@ func TestAgentRenewingRead(t *testing.T) {
 		}
 	}
 	lf.loop.RunUntil(ttl + time.Second)
-	if lf.capped(t) || lf.a.LeaseExpiries() != 1 {
-		t.Fatalf("after plain reads: capped %v, %d expiries; want false, 1", lf.capped(t), lf.a.LeaseExpiries())
+	if lf.capped(t) || len(lf.expired) != 1 {
+		t.Fatalf("after plain reads: capped %v, %d expiries; want false, 1", lf.capped(t), len(lf.expired))
 	}
 
 	// Renewing reads every 3 s keep the next cap far past its TTL, and
@@ -324,12 +340,12 @@ func TestAgentRenewingRead(t *testing.T) {
 		}
 	}
 	lf.loop.RunUntil(last + ttl - time.Second)
-	if !lf.capped(t) || lf.a.LeaseExpiries() != 1 {
-		t.Fatalf("under renewing reads: capped %v, %d expiries; want true, 1", lf.capped(t), lf.a.LeaseExpiries())
+	if !lf.capped(t) || len(lf.expired) != 1 {
+		t.Fatalf("under renewing reads: capped %v, %d expiries; want true, 1", lf.capped(t), len(lf.expired))
 	}
 	lf.loop.RunUntil(last + ttl + time.Second)
-	if lf.capped(t) || lf.a.LeaseExpiries() != 2 {
-		t.Fatalf("after renewing reads stopped: capped %v, %d expiries; want false, 2", lf.capped(t), lf.a.LeaseExpiries())
+	if lf.capped(t) || len(lf.expired) != 2 {
+		t.Fatalf("after renewing reads stopped: capped %v, %d expiries; want false, 2", lf.capped(t), len(lf.expired))
 	}
 
 	// A renewing read decodes on the handler's stack and re-arms the

@@ -208,14 +208,20 @@ type Sim struct {
 
 	ticker *simclock.Ticker
 
+	// leaseExpiries counts the caps agents released because their lease
+	// went unrenewed, through onLeaseExpire, which every agent the Sim
+	// starts shares.
+	leaseExpiries uint64
+	onLeaseExpire func(id string, limit power.Watts)
+
 	tel         *telemetry.Sink // nil when disabled
 	tripCount   *telemetry.Counter
 	cappedGauge *telemetry.Gauge
 }
 
 // New builds a simulation. Servers are assigned per-service shared
-// workload state and per-server generators, agents are registered on the
-// in-proc network, and breakers are armed on every device.
+// workload state and per-server generators, an agent is started for each
+// (startAgent), and breakers are armed on every device.
 func New(cfg Config) (*Sim, error) {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = time.Second
@@ -244,6 +250,18 @@ func New(cfg Config) (*Sim, error) {
 		s.tel = cfg.Telemetry
 		s.tripCount = cfg.Telemetry.Counter("dynamo_sim_breaker_trips_total", "scenario", metricsScenario)
 		s.cappedGauge = cfg.Telemetry.Gauge("dynamo_sim_capped_servers", "scenario", metricsScenario)
+	}
+	// A cap whose lease goes unrenewed (dead or partitioned controller) is
+	// released and surfaced as a warning alert.
+	s.onLeaseExpire = func(id string, limit power.Watts) {
+		s.leaseExpiries++
+		s.Alerts = append(s.Alerts, core.Alert{
+			Time:       s.Loop.Now(),
+			Kind:       core.KindLeaseExpired,
+			Level:      core.KindLeaseExpired.Level(),
+			Controller: "agent/" + id,
+			Watts:      limit,
+		})
 	}
 
 	sensorless := map[string]bool{}
@@ -328,9 +346,7 @@ func New(cfg Config) (*Sim, error) {
 		} else {
 			plat = platform.NewMSR(sv, platform.Options{Seed: next()})
 		}
-		ag := agent.New(string(srvNode.ID), svc, srvNode.Generation, plat)
-		s.Agents[string(srvNode.ID)] = ag
-		s.Net.Register(core.AgentAddr(string(srvNode.ID)), ag.Handler())
+		s.startAgent(string(srvNode.ID), svc, plat)
 	}
 
 	if cfg.CappableSwitches {
@@ -355,10 +371,7 @@ func New(cfg Config) (*Sim, error) {
 			sv.Tick(0)
 			s.Servers[string(sw.ID)] = sv
 			s.serverOrder = append(s.serverOrder, string(sw.ID))
-			plat := platform.NewIPMI(sv, platform.Options{Seed: next()})
-			ag := agent.New(string(sw.ID), "network", "torswitch", plat)
-			s.Agents[string(sw.ID)] = ag
-			s.Net.Register(core.AgentAddr(string(sw.ID)), ag.Handler())
+			s.startAgent(string(sw.ID), "network", platform.NewIPMI(sv, platform.Options{Seed: next()}))
 		}
 	}
 
@@ -369,27 +382,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	s.buildAggIndex()
-
-	if cfg.CapLeaseTTL > 0 {
-		// Arm the cap-lease fail-safe on every agent: a cap whose lease
-		// goes unrenewed (dead or partitioned controller) is released and
-		// surfaced as a warning alert.
-		for _, id := range s.serverOrder {
-			ag, ok := s.Agents[id]
-			if !ok {
-				continue
-			}
-			ag.EnableLease(loop, cfg.CapLeaseTTL, func(id string, limit power.Watts) {
-				s.Alerts = append(s.Alerts, core.Alert{
-					Time:       s.Loop.Now(),
-					Kind:       core.KindLeaseExpired,
-					Level:      core.KindLeaseExpired.Level(),
-					Controller: "agent/" + id,
-					Watts:      limit,
-				})
-			})
-		}
-	}
 
 	if cfg.EnableDynamo {
 		if err := s.assemble(); err != nil {
@@ -689,12 +681,37 @@ func (s *Sim) RestoreDevice(devID topology.NodeID) {
 	}
 }
 
+// startAgent starts an agent process for a server over plat: a fresh
+// agent, with the cap-lease fail-safe armed when Cfg.CapLeaseTTL is set
+// (over a cap the platform already holds too), served at the server's
+// address. New starts every agent here, and RestartAgent every
+// replacement.
+func (s *Sim) startAgent(id, service string, plat platform.Platform) {
+	ag := agent.New(id, service, "", plat)
+	if s.Cfg.CapLeaseTTL > 0 {
+		ag.EnableLease(s.Loop, s.Cfg.CapLeaseTTL, s.onLeaseExpire)
+	}
+	s.Agents[id] = ag
+	s.Net.Register(core.AgentAddr(id), ag.Handler())
+}
+
+// CrashAgent kills one agent's process: it no longer answers at its
+// address, no lease timer of its survives, and the server keeps any limit
+// it held.
+func (s *Sim) CrashAgent(serverID string) {
+	s.Net.Unregister(core.AgentAddr(serverID))
+	s.Agents[serverID].Stop()
+}
+
 // RestartAgent is the simulated init system restarting one agent's
-// process: the agent serves at its address again, as it did before a
-// Net.Unregister crash. Hand it to each leaf's SetRestart to let the
-// leaves restart the agents they quarantine; New wires no hook.
+// process: the old agent stops, and a fresh one starts over the same
+// platform, guarding a cap it inherits with the default lease. Hand it to
+// each leaf's SetRestart to let the leaves restart the agents they
+// quarantine; New wires no hook.
 func (s *Sim) RestartAgent(serverID string) {
-	s.Net.Register(core.AgentAddr(serverID), s.Agents[serverID].Handler())
+	old := s.Agents[serverID]
+	old.Stop()
+	s.startAgent(serverID, s.Servers[serverID].Service(), old.Platform())
 }
 
 // isAncestorOf reports whether candidate lies in root's subtree.
@@ -778,17 +795,10 @@ func (s *Sim) SetTurboForService(service string, on bool) {
 	}
 }
 
-// LeaseExpiries sums how many caps agents have released because their
-// lease went unrenewed (only nonzero with Config.CapLeaseTTL set).
-func (s *Sim) LeaseExpiries() uint64 {
-	var n uint64
-	for _, id := range s.serverOrder {
-		if ag, ok := s.Agents[id]; ok {
-			n += ag.LeaseExpiries()
-		}
-	}
-	return n
-}
+// LeaseExpiries returns how many caps agents have released because their
+// lease went unrenewed (only nonzero with Config.CapLeaseTTL set), across
+// restarts.
+func (s *Sim) LeaseExpiries() uint64 { return s.leaseExpiries }
 
 // CappedServerCount returns how many servers currently hold a RAPL limit.
 func (s *Sim) CappedServerCount() int {

@@ -132,8 +132,8 @@ func TestSimWatchdogIntegration(t *testing.T) {
 	if len(restarts) != 0 {
 		t.Fatalf("restarts %v while every agent is up", restarts)
 	}
-	reads, _, _, _ := s.Agents[victim].Stats()
-	s.Net.Unregister(core.AgentAddr(victim))
+	crashed := s.Agents[victim]
+	s.CrashAgent(victim)
 	s.Run(2 * time.Minute)
 	if restarts[victim] != 1 || len(restarts) != 1 {
 		t.Errorf("restarts = %v, want one of %s", restarts, victim)
@@ -141,8 +141,56 @@ func TestSimWatchdogIntegration(t *testing.T) {
 	if q := quarantined(); q != 0 {
 		t.Errorf("%d agents still quarantined: the probe did not re-admit the restarted agent", q)
 	}
-	if after, _, _, _ := s.Agents[victim].Stats(); after <= reads {
+	if s.Agents[victim] == crashed {
+		t.Error("the restart kept the crashed agent")
+	}
+	if reads, _, _, _ := s.Agents[victim].Stats(); reads == 0 {
 		t.Error("the restarted agent serves no pulls")
+	}
+}
+
+// TestCrashedAgentKeepsCapUntilRestart: a crashed agent is a dead process.
+// Its server keeps the limit it held and no lease timer of its runs on, so
+// with its leaf stopped too the cap holds however long the agent is down.
+// The restarted agent is a fresh one over the same platform: it guards the
+// cap it inherits with the default lease and releases it one TTL later.
+func TestCrashedAgentKeepsCapUntilRestart(t *testing.T) {
+	const ttl = 10 * time.Second
+	spec := tinySpec()
+	spec.RacksPerRPP, spec.ServersPerRack = 1, 1 // one server per leaf
+	spec.RPPRating = 280                         // its ~150 W and the 150 W switch are over it
+	s, err := New(Config{Spec: spec, Seed: 7, EnableDynamo: true, CapLeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpp := s.Topo.OfKind(topology.KindRPP)[0]
+	victim := string(s.Topo.ServersUnder(rpp.ID)[0].ID)
+	capped := func() bool { _, ok := s.Servers[victim].Limit(); return ok }
+	s.Run(30 * time.Second)
+	if !capped() {
+		t.Fatal("the leaf capped nothing: no cap to outlive its agent")
+	}
+
+	s.Hierarchy.Leaf(rpp.ID).Stop()
+	s.CrashAgent(victim)
+	s.Run(2*ttl + 5*time.Second)
+	if !capped() || s.LeaseExpiries() != 0 {
+		t.Fatalf("%v after the crash: capped %v, %d lease expiries; want true, 0", 2*ttl+5*time.Second, capped(), s.LeaseExpiries())
+	}
+
+	s.RestartAgent(victim)
+	s.Run(ttl + s.Cfg.TickInterval)
+	if capped() || s.LeaseExpiries() != 1 {
+		t.Fatalf("one TTL and a tick after the restart: capped %v, %d lease expiries; want false, 1", capped(), s.LeaseExpiries())
+	}
+	var expired []string
+	for _, a := range s.Alerts {
+		if a.Kind == core.KindLeaseExpired {
+			expired = append(expired, a.Controller)
+		}
+	}
+	if len(expired) != 1 || expired[0] != "agent/"+victim {
+		t.Errorf("lease-expiry alerts from %v, want one from agent/%s", expired, victim)
 	}
 }
 
