@@ -35,12 +35,13 @@ func DefaultDaemon() Daemon {
 	return Daemon{StoreInterval: time.Second, RPCTimeout: 2 * time.Second, Options: Options{
 		Retry:               core.RetryConfig{MaxRetries: 2, Backoff: 100 * time.Millisecond, JitterFrac: 0.2, Seed: 1},
 		QuarantineThreshold: 3,
-		CapLeaseTTL:         core.FailoverDetectionBound(maxProbe, maxProbe),
+		CapLeaseTTL:         core.FailoverDetectionBound(defaultPoll, defaultPoll),
 	}}
 }
 
-// maxProbe is the longest interval at which a backup probes its primary.
-const maxProbe = 3 * time.Second
+// defaultPoll is a controller's poll when its configuration sets none. A
+// backup probes its primary at the suite's shortest poll, at most this.
+const defaultPoll = 3 * time.Second
 
 // Transport is how a deployment reaches other processes and is reached
 // by them. Peers start and restart in any order, so Dial's clients must
@@ -90,11 +91,11 @@ type Deployment struct {
 // must outlive its backup's detection. logger and tel may be nil; Deploy
 // may be called off the loop goroutine.
 func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logger *telemetry.Logger, tel *telemetry.Sink) (*Deployment, error) {
-	probeEvery, leafPoll := maxProbe, time.Duration(0)
+	probeEvery, leafPoll := defaultPoll, time.Duration(0)
 	for _, c := range cfg.Controllers {
 		p := c.Poll()
 		if p <= 0 {
-			p = maxProbe // the leaf's default poll
+			p = defaultPoll
 		}
 		probeEvery = min(probeEvery, p)
 		if c.Level == "leaf" {
@@ -105,9 +106,15 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 		return nil, fmt.Errorf("suite: cap lease %v is shorter than the failover detection bound %v (probe %v, leaf poll %v)",
 			d.CapLeaseTTL, bound, probeEvery, leafPoll)
 	}
-	// Every client dialed here or in Build, for Stop to close.
+	// Every client dialed here or in Build, for Stop, or a Deploy that
+	// fails after Build, to close.
 	var mu sync.Mutex
 	var dialed []rpc.Client
+	closeDialed := func() {
+		for _, cl := range dialed {
+			cl.Close()
+		}
+	}
 	dial := func(addr string) (rpc.Client, error) {
 		cl, err := tr.Dial(addr)
 		if err != nil {
@@ -132,7 +139,7 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 	d.Store = statestore.NewStore(loop, cfg.Name, tel)
 	asm, err := Build(loop, cfg, dial, alerts, tel, d.Options)
 	if err != nil {
-		return nil, err
+		return nil, err // Build closed what it dialed
 	}
 	dep := &Deployment{Assembly: asm, loop: loop}
 	// A status line per controller every 15 s (an upper's "capped" counts
@@ -150,6 +157,7 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 		for i, addr := range d.StorePeers {
 			cl, err := dial(addr)
 			if err != nil {
+				closeDialed()
 				return nil, err
 			}
 			peers[i] = statestore.Peer{Name: addr, Client: cl}
@@ -165,6 +173,7 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 	} else {
 		probe, err := dial(d.Primary)
 		if err != nil {
+			closeDialed()
 			return nil, err
 		}
 		dep.Failover = core.NewFailoverProbe(loop, probe, asm.Controllers(), core.FailoverConfig{
@@ -175,11 +184,7 @@ func Deploy(loop simclock.Loop, cfg *config.Suite, d Daemon, tr Transport, logge
 	}
 
 	// The clients close once nothing that calls through them runs.
-	dep.stops = append(dep.stops, func() {
-		for _, cl := range dialed {
-			cl.Close()
-		}
-	})
+	dep.stops = append(dep.stops, closeDialed)
 
 	// Serve last: a served handler may run on the loop at once.
 	serve := func(addr string, h rpc.Handler, msg string, kv ...interface{}) error {
