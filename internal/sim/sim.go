@@ -208,9 +208,8 @@ type Sim struct {
 
 	ticker *simclock.Ticker
 
-	// leaseExpiries counts the caps agents released because their lease
-	// went unrenewed, through onLeaseExpire, which every agent the Sim
-	// starts shares.
+	// leaseExpiries counts lease expiries across restarts, through
+	// onLeaseExpire, the one callback every agent shares.
 	leaseExpiries uint64
 	onLeaseExpire func(id string, limit power.Watts)
 
@@ -681,11 +680,9 @@ func (s *Sim) RestoreDevice(devID topology.NodeID) {
 	}
 }
 
-// startAgent starts an agent process for a server over plat: a fresh
-// agent, with the cap-lease fail-safe armed when Cfg.CapLeaseTTL is set
-// (over a cap the platform already holds too), served at the server's
-// address. New starts every agent here, and RestartAgent every
-// replacement.
+// startAgent starts a fresh agent process for a server over plat, with
+// the cap lease armed when Cfg.CapLeaseTTL is set, served at the server's
+// address: every agent New starts, and every RestartAgent.
 func (s *Sim) startAgent(id, service string, plat platform.Platform) {
 	ag := agent.New(id, service, "", plat)
 	if s.Cfg.CapLeaseTTL > 0 {
