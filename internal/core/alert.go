@@ -73,9 +73,6 @@ const (
 	KindCheckpointFenced
 	// KindCheckpointFailed: a checkpoint append failed with Err.
 	KindCheckpointFailed
-	// KindAdoptionFailed: adopting the state-store stream failed with Err;
-	// the backup starts fresh.
-	KindAdoptionFailed
 	// KindPromoted: the backup took over after Count missed probes,
 	// adopting Of journal records from the store at epoch Epoch.
 	KindPromoted
@@ -115,7 +112,6 @@ var kindLevels = [...]AlertLevel{
 	KindCommandFailed:    AlertWarning,
 	KindCheckpointFenced: AlertCritical,
 	KindCheckpointFailed: AlertWarning,
-	KindAdoptionFailed:   AlertWarning,
 	KindPromoted:         AlertCritical,
 	KindPromotedFresh:    AlertCritical,
 	KindLeaseExpired:     AlertWarning,
@@ -196,8 +192,6 @@ func (a Alert) Message() string {
 		return fmt.Sprintf("checkpoint fenced (stream epoch %d superseded by adoption); stopping zombie controller", a.Epoch)
 	case KindCheckpointFailed:
 		return fmt.Sprintf("checkpoint append failed: %v", a.Err)
-	case KindAdoptionFailed:
-		return fmt.Sprintf("state-store adoption failed (%v); backup starts fresh", a.Err)
 	case KindPromoted:
 		return fmt.Sprintf("primary controller unresponsive for %d probes; backup promoted (%d journal records adopted from state store, epoch %d)",
 			a.Count, a.Of, a.Epoch)

@@ -56,8 +56,6 @@ func TestAlertRendering(t *testing.T) {
 			fmt.Sprintf("checkpoint fenced (stream epoch %d superseded by adoption); stopping zombie controller", uint64(3))},
 		{Alert{Kind: KindCheckpointFailed, Err: errDown},
 			fmt.Sprintf("checkpoint append failed: %v", errDown)},
-		{Alert{Kind: KindAdoptionFailed, Err: errDown},
-			fmt.Sprintf("state-store adoption failed (%v); backup starts fresh", errDown)},
 		{Alert{Kind: KindPromoted, Count: 3, Of: 512, Epoch: 2},
 			fmt.Sprintf("primary controller unresponsive for %d probes; backup promoted (%d journal records adopted from state store, epoch %d)",
 				3, 512, uint64(2))},

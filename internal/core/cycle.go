@@ -402,33 +402,35 @@ func (k *cycleKernel) UncapEvents() uint64 { return k.uncapEvents }
 // Journal returns the controller's decision log (oldest-first ring).
 func (k *cycleKernel) Journal() *Journal { return k.journal }
 
-// AdoptJournal seeds this controller with a predecessor's decision
-// records and cycle counter (failover handoff). Call before Start.
-func (k *cycleKernel) AdoptJournal(recs []DecisionRecord, cycles uint64) {
-	k.journal.Absorb(recs)
-	if cycles > k.cycles {
-		k.cycles = cycles
+// Adopt resumes this controller from the stream it adopted on promotion.
+// It replays the entries into the journal, the cycle counter, the last
+// action, the contract and the PID internals, then continues the stream
+// at the granted epoch. A stream that was not found leaves the controller
+// fresh, its writer acquiring on its first append. It returns how many
+// journal records it adopted and whether any entry replayed. Call before
+// StartPromoted.
+func (k *cycleKernel) Adopt(res statestore.AdoptResult) (records int, ok bool) {
+	if !res.Found {
+		return 0, false
 	}
-}
-
-// AdoptInternals restores band/PID internals, the last action, and the
-// contractual limit from a predecessor's final checkpoint. Call with
-// AdoptJournal, before Start.
-func (k *cycleKernel) AdoptInternals(ck ControllerCheckpoint) {
-	k.lastAction = ck.LastAction
-	k.contract = ck.Contract
-	if k.pid != nil {
-		k.pid.integral = ck.PIDIntegral
-		k.pid.last = ck.PIDLast
-		k.pid.engaged = ck.PIDEngaged
-		k.pid.started = ck.PIDStarted
+	recs, last, ok := ReplayCheckpoints(res.Entries)
+	if ok {
+		k.journal.Absorb(recs)
+		k.cycles = max(k.cycles, last.Cycles)
+		k.lastAction = last.LastAction
+		k.contract = last.Contract
+		if k.pid != nil {
+			k.pid.integral = last.PIDIntegral
+			k.pid.last = last.PIDLast
+			k.pid.engaged = last.PIDEngaged
+			k.pid.started = last.PIDStarted
+		}
 	}
+	if k.ckpt != nil {
+		k.ckpt.Install(res.Epoch, res.NextSeq)
+	}
+	return len(recs), ok
 }
-
-// CheckpointWriter returns the attached state-store writer (nil when
-// checkpointing is disabled). The failover path uses it to continue the
-// adopted stream at its granted epoch.
-func (k *cycleKernel) CheckpointWriter() *statestore.Writer { return k.ckpt }
 
 // contracted reports whether a parent's contract undercuts the breaker.
 func (k *cycleKernel) contracted() bool { return k.contract > 0 && k.contract < k.limit }

@@ -8,6 +8,7 @@ import (
 	"dynamo/internal/power"
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
+	"dynamo/internal/statestore"
 	"dynamo/internal/wire"
 )
 
@@ -156,8 +157,12 @@ func TestCycleKernel(t *testing.T) {
 		{"adopted journal and internals resume the predecessor", func(t *testing.T, lv levelCase, loop *simclock.SimLoop) {
 			held := &heldClient{}
 			k := lv.build(loop, "dev", []string{"a"}, func(string) rpc.Client { return held })
-			k.AdoptJournal([]DecisionRecord{{Cycle: 40, Valid: true}, {Cycle: 41, Valid: true, Action: ActionCap}}, 41)
-			k.AdoptInternals(ControllerCheckpoint{LastAction: ActionCap, Contract: power.KW(2)})
+			ck := ControllerCheckpoint{Cycles: 41, LastAction: ActionCap, Contract: power.KW(2),
+				Records: []DecisionRecord{{Cycle: 40, Valid: true}, {Cycle: 41, Valid: true, Action: ActionCap}}}
+			snapshot := statestore.Entry{Kind: statestore.KindSnapshot, Payload: wire.Marshal(&ck)}
+			if n, ok := k.Adopt(statestore.AdoptResult{Found: true, Entries: []statestore.Entry{snapshot}}); n != 2 || !ok {
+				t.Fatalf("adopted %d records, replayed %v; want 2, true", n, ok)
+			}
 			if k.Cycles() != 41 || k.lastAction != ActionCap || k.EffectiveLimit() != power.KW(2) {
 				t.Fatalf("adopted cycles %d, lastAction %v, effective limit %v", k.Cycles(), k.lastAction, k.EffectiveLimit())
 			}

@@ -7,7 +7,8 @@
 // internals, last plan) into a per-device, epoch-fenced, append-only
 // stream. Streams replicate to peer stores over the normal RPC layer via
 // cumulative-ack log shipping, so a backup on another event loop, process,
-// or host holds a prefix-consistent copy it can adopt on promotion.
+// or host holds a prefix-consistent copy in its own replica, which it
+// adopts from on promotion (Store.Adopt).
 //
 // Three rules give the store its guarantees:
 //
@@ -32,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"dynamo/internal/simclock"
 	"dynamo/internal/telemetry"
@@ -98,13 +98,6 @@ type AdoptResult struct {
 	Cycles uint64
 	// Entries is the retained stream, oldest first.
 	Entries []Entry
-}
-
-// Source is the adoption surface core.Failover uses: the local store
-// satisfies it directly (done runs inline on the loop) and Remote adapts
-// an RPC client for cross-process adoption.
-type Source interface {
-	AdoptState(device, writer string, timeout time.Duration, done func(AdoptResult, error))
 }
 
 // stream is one device's retained checkpoint window.
@@ -383,8 +376,9 @@ func (s *Store) EntriesFrom(device string, from uint64) ([]Entry, uint64) {
 }
 
 // Adopt transfers stream ownership to writer (bumping the epoch, fencing
-// the previous owner) and returns the retained stream for replay. Loop
-// goroutine only; AdoptState is the async facade.
+// the previous owner) and returns the retained stream for replay. It is
+// the one adoption path: a promoted backup adopts from the replica in its
+// own process, on the loop goroutine.
 func (s *Store) Adopt(device, writer string) AdoptResult {
 	st := s.streams[device]
 	if st == nil {
@@ -407,12 +401,6 @@ func (s *Store) Adopt(device, writer string) AdoptResult {
 		s.tel.adoptions.Inc()
 	}
 	return res
-}
-
-// AdoptState implements Source for a local store: done runs inline on the
-// loop goroutine.
-func (s *Store) AdoptState(device, writer string, _ time.Duration, done func(AdoptResult, error)) {
-	done(s.Adopt(device, writer), nil)
 }
 
 // DeviceAck is a replica's cumulative acknowledgement for one device.

@@ -10,7 +10,6 @@ import (
 	"dynamo/internal/rpc"
 	"dynamo/internal/simclock"
 	"dynamo/internal/telemetry"
-	"dynamo/internal/wire"
 )
 
 func mkEntry(dev string, epoch, seq uint64, kind Kind, cycles uint64) Entry {
@@ -307,61 +306,6 @@ func TestShipperOverLossyNetwork(t *testing.T) {
 		if e.Seq != se.Seq || e.Cycles != se.Cycles || string(e.Payload) != string(se.Payload) {
 			t.Fatalf("replica entry %d = %+v, want %+v", i, e, se)
 		}
-	}
-}
-
-func TestProtoRoundTrip(t *testing.T) {
-	req := &ReplicateRequest{Source: "src", Entries: []Entry{
-		mkEntry("rpp1", 3, 7, KindSnapshot, 42),
-		mkEntry("rpp2", 1, 1, KindDelta, 1),
-	}}
-	var got ReplicateRequest
-	if err := wire.Unmarshal(wire.Marshal(req), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 2 || got.Entries[0].Seq != 7 || got.Entries[0].Kind != KindSnapshot ||
-		string(got.Entries[0].Payload) != string(req.Entries[0].Payload) || got.Source != "src" {
-		t.Fatalf("round trip = %+v", got)
-	}
-
-	ar := &AdoptResponse{Found: true, Epoch: 5, NextSeq: 9, Cycles: 8,
-		Entries: []Entry{mkEntry("rpp1", 5, 8, KindDelta, 8)}}
-	var gotAR AdoptResponse
-	if err := wire.Unmarshal(wire.Marshal(ar), &gotAR); err != nil {
-		t.Fatal(err)
-	}
-	if !gotAR.Found || gotAR.Epoch != 5 || gotAR.NextSeq != 9 || len(gotAR.Entries) != 1 {
-		t.Fatalf("adopt round trip = %+v", gotAR)
-	}
-}
-
-// TestHandlerAdoptOverRPC exercises the Remote source against a store
-// served over the in-proc transport.
-func TestHandlerAdoptOverRPC(t *testing.T) {
-	loop := simclock.NewSimLoop()
-	net := rpc.NewNetwork(loop, time.Millisecond, 1)
-	s := NewStore(loop, "a", nil)
-	net.Register("store/a", s.Handler())
-
-	w := s.NewWriter("rpp1", "primary")
-	loop.Post(func() {
-		if err := w.Append(KindSnapshot, 5, []byte("snap")); err != nil {
-			t.Errorf("append: %v", err)
-		}
-	})
-	var got AdoptResult
-	var gotErr error
-	done := false
-	loop.Post(func() {
-		Remote{Client: net.Dial("store/a")}.AdoptState("rpp1", "backup", time.Second,
-			func(res AdoptResult, err error) { got, gotErr, done = res, err, true })
-	})
-	loop.RunFor(time.Second)
-	if !done || gotErr != nil {
-		t.Fatalf("adopt over RPC: done=%v err=%v", done, gotErr)
-	}
-	if !got.Found || got.Cycles != 5 || len(got.Entries) != 1 || got.NextSeq != 2 {
-		t.Fatalf("adopt result = %+v", got)
 	}
 }
 

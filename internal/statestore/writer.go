@@ -1,6 +1,10 @@
 package statestore
 
-import "dynamo/internal/wire"
+import (
+	"errors"
+
+	"dynamo/internal/wire"
+)
 
 // DefaultSnapshotEvery is how many delta appends a writer makes before it
 // must write a full snapshot again. With the controllers' 512-record
@@ -94,7 +98,7 @@ func (w *Writer) Append(kind Kind, cycles uint64, payload []byte) error {
 		Payload: append(make([]byte, 0, len(payload)), payload...),
 	})
 	if err != nil {
-		if isFenced(err) {
+		if errors.Is(err, ErrFenced) {
 			w.fenced = true
 		}
 		return err
