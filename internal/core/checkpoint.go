@@ -50,6 +50,11 @@ type ControllerCheckpoint struct {
 // frames; journals retain 512 records, so this is generous.
 const maxCheckpointRecords = 1 << 14
 
+// minRecordLen is the fewest bytes one encoded DecisionRecord takes:
+// seven one-byte varints and bools and five float64s. A record count the
+// bytes left cannot hold is rejected before the records are allocated.
+const minRecordLen = 7 + 5*8
+
 // MarshalWire implements wire.Message.
 func (c *ControllerCheckpoint) MarshalWire(e *wire.Encoder) {
 	c.marshalInternals(e)
@@ -83,8 +88,8 @@ func (c *ControllerCheckpoint) UnmarshalWire(d *wire.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n > maxCheckpointRecords {
-		return errors.New("core: checkpoint record count exceeds limit")
+	if n > maxCheckpointRecords || n > uint64(d.Remaining()/minRecordLen) {
+		return errors.New("core: checkpoint record count exceeds limit or frame")
 	}
 	c.Records = make([]DecisionRecord, n)
 	for i := range c.Records {
